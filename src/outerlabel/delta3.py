@@ -8,15 +8,24 @@ one leaf block at a time; the labeling of the remainder is extended onto
 the block by a case table on the bridge's edge label, occasionally routing
 through an auxiliary closed-up copy of the far side (``extend_lemma1``).
 
-Every constructed labeling is re-checked by the verifier; if a case table
-ever disagrees with it, the touched elements are relabeled by bounded
-exhaustive search and a discrepancy record is emitted.
+Both this labeler and the degree-4 one run on one iterative driver,
+``reduce_and_extend``: a per-degree step function either labels a connected
+host directly (path or cycle, tiny-host search, boundary walk) or returns a
+smaller host and the finish rule that extends its labeling back (pendant
+search, leaf-block attach), and the driver keeps the pending finish rules on
+an explicit stack.
+
+Every constructed labeling is re-checked by the verifier.  ``complete`` is
+the one place that extends, verifies and widens: if a case table ever
+disagrees with the verifier, the touched elements are relabeled by bounded
+exhaustive search, tier by tier, and a discrepancy record is emitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .embedding import (
     Face,
@@ -337,6 +346,95 @@ def _cycle_labels(m: int) -> list[int]:
     return [0, 2, 4] * a + [0, 3, 1, 4] * b
 
 
+# -- the reduction driver ----------------------------------------------------
+
+Finish = Callable[[TotalLabeling], TotalLabeling]
+Step = Callable[[Graph], "TotalLabeling | tuple[Graph, Finish]"]
+
+
+def reduce_and_extend(g: Graph, k: int, step: Step) -> TotalLabeling:
+    """Label ``g`` within ``{0..k}`` by reducing it, then extending back.
+
+    This is the paper's induction run on an explicit stack.  ``step`` gets a
+    connected host and returns either a labeling of it or a smaller host
+    together with the finish rule that extends the smaller host's labeling
+    back onto the host.  A disconnected host is split into its components,
+    which are labeled in vertex order and joined.  Finish rules run in the
+    post-order a recursive induction would give them, and the call stack
+    stays flat however many reductions a host needs.
+    """
+    todo: list = [g]  # hosts to label, finish rules, (host, parts) joins
+    done: list[TotalLabeling] = []
+    while todo:
+        item = todo.pop()
+        if isinstance(item, Graph):
+            comps = item.components()
+            if len(comps) > 1:
+                todo.append((item, len(comps)))
+                todo.extend(item.induced(c) for c in reversed(comps))
+                continue
+            out = step(item)
+            if isinstance(out, TotalLabeling):
+                done.append(out)
+            else:
+                smaller, finish = out
+                todo += [finish, smaller]
+        elif isinstance(item, tuple):
+            host, parts = item
+            assign: dict[Element, int] = {}
+            for f in done[-parts:]:
+                assign.update(f.assignment)
+            del done[-parts:]
+            done.append(TotalLabeling(host, k, assign))
+        else:
+            done.append(item(done.pop()))
+    return done.pop()
+
+
+def complete(
+    f: TotalLabeling,
+    first: list[Element],
+    tiers: list[list[Element]],
+    where: str,
+    diag: Diagnostics | None,
+    event: str = "fallback",
+) -> TotalLabeling:
+    """The first verified completion of ``f``, freeing ``first``, then each tier.
+
+    With ``first`` empty, ``f`` is a finished candidate and is only
+    verified; otherwise bounded search relabels the ``first`` elements.  If
+    that does not verify, each non-empty tier is freed in turn, and each one
+    used is logged as ``event`` at ``where``.  Raises InfeasibleTrace when no
+    tier gives a verified labeling.
+    """
+    done = extend_bounded(f, first) if first else f
+    if done is not None and not verify(done, 2):
+        return done
+    for free in tiers:
+        if not free:
+            continue
+        if diag is not None:
+            diag.note(event=event, where=where, freed=len(free))
+        done = extend_bounded(f, free)
+        if done is not None and not verify(done, 2):
+            return done
+    raise InfeasibleTrace(f"{where}: no verified completion")
+
+
+def _pendant_step(g: Graph, k: int, diag: Diagnostics | None):
+    """Drop the smallest degree-1 vertex; search puts its vertex and edge back."""
+    u1 = min(v for v in g.vertices if g.degree(v) == 1)
+    u2 = g.neighbors(u1)[0]
+    return g.remove_vertices([u1]), partial(_restore_pendant, u1, u2, k, diag)
+
+
+def _restore_pendant(
+    u1: int, u2: int, k: int, diag: Diagnostics | None, fh: TotalLabeling
+) -> TotalLabeling:
+    grown = TotalLabeling(fh.graph.add_edges([(u1, u2)]), k, dict(fh.assignment))
+    return complete(grown, [u1, _E(u1, u2)], [], f"pendant at vertex {u1}", diag)
+
+
 # -- leaf-block surgery ------------------------------------------------------
 
 def _splice(
@@ -345,28 +443,6 @@ def _splice(
     out = TotalLabeling(g, k, dict(base.assignment))
     out.update(extra)
     return out
-
-
-def _repair(
-    f: TotalLabeling,
-    free_tiers: list[list[Element]],
-    where: str,
-    diag: Diagnostics | None,
-    k: int = 5,
-    event: str = "fallback",
-) -> TotalLabeling:
-    """Verify; on failure retry with growing freed element sets."""
-    if not verify(f, 2):
-        return f
-    for free in free_tiers:
-        if not free:
-            continue
-        if diag is not None:
-            diag.note(event=event, where=where, freed=len(free))
-        fixed = extend_bounded(f, free, k=k)
-        if fixed is not None and not verify(fixed, 2):
-            return fixed
-    raise InfeasibleTrace(f"{where}: case table disagrees with the verifier")
 
 
 def _incident_elements(g: Graph, vs: Iterable[int]) -> list[Element]:
@@ -433,9 +509,7 @@ def extend_lemma1(
             w for w in g2.vertices if w not in (u_prime, v_prime)
         ]
         merged = TotalLabeling(g_full, 5, dict(work.assignment))
-        done = extend_bounded(merged, free, k=5)
-        if done is None or verify(done, 2):
-            raise InfeasibleTrace("tiny reattachment failed")
+        done = complete(merged, free, [], "tiny reattachment", diag)
         return TotalLabeling(g_full, 5, {z: (5 - l if flipped else l) for z, l in done.assignment.items()})
 
     emb3 = recognize_embed(g3)
@@ -494,16 +568,18 @@ def extend_lemma1(
     # move, so it is logged as a patch; widening beyond that would be a
     # genuine disagreement with the tables
     try:
-        done = _repair(
+        done = complete(
             cand,
+            [],
             [[u_prime], [v_prime], [u_prime, v_prime]],
             "reattachment junction",
             diag,
             event="junction-patch",
         )
     except InfeasibleTrace:
-        done = _repair(
+        done = complete(
             cand,
+            [],
             [_incident_elements(g2, [u_prime, v_prime])],
             "extend_lemma1",
             diag,
@@ -530,11 +606,7 @@ def label_delta3(g: Graph, diag: Diagnostics | None = None) -> TotalLabeling:
         raise ValueError("empty graph")
     if g.max_degree() != 3:
         raise NotDelta(3, g.max_degree())
-    assign: dict[Element, int] = {}
-    for comp in g.components():
-        sub = g.induced(comp)
-        assign.update(_label_span5(sub, diag).assignment)
-    out = TotalLabeling(g, 5, assign)
+    out = TotalLabeling(g, 5, _label_span5(g, diag).assignment)
     bad = verify(out, 2)
     if bad:
         raise InfeasibleTrace(f"driver produced an invalid labeling: {bad[:3]}")
@@ -542,7 +614,12 @@ def label_delta3(g: Graph, diag: Diagnostics | None = None) -> TotalLabeling:
 
 
 def _label_span5(g: Graph, diag: Diagnostics | None) -> TotalLabeling:
-    """Connected host, maximum degree <= 3, verified labeling within {0..5}."""
+    """Maximum degree <= 3, labeling within {0..5}."""
+    return reduce_and_extend(g, 5, partial(_step5, diag=diag))
+
+
+def _step5(g: Graph, diag: Diagnostics | None):
+    """Label a connected host of maximum degree <= 3, or reduce it."""
     if g.max_degree() <= 2:
         return label_cycle_or_path(g, k=5)
     if g.n + g.m <= 7:
@@ -551,40 +628,16 @@ def _label_span5(g: Graph, diag: Diagnostics | None) -> TotalLabeling:
             raise InfeasibleTrace("tiny host admits no labeling within {0..5}")
         return f
     if g.min_degree() == 1:
-        return _peel_pendants(g, diag)
+        return _pendant_step(g, 5, diag)
     emb = recognize_embed(g)
     if emb.is_biconnected():
         f, _ = label_k2(emb, LabelK2Options(), diag)
         return f
-    return _leaf_block_surgery(g, diag)
+    return _leaf_block_step(g, diag)
 
 
-def _peel_pendants(g: Graph, diag: Diagnostics | None) -> TotalLabeling:
-    stack: list[tuple[int, int]] = []
-    h = g
-    while (
-        h.max_degree() == 3
-        and h.min_degree() == 1
-        and h.n + h.m > 7
-    ):
-        u1 = min(v for v in h.vertices if h.degree(v) == 1)
-        u2 = h.neighbors(u1)[0]
-        stack.append((u1, u2))
-        h = h.remove_vertices([u1])
-    f = _label_span5(h, diag)
-    cur = h
-    while stack:
-        u1, u2 = stack.pop()
-        cur = cur.add_edges([(u1, u2)])
-        grown = TotalLabeling(cur, 5, dict(f.assignment))
-        f2 = extend_bounded(grown, [u1, _E(u1, u2)], k=5)
-        if f2 is None or verify(f2, 2):
-            raise InfeasibleTrace(f"pendant completion failed at vertex {u1}")
-        f = f2
-    return f
-
-
-def _leaf_block_surgery(g: Graph, diag: Diagnostics | None) -> TotalLabeling:
+def _leaf_block_step(g: Graph, diag: Diagnostics | None):
+    """Cut off the first leaf block; the finish rule attaches it back."""
     cuts = g.cut_vertices()
     leaf = None
     v_c = -1
@@ -601,11 +654,21 @@ def _leaf_block_surgery(g: Graph, diag: Diagnostics | None) -> TotalLabeling:
     w = outside[0]
 
     h = g.remove_vertices(set(leaf.vertices) - {v_c})
-    fh = _label_span5(h, diag)
-    if fh.edge(v_c, w) <= 2:
-        fh = TotalLabeling(h, 5, {z: 5 - l for z, l in fh.assignment.items()})
-    base = TotalLabeling(g, 5, dict(fh.assignment))
+    return h, partial(_attach_leaf_block, g, leaf, v_c, w, diag)
 
+
+def _attach_leaf_block(
+    g: Graph,
+    leaf: Graph,
+    v_c: int,
+    w: int,
+    diag: Diagnostics | None,
+    fh: TotalLabeling,
+) -> TotalLabeling:
+    assign = fh.assignment
+    if fh.edge(v_c, w) <= 2:
+        assign = {z: 5 - l for z, l in assign.items()}
+    base = TotalLabeling(g, 5, dict(assign))
     emb1 = recognize_embed(leaf)
     if diag is not None:
         diag.step(
@@ -668,7 +731,7 @@ def _attach_cycle_block(
             ext[_E(order[1], v_c)] = 4
     cand = _splice(base, ext, g, 5)
     tiers = [[v_c], _incident_elements(g, [v_c, order[1], order[-1]])]
-    return _repair(cand, tiers, "cycle-block attach", diag)
+    return complete(cand, [], tiers, "cycle-block attach", diag)
 
 
 def _attach_chorded_block(
@@ -737,7 +800,7 @@ def _attach_wide_gap(
         ext[_E(ystar, v_c)] = 3
     cand = _splice(base, ext, g, 5)
     tiers = [[v_c], _incident_elements(g, [v_c] + ([ystar] if ystar else []))]
-    return _repair(cand, tiers, "wide-gap attach", diag)
+    return complete(cand, [], tiers, "wide-gap attach", diag)
 
 
 def _plain_run(
@@ -790,7 +853,7 @@ def _attach_tight_gap(
         ext = {z: 5 - l for z, l in f1.assignment.items()}
         cand = _splice(base, ext, g, 5)
         tiers = [[v_c], _incident_elements(g, [v_c])]
-        return _repair(cand, tiers, "tight-gap flip attach", diag)
+        return complete(cand, [], tiers, "tight-gap flip attach", diag)
 
     if pprime == 2:
         return _tight_gap_short_chord(
@@ -1053,7 +1116,7 @@ def _finish_direct(
         [z for z in ext if isinstance(z, int)][:4],
         small,
     ]
-    return _repair(cand, tiers, where, diag)
+    return complete(cand, [], tiers, where, diag)
 
 
 def _finish_reattach(
@@ -1078,12 +1141,5 @@ def _finish_reattach(
     fprime = TotalLabeling(
         gprime, 5, {z: l for z, l in merged.items() if z in keep}
     )
-    bad = verify(fprime, 2)
-    if bad:
-        if diag is not None:
-            diag.note(event="fallback", where="reattachment stub", detail=str(bad[:2]))
-        fixed = extend_bounded(fprime, [uprime, vprime], k=5)
-        if fixed is None:
-            raise InfeasibleTrace(f"stub labeling invalid: {bad[:3]}")
-        fprime = fixed
+    fprime = complete(fprime, [], [[uprime, vprime]], "reattachment stub", diag)
     return extend_lemma1(fprime, x1, xp, uprime, vprime, g2, diag)

@@ -1,13 +1,17 @@
 """Span-6 labelings for outerplanar graphs of maximum degree 4.
 
-Hosts of minimum degree 1 lose a pendant; hosts containing two adjacent
-2-vertices or a triangle with a 2-vertex and a 3-vertex lose one 2-vertex,
-and the freed elements are relabeled by bounded search.  The remaining
-hosts contain a closed fan of triangles whose interior is cut out, labeled
-by one of eight per-parity label templates, and spliced back.  Which
-template applies is decided by which pair of endpoint labels the two
-attachment stubs leave available; reversal and the label flip z -> 6 - z
-reduce the fourteen possible pairs to four canonical cases.
+The degree-4 step function for ``delta3.reduce_and_extend`` labels a host
+directly or reduces it by one rule.  Hosts of maximum degree 3 are labeled
+by the span-5 labeler inside the span-6 range.  Hosts of minimum degree 1
+lose a pendant; hosts containing two adjacent 2-vertices or a triangle with
+a 2-vertex and a 3-vertex lose one 2-vertex, and the C1/C2 finish rule
+relabels the freed elements by bounded search.  The remaining hosts contain
+a closed fan of triangles whose interior is cut out; the chain-template
+finish rule labels it by one of eight per-parity label templates and
+splices it back.  Which template applies is decided by which pair of
+endpoint labels the two attachment stubs leave available; reversal and the
+label flip z -> 6 - z reduce the fourteen possible pairs to four canonical
+cases.
 
 All templates and their subcase patches are data tables keyed by spine
 index patterns, so they can be audited entry by entry; the verifier has
@@ -19,16 +23,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .delta3 import (
     Diagnostics,
     InfeasibleTrace,
     NotDelta,
     _label_span5,
+    _pendant_step,
+    complete,
     label_cycle_or_path,
+    reduce_and_extend,
 )
 from .embedding import recognize_embed
-from .exact import extend_bounded, find_labeling_bounded
+# extend_bounded is unused here; perfbench/tracing.py patches this binding
+from .exact import extend_bounded, find_labeling_bounded  # noqa: F401
 from .graphs import Element, Graph, norm_edge
 from .labeling import TotalLabeling, verify
 from .structure import Configuration, find_closed_chain, find_configuration
@@ -779,25 +788,16 @@ def label_delta4(g: Graph, diag: Diagnostics | None = None) -> TotalLabeling:
         raise ValueError("empty graph")
     if g.max_degree() != 4:
         raise NotDelta(4, g.max_degree())
-    assign: dict[Element, int] = {}
-    for comp in g.components():
-        assign.update(_label_span6(g.induced(comp), diag).assignment)
-    out = TotalLabeling(g, 6, assign)
+    f = reduce_and_extend(g, 6, partial(_step6, diag=diag))
+    out = TotalLabeling(g, 6, f.assignment)
     bad = verify(out, 2)
     if bad:
         raise InfeasibleTrace(f"driver produced an invalid labeling: {bad[:3]}")
     return out
 
 
-def _by_components_span6(g: Graph, diag: Diagnostics | None) -> TotalLabeling:
-    assign: dict[Element, int] = {}
-    for comp in g.components():
-        assign.update(_label_span6(g.induced(comp), diag).assignment)
-    return TotalLabeling(g, 6, assign)
-
-
-def _label_span6(g: Graph, diag: Diagnostics | None) -> TotalLabeling:
-    """Connected host, maximum degree <= 4, verified labeling within {0..6}."""
+def _step6(g: Graph, diag: Diagnostics | None):
+    """Label a connected host of maximum degree <= 4, or reduce it."""
     delta = g.max_degree()
     if delta <= 2:
         return label_cycle_or_path(g, k=6)
@@ -809,73 +809,51 @@ def _label_span6(g: Graph, diag: Diagnostics | None) -> TotalLabeling:
             raise InfeasibleTrace("tiny host admits no labeling within {0..6}")
         return f
     if g.min_degree() == 1:
-        return _peel_pendants6(g, diag)
+        return _pendant_step(g, 6, diag)
     emb = recognize_embed(g)
     cfg = find_configuration(emb)
     if diag is not None:
         diag.step(f"degree-4 dispatch: {cfg.kind} at {cfg.witnesses}")
     if cfg.kind in ("C1", "C2"):
-        return _reduce_and_fill(g, cfg, diag)
+        h, freed = reduce_c1c2(g, cfg)
+        return h, partial(_fill_c1c2, g, cfg, freed, diag)
     chain = find_closed_chain(emb, check_preconditions=False)
-    return _chain_surgery(g, chain, diag)
+    h = g.remove_vertices(chain.interior()).remove_edges([chain.closing_inner_edge])
+    return h, partial(_chain_surgery, g, chain, diag)
 
 
-def _peel_pendants6(g: Graph, diag: Diagnostics | None) -> TotalLabeling:
-    stack: list[tuple[int, int]] = []
-    h = g
-    while h.max_degree() == 4 and h.min_degree() == 1 and h.n + h.m > 9:
-        u1 = min(v for v in h.vertices if h.degree(v) == 1)
-        u2 = h.neighbors(u1)[0]
-        stack.append((u1, u2))
-        h = h.remove_vertices([u1])
-    f = _by_components_span6(h, diag)
-    cur = h
-    while stack:
-        u1, u2 = stack.pop()
-        cur = cur.add_edges([(u1, u2)])
-        grown = TotalLabeling(cur, 6, dict(f.assignment))
-        f2 = extend_bounded(grown, [u1, norm_edge(u1, u2)], k=6)
-        if f2 is None or verify(f2, 2):
-            raise InfeasibleTrace(f"pendant completion failed at vertex {u1}")
-        f = f2
-    return f
-
-
-def _reduce_and_fill(
-    g: Graph, cfg: Configuration, diag: Diagnostics | None
+def _fill_c1c2(
+    g: Graph,
+    cfg: Configuration,
+    freed: list[Element],
+    diag: Diagnostics | None,
+    fh: TotalLabeling,
 ) -> TotalLabeling:
-    h, freed = reduce_c1c2(g, cfg)
-    fh = _by_components_span6(h, diag)
+    # Freeing only the dropped vertex's own elements is not always
+    # completable (the host can force both freed edges into {3,6}, say,
+    # leaving no vertex label).  Widening the search to the neighbors'
+    # elements relabels a slightly larger patch instead.
+    wider = set(freed)
+    for nb in g.neighbors(cfg.witnesses[0]):
+        wider.add(nb)
+        wider.update(g.incident_edges(nb))
     grown = TotalLabeling(g, 6, dict(fh.assignment))
-    done = extend_bounded(grown, freed, k=6)
-    if done is None:
-        # Freeing only the dropped vertex's own elements is not always
-        # completable (the host can force both freed edges into {3,6},
-        # say, leaving no vertex label).  Widening the search to the
-        # neighbors' elements relabels a slightly larger patch instead.
-        u1 = cfg.witnesses[0]
-        wider = set(freed)
-        for nb in g.neighbors(u1):
-            wider.add(nb)
-            wider.update(g.incident_edges(nb))
-        if diag is not None:
-            diag.note(
-                event="widened-completion",
-                where=f"{cfg.kind} completion",
-                freed=len(wider),
-            )
-        done = extend_bounded(grown, sorted(wider, key=repr), k=6)
-    if done is None or verify(done, 2):
-        raise InfeasibleTrace(f"{cfg.kind} reduction could not be completed")
-    return done
+    return complete(
+        grown,
+        freed,
+        [sorted(wider, key=repr)],
+        f"{cfg.kind} completion",
+        diag,
+        event="widened-completion",
+    )
 
 
-def _chain_surgery(g: Graph, chain, diag: Diagnostics | None) -> TotalLabeling:
+def _chain_surgery(
+    g: Graph, chain, diag: Diagnostics | None, fh: TotalLabeling
+) -> TotalLabeling:
     spine = chain.spine
     closing = chain.closing_inner_edge
     w1, w2 = chain.attachments
-    h = g.remove_vertices(chain.interior()).remove_edges([closing])
-    fh = _by_components_span6(h, diag)
 
     l1 = availability(fh, spine[0], w1)
     l2 = availability(fh, spine[-1], w2)
@@ -913,30 +891,20 @@ def _chain_surgery(g: Graph, chain, diag: Diagnostics | None) -> TotalLabeling:
         merged.update(ext)
         if cc.complement:
             merged = {z: 6 - l for z, l in merged.items()}
-        cand = TotalLabeling(g, 6, merged)
-        bad = verify(cand, 2)
-    except CaseFault as exc:
-        bad = [exc]
+    except CaseFault:
         merged = dict(fh.assignment)
-        cand = None
-    if not bad:
-        return cand
-    if diag is not None:
-        diag.note(
-            event="fallback",
-            where=f"chain template case {cc.case_id} t={chain.t}",
-            detail=str(bad[:2]),
-        )
     free: list[Element] = list(spine)
     free.append(closing)
     for i in range(len(spine) - 1):
         free.append(norm_edge(spine[i], spine[i + 1]))
     for i in range(0, len(spine) - 2, 2):
         free.append(norm_edge(spine[i], spine[i + 2]))
-    if len(free) > 30:
-        raise InfeasibleTrace("chain template failed on a long chain")
-    base = TotalLabeling(g, 6, dict(fh.assignment))
-    done = extend_bounded(base, free, k=6)
-    if done is None or verify(done, 2):
-        raise InfeasibleTrace("chain fallback search failed")
-    return done
+    # the fallback search is exhaustive, so a long chain gets none
+    tiers = [free] if len(free) <= 30 else []
+    return complete(
+        TotalLabeling(g, 6, merged),
+        [],
+        tiers,
+        f"chain template case {cc.case_id} t={chain.t}",
+        diag,
+    )

@@ -276,10 +276,6 @@ def endfaces(emb: OuterplanarEmbedding) -> list[Face]:
     return [f for f in emb.inner_faces if f.inner_edge_count == 1]
 
 
-def block_endfaces(block: BlockEmbedding) -> list[Face]:
-    return [f for f in block.faces if f.inner_edge_count == 1]
-
-
 def boundary_decompose(
     emb: OuterplanarEmbedding, start: int | None = None
 ) -> tuple[list[int], list[list[int]], list[int]]:

@@ -30,9 +30,6 @@ class SearchStats:
     calls: int = 0
     budget: int | None = None
 
-    def merged(self, other: "SearchStats") -> "SearchStats":
-        return SearchStats(self.nodes + other.nodes, self.calls + other.calls)
-
     def charge(self) -> None:
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
@@ -231,8 +228,10 @@ def extend_bounded(
 ) -> TotalLabeling | None:
     """Exhaustively complete ``f`` on the ``free`` elements within ``{0..k}``.
 
-    Elements already assigned keep their labels; returns the first completion
-    passing verification, or None when no completion exists.
+    Elements already assigned keep their labels; returns the first
+    completion the search finds, or None when no completion exists.  The
+    result is not verified: elements that are neither assigned nor free stay
+    unlabeled, so callers run ``verify`` on it.
     """
     kk = f.k if k is None else k
     g = f.graph
@@ -248,24 +247,3 @@ def extend_bounded(
         return None
     return TotalLabeling(g, kk, found)
 
-
-def naive_lambda(g: Graph, p: int = 2, kmax: int = 10) -> int | None:
-    """Full-enumeration reference for tiny graphs; used to cross-check the solver."""
-    from itertools import product
-
-    elements = list(g.elements())
-    cons = _neighbor_constraints(g, p)
-    for k in range(0, kmax + 1):
-        for combo in product(range(k + 1), repeat=len(elements)):
-            lab = dict(zip(elements, combo))
-            ok = True
-            for el, partners in cons.items():
-                for other, gap in partners:
-                    if abs(lab[el] - lab[other]) < gap:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return k
-    return None

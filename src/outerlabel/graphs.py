@@ -6,7 +6,7 @@ Vertices are nonnegative integers; an edge is the normalized pair
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 Edge = tuple[int, int]
@@ -254,12 +254,3 @@ class Graph:
             set(self._vertices) | set(other._vertices),
             list(self._edges) + list(other._edges),
         )
-
-
-def graph_union(graphs: Sequence[Graph]) -> Graph:
-    vs: set[int] = set()
-    es: set[Edge] = set()
-    for g in graphs:
-        vs.update(g.vertices)
-        es.update(g.edges)
-    return Graph(vs, es)

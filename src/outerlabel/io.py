@@ -6,7 +6,7 @@ import json
 from typing import Any
 
 from .embedding import OuterplanarEmbedding
-from .graphs import Graph, norm_edge
+from .graphs import Graph
 from .labeling import TotalLabeling
 
 
@@ -83,21 +83,35 @@ def labeling_to_json(f: TotalLabeling) -> dict[str, Any]:
     return {"k": f.k, "vertices": vertices, "edges": edges}
 
 
+def _int(x: Any, what: str) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{what} must be an integer, got {x!r}") from exc
+
+
 def labeling_from_json(data: dict[str, Any], g: Graph) -> TotalLabeling:
     if not isinstance(data, dict) or "k" not in data:
         raise FormatError('labeling JSON needs "k", "vertices", "edges"')
-    f = TotalLabeling(g, int(data["k"]))
-    for v, lab in data.get("vertices", {}).items():
-        vi = int(v)
+    vertices = data.get("vertices", {})
+    items = data.get("edges", [])
+    if not isinstance(vertices, dict) or not isinstance(items, list):
+        raise FormatError('"vertices" must be an object and "edges" a list')
+    f = TotalLabeling(g, _int(data["k"], "k"))
+    for v, lab in vertices.items():
+        vi = _int(v, "vertex id")
         if not g.has_vertex(vi):
             raise FormatError(f"labeling mentions unknown vertex {vi}")
-        f.set(vi, int(lab))
-    for item in data.get("edges", []):
-        u, v, lab = item
-        e = norm_edge(int(u), int(v))
-        if e not in set(g.edges):
+        f.set(vi, _int(lab, f"label of vertex {vi}"))
+    edges = set(g.edges)
+    for item in items:
+        if not isinstance(item, (list, tuple)) or len(item) != 3:
+            raise FormatError(f"edge entries must be [u, v, label], got {item!r}")
+        u, v, lab = (_int(x, "edge entry") for x in item)
+        e = (min(u, v), max(u, v))
+        if e not in edges:
             raise FormatError(f"labeling mentions unknown edge {e}")
-        f.set(e, int(lab))
+        f.set(e, lab)
     return f
 
 

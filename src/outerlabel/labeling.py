@@ -56,12 +56,6 @@ class TotalLabeling:
     def set_edge(self, u: int, v: int, label: int) -> None:
         self.assignment[norm_edge(u, v)] = label
 
-    def is_total(self) -> bool:
-        return all(e in self.assignment for e in self.graph.elements())
-
-    def copy(self) -> "TotalLabeling":
-        return TotalLabeling(self.graph, self.k, dict(self.assignment))
-
     def update(self, other: Mapping[Element, int]) -> None:
         self.assignment.update(other)
 

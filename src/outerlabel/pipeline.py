@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from .delta3 import Diagnostics, label_cycle_or_path, label_delta3
+from functools import partial
+
+from .delta3 import Diagnostics, label_cycle_or_path, label_delta3, reduce_and_extend
 from .delta4 import label_delta4
 from .exact import find_labeling_bounded
-from .graphs import Element, Graph
+from .graphs import Graph
 from .labeling import TotalLabeling, verify
 
 
@@ -30,12 +32,9 @@ def label_outerplanar(
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    delta = g.max_degree() if g.n else 0
+    delta = g.max_degree()
     if delta <= 2:
-        assign: dict[Element, int] = {}
-        for comp in g.components():
-            assign.update(label_cycle_or_path(g.induced(comp), k=4).assignment)
-        f = TotalLabeling(g, 4, assign)
+        f = reduce_and_extend(g, 4, partial(label_cycle_or_path, k=4))
     elif delta == 3:
         f = label_delta3(g, diag)
     elif delta == 4:

@@ -169,3 +169,9 @@ def test_parse_errors(tmp_path, capsys):
     assert "input error" in err
     code, _, _ = run(capsys, "label", str(tmp_path / "missing.txt"))
     assert code == 2
+    gpath = write_graph(tmp_path, gen.gen_cycle(4))
+    lpath = tmp_path / "lab.json"
+    lpath.write_text('{"k": 4, "vertices": {}, "edges": [5]}')
+    code, _, err = run(capsys, "verify", gpath, str(lpath))
+    assert code == 2
+    assert "input error" in err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from itertools import product
 
 import pytest
@@ -26,6 +27,7 @@ from outerlabel.embedding import recognize_embed
 from outerlabel.exact import lambda_exact
 from outerlabel.graphs import Graph, norm_edge
 from outerlabel.labeling import TotalLabeling, span, verify
+from outerlabel.pipeline import label_outerplanar
 from outerlabel.structure import Configuration, find_configuration
 
 
@@ -225,6 +227,36 @@ def test_disconnected_components():
     ]
     f = label_delta4(Graph.from_edges(edges))
     assert verify(f, 2) == [] and span(f) <= 6
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_reductions_keep_the_stack_flat():
+    # a triangle strip takes one C1/C2 reduction per vertex, and a chain of
+    # bridged chorded hexagons one leaf-block reduction per hexagon; neither
+    # may deepen the call stack with the number of reductions
+    strip = Graph.from_edges(
+        [(i, i + 1) for i in range(119)] + [(i, i + 2) for i in range(118)]
+    )
+    hexagons = []
+    for j in range(80):
+        b = 6 * j
+        hexagons += [(b + i, b + (i + 1) % 6) for i in range(6)] + [(b + 1, b + 4)]
+        if j:
+            hexagons.append((b - 3, b))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 200)
+    try:
+        for g in (strip, Graph.from_edges(hexagons)):
+            f = label_outerplanar(g)
+            assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @settings(max_examples=120, deadline=None)

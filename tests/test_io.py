@@ -49,6 +49,12 @@ def test_labeling_json_roundtrip():
         io.labeling_from_json({"k": 4, "vertices": {"9": 0}, "edges": []}, g)
     with pytest.raises(io.FormatError):
         io.labeling_from_json({"k": 4, "vertices": {}, "edges": [[0, 2, 1]]}, g)
+    with pytest.raises(io.FormatError):
+        io.labeling_from_json({"k": 4, "vertices": {}, "edges": [5]}, g)
+    with pytest.raises(io.FormatError):
+        io.labeling_from_json({"k": 4, "vertices": {"0": None}, "edges": []}, g)
+    with pytest.raises(io.FormatError):
+        io.labeling_from_json({"k": 4, "vertices": [], "edges": []}, g)
 
 
 def test_dot_export():
