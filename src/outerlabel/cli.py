@@ -49,7 +49,7 @@ def cmd_label(args: argparse.Namespace) -> int:
         recognize_embed(g.induced(comp))  # classification gate
     diag = Diagnostics() if args.emit_case_trace else None
     f = label_outerplanar(g, fallback_search=args.fallback_search, diag=diag)
-    bad = verify(f, args.p)
+    bad = verify(f, 2)
     print(json.dumps(io.labeling_to_json(f)))
     _say(
         f"labeled n={g.n} m={g.m} max_degree={g.max_degree()} "
@@ -182,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("edgelist", "json"), default="edgelist"
         )
-        p.add_argument("--p", type=int, default=2)
 
     p = sub.add_parser("label", help="construct a verified labeling")
     add_graph_opts(p)
@@ -195,11 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a labeling file")
     add_graph_opts(p)
+    p.add_argument("--p", type=int, default=2)
     p.add_argument("labeling", help="labeling JSON file, or -")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("exact", help="exact optimum by exhaustive search")
     add_graph_opts(p)
+    p.add_argument("--p", type=int, default=2)
     p.add_argument("--kmax", type=int, default=10)
     p.set_defaults(func=cmd_exact)
 

@@ -28,6 +28,7 @@ from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .embedding import (
+    BlockEmbedding,
     Face,
     OuterplanarEmbedding,
     boundary_decompose,
@@ -633,33 +634,30 @@ def _step5(g: Graph, diag: Diagnostics | None):
     if emb.is_biconnected():
         f, _ = label_k2(emb, LabelK2Options(), diag)
         return f
-    return _leaf_block_step(g, diag)
+    return _leaf_block_step(g, emb, diag)
 
 
-def _leaf_block_step(g: Graph, diag: Diagnostics | None):
+def _leaf_block_step(g: Graph, emb: OuterplanarEmbedding, diag: Diagnostics | None):
     """Cut off the first leaf block; the finish rule attaches it back."""
     cuts = g.cut_vertices()
-    leaf = None
-    v_c = -1
-    for blk in sorted(g.biconnected_components(), key=lambda b: min(b.vertices)):
-        shared = set(blk.vertices) & cuts
-        if len(shared) == 1 and blk.n >= 3:
-            leaf, v_c = blk, shared.pop()
-            break
-    if leaf is None:
+    blk = next((b for b in emb.blocks if len(cuts.intersection(b.cycle)) == 1),
+               None)
+    if blk is None:
         raise InfeasibleTrace("no leaf block with a single cut vertex")
-    outside = [z for z in g.neighbors(v_c) if not leaf.has_vertex(z)]
+    members = set(blk.cycle)
+    (v_c,) = members & cuts
+    outside = [z for z in g.neighbors(v_c) if z not in members]
     if len(outside) != 1:
         raise InfeasibleTrace("cut vertex must leave its block by one bridge")
     w = outside[0]
 
-    h = g.remove_vertices(set(leaf.vertices) - {v_c})
-    return h, partial(_attach_leaf_block, g, leaf, v_c, w, diag)
+    h = g.remove_vertices(members - {v_c})
+    return h, partial(_attach_leaf_block, g, blk, v_c, w, diag)
 
 
 def _attach_leaf_block(
     g: Graph,
-    leaf: Graph,
+    blk: BlockEmbedding,
     v_c: int,
     w: int,
     diag: Diagnostics | None,
@@ -669,7 +667,8 @@ def _attach_leaf_block(
     if fh.edge(v_c, w) <= 2:
         assign = {z: 5 - l for z, l in assign.items()}
     base = TotalLabeling(g, 5, dict(assign))
-    emb1 = recognize_embed(leaf)
+    leaf = g.induced(blk.cycle)
+    emb1 = OuterplanarEmbedding(leaf, (blk,), frozenset())
     if diag is not None:
         diag.step(
             f"leaf block n={leaf.n} chords={len(emb1.inner_edges)} "

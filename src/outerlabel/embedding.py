@@ -3,12 +3,15 @@
 A connected outerplanar graph is handled block by block: every biconnected
 block with three or more vertices has a unique Hamiltonian boundary cycle,
 and all remaining block edges must be pairwise non-crossing chords of that
-cycle.  "Clockwise" means the stored orientation of each cycle; there are
-no coordinates.
+cycle.  Both are checked in near-linear time: the cycle by degree-2
+reduction, the chords by one stack pass in which they must nest like
+parentheses.  "Clockwise" means the stored orientation of each cycle; there
+are no coordinates.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -44,10 +47,6 @@ class BlockEmbedding:
     cycle: tuple[int, ...]
     chords: frozenset[Edge]
     faces: tuple[Face, ...]
-
-    @property
-    def position(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.cycle)}
 
     def outer_edges(self) -> list[Edge]:
         c = self.cycle
@@ -104,60 +103,71 @@ class OuterplanarEmbedding:
         return OuterplanarEmbedding(self.graph, blocks, self.bridge_edges)
 
 
-def _chords_cross(cycle_pos: dict[int, int], e: Edge, f: Edge) -> bool:
-    a, b = sorted((cycle_pos[e[0]], cycle_pos[e[1]]))
-    c, d = sorted((cycle_pos[f[0]], cycle_pos[f[1]]))
-    inside_c = a < c < b
-    inside_d = a < d < b
-    if {a, b} & {c, d}:
-        return False
-    return inside_c != inside_d
-
-
 def _boundary_cycle(block: Graph) -> tuple[int, ...]:
     """The Hamiltonian boundary cycle of a 2-connected outerplanar block.
 
-    Works by repeatedly deleting a degree-2 vertex (splicing its neighbors
-    together when they are not yet adjacent) and reinserting on the way
-    back up.  A 2-connected graph with minimum degree 3 has no outerplane
-    drawing, so getting stuck is a sound rejection.
+    Repeatedly deletes the smallest-id degree-2 vertex, splicing its
+    neighbors together, then reinserts the vertices in reverse order.  A
+    2-connected graph of minimum degree 3 has no outerplane drawing, so
+    getting stuck is a sound rejection.  Degrees never grow, so a heap with
+    lazy deletion finds the vertex a full scan would.  The output does not
+    depend on the removal order: a 2-connected outerplanar graph has exactly
+    one Hamiltonian cycle, and ``_canonical_cycle`` fixes its rotation and
+    direction.
     """
     n = block.n
     if block.m > 2 * n - 3:
         raise NotOuterplanar("too many edges for an outerplane drawing")
     adj: dict[int, set[int]] = {v: set(block.neighbors(v)) for v in block.vertices}
+    ready = [v for v in block.vertices if len(adj[v]) == 2]  # sorted: a heap
     removed: list[tuple[int, int, int]] = []  # (vertex, left, right)
     while len(adj) > 3:
-        v2 = next(
-            (v for v in sorted(adj) if len(adj[v]) == 2),
-            None,
-        )
-        if v2 is None:
+        while ready and len(adj.get(ready[0], ())) != 2:
+            heapq.heappop(ready)
+        if not ready:
             raise NotOuterplanar("a block has minimum degree 3")
-        a, b = sorted(adj[v2])
+        v2 = heapq.heappop(ready)
+        a, b = sorted(adj.pop(v2))
         removed.append((v2, a, b))
-        del adj[v2]
-        adj[a].discard(v2)
-        adj[b].discard(v2)
-        adj[a].add(b)
-        adj[b].add(a)
+        for x, y in ((a, b), (b, a)):
+            adj[x].discard(v2)
+            adj[x].add(y)
+            if len(adj[x]) == 2:
+                heapq.heappush(ready, x)
     if any(len(ns) != 2 for ns in adj.values()):
         raise NotOuterplanar("block does not reduce to a triangle")
-    cycle = list(sorted(adj))
-    if cycle[2] not in adj[cycle[0]]:
-        raise NotOuterplanar("block does not reduce to a triangle")
     # reinsert in reverse removal order; neighbors must sit side by side
+    first, second, third = sorted(adj)
+    nxt = {first: second, second: third, third: first}
     for v, a, b in reversed(removed):
-        pos = {u: i for i, u in enumerate(cycle)}
-        ia, ib = pos[a], pos[b]
-        k = len(cycle)
-        if (ia + 1) % k == ib:
-            cycle.insert(ib, v)
-        elif (ib + 1) % k == ia:
-            cycle.insert(ia, v)
-        else:
+        if nxt[a] != b:
+            a, b = b, a
+        if nxt[a] != b:
             raise NotOuterplanar("chords of a block interleave")
+        nxt[a], nxt[v] = v, b
+    cycle = [first]
+    for _ in range(n - 1):
+        cycle.append(nxt[cycle[-1]])
     return _canonical_cycle(cycle)
+
+
+def _check_chords(pos: dict[int, int], chords: Iterable[Edge]) -> None:
+    """Raise NotOuterplanar unless the chords nest like parentheses.
+
+    ``pos`` is each vertex's place on the boundary cycle.  Chords sharing an
+    end do not cross.  A cycle that ``_boundary_cycle`` could rebuild admits
+    no crossing chords, so this pass guards that invariant.
+    """
+    spans = sorted(
+        (min(pos[u], pos[v]), -max(pos[u], pos[v]), (u, v)) for u, v in chords
+    )
+    stack: list[tuple[int, Edge]] = []  # open chords: (right end, chord)
+    for left, neg_right, chord in spans:
+        while stack and stack[-1][0] <= left:
+            stack.pop()
+        if stack and stack[-1][0] < -neg_right:
+            raise NotOuterplanar(f"chords {stack[-1][1]} and {chord} interleave")
+        stack.append((-neg_right, chord))
 
 
 def _canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
@@ -225,33 +235,11 @@ def embed_block(block: Graph) -> BlockEmbedding:
     cycle = _boundary_cycle(block)
     pos = {v: i for i, v in enumerate(cycle)}
     k = len(cycle)
-    boundary = {
-        norm_edge(cycle[i], cycle[(i + 1) % k]) for i in range(k)
-    }
-    chords = [e for e in block.edges if e not in boundary]
-    for i in range(len(chords)):
-        for j in range(i + 1, len(chords)):
-            if _chords_cross(pos, chords[i], chords[j]):
-                raise NotOuterplanar(f"chords {chords[i]} and {chords[j]} interleave")
+    chords = [
+        (u, v) for u, v in block.edges if (pos[u] - pos[v]) % k not in (1, k - 1)
+    ]
+    _check_chords(pos, chords)
     return _finish_block(cycle, chords)
-
-
-def from_boundary(graph: Graph, boundary: Sequence[int]) -> OuterplanarEmbedding:
-    """Embedding of a 2-connected graph whose boundary order is already known."""
-    if sorted(boundary) != list(graph.vertices):
-        raise ValueError("boundary must visit every vertex exactly once")
-    k = len(boundary)
-    cyc_edges = {norm_edge(boundary[i], boundary[(i + 1) % k]) for i in range(k)}
-    if not cyc_edges <= set(graph.edges):
-        raise ValueError("boundary is not a cycle of the graph")
-    chords = [e for e in graph.edges if e not in cyc_edges]
-    pos = {v: i for i, v in enumerate(boundary)}
-    for i in range(len(chords)):
-        for j in range(i + 1, len(chords)):
-            if _chords_cross(pos, chords[i], chords[j]):
-                raise NotOuterplanar(f"chords {chords[i]} and {chords[j]} interleave")
-    block = _finish_block(tuple(boundary), chords)
-    return OuterplanarEmbedding(graph, (block,), frozenset())
 
 
 def recognize_embed(g: Graph) -> OuterplanarEmbedding:

@@ -51,9 +51,17 @@ def parse_graph_json(text: str) -> Graph:
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise FormatError('graph JSON needs {"n": int, "edges": [[u, v], ...]}')
+    edges = data["edges"]
+    if not isinstance(edges, list) or any(
+        not isinstance(e, list) or len(e) != 2 for e in edges
+    ):
+        raise FormatError('"edges" must be a list of [u, v] pairs')
+    ends = [_int(x, "vertex id") for e in edges for x in e]
+    if any(x < 0 for x in ends):
+        raise FormatError("vertex ids must be nonnegative")
     try:
-        return Graph.from_edges([tuple(e) for e in data["edges"]], n=int(data["n"]))
-    except (TypeError, ValueError) as exc:
+        return Graph.from_edges(zip(ends[::2], ends[1::2]), n=_int(data["n"], "n"))
+    except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 
@@ -84,9 +92,12 @@ def labeling_to_json(f: TotalLabeling) -> dict[str, Any]:
 
 
 def _int(x: Any, what: str) -> int:
+    """An integer, or the decimal string of one (JSON object keys are strings)."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise FormatError(f"{what} must be an integer, got {x!r}")
     try:
         return int(x)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise FormatError(f"{what} must be an integer, got {x!r}") from exc
 
 

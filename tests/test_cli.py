@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from outerlabel import generators as gen
 from outerlabel.cli import main
 from outerlabel.io import dump_edgelist, dump_graph_json
@@ -175,3 +177,18 @@ def test_parse_errors(tmp_path, capsys):
     code, _, err = run(capsys, "verify", gpath, str(lpath))
     assert code == 2
     assert "input error" in err
+    jpath = tmp_path / "bad.json"
+    jpath.write_text('{"n": 2.9, "edges": [[0, 1.7], [0, -1]]}')
+    code, _, err = run(capsys, "label", str(jpath), "--format", "json")
+    assert code == 2
+    assert "input error" in err
+
+
+def test_p_only_where_it_is_read(tmp_path, capsys):
+    path = write_graph(tmp_path, gen.gen_cycle(5))
+    for command in ("label", "structure"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, "--p", "3"])
+        assert exc.value.code == 2
+    code, _, _ = run(capsys, "exact", path, "--p", "3", "--kmax", "8")
+    assert code == 0

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,12 +10,12 @@ from hypothesis import strategies as st
 from outerlabel import generators as gen
 from outerlabel.embedding import (
     NotOuterplanar,
+    _check_chords,
     boundary_decompose,
     endfaces,
-    from_boundary,
     recognize_embed,
 )
-from outerlabel.graphs import Graph
+from outerlabel.graphs import Graph, norm_edge
 
 
 def c6_chord():
@@ -103,14 +106,50 @@ def test_face_edge_classification():
         assert inner == face.inner_edge_count
 
 
-def test_from_boundary_checks():
-    g = c6_chord()
-    emb = from_boundary(g, [0, 1, 2, 3, 4, 5])
-    assert emb.inner_edges == {(0, 3)}
-    with pytest.raises(ValueError):
-        from_boundary(g, [0, 1, 2, 3, 4])
-    with pytest.raises(ValueError):
-        from_boundary(g, [0, 1, 3, 2, 4, 5])
+def test_check_chords_nesting():
+    pos = {v: v for v in range(8)}
+    _check_chords(pos, [(0, 4), (1, 3), (4, 6), (0, 6), (6, 7), (1, 4)])
+    _check_chords(pos, [])
+    for crossing in ([(0, 4), (2, 6)], [(1, 5), (0, 2)], [(0, 3), (1, 4), (5, 7)]):
+        with pytest.raises(NotOuterplanar):
+            _check_chords(pos, crossing)
+
+
+def _canonical(cycle):
+    """Rotate to the smallest vertex and orient toward its smaller neighbor."""
+    i = cycle.index(min(cycle))
+    rot = cycle[i:] + cycle[:i]
+    return tuple(rot if rot[1] < rot[-1] else rot[:1] + rot[:0:-1])
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_every_dissection_recognized(n):
+    """Every diagonal subset of every triangulated n-gon, under one relabeling.
+
+    The boundary and the chords come back exactly, and one more diagonal
+    crossing any kept chord makes the graph non-outerplanar.
+    """
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    boundary = _canonical([perm[i] for i in range(n)])
+    seen: set[frozenset] = set()
+    for tri in gen.enumerate_triangulations(n):
+        diagonals = [e for e in tri.edges if (e[1] - e[0]) % n not in (1, n - 1)]
+        for r in range(len(diagonals) + 1):
+            for kept in itertools.combinations(diagonals, r):
+                if frozenset(kept) in seen:
+                    continue
+                seen.add(frozenset(kept))
+                edges = [norm_edge(perm[a], perm[b]) for a, b in ring + list(kept)]
+                emb = recognize_embed(Graph(range(n), edges))
+                assert emb.boundary == boundary
+                assert emb.inner_edges == set(edges[n:])
+                for a, b in kept:  # a < b, so (a+1, b+1) crosses (a, b)
+                    cross = norm_edge(perm[a + 1], perm[(b + 1) % n])
+                    with pytest.raises(NotOuterplanar):
+                        recognize_embed(Graph(range(n), edges + [cross]))
+    assert len(seen) == {4: 3, 5: 11, 6: 45, 7: 197, 8: 903}[n]
 
 
 def test_boundary_decompose_examples():

@@ -37,6 +37,18 @@ def test_graph_json_roundtrip():
         io.parse_graph_json('{"edges": []}')
     with pytest.raises(io.FormatError):
         io.parse_graph_json("not json")
+    for bad in (
+        '{"n": 2.9, "edges": [[0, 1.7], [0, -1]]}',
+        '{"n": 2.9, "edges": []}',
+        '{"n": true, "edges": []}',
+        '{"n": 2, "edges": [[0, 1.7]]}',
+        '{"n": 2, "edges": [[0, -1]]}',
+        '{"n": 2, "edges": [[0, true]]}',
+        '{"n": 2, "edges": [[0, 1, 2]]}',
+        '{"n": 2, "edges": {"0": 1}}',
+    ):
+        with pytest.raises(io.FormatError):
+            io.parse_graph_json(bad)
 
 
 def test_labeling_json_roundtrip():
@@ -55,6 +67,15 @@ def test_labeling_json_roundtrip():
         io.labeling_from_json({"k": 4, "vertices": {"0": None}, "edges": []}, g)
     with pytest.raises(io.FormatError):
         io.labeling_from_json({"k": 4, "vertices": [], "edges": []}, g)
+    for bad in (
+        {"k": 4, "vertices": {"0": 2.7}, "edges": []},
+        {"k": 4, "vertices": {"1": True}, "edges": []},
+        {"k": 4.5, "vertices": {}, "edges": []},
+        {"k": 4, "vertices": {}, "edges": [[0, 1, 2.0]]},
+        {"k": 4, "vertices": {}, "edges": [[0, 1.0, 2]]},
+    ):
+        with pytest.raises(io.FormatError):
+            io.labeling_from_json(bad, g)
 
 
 def test_dot_export():
