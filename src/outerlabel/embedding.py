@@ -4,9 +4,10 @@ A connected outerplanar graph is handled block by block: every biconnected
 block with three or more vertices has a unique Hamiltonian boundary cycle,
 and all remaining block edges must be pairwise non-crossing chords of that
 cycle.  Both are checked in near-linear time: the cycle by degree-2
-reduction, the chords by one stack pass in which they must nest like
-parentheses.  "Clockwise" means the stored orientation of each cycle; there
-are no coordinates.
+reduction, the chords by one stack pass over the boundary positions in which
+they must nest like parentheses.  The same pass traces the inner faces.
+"Clockwise" means the stored orientation of each cycle; there are no
+coordinates.
 """
 
 from __future__ import annotations
@@ -151,25 +152,6 @@ def _boundary_cycle(block: Graph) -> tuple[int, ...]:
     return _canonical_cycle(cycle)
 
 
-def _check_chords(pos: dict[int, int], chords: Iterable[Edge]) -> None:
-    """Raise NotOuterplanar unless the chords nest like parentheses.
-
-    ``pos`` is each vertex's place on the boundary cycle.  Chords sharing an
-    end do not cross.  A cycle that ``_boundary_cycle`` could rebuild admits
-    no crossing chords, so this pass guards that invariant.
-    """
-    spans = sorted(
-        (min(pos[u], pos[v]), -max(pos[u], pos[v]), (u, v)) for u, v in chords
-    )
-    stack: list[tuple[int, Edge]] = []  # open chords: (right end, chord)
-    for left, neg_right, chord in spans:
-        while stack and stack[-1][0] <= left:
-            stack.pop()
-        if stack and stack[-1][0] < -neg_right:
-            raise NotOuterplanar(f"chords {stack[-1][1]} and {chord} interleave")
-        stack.append((-neg_right, chord))
-
-
 def _canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     """Rotate to the smallest vertex and orient toward its smaller neighbor."""
     k = len(cycle)
@@ -180,66 +162,57 @@ def _canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     return tuple(rot)
 
 
-def _trace_faces(cycle: Sequence[int], chords: Iterable[Edge]) -> tuple[Face, ...]:
-    """Inner faces of one block from the rotation system induced by the cycle."""
+def _finish_block(cycle: Sequence[int], edges: Iterable[Edge]) -> BlockEmbedding:
+    """The block on boundary ``cycle``; its ``edges`` off the cycle are its chords.
+
+    One stack pass over the boundary positions checks the chords and traces
+    the inner faces.  The stack holds the positions still open, increasing,
+    and consecutive entries are joined by an edge.  At position ``j`` each
+    chord ``(i, j)``, innermost first, pops the positions above ``i``; they
+    close a face with ``i`` and ``j``.  If ``i`` was already popped, the
+    chord interleaves with the one that popped it.  The positions left at
+    the end close the last face along the boundary edge back to position 0.
+    A face lists its smallest-position vertex first, then the others in
+    decreasing position.
+    """
     k = len(cycle)
     pos = {v: i for i, v in enumerate(cycle)}
-    chords = list(chords)
-    adj: dict[int, list[int]] = {v: [] for v in cycle}
-    edges: list[Edge] = []
-    for i, v in enumerate(cycle):
-        edges.append(norm_edge(v, cycle[(i + 1) % k]))
-    edges.extend(chords)
+    chords: list[Edge] = []
+    closing: list[list[int]] = [[] for _ in range(k)]
     for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    rotation = {
-        v: sorted(ns, key=lambda u: (pos[u] - pos[v]) % k) for v, ns in adj.items()
-    }
-    nxt: dict[tuple[int, int], tuple[int, int]] = {}
-    for v, ns in rotation.items():
-        for i, u in enumerate(ns):
-            nxt[(v, u)] = (v, ns[(i + 1) % len(ns)])
+        i, j = pos[u], pos[v]
+        if i > j:
+            i, j = j, i
+        if 1 < j - i < k - 1:
+            chords.append((u, v))
+            closing[j].append(i)
 
-    chordset = set(chords)
-    seen: set[tuple[int, int]] = set()
     faces: list[Face] = []
-    outer = {(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    for u, v in list(nxt):
-        if (u, v) in seen:
-            continue
-        walk = []
-        cur = (u, v)
-        while cur not in seen:
-            seen.add(cur)
-            walk.append(cur[0])
-            cur = (cur[1], nxt[(cur[1], cur[0])][1])
-        if any(d in outer for d in zip(walk, walk[1:] + walk[:1])):
-            continue  # the outer face is traced along the boundary direction
-        inner = sum(
-            1
-            for i in range(len(walk))
-            if norm_edge(walk[i], walk[(i + 1) % len(walk)]) in chordset
-        )
-        faces.append(Face(tuple(walk), inner))
-    faces.sort(key=lambda f: f.key())
-    return tuple(faces)
 
+    def close(run: list[int]) -> None:
+        vs = (cycle[run[0]],) + tuple(cycle[p] for p in reversed(run[1:]))
+        inner = sum(1 for a, b in zip(run, run[1:]) if b - a > 1)
+        faces.append(Face(vs, inner + (run[-1] - run[0] < k - 1)))
 
-def _finish_block(cycle: Sequence[int], chords: Iterable[Edge]) -> BlockEmbedding:
-    chordset = frozenset(chords)
-    return BlockEmbedding(tuple(cycle), chordset, _trace_faces(cycle, chordset))
+    stack: list[int] = []
+    for j in range(k):
+        for i in sorted(closing[j], reverse=True):
+            top = len(stack) - 1
+            while stack[top] > i:
+                top -= 1
+            if stack[top] != i:
+                raise NotOuterplanar(
+                    f"chord {norm_edge(cycle[i], cycle[j])} interleaves another")
+            close(stack[top:] + [j])
+            del stack[top + 1:]
+        stack.append(j)
+    close(stack)
+    faces.sort(key=Face.key)
+    return BlockEmbedding(tuple(cycle), frozenset(chords), tuple(faces))
 
 
 def embed_block(block: Graph) -> BlockEmbedding:
-    cycle = _boundary_cycle(block)
-    pos = {v: i for i, v in enumerate(cycle)}
-    k = len(cycle)
-    chords = [
-        (u, v) for u, v in block.edges if (pos[u] - pos[v]) % k not in (1, k - 1)
-    ]
-    _check_chords(pos, chords)
-    return _finish_block(cycle, chords)
+    return _finish_block(_boundary_cycle(block), block.edges)
 
 
 def recognize_embed(g: Graph) -> OuterplanarEmbedding:

@@ -418,7 +418,10 @@ def corpus_graph(entry: dict) -> Graph:
 def load_manifest(path: str | Path) -> list[dict]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return data["entries"]
+    entries = data.get("entries") if isinstance(data, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"{path}: a manifest is an object with a list of entries")
+    return entries
 
 
 def write_manifest(path: str | Path, entries: Iterable[dict], note: str = "") -> None:

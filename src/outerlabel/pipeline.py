@@ -6,6 +6,7 @@ from functools import partial
 
 from .delta3 import Diagnostics, label_cycle_or_path, label_delta3, reduce_and_extend
 from .delta4 import label_delta4
+from .embedding import recognize_embed
 from .exact import find_labeling_bounded
 from .graphs import Graph
 from .labeling import TotalLabeling, verify
@@ -29,22 +30,27 @@ def label_outerplanar(
 
     Dispatches on the maximum degree; degrees above 4 are only served by the
     exhaustive bounded search (experimental), and only when requested.
+    Raises NotOuterplanar on a non-outerplanar host: the Δ=3 and Δ=4
+    labelers recognize every host they reduce to, and above that each
+    component is recognized before the search or UnsupportedDegree.  The
+    Δ=3 and Δ=4 labelers verify their own output, so only the other
+    results are verified here.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     delta = g.max_degree()
+    if delta == 3:
+        return label_delta3(g, diag)
+    if delta == 4:
+        return label_delta4(g, diag)
     if delta <= 2:
         f = reduce_and_extend(g, 4, partial(label_cycle_or_path, k=4))
-    elif delta == 3:
-        f = label_delta3(g, diag)
-    elif delta == 4:
-        f = label_delta4(g, diag)
-    elif fallback_search:
-        f = find_labeling_bounded(g, 2, delta + 2)
+    else:
+        for comp in g.components():
+            recognize_embed(g.induced(comp))
+        f = find_labeling_bounded(g, 2, delta + 2) if fallback_search else None
         if f is None:
             raise UnsupportedDegree(delta)
-    else:
-        raise UnsupportedDegree(delta)
     if verify(f, 2):
         raise AssertionError("dispatcher produced an invalid labeling")
     return f

@@ -51,6 +51,22 @@ def test_label_rejects_k4(tmp_path, capsys):
     assert "not outerplanar" in err
 
 
+def test_label_rejects_every_non_outerplanar_host(tmp_path, capsys):
+    def clique(vs):
+        return [(a, b) for a in vs for b in vs if a < b]
+
+    k5 = gen.Graph.from_edges(clique(range(5)))  # Δ=4
+    star_k4 = gen.Graph.from_edges(  # K_{1,5} and K_4: Δ=5, 21 elements
+        [(0, i) for i in range(1, 6)] + clique(range(6, 10)))
+    cycle_k4 = gen.Graph.from_edges(  # the outerplanar component comes first
+        [(i, (i + 1) % 5) for i in range(5)] + clique(range(5, 9)))
+    for g, extra in ((k5, ()), (star_k4, ()), (star_k4, ("--fallback-search",)),
+                     (cycle_k4, ())):
+        code, out, err = run(capsys, "label", write_graph(tmp_path, g), *extra)
+        assert (code, out) == (3, "")
+        assert "not outerplanar" in err
+
+
 def test_label_unsupported_degree(tmp_path, capsys):
     star = gen.Graph.from_edges([(0, i) for i in range(1, 6)])
     path = write_graph(tmp_path, star)
@@ -155,6 +171,14 @@ def test_bench_command(tmp_path, capsys):
     assert "3/3" in err
 
 
+def test_bench_oracle_cap(tmp_path, capsys):
+    mpath = tmp_path / "manifest.json"
+    gen.write_manifest(mpath, [{"kind": "cycle", "n": 16, "name": "c16"}])
+    code, out, _ = run(capsys, "bench", str(mpath), "--oracle", "--oracle-cap", "40")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["lambda"] == 4  # 32 elements searched
+
+
 def test_bench_empty(tmp_path, capsys):
     mpath = tmp_path / "empty.json"
     gen.write_manifest(mpath, [])
@@ -182,6 +206,12 @@ def test_parse_errors(tmp_path, capsys):
     code, _, err = run(capsys, "label", str(jpath), "--format", "json")
     assert code == 2
     assert "input error" in err
+    mpath = tmp_path / "manifest.json"
+    for manifest in ("[]", '{"note": ""}', '{"entries": 5}', '{"entries": [5]}'):
+        mpath.write_text(manifest)
+        code, out, err = run(capsys, "bench", str(mpath))
+        assert (code, out) == (2, "")
+        assert "list of entries" in err
 
 
 def test_p_only_where_it_is_read(tmp_path, capsys):

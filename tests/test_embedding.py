@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from outerlabel import generators as gen
 from outerlabel.embedding import (
     NotOuterplanar,
-    _check_chords,
+    _finish_block,
     boundary_decompose,
     endfaces,
     recognize_embed,
@@ -107,12 +108,19 @@ def test_face_edge_classification():
 
 
 def test_check_chords_nesting():
-    pos = {v: v for v in range(8)}
-    _check_chords(pos, [(0, 4), (1, 3), (4, 6), (0, 6), (6, 7), (1, 4)])
-    _check_chords(pos, [])
+    cycle = range(8)  # position = vertex
+    nested = [(0, 4), (1, 3), (4, 6), (0, 6), (6, 7), (1, 4)]
+    blk = _finish_block(cycle, nested)
+    assert blk.chords == set(nested) - {(6, 7)}  # (6, 7) is a boundary edge
+    assert [f.vertices for f in blk.faces] == [
+        (0, 4, 1), (0, 6, 4), (0, 7, 6), (1, 3, 2), (1, 4, 3), (4, 6, 5)
+    ]
+    assert [f.vertices for f in _finish_block(cycle, []).faces] == [
+        (0, 7, 6, 5, 4, 3, 2, 1)
+    ]
     for crossing in ([(0, 4), (2, 6)], [(1, 5), (0, 2)], [(0, 3), (1, 4), (5, 7)]):
         with pytest.raises(NotOuterplanar):
-            _check_chords(pos, crossing)
+            _finish_block(cycle, crossing)
 
 
 def _canonical(cycle):
@@ -122,12 +130,26 @@ def _canonical(cycle):
     return tuple(rot if rot[1] < rot[-1] else rot[:1] + rot[:0:-1])
 
 
+def _assert_faces(blk):
+    """The inner faces of one block, checked against the cycle and chords alone."""
+    pos = {v: i for i, v in enumerate(blk.cycle)}
+    assert len(blk.faces) == len(blk.chords) + 1
+    on_faces = Counter(e for f in blk.faces for e in f.edges())
+    assert on_faces == Counter(blk.outer_edges() + 2 * sorted(blk.chords))
+    for f in blk.faces:
+        ps = [pos[v] for v in f.vertices]
+        assert ps[0] == min(ps) and ps[1:] == sorted(ps[1:], reverse=True)
+        assert f.inner_edge_count == sum(e in blk.chords for e in f.edges())
+    assert [f.key() for f in blk.faces] == sorted(f.key() for f in blk.faces)
+
+
 @pytest.mark.parametrize("n", range(4, 9))
 def test_every_dissection_recognized(n):
     """Every diagonal subset of every triangulated n-gon, under one relabeling.
 
-    The boundary and the chords come back exactly, and one more diagonal
-    crossing any kept chord makes the graph non-outerplanar.
+    The boundary and the chords come back exactly, the faces check out in
+    both orientations, and one more diagonal crossing any kept chord makes
+    the graph non-outerplanar.
     """
     perm = list(range(n))
     random.Random(n).shuffle(perm)
@@ -145,6 +167,8 @@ def test_every_dissection_recognized(n):
                 emb = recognize_embed(Graph(range(n), edges))
                 assert emb.boundary == boundary
                 assert emb.inner_edges == set(edges[n:])
+                _assert_faces(emb.blocks[0])
+                _assert_faces(emb.reversed().blocks[0])
                 for a, b in kept:  # a < b, so (a+1, b+1) crosses (a, b)
                     cross = norm_edge(perm[a + 1], perm[(b + 1) % n])
                     with pytest.raises(NotOuterplanar):
