@@ -37,7 +37,7 @@ from .embedding import (
 )
 from .exact import extend_bounded, find_labeling_bounded
 from .graphs import Edge, Element, Graph, norm_edge
-from .labeling import TotalLabeling, verify
+from .labeling import TotalLabeling, complement, verify
 
 
 class InfeasibleTrace(RuntimeError):
@@ -426,13 +426,13 @@ def _pendant_step(g: Graph, k: int, diag: Diagnostics | None):
     """Drop the smallest degree-1 vertex; search puts its vertex and edge back."""
     u1 = min(v for v in g.vertices if g.degree(v) == 1)
     u2 = g.neighbors(u1)[0]
-    return g.remove_vertices([u1]), partial(_restore_pendant, u1, u2, k, diag)
+    return g.remove_vertices([u1]), partial(_restore_pendant, g, u1, u2, k, diag)
 
 
 def _restore_pendant(
-    u1: int, u2: int, k: int, diag: Diagnostics | None, fh: TotalLabeling
+    g: Graph, u1: int, u2: int, k: int, diag: Diagnostics | None, fh: TotalLabeling
 ) -> TotalLabeling:
-    grown = TotalLabeling(fh.graph.add_edges([(u1, u2)]), k, dict(fh.assignment))
+    grown = TotalLabeling(g, k, dict(fh.assignment))
     return complete(grown, [u1, _E(u1, u2)], [], f"pendant at vertex {u1}", diag)
 
 
@@ -511,7 +511,7 @@ def extend_lemma1(
         ]
         merged = TotalLabeling(g_full, 5, dict(work.assignment))
         done = complete(merged, free, [], "tiny reattachment", diag)
-        return TotalLabeling(g_full, 5, {z: (5 - l if flipped else l) for z, l in done.assignment.items()})
+        return complement(done) if flipped else done
 
     emb3 = recognize_embed(g3)
     keep = set(g2.elements())
@@ -585,11 +585,8 @@ def extend_lemma1(
             "extend_lemma1",
             diag,
         )
-    if flipped:
-        done = TotalLabeling(g_full, 5, {z: 5 - l for z, l in done.assignment.items()})
-        if verify(done, 2):
-            raise InfeasibleTrace("mirrored reattachment failed")
-    return done
+    # ``done`` is verified, and its mirror image is valid exactly when it is
+    return complement(done) if flipped else done
 
 
 # -- whole-graph driver ------------------------------------------------------

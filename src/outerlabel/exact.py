@@ -4,6 +4,10 @@ Intended for desk-scale instances only: the element cap guards against
 accidental exponential blowups.  Search order is fixed (elements by
 decreasing constraint degree, labels ascending), so the first labeling
 found, and hence every returned witness, is deterministic.
+
+``extend_bounded`` searches only the elements it frees, against the labels
+of their neighbours; it does not check the labels it keeps, which is the
+job of ``labeling.verify``.
 """
 
 from __future__ import annotations
@@ -53,28 +57,23 @@ def _element_order(g: Graph, elements: list[Element]) -> list[Element]:
     return sorted(elements, key=key)
 
 
-def _neighbor_constraints(g: Graph, p: int) -> dict[Element, list[tuple[Element, int]]]:
-    """For each element, the elements it constrains with the required gap."""
-    cons: dict[Element, list[tuple[Element, int]]] = {el: [] for el in g.elements()}
-    for u, v in g.edges:
-        cons[u].append((v, 1))
-        cons[v].append((u, 1))
-    for e in g.edges:
-        for v in e:
-            cons[v].append((e, p))
-            cons[e].append((v, p))
-    for v in g.vertices:
-        inc = g.incident_edges(v)
-        for i in range(len(inc)):
-            for j in range(i + 1, len(inc)):
-                cons[inc[i]].append((inc[j], 1))
-                cons[inc[j]].append((inc[i], 1))
-    return cons
+def _constraints(g: Graph, el: Element, p: int) -> list[tuple[Element, int]]:
+    """The elements ``el`` constrains, each with the gap it requires."""
+    if is_edge_element(el):
+        u, v = el
+        near = [
+            norm_edge(w, x) for w, y in ((u, v), (v, u)) for x in g.neighbors(w) if x != y
+        ]
+        return [(u, p), (v, p)] + [(e, 1) for e in near]
+    ns = g.neighbors(el)
+    return [(w, 1) for w in ns] + [(norm_edge(el, w), p) for w in ns]
 
 
 def _forbid_mask(label: int, gap: int, k: int) -> int:
     lo = max(0, label - gap + 1)
     hi = min(k, label + gap - 1)
+    if hi < lo:
+        return 0
     return ((1 << (hi - lo + 1)) - 1) << lo
 
 
@@ -87,25 +86,27 @@ def _search(
     stats: SearchStats,
     symmetry: bool,
 ) -> dict[Element, int] | None:
-    """Depth-first search with forward checking over bitmask domains."""
-    cons = _neighbor_constraints(g, p)
+    """Depth-first search with forward checking over bitmask domains.
+
+    Only the ``free`` elements are searched: each starts from the labels its
+    ``fixed`` neighbours leave open, and ``fixed`` itself is not checked.
+    """
     full = (1 << (k + 1)) - 1
     order = _element_order(g, free)
     index = {el: i for i, el in enumerate(order)}
     domains = [full] * len(order)
-
-    for el, lab in fixed.items():
-        if not (0 <= lab <= k):
-            return None
-        for other, gap in cons[el]:
+    # ahead[pos]: (position, gap) of each later element that order[pos] constrains
+    ahead: list[list[tuple[int, int]]] = []
+    for pos, el in enumerate(order):
+        later = []
+        for other, gap in _constraints(g, el, p):
             i = index.get(other)
-            if i is not None:
-                domains[i] &= ~_forbid_mask(lab, gap, k)
-        if any(
-            other in fixed and abs(fixed[other] - lab) < gap
-            for other, gap in cons[el]
-        ):
-            return None
+            if i is None:
+                if other in fixed:
+                    domains[pos] &= ~_forbid_mask(fixed[other], gap, k)
+            elif i > pos:
+                later.append((i, gap))
+        ahead.append(later)
     if not order:
         return dict(fixed)
     if any(d == 0 for d in domains):
@@ -122,7 +123,6 @@ def _search(
     def rec(pos: int) -> bool:
         if pos == len(order):
             return True
-        el = order[pos]
         dom = domains[pos]
         while dom:
             low = dom & -dom
@@ -131,10 +131,7 @@ def _search(
             stats.charge()
             touched: list[tuple[int, int]] = []
             ok = True
-            for other, gap in cons[el]:
-                i = index.get(other)
-                if i is None or i <= pos:
-                    continue
+            for i, gap in ahead[pos]:
                 old = domains[i]
                 new = old & ~_forbid_mask(lab, gap, k)
                 if new != old:
@@ -152,8 +149,7 @@ def _search(
         assignment[pos] = None
         return False
 
-    # note: elements later in the order never constrain earlier fixed ones
-    # except through `cons`, which is symmetric, so forward checks suffice
+    # constraints are symmetric, so checking each label forward suffices
     if not rec(0):
         return None
     out = dict(fixed)
@@ -229,9 +225,12 @@ def extend_bounded(
     """Exhaustively complete ``f`` on the ``free`` elements within ``{0..k}``.
 
     Elements already assigned keep their labels; returns the first
-    completion the search finds, or None when no completion exists.  The
-    result is not verified: elements that are neither assigned nor free stay
-    unlabeled, so callers run ``verify`` on it.
+    completion the search finds, or None only when the free elements cannot
+    be labeled against their labeled neighbours.  Only the free elements and
+    their neighbours are read, so the result is not verified: a conflict
+    among the kept labels, a kept label outside ``{0..k}``, or an element
+    that is neither assigned nor free is left for the ``verify`` that
+    callers run on it.
     """
     kk = f.k if k is None else k
     g = f.graph

@@ -6,7 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 from __future__ import annotations
 
 import time
-from itertools import product
+from itertools import combinations, product
 
 from outerlabel import generators as gen
 from outerlabel.delta3 import Diagnostics, label_delta3, label_k2
@@ -241,4 +241,36 @@ def test_criterion_9_tightness_witnesses():
         f"cycle optimum 4 = 2+2 confirmed; forced-span witnesses found: "
         f"degree 3 -> {len(found[3])}, degree 4 -> {len(found[4])}"
         + (f" (e.g. {found[3][:2] + found[4][:2]})" if found[3] or found[4] else ""),
+    )
+
+
+def test_every_dissection_labeled():
+    # every diagonal subset of a triangulated n-gon, n = 4..9, at degree 3 or 4
+    t0 = time.perf_counter()
+    diag = Diagnostics()
+    checked = good = 0
+    for n in range(4, 10):
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        seen: set[frozenset] = set()
+        for tri in gen.enumerate_triangulations(n):
+            diagonals = [e for e in tri.edges if (e[1] - e[0]) % n not in (1, n - 1)]
+            for r in range(len(diagonals) + 1):
+                for kept in combinations(diagonals, r):
+                    if frozenset(kept) in seen:
+                        continue
+                    seen.add(frozenset(kept))
+                    g = Graph(range(n), ring + list(kept))
+                    if g.max_degree() not in (3, 4):
+                        continue
+                    checked += 1
+                    f = label_outerplanar(g, diag=diag)
+                    if not verify(f, 2) and span(f) <= g.max_degree() + 2:
+                        good += 1
+    completions = len(diag.records)
+    ok = good == checked == 2302 and completions <= 30
+    _report(
+        "exhaustive dissections (n = 4..9)",
+        ok,
+        f"{good}/{checked} verified, {completions} logged completions, "
+        f"{time.perf_counter() - t0:.1f}s",
     )

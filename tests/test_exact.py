@@ -115,6 +115,27 @@ def test_extend_bounded_respects_infeasibility():
     assert extend_bounded(f, [(0, 1)], k=2) is None
 
 
+def test_extend_bounded_leaves_the_fixed_part_to_verify():
+    # the kept labels clash at (2, 3); only the free 0 and (0, 1) are searched
+    p4 = gen.gen_path(4)
+    kept = {1: 2, (1, 2): 5, 2: 0, 3: 0, (2, 3): 3}
+    done = extend_bounded(TotalLabeling(p4, 5, dict(kept)), [0, (0, 1)], k=5)
+    assert done is not None
+    assert set(done.assignment) == set(p4.elements())
+    assert {el: done.assignment[el] for el in kept} == kept
+    assert [(v.kind, v.witnesses) for v in verify(done, 2)] == [
+        ("adjacent-vertices-equalish", (2, 3))
+    ]
+
+    # a kept label above k narrows its free neighbours and is left to verify
+    kept = {1: 2, (1, 2): 7, 2: 0, 3: 4, (2, 3): 2}
+    done = extend_bounded(TotalLabeling(p4, 5, dict(kept)), [0, (0, 1)], k=5)
+    assert done is not None
+    assert [(v.kind, v.witnesses) for v in verify(done, 2)] == [
+        ("label-out-of-range", ((1, 2),))
+    ]
+
+
 def test_witness_deterministic():
     g = gen.gen_glued_outerplanar(8, seed=11, constraints={}, retries=10)
     _, w1 = lambda_exact(g, 2, 8)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
+from outerlabel import exact, pipeline
 from outerlabel.graphs import Graph
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -20,3 +22,12 @@ def test_every_traced_binding_exists():
         assert callable(module.__dict__.get(attr)), f"outerlabel.{site}.{attr}"
     for attr, _ in tracing.GRAPH_METHODS:
         assert callable(Graph.__dict__.get(attr)), f"Graph.{attr}"
+
+
+def test_positional_signatures():
+    # the tracer's wrappers pass these arguments by position
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(exact.extend_bounded) == ["f", "free", "k", "p", "stats"]
+    assert params(pipeline.label_outerplanar) == ["g", "fallback_search", "diag"]
