@@ -18,6 +18,7 @@ from .labeling import (
     is_valid,
     span,
     verify,
+    verify_around,
 )
 from .embedding import (
     NotOuterplanar,
@@ -51,6 +52,7 @@ __all__ = [
     "TotalLabeling",
     "Violation",
     "verify",
+    "verify_around",
     "is_valid",
     "span",
     "complement",

@@ -15,17 +15,22 @@ smaller host and the finish rule that extends its labeling back (pendant
 search, leaf-block attach), and the driver keeps the pending finish rules on
 an explicit stack.
 
-Every constructed labeling is re-checked by the verifier.  ``complete`` is
-the one place that extends, verifies and widens: if a case table ever
-disagrees with the verifier, the touched elements are relabeled by bounded
-exhaustive search, tier by tier, and a discrepancy record is emitted.
+Every finish rule checks what it changed: ``complete`` is the one place
+that extends, checks and widens.  It runs ``verify_around`` on the elements
+the rule touched or freed, which is exact because the smaller host's
+labeling was valid and the rest of it is kept (or complemented as a
+whole).  If a case table ever disagrees with that check, the touched
+elements are relabeled by bounded exhaustive search, tier by tier, and a
+discrepancy record is emitted.  ``label_delta3`` runs the one full
+``verify`` on the finished labeling, so the verifier has the last word on
+every output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .embedding import (
     BlockEmbedding,
@@ -37,7 +42,7 @@ from .embedding import (
 )
 from .exact import extend_bounded, find_labeling_bounded
 from .graphs import Edge, Element, Graph, norm_edge
-from .labeling import TotalLabeling, complement, verify
+from .labeling import TotalLabeling, complement, verify, verify_around
 
 
 class InfeasibleTrace(RuntimeError):
@@ -192,9 +197,11 @@ def label_k2(
 ) -> tuple[TotalLabeling, LabelK2Trace]:
     """Boundary-walk labeling of a 2-connected host with maximum degree 3.
 
-    Produces a verified labeling with vertex labels in {0,1,2}, chords at 3,
-    and outer edges alternating 4/5 (up to the odd-boundary seam repair);
-    the span never exceeds 5.
+    Produces a labeling with vertex labels in {0,1,2}, chords at 3, and
+    outer edges alternating 4/5 (up to the odd-boundary seam repair); the
+    span never exceeds 5.  The result is not verified here: callers check
+    it where they use it (``extend_lemma1`` per walk option, ``complete``
+    around an attached leaf block, ``label_delta3`` on the whole output).
     """
     opts = opts or LabelK2Options()
     g = emb.graph
@@ -267,9 +274,6 @@ def label_k2(
                 raise InfeasibleTrace("odd-boundary walk lost its parity")
 
     f = TotalLabeling(g, 5, assign)
-    bad = verify(f, 2)
-    if bad:
-        raise InfeasibleTrace(f"boundary-walk labeling failed checks: {bad[:3]}")
     if diag is not None:
         diag.step(f"label_k2 xs={xs} qs={qs}")
     return f, trace
@@ -399,17 +403,24 @@ def complete(
     where: str,
     diag: Diagnostics | None,
     event: str = "fallback",
+    *,
+    touched: Collection[Element],
 ) -> TotalLabeling:
-    """The first verified completion of ``f``, freeing ``first``, then each tier.
+    """The first checked completion of ``f``, freeing ``first``, then each tier.
 
-    With ``first`` empty, ``f`` is a finished candidate and is only
-    verified; otherwise bounded search relabels the ``first`` elements.  If
-    that does not verify, each non-empty tier is freed in turn, and each one
-    used is logged as ``event`` at ``where``.  Raises InfeasibleTrace when no
-    tier gives a verified labeling.
+    ``f`` labels the host as the smaller host's valid labeling ``fh`` does,
+    or as its complement does, except at ``touched``: every element whose
+    label may differ, and every element of the host that ``fh`` does not
+    label.  So a completion is valid exactly when ``verify_around`` finds
+    nothing around ``touched`` and the freed elements, and no full
+    ``verify`` runs here.  With ``first`` empty, ``f`` is a finished
+    candidate and is only checked; otherwise bounded search relabels the
+    ``first`` elements.  If that does not check clean, each non-empty tier
+    is freed in turn, and each one used is logged as ``event`` at
+    ``where``.  Raises InfeasibleTrace when no tier gives a valid labeling.
     """
     done = extend_bounded(f, first) if first else f
-    if done is not None and not verify(done, 2):
+    if done is not None and not verify_around(done, [*touched, *first]):
         return done
     for free in tiers:
         if not free:
@@ -417,7 +428,7 @@ def complete(
         if diag is not None:
             diag.note(event=event, where=where, freed=len(free))
         done = extend_bounded(f, free)
-        if done is not None and not verify(done, 2):
+        if done is not None and not verify_around(done, [*touched, *free]):
             return done
     raise InfeasibleTrace(f"{where}: no verified completion")
 
@@ -432,8 +443,10 @@ def _pendant_step(g: Graph, k: int, diag: Diagnostics | None):
 def _restore_pendant(
     g: Graph, u1: int, u2: int, k: int, diag: Diagnostics | None, fh: TotalLabeling
 ) -> TotalLabeling:
-    grown = TotalLabeling(g, k, dict(fh.assignment))
-    return complete(grown, [u1, _E(u1, u2)], [], f"pendant at vertex {u1}", diag)
+    # the search copies the assignment on output, so fh's is not copied here
+    grown = TotalLabeling(g, k, fh.assignment)
+    return complete(grown, [u1, _E(u1, u2)], [], f"pendant at vertex {u1}", diag,
+                    touched=[])
 
 
 # -- leaf-block surgery ------------------------------------------------------
@@ -466,13 +479,16 @@ def extend_lemma1(
 ) -> TotalLabeling:
     """Reattach a closed-off piece across a chord.
 
-    ``f`` labels the host in which ``g2`` was replaced by the two pendant
-    stubs ``(u, u_prime)`` and ``(v, v_prime)``.  Requires the stub labels to
-    sit at opposite extremes: stub vertices in {0,1} with stub edges in
-    {4,5}, or the mirrored form.  Returns a verified span-5 labeling of the
-    reunited graph.
+    ``f`` is a valid labeling of the host in which ``g2`` was replaced by
+    the two pendant stubs ``(u, u_prime)`` and ``(v, v_prime)``.  Requires
+    the stub labels to sit at opposite extremes: stub vertices in {0,1} with
+    stub edges in {4,5}, or the mirrored form.  Returns a span-5 labeling
+    of the reunited graph, checked around the stubs and ``g2``, the only
+    elements where it can differ from ``f`` or its mirror image.
     """
     g_full = f.graph.union(g2)
+    keep = set(g2.elements())
+    around = [norm_edge(u, u_prime), norm_edge(v, v_prime), *keep]
     vu, vv = f.vertex(u_prime), f.vertex(v_prime)
     eu, ev = f.edge(u, u_prime), f.edge(v, v_prime)
     if None in (vu, vv, eu, ev) or vu == vv:
@@ -509,12 +525,11 @@ def extend_lemma1(
         free = [e for e in g2.edges] + [
             w for w in g2.vertices if w not in (u_prime, v_prime)
         ]
-        merged = TotalLabeling(g_full, 5, dict(work.assignment))
-        done = complete(merged, free, [], "tiny reattachment", diag)
+        merged = TotalLabeling(g_full, 5, work.assignment)
+        done = complete(merged, free, [], "tiny reattachment", diag, touched=around)
         return complement(done) if flipped else done
 
     emb3 = recognize_embed(g3)
-    keep = set(g2.elements())
 
     soft = {x, u_prime, v_prime} | set(g3.neighbors(v_prime)) | set(
         g3.neighbors(u_prime)
@@ -549,10 +564,12 @@ def extend_lemma1(
             continue
         if y is None and f1.edge(x, v_prime) != ev:
             continue
+        if verify(f1, 2):
+            continue
         part = {z: l for z, l in f1.assignment.items() if z in keep}
         if f1.vertex(u_prime) == vu and f1.vertex(v_prime) == vv:
             cand = _splice(work, part, g_full, 5)
-            if not verify(cand, 2):
+            if not verify_around(cand, around):
                 best = cand.assignment
                 break
         if best is None:
@@ -576,6 +593,7 @@ def extend_lemma1(
             "reattachment junction",
             diag,
             event="junction-patch",
+            touched=around,
         )
     except InfeasibleTrace:
         done = complete(
@@ -584,8 +602,9 @@ def extend_lemma1(
             [_incident_elements(g2, [u_prime, v_prime])],
             "extend_lemma1",
             diag,
+            touched=around,
         )
-    # ``done`` is verified, and its mirror image is valid exactly when it is
+    # ``done`` is valid, and its mirror image is valid exactly when it is
     return complement(done) if flipped else done
 
 
@@ -663,7 +682,7 @@ def _attach_leaf_block(
     assign = fh.assignment
     if fh.edge(v_c, w) <= 2:
         assign = {z: 5 - l for z, l in assign.items()}
-    base = TotalLabeling(g, 5, dict(assign))
+    base = TotalLabeling(g, 5, assign)
     leaf = g.induced(blk.cycle)
     emb1 = OuterplanarEmbedding(leaf, (blk,), frozenset())
     if diag is not None:
@@ -727,7 +746,7 @@ def _attach_cycle_block(
             ext[_E(order[1], v_c)] = 4
     cand = _splice(base, ext, g, 5)
     tiers = [[v_c], _incident_elements(g, [v_c, order[1], order[-1]])]
-    return complete(cand, [], tiers, "cycle-block attach", diag)
+    return complete(cand, [], tiers, "cycle-block attach", diag, touched=ext)
 
 
 def _attach_chorded_block(
@@ -796,7 +815,7 @@ def _attach_wide_gap(
         ext[_E(ystar, v_c)] = 3
     cand = _splice(base, ext, g, 5)
     tiers = [[v_c], _incident_elements(g, [v_c] + ([ystar] if ystar else []))]
-    return complete(cand, [], tiers, "wide-gap attach", diag)
+    return complete(cand, [], tiers, "wide-gap attach", diag, touched=ext)
 
 
 def _plain_run(
@@ -849,7 +868,7 @@ def _attach_tight_gap(
         ext = {z: 5 - l for z, l in f1.assignment.items()}
         cand = _splice(base, ext, g, 5)
         tiers = [[v_c], _incident_elements(g, [v_c])]
-        return complete(cand, [], tiers, "tight-gap flip attach", diag)
+        return complete(cand, [], tiers, "tight-gap flip attach", diag, touched=ext)
 
     if pprime == 2:
         return _tight_gap_short_chord(
@@ -1112,7 +1131,7 @@ def _finish_direct(
         [z for z in ext if isinstance(z, int)][:4],
         small,
     ]
-    return complete(cand, [], tiers, where, diag)
+    return complete(cand, [], tiers, where, diag, touched=ext)
 
 
 def _finish_reattach(
@@ -1137,5 +1156,6 @@ def _finish_reattach(
     fprime = TotalLabeling(
         gprime, 5, {z: l for z, l in merged.items() if z in keep}
     )
-    fprime = complete(fprime, [], [[uprime, vprime]], "reattachment stub", diag)
+    fprime = complete(fprime, [], [[uprime, vprime]], "reattachment stub", diag,
+                      touched=[z for z in ext if z in keep])
     return extend_lemma1(fprime, x1, xp, uprime, vprime, g2, diag)

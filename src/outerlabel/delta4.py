@@ -14,9 +14,10 @@ label flip z -> 6 - z reduce the fourteen possible pairs to four canonical
 cases.
 
 All templates and their subcase patches are data tables keyed by spine
-index patterns, so they can be audited entry by entry; the verifier has
-the final word and any disagreement is logged and repaired by bounded
-search.
+index patterns, so they can be audited entry by entry.  Each finish rule
+checks the elements it changed (``delta3.complete``), any disagreement is
+logged and repaired by bounded search, and ``label_delta4`` runs the one
+full ``verify`` on the output, so the verifier has the final word.
 """
 
 from __future__ import annotations
@@ -802,7 +803,7 @@ def _step6(g: Graph, diag: Diagnostics | None):
     if delta <= 2:
         return label_cycle_or_path(g, k=6)
     if delta == 3:
-        return TotalLabeling(g, 6, dict(_label_span5(g, diag).assignment))
+        return TotalLabeling(g, 6, _label_span5(g, diag).assignment)
     if g.n + g.m <= 9:
         f = find_labeling_bounded(g, 2, 6)
         if f is None:
@@ -837,7 +838,8 @@ def _fill_c1c2(
     for nb in g.neighbors(cfg.witnesses[0]):
         wider.add(nb)
         wider.update(g.incident_edges(nb))
-    grown = TotalLabeling(g, 6, dict(fh.assignment))
+    # the search copies the assignment on output, so fh's is not copied here
+    grown = TotalLabeling(g, 6, fh.assignment)
     return complete(
         grown,
         freed,
@@ -845,6 +847,7 @@ def _fill_c1c2(
         f"{cfg.kind} completion",
         diag,
         event="widened-completion",
+        touched=[],
     )
 
 
@@ -865,7 +868,7 @@ def _chain_surgery(
             f"reverse={cc.reverse} complement={cc.complement}"
         )
 
-    host = dict(fh.assignment)
+    host = fh.assignment
     if cc.complement:
         host = {z: 6 - l for z, l in host.items()}
     sp = spine[::-1] if cc.reverse else spine
@@ -892,7 +895,8 @@ def _chain_surgery(
         if cc.complement:
             merged = {z: 6 - l for z, l in merged.items()}
     except CaseFault:
-        merged = dict(fh.assignment)
+        ext = {}
+        merged = fh.assignment
     free: list[Element] = list(spine)
     free.append(closing)
     for i in range(len(spine) - 1):
@@ -901,10 +905,13 @@ def _chain_surgery(
         free.append(norm_edge(spine[i], spine[i + 2]))
     # the fallback search is exhaustive, so a long chain gets none
     tiers = [free] if len(free) <= 30 else []
+    # outside ``free`` (which holds everything cut out with the chain) and
+    # the template's keys, ``merged`` is fh: a complement applied twice cancels
     return complete(
         TotalLabeling(g, 6, merged),
         [],
         tiers,
         f"chain template case {cc.case_id} t={chain.t}",
         diag,
+        touched=[*free, *ext],
     )

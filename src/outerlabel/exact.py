@@ -7,7 +7,7 @@ found, and hence every returned witness, is deterministic.
 
 ``extend_bounded`` searches only the elements it frees, against the labels
 of their neighbours; it does not check the labels it keeps, which is the
-job of ``labeling.verify``.
+job of the caller's check (``labeling.verify_around`` or ``verify``).
 """
 
 from __future__ import annotations
@@ -77,36 +77,62 @@ def _forbid_mask(label: int, gap: int, k: int) -> int:
     return ((1 << (hi - lo + 1)) - 1) << lo
 
 
+# (order, ahead, outside), as built by ``_plan``
+Plan = tuple[
+    list[Element], list[list[tuple[int, int]]], list[list[tuple[Element, int]]]
+]
+
+
+def _plan(g: Graph, p: int, free: list[Element]) -> Plan:
+    """The search order of ``free``, and each element's constraints split two ways.
+
+    ``ahead[pos]`` lists (position, gap) of each later free element that
+    ``order[pos]`` constrains; ``outside[pos]`` lists (element, gap) of each
+    constrained element that is not free.  None of it depends on the range.
+    """
+    order = _element_order(g, free)
+    index = {el: i for i, el in enumerate(order)}
+    ahead: list[list[tuple[int, int]]] = []
+    outside: list[list[tuple[Element, int]]] = []
+    for pos, el in enumerate(order):
+        later = []
+        kept = []
+        for other, gap in _constraints(g, el, p):
+            i = index.get(other)
+            if i is None:
+                kept.append((other, gap))
+            elif i > pos:
+                later.append((i, gap))
+        ahead.append(later)
+        outside.append(kept)
+    return order, ahead, outside
+
+
 def _search(
-    g: Graph,
-    p: int,
+    plan: Plan,
     k: int,
     fixed: dict[Element, int],
-    free: list[Element],
     stats: SearchStats,
     symmetry: bool,
 ) -> dict[Element, int] | None:
     """Depth-first search with forward checking over bitmask domains.
 
-    Only the ``free`` elements are searched: each starts from the labels its
-    ``fixed`` neighbours leave open, and ``fixed`` itself is not checked.
+    Only the planned free elements are searched: each starts from the labels
+    its ``fixed`` neighbours leave open, and ``fixed`` itself is neither
+    checked nor read at a free element.  The result lists the labels of
+    ``fixed`` outside the free elements, then the free elements in search
+    order.
     """
+    order, ahead, outside = plan
     full = (1 << (k + 1)) - 1
-    order = _element_order(g, free)
-    index = {el: i for i, el in enumerate(order)}
-    domains = [full] * len(order)
-    # ahead[pos]: (position, gap) of each later element that order[pos] constrains
-    ahead: list[list[tuple[int, int]]] = []
-    for pos, el in enumerate(order):
-        later = []
-        for other, gap in _constraints(g, el, p):
-            i = index.get(other)
-            if i is None:
-                if other in fixed:
-                    domains[pos] &= ~_forbid_mask(fixed[other], gap, k)
-            elif i > pos:
-                later.append((i, gap))
-        ahead.append(later)
+    domains = []
+    for kept in outside:
+        dom = full
+        for other, gap in kept:
+            lab = fixed.get(other)
+            if lab is not None:
+                dom &= ~_forbid_mask(lab, gap, k)
+        domains.append(dom)
     if not order:
         return dict(fixed)
     if any(d == 0 for d in domains):
@@ -153,9 +179,39 @@ def _search(
     if not rec(0):
         return None
     out = dict(fixed)
+    for el in order:
+        out.pop(el, None)
     for i, el in enumerate(order):
         out[el] = assignment[i]  # type: ignore[assignment]
     return out
+
+
+def _whole_plan(g: Graph, p: int, cap: int) -> Plan:
+    """The plan that frees every element of ``g``, within the element cap."""
+    n_elements = g.n + g.m
+    if n_elements > cap:
+        raise SearchCapExceeded(
+            f"{n_elements} elements exceed the search cap {cap}"
+        )
+    return _plan(g, p, list(g.elements()))
+
+
+def _labeling(
+    g: Graph,
+    k: int,
+    plan: Plan,
+    stats: SearchStats | None,
+    symmetry: bool,
+    budget: int | None,
+) -> TotalLabeling | None:
+    st = stats if stats is not None else SearchStats()
+    if budget is not None:
+        st.budget = budget
+    st.calls += 1
+    found = _search(plan, k, {}, st, symmetry)
+    if found is None:
+        return None
+    return TotalLabeling(g, k, found)
 
 
 def find_labeling_bounded(
@@ -172,19 +228,7 @@ def find_labeling_bounded(
     The search is exhaustive, so a None answer is a proof of infeasibility;
     an exhausted node ``budget`` raises instead of guessing.
     """
-    n_elements = g.n + g.m
-    if n_elements > cap:
-        raise SearchCapExceeded(
-            f"{n_elements} elements exceed the search cap {cap}"
-        )
-    st = stats if stats is not None else SearchStats()
-    if budget is not None:
-        st.budget = budget
-    st.calls += 1
-    found = _search(g, p, k, {}, list(g.elements()), st, symmetry)
-    if found is None:
-        return None
-    return TotalLabeling(g, k, found)
+    return _labeling(g, k, _whole_plan(g, p, cap), stats, symmetry, budget)
 
 
 def lambda_exact(
@@ -198,16 +242,19 @@ def lambda_exact(
 ) -> tuple[int | None, TotalLabeling | None]:
     """Least k <= kmax admitting a labeling, with a witness.
 
-    Returns (None, None) when no bound kmax suffices or the node budget ran
-    out; a spent budget never produces a partial answer.
+    The search order and constraint lists are built once and reused for
+    every k.  Returns (None, None) when no bound kmax suffices or the node
+    budget ran out; a spent budget never produces a partial answer.
     """
     if g.n == 0:
         raise ValueError("empty graph")
+    ks = range(degree_lower_bound(g, p), kmax + 1)
+    if not ks:  # nothing to search, so the element cap does not apply
+        return None, None
+    plan = _whole_plan(g, p, cap)
     try:
-        for k in range(degree_lower_bound(g, p), kmax + 1):
-            f = find_labeling_bounded(
-                g, p, k, cap=cap, stats=stats, symmetry=symmetry, budget=budget
-            )
+        for k in ks:
+            f = _labeling(g, k, plan, stats, symmetry, budget)
             if f is not None:
                 return k, f
     except SearchBudgetExceeded:
@@ -227,21 +274,20 @@ def extend_bounded(
     Elements already assigned keep their labels; returns the first
     completion the search finds, or None only when the free elements cannot
     be labeled against their labeled neighbours.  Only the free elements and
-    their neighbours are read, so the result is not verified: a conflict
-    among the kept labels, a kept label outside ``{0..k}``, or an element
-    that is neither assigned nor free is left for the ``verify`` that
-    callers run on it.
+    their neighbours are read, and ``f.assignment`` is copied once, into the
+    result, so the result is not verified: a conflict among the kept labels,
+    a kept label outside ``{0..k}``, or an element that is neither assigned
+    nor free is left for the check that callers run on it (``complete``
+    checks around the touched and freed elements with ``verify_around``).
     """
     kk = f.k if k is None else k
     g = f.graph
     norm_free: list[Element] = [
         norm_edge(*el) if is_edge_element(el) else el for el in free
     ]
-    free_set = set(norm_free)
-    fixed = {el: lab for el, lab in f.assignment.items() if el not in free_set}
     st = stats if stats is not None else SearchStats()
     st.calls += 1
-    found = _search(g, p, kk, fixed, norm_free, st, False)
+    found = _search(_plan(g, p, norm_free), kk, f.assignment, st, False)
     if found is None:
         return None
     return TotalLabeling(g, kk, found)

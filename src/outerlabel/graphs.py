@@ -232,9 +232,21 @@ class Graph:
         return self.induced(keep)
 
     def induced(self, keep: Iterable[int]) -> "Graph":
+        """The subgraph on ``keep``, filtered from this graph's sorted tuples."""
         ks = set(keep)
-        edges = [e for e in self._edges if e[0] in ks and e[1] in ks]
-        return Graph(ks, edges)
+        unknown = ks.difference(self._adj)
+        if unknown:
+            raise ValueError(f"vertices {sorted(unknown)} are not in the graph")
+        out = Graph.__new__(Graph)
+        out._vertices = tuple(v for v in self._vertices if v in ks)
+        out._adj = {
+            v: tuple(w for w in self._adj[v] if w in ks) for v in out._vertices
+        }
+        # adjacency tuples are sorted, so this lists the edges in sorted order
+        out._edges = tuple(
+            (v, w) for v in out._vertices for w in out._adj[v] if w > v
+        )
+        return out
 
     def remove_edges(self, remove: Iterable[Edge]) -> "Graph":
         drop = {norm_edge(u, v) for u, v in remove}

@@ -10,7 +10,7 @@ every constructive labeler's output is checked through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .graphs import Edge, Element, Graph, norm_edge
 
@@ -108,6 +108,59 @@ def verify(f: TotalLabeling, p: int = 2) -> list[Violation]:
                         Violation("adjacent-edges-equalish", (inc[i], inc[j]))
                     )
     return out
+
+
+def verify_around(
+    f: TotalLabeling, elements: Iterable[Element], p: int = 2
+) -> list[Violation]:
+    """The violations of ``verify(f, p)`` that have a witness in ``elements``.
+
+    Only the given elements and the constraints they take part in are read,
+    so the cost does not grow with the graph.  When ``f`` agrees, outside
+    ``elements``, with a labeling known to be valid on a subgraph (or with
+    its complement), and every element outside that subgraph is in
+    ``elements``, an empty result means ``verify(f, p)`` is empty too.
+    Raises ValueError on an element that is not in the graph.
+    """
+    g = f.graph
+    a = f.assignment
+    out: dict[Violation, None] = {}
+
+    def pair(kind: str, x: Element, lx: int | None, y: Element, ly: int | None,
+             gap: int) -> None:
+        if lx is not None and ly is not None and abs(lx - ly) < gap:
+            out[Violation(kind, (x, y))] = None
+
+    for el in elements:
+        if isinstance(el, tuple):
+            el = norm_edge(*el)
+            if not g.has_edge(*el):
+                raise ValueError(f"edge {el} is not in the graph")
+        elif not g.has_vertex(el):
+            raise ValueError(f"vertex {el} is not in the graph")
+        lab = a.get(el)
+        if lab is None:
+            out[Violation("unlabeled-element", (el,))] = None
+        elif not (0 <= lab <= f.k):
+            out[Violation("label-out-of-range", (el,))] = None
+        if isinstance(el, tuple):
+            for x in el:
+                pair("vertex-edge-too-close", x, a.get(x), el, lab, p)
+                # edges at x in adjacency order, as ``verify`` pairs them
+                y = el[0] + el[1] - x
+                for z in g.neighbors(x):
+                    if z != y:
+                        e = norm_edge(x, z)
+                        first, second = (el, e) if y < z else (e, el)
+                        pair("adjacent-edges-equalish", first, a.get(first),
+                             second, a.get(second), 1)
+        else:
+            for w in g.neighbors(el):
+                e = norm_edge(el, w)
+                pair("adjacent-vertices-equalish", e[0], a.get(e[0]), e[1],
+                     a.get(e[1]), 1)
+                pair("vertex-edge-too-close", el, lab, e, a.get(e), p)
+    return list(out)
 
 
 def is_valid(f: TotalLabeling, p: int = 2) -> bool:

@@ -66,6 +66,7 @@ def test_label_k2_invariants_modulo_patches():
                                          constraints={"max_degree": 3})):
         emb = recognize_embed(g)
         f, tr = label_k2(emb)
+        assert verify(f, 2) == []
         for v in g.vertices:
             if v not in tr.patched:
                 assert f.vertex(v) in (0, 1, 2)
@@ -87,6 +88,7 @@ def test_label_k2_chord_ends_differ():
             continue
         emb = recognize_embed(g)
         f, _ = label_k2(emb)
+        assert verify(f, 2) == []
         for u, v in emb.inner_edges:
             assert f.vertex(u) != f.vertex(v)
 

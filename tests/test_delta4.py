@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import importlib.util
 import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outerlabel import delta3, delta4
 from outerlabel import generators as gen
-from outerlabel.delta3 import Diagnostics, NotDelta
+from outerlabel.delta3 import Diagnostics, InfeasibleTrace, NotDelta
 from outerlabel.delta4 import (
     CASE_TARGETS,
     CLAIM_PAIRS,
@@ -302,3 +305,72 @@ def test_outputs_close_under_complement():
     for t in (2, 3):
         f = label_delta4(gen.gen_closed_chain(t, "merged"))
         assert verify(complement(f), 2) == []
+
+
+def _capped_polygon(n: int, cap: int, seed: str) -> Graph:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "families.py"
+    spec = importlib.util.spec_from_file_location("perfbench_families", path)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    return Graph.from_edges(families.capped_polygon(n, cap, seed))
+
+
+def _strip(n: int) -> Graph:
+    return Graph.from_edges(
+        [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
+    )
+
+
+def _bridged(k: int) -> Graph:
+    # k hexagons with chord (1, 4), vertex 3 of each bridged to vertex 0 of the next
+    edges = []
+    for j in range(k):
+        b = 6 * j
+        edges += [(b + i, b + (i + 1) % 6) for i in range(6)] + [(b + 1, b + 4)]
+        if j + 1 < k:
+            edges.append((b + 3, b + 6))
+    return Graph.from_edges(edges)
+
+
+def test_one_full_verify_per_output(monkeypatch):
+    # finish rules check only around what they change: the whole input is
+    # verified once, and any other full check is extend_lemma1's check of a
+    # boundary walk on its smaller closed-off piece
+    calls = []
+
+    def counting(f, p=2):
+        calls.append((f.graph, sys._getframe(1).f_code.co_name))
+        return verify(f, p)
+
+    monkeypatch.setattr(delta3, "verify", counting)
+    monkeypatch.setattr(delta4, "verify", counting)
+    for g in (_capped_polygon(96, 4, "one-verify"), _strip(120), _bridged(16)):
+        calls.clear()
+        f = label_outerplanar(g)
+        assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
+        assert sum(1 for piece, _ in calls if piece is g) == 1
+        for piece, caller in calls:
+            if piece is not g:
+                assert caller == "extend_lemma1" and piece.n < g.n
+
+
+def test_final_verify_catches_a_bad_kept_part(monkeypatch):
+    # a host labeling that the finish rules keep is only re-checked by the
+    # final verify; an invalid one must not slip through the local checks
+    real = delta3.label_cycle_or_path
+
+    def corrupt(g, k=5):
+        f = real(g, k)
+        v = max(g.vertices)
+        f.assignment[v] = f.assignment[g.neighbors(v)[0]]
+        return f
+
+    monkeypatch.setattr(delta3, "label_cycle_or_path", corrupt)
+    monkeypatch.setattr(delta4, "label_cycle_or_path", corrupt)
+    # the pendants 30 and 31 at vertex 15 are reduced away, leaving the
+    # cycle, whose corrupted labels at 29 and 0 no finish rule touches
+    g = Graph.from_edges(
+        [(i, (i + 1) % 30) for i in range(30)] + [(15, 30), (15, 31)]
+    )
+    with pytest.raises(InfeasibleTrace, match="driver produced an invalid"):
+        label_delta4(g)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -181,3 +182,30 @@ def test_rejects_malformed():
         Graph([0, 1], [(0, 0)])
     with pytest.raises(ValueError):
         Graph([0, 1], [(0, 2)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 2**32 - 1))
+def test_induced_equals_rebuilt_graph(seed, pick):
+    g = gen.gen_glued_outerplanar(12, seed=seed, constraints={}, retries=10)
+    rng = random.Random(pick)
+    keep = [v for v in g.vertices if rng.random() < 0.6]
+    rng.shuffle(keep)
+    sub = g.induced(keep)
+    ks = set(keep)
+    ref = Graph(keep, [e for e in g.edges if e[0] in ks and e[1] in ks])
+    assert sub.vertices == ref.vertices
+    assert [sub.neighbors(v) for v in sub.vertices] == [
+        ref.neighbors(v) for v in ref.vertices
+    ]
+    assert sub.edges == ref.edges
+    assert sub == ref and hash(sub) == hash(ref)
+    assert g.remove_vertices(ks) == Graph(
+        [v for v in g.vertices if v not in ks],
+        [e for e in g.edges if e[0] not in ks and e[1] not in ks],
+    )
+
+
+def test_induced_rejects_unknown_vertex():
+    with pytest.raises(ValueError):
+        gen.gen_cycle(4).induced([0, 1, 9])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from outerlabel.labeling import (
     pull_back,
     span,
     verify,
+    verify_around,
 )
 
 K2 = Graph.from_edges([(0, 1)])
@@ -182,3 +184,31 @@ def test_verifier_catches_every_mutation():
         f.assignment[el] = original
     assert caught > 0
     assert verify(f, 2) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 2**32 - 1))
+def test_verify_around_is_verify_restricted(seed, pick):
+    # random labels (some missing, some out of range) and a random subset S:
+    # verify_around reports exactly the violations with a witness in S
+    g = gen.gen_glued_outerplanar(9, seed=seed, constraints={}, retries=10)
+    rng = random.Random(pick)
+    k = 4
+    f = TotalLabeling(g, k, {
+        el: rng.randint(-1, k + 1) for el in g.elements() if rng.random() < 0.9
+    })
+    subset = [el for el in g.elements() if rng.random() < 0.25]
+    near = [v for v in verify(f, 2) if set(v.witnesses) & set(subset)]
+    got = verify_around(f, subset)
+    assert (got == []) == (near == [])
+    assert len(got) == len(set(got)) and set(got) == set(near)
+
+
+def test_verify_around_normalizes_and_rejects_unknown():
+    f = k2_labeling(0, 1, 1)
+    assert verify_around(f, [(1, 0)]) == verify_around(f, [(0, 1)]) != []
+    assert verify_around(k2_labeling(0, 1, 3), [0, 1, (0, 1)]) == []
+    with pytest.raises(ValueError):
+        verify_around(f, [2])
+    with pytest.raises(ValueError):
+        verify_around(f, [(0, 2)])
