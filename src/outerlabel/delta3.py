@@ -13,7 +13,10 @@ Both this labeler and the degree-4 one run on one iterative driver,
 host directly (path or cycle, tiny-host search, boundary walk) or returns a
 smaller host and the finish rule that extends its labeling back (pendant
 search, leaf-block attach), and the driver keeps the pending finish rules on
-an explicit stack.
+an explicit stack.  Hosts are outerplanar embeddings: each component of the
+input is recognized once, and each reduction hands on its smaller host as
+``OuterplanarEmbedding.without`` what it removed, which redoes only the
+blocks the removal touched.
 
 Every finish rule checks what it changed: ``complete`` is the one place
 that extends, checks and widens.  It runs ``verify_around`` on the elements
@@ -354,31 +357,51 @@ def _cycle_labels(m: int) -> list[int]:
 # -- the reduction driver ----------------------------------------------------
 
 Finish = Callable[[TotalLabeling], TotalLabeling]
-Step = Callable[[Graph], "TotalLabeling | tuple[Graph, Finish]"]
+Step = Callable[
+    [OuterplanarEmbedding], "TotalLabeling | tuple[OuterplanarEmbedding, Finish]"
+]
 
 
-def reduce_and_extend(g: Graph, k: int, step: Step) -> TotalLabeling:
-    """Label ``g`` within ``{0..k}`` by reducing it, then extending back.
+def recognize_components(g: Graph) -> OuterplanarEmbedding:
+    """The embedding of ``g``, recognizing each component once.
 
-    This is the paper's induction run on an explicit stack.  ``step`` gets a
-    connected host and returns either a labeling of it or a smaller host
-    together with the finish rule that extends the smaller host's labeling
-    back onto the host.  A disconnected host is split into its components,
-    which are labeled in vertex order and joined.  Finish rules run in the
-    post-order a recursive induction would give them, and the call stack
-    stays flat however many reductions a host needs.
+    Raises NotOuterplanar if some component is not outerplanar.  The
+    embedding of a disconnected ``g`` has ``may_split`` set, so
+    ``reduce_and_extend`` splits it into its components.
     """
-    todo: list = [g]  # hosts to label, finish rules, (host, parts) joins
+    comps = g.components()
+    if len(comps) == 1:
+        return recognize_embed(g)
+    parts = [recognize_embed(g.induced(c)) for c in comps]
+    blocks = sorted((b for p in parts for b in p.blocks), key=lambda b: b.cycle)
+    bridges = frozenset(e for p in parts for e in p.bridge_edges)
+    return OuterplanarEmbedding(g, tuple(blocks), bridges, may_split=True)
+
+
+def reduce_and_extend(host: OuterplanarEmbedding, k: int, step: Step) -> TotalLabeling:
+    """Label ``host.graph`` within ``{0..k}`` by reducing it, then extending back.
+
+    This is the paper's induction run on an explicit stack.  ``step`` gets
+    the embedding of a connected host and returns either a labeling of it or
+    a smaller host's embedding, made by ``without``, together with the
+    finish rule that extends the smaller host's labeling back onto the host.
+    So the input is recognized once, by the caller, and no host is
+    recognized again.  A host whose embedding may split is split into its
+    components, which are labeled in vertex order and joined.  Finish rules
+    run in the post-order a recursive induction would give them, and the
+    call stack stays flat however many reductions a host needs.
+    """
+    todo: list = [host]  # hosts to label, finish rules, (graph, parts) joins
     done: list[TotalLabeling] = []
     while todo:
         item = todo.pop()
-        if isinstance(item, Graph):
-            comps = item.components()
-            if len(comps) > 1:
-                todo.append((item, len(comps)))
-                todo.extend(item.induced(c) for c in reversed(comps))
+        if isinstance(item, OuterplanarEmbedding):
+            parts = item.split()
+            if len(parts) > 1:
+                todo.append((item.graph, len(parts)))
+                todo.extend(reversed(parts))
                 continue
-            out = step(item)
+            out = step(parts[0])
             if isinstance(out, TotalLabeling):
                 done.append(out)
             else:
@@ -433,11 +456,12 @@ def complete(
     raise InfeasibleTrace(f"{where}: no verified completion")
 
 
-def _pendant_step(g: Graph, k: int, diag: Diagnostics | None):
+def _pendant_step(host: OuterplanarEmbedding, k: int, diag: Diagnostics | None):
     """Drop the smallest degree-1 vertex; search puts its vertex and edge back."""
+    g = host.graph
     u1 = min(v for v in g.vertices if g.degree(v) == 1)
     u2 = g.neighbors(u1)[0]
-    return g.remove_vertices([u1]), partial(_restore_pendant, g, u1, u2, k, diag)
+    return host.without([u1]), partial(_restore_pendant, g, u1, u2, k, diag)
 
 
 def _restore_pendant(
@@ -617,26 +641,29 @@ def _E(a: int, b: int) -> Edge:
 def label_delta3(g: Graph, diag: Diagnostics | None = None) -> TotalLabeling:
     """Verified span <= 5 labeling of an outerplanar graph with max degree 3.
 
-    Disconnected inputs are labeled one component at a time.
+    Disconnected inputs are labeled one component at a time.  Raises
+    NotOuterplanar, before any labeling, if some component is not
+    outerplanar.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     if g.max_degree() != 3:
         raise NotDelta(3, g.max_degree())
-    out = TotalLabeling(g, 5, _label_span5(g, diag).assignment)
+    out = TotalLabeling(g, 5, _label_span5(recognize_components(g), diag).assignment)
     bad = verify(out, 2)
     if bad:
         raise InfeasibleTrace(f"driver produced an invalid labeling: {bad[:3]}")
     return out
 
 
-def _label_span5(g: Graph, diag: Diagnostics | None) -> TotalLabeling:
+def _label_span5(host: OuterplanarEmbedding, diag: Diagnostics | None) -> TotalLabeling:
     """Maximum degree <= 3, labeling within {0..5}."""
-    return reduce_and_extend(g, 5, partial(_step5, diag=diag))
+    return reduce_and_extend(host, 5, partial(_step5, diag=diag))
 
 
-def _step5(g: Graph, diag: Diagnostics | None):
+def _step5(emb: OuterplanarEmbedding, diag: Diagnostics | None):
     """Label a connected host of maximum degree <= 3, or reduce it."""
+    g = emb.graph
     if g.max_degree() <= 2:
         return label_cycle_or_path(g, k=5)
     if g.n + g.m <= 7:
@@ -645,17 +672,17 @@ def _step5(g: Graph, diag: Diagnostics | None):
             raise InfeasibleTrace("tiny host admits no labeling within {0..5}")
         return f
     if g.min_degree() == 1:
-        return _pendant_step(g, 5, diag)
-    emb = recognize_embed(g)
+        return _pendant_step(emb, 5, diag)
     if emb.is_biconnected():
         f, _ = label_k2(emb, LabelK2Options(), diag)
         return f
-    return _leaf_block_step(g, emb, diag)
+    return _leaf_block_step(emb, diag)
 
 
-def _leaf_block_step(g: Graph, emb: OuterplanarEmbedding, diag: Diagnostics | None):
+def _leaf_block_step(emb: OuterplanarEmbedding, diag: Diagnostics | None):
     """Cut off the first leaf block; the finish rule attaches it back."""
-    cuts = g.cut_vertices()
+    g = emb.graph
+    cuts = emb.cut_vertices()
     blk = next((b for b in emb.blocks if len(cuts.intersection(b.cycle)) == 1),
                None)
     if blk is None:
@@ -667,8 +694,8 @@ def _leaf_block_step(g: Graph, emb: OuterplanarEmbedding, diag: Diagnostics | No
         raise InfeasibleTrace("cut vertex must leave its block by one bridge")
     w = outside[0]
 
-    h = g.remove_vertices(members - {v_c})
-    return h, partial(_attach_leaf_block, g, blk, v_c, w, diag)
+    return emb.without(members - {v_c}), partial(
+        _attach_leaf_block, g, blk, v_c, w, diag)
 
 
 def _attach_leaf_block(

@@ -1,10 +1,13 @@
 """Span-6 labelings for outerplanar graphs of maximum degree 4.
 
 The degree-4 step function for ``delta3.reduce_and_extend`` labels a host
-directly or reduces it by one rule.  Hosts of maximum degree 3 are labeled
-by the span-5 labeler inside the span-6 range.  Hosts of minimum degree 1
-lose a pendant; hosts containing two adjacent 2-vertices or a triangle with
-a 2-vertex and a 3-vertex lose one 2-vertex, and the C1/C2 finish rule
+directly or reduces it by one rule.  A host comes with its embedding, and
+each rule hands on that embedding without what it removed
+(``OuterplanarEmbedding.without``), so no host is recognized again.  Hosts
+of maximum degree 3 are labeled by the span-5 labeler inside the span-6
+range, on the same embedding.  Hosts of minimum degree 1 lose a pendant;
+hosts containing two adjacent 2-vertices or a triangle with a 2-vertex and
+a 3-vertex lose one 2-vertex, and the C1/C2 finish rule
 relabels the freed elements by bounded search.  The remaining hosts contain
 a closed fan of triangles whose interior is cut out; the chain-template
 finish rule labels it by one of eight per-parity label templates and
@@ -34,9 +37,12 @@ from .delta3 import (
     _pendant_step,
     complete,
     label_cycle_or_path,
+    recognize_components,
     reduce_and_extend,
 )
-from .embedding import recognize_embed
+from .embedding import OuterplanarEmbedding
+# recognize_embed is unused here; perfbench/tracing.py patches this binding
+from .embedding import recognize_embed  # noqa: F401
 # extend_bounded is unused here; perfbench/tracing.py patches this binding
 from .exact import extend_bounded, find_labeling_bounded  # noqa: F401
 from .graphs import Element, Graph, norm_edge
@@ -772,24 +778,31 @@ def apply_template(
 
 # -- reductions and the driver -----------------------------------------------
 
-def reduce_c1c2(g: Graph, config: Configuration) -> tuple[Graph, list[Element]]:
+def reduce_c1c2(
+    host: OuterplanarEmbedding, config: Configuration
+) -> tuple[OuterplanarEmbedding, list[Element]]:
     """Drop one 2-vertex of a C1/C2 instance; freed elements come back later."""
     if config.kind not in ("C1", "C2"):
         raise ValueError("reduction applies to C1/C2 only")
+    g = host.graph
     u1 = config.witnesses[0]
     if g.degree(u1) != 2:
         raise ValueError(f"witness {u1} is not a 2-vertex")
     freed: list[Element] = [u1] + g.incident_edges(u1)
-    return g.remove_vertices([u1]), freed
+    return host.without([u1]), freed
 
 
 def label_delta4(g: Graph, diag: Diagnostics | None = None) -> TotalLabeling:
-    """Verified span <= 6 labeling of an outerplanar graph with max degree 4."""
+    """Verified span <= 6 labeling of an outerplanar graph with max degree 4.
+
+    Raises NotOuterplanar, before any labeling, if some component is not
+    outerplanar.
+    """
     if g.n == 0:
         raise ValueError("empty graph")
     if g.max_degree() != 4:
         raise NotDelta(4, g.max_degree())
-    f = reduce_and_extend(g, 6, partial(_step6, diag=diag))
+    f = reduce_and_extend(recognize_components(g), 6, partial(_step6, diag=diag))
     out = TotalLabeling(g, 6, f.assignment)
     bad = verify(out, 2)
     if bad:
@@ -797,29 +810,29 @@ def label_delta4(g: Graph, diag: Diagnostics | None = None) -> TotalLabeling:
     return out
 
 
-def _step6(g: Graph, diag: Diagnostics | None):
+def _step6(emb: OuterplanarEmbedding, diag: Diagnostics | None):
     """Label a connected host of maximum degree <= 4, or reduce it."""
+    g = emb.graph
     delta = g.max_degree()
     if delta <= 2:
         return label_cycle_or_path(g, k=6)
     if delta == 3:
-        return TotalLabeling(g, 6, _label_span5(g, diag).assignment)
+        return TotalLabeling(g, 6, _label_span5(emb, diag).assignment)
     if g.n + g.m <= 9:
         f = find_labeling_bounded(g, 2, 6)
         if f is None:
             raise InfeasibleTrace("tiny host admits no labeling within {0..6}")
         return f
     if g.min_degree() == 1:
-        return _pendant_step(g, 6, diag)
-    emb = recognize_embed(g)
+        return _pendant_step(emb, 6, diag)
     cfg = find_configuration(emb)
     if diag is not None:
         diag.step(f"degree-4 dispatch: {cfg.kind} at {cfg.witnesses}")
     if cfg.kind in ("C1", "C2"):
-        h, freed = reduce_c1c2(g, cfg)
+        h, freed = reduce_c1c2(emb, cfg)
         return h, partial(_fill_c1c2, g, cfg, freed, diag)
     chain = find_closed_chain(emb, check_preconditions=False)
-    h = g.remove_vertices(chain.interior()).remove_edges([chain.closing_inner_edge])
+    h = emb.without(chain.interior(), [chain.closing_inner_edge])
     return h, partial(_chain_surgery, g, chain, diag)
 
 

@@ -8,12 +8,20 @@ reduction, the chords by one stack pass over the boundary positions in which
 they must nest like parentheses.  The same pass traces the inner faces.
 "Clockwise" means the stored orientation of each cycle; there are no
 coordinates.
+
+An embedding is kept up to date as vertices and edges are removed
+(``OuterplanarEmbedding.without``), as in S. L. Mitchell's linear
+recognition (Inf. Process. Lett. 9(5), 1979): only the blocks a removal
+touches are redone, and removing an ear of a block (a 2-vertex whose two
+neighbours are joined by a chord) splices its boundary without searching
+for it again.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .graphs import Edge, Graph, norm_edge
@@ -56,9 +64,16 @@ class BlockEmbedding:
 
 @dataclass(frozen=True)
 class OuterplanarEmbedding:
+    """The blocks, sorted by boundary cycle, and the bridges of a graph.
+
+    ``may_split`` is set by ``without`` when its remainder may be
+    disconnected; ``split`` then gives the embedding of each component.
+    """
+
     graph: Graph
     blocks: tuple[BlockEmbedding, ...]
     bridge_edges: frozenset[Edge]
+    may_split: bool = field(default=False, compare=False)
 
     @property
     def outer_edges(self) -> set[Edge]:
@@ -102,6 +117,93 @@ class OuterplanarEmbedding:
             _finish_block(b.cycle[::-1], b.chords) for b in self.blocks
         )
         return OuterplanarEmbedding(self.graph, blocks, self.bridge_edges)
+
+    def cut_vertices(self) -> set[int]:
+        """The vertices lying on two or more blocks and bridges."""
+        on = Counter(v for b in self.blocks for v in b.cycle)
+        on.update(v for e in self.bridge_edges for v in e)
+        return {v for v, c in on.items() if c > 1}
+
+    def without(
+        self, vertices: Iterable[int], edges: Iterable[Edge] = ()
+    ) -> "OuterplanarEmbedding":
+        """The embedding of the graph with ``vertices`` and ``edges`` removed.
+
+        Blocks and bridges that lose nothing are kept as they are.  A block
+        that loses a single vertex, an ear, is spliced: its boundary skips
+        the ear and the chord across it becomes a boundary edge (a triangle
+        leaves that edge as a bridge).  Any other block that loses something
+        is decomposed again on what is left of it alone.  Removal never
+        joins blocks, so the result equals a fresh recognition of each
+        component of the remainder.  It has ``may_split`` set when the
+        remainder may be disconnected: a removed vertex lay on two or more
+        blocks and bridges, a bridge was removed, or what is left of a
+        block is not connected.
+        """
+        gone = set(vertices)
+        cut = {norm_edge(u, v) for u, v in edges}
+        g = self.graph.remove_vertices(gone).remove_edges(cut)
+        met: Counter = Counter()
+        may_split = self.may_split
+        blocks: list[BlockEmbedding] = []
+        bridges: set[Edge] = set()
+        for e in self.bridge_edges:
+            if e in cut:
+                may_split = True
+            elif e[0] in gone or e[1] in gone:
+                met.update(v for v in e if v in gone)
+            else:
+                bridges.add(e)
+        for b in self.blocks:
+            hit = gone.intersection(b.cycle)
+            loses_edge = any(u in b.cycle and v in b.cycle for u, v in cut)
+            if not hit and not loses_edge:
+                blocks.append(b)
+                continue
+            met.update(hit)
+            if len(hit) == 1 and not loses_edge:
+                c = b.cycle
+                i = c.index(*hit)
+                across = norm_edge(c[i - 1], c[(i + 1) % len(c)])
+                if len(c) == 3:
+                    bridges.add(across)
+                    continue
+                # an ear: no chord leaves it, as one would cross ``across``;
+                # chords go in sorted, as recognition passes them, so the
+                # chord set iterates in the same order as a fresh one
+                if across in b.chords:
+                    blocks.append(_finish_block(
+                        _canonical_cycle(c[:i] + c[i + 1:]),
+                        sorted(b.chords - {across})))
+                    continue
+            rest = g.induced(v for v in b.cycle if v not in gone)
+            may_split = may_split or not rest.is_connected()
+            for blk in rest.biconnected_components():
+                if blk.n == 2:
+                    bridges.add(blk.edges[0])
+                else:
+                    blocks.append(embed_block(blk))
+        may_split = may_split or any(c > 1 for c in met.values())
+        blocks.sort(key=lambda b: b.cycle)
+        return OuterplanarEmbedding(g, tuple(blocks), frozenset(bridges), may_split)
+
+    def split(self) -> list["OuterplanarEmbedding"]:
+        """The embedding of each component, in vertex order.
+
+        Only an embedding with ``may_split`` set is checked; any other is
+        connected and comes back as ``[self]``.
+        """
+        if not self.may_split:
+            return [self]
+        out = []
+        for comp in self.graph.components():
+            inside = set(comp)
+            out.append(OuterplanarEmbedding(
+                self.graph.induced(comp),
+                tuple(b for b in self.blocks if b.cycle[0] in inside),
+                frozenset(e for e in self.bridge_edges if e[0] in inside),
+            ))
+        return out
 
 
 def _boundary_cycle(block: Graph) -> tuple[int, ...]:
@@ -228,7 +330,7 @@ def recognize_embed(g: Graph) -> OuterplanarEmbedding:
             bridges.add(blk.edges[0])
         else:
             blocks.append(embed_block(blk))
-    blocks.sort(key=lambda b: min(b.cycle))
+    blocks.sort(key=lambda b: b.cycle)
     return OuterplanarEmbedding(g, tuple(blocks), frozenset(bridges))
 
 

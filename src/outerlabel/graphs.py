@@ -249,8 +249,19 @@ class Graph:
         return out
 
     def remove_edges(self, remove: Iterable[Edge]) -> "Graph":
+        """This graph without the listed edges, filtered like ``induced``."""
         drop = {norm_edge(u, v) for u, v in remove}
-        return Graph(self._vertices, [e for e in self._edges if e not in drop])
+        if not drop:
+            return self
+        out = Graph.__new__(Graph)
+        out._vertices = self._vertices
+        out._adj = dict(self._adj)
+        for v in {x for e in drop for x in e}.intersection(self._adj):
+            out._adj[v] = tuple(
+                w for w in self._adj[v] if norm_edge(v, w) not in drop
+            )
+        out._edges = tuple(e for e in self._edges if e not in drop)
+        return out
 
     def add_edges(self, add: Iterable[Edge]) -> "Graph":
         """Edge-augmented graph; endpoints missing from the vertex set are added."""

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from functools import partial
-
-from .delta3 import Diagnostics, label_cycle_or_path, label_delta3, reduce_and_extend
+from .delta3 import (
+    Diagnostics,
+    label_cycle_or_path,
+    label_delta3,
+    recognize_components,
+    reduce_and_extend,
+)
 from .delta4 import label_delta4
-from .embedding import recognize_embed
 from .exact import find_labeling_bounded
 from .graphs import Graph
 from .labeling import TotalLabeling, verify
@@ -30,11 +33,11 @@ def label_outerplanar(
 
     Dispatches on the maximum degree; degrees above 4 are only served by the
     exhaustive bounded search (experimental), and only when requested.
-    Raises NotOuterplanar on a non-outerplanar host: the Δ=3 and Δ=4
-    labelers recognize every host they reduce to, and above that each
-    component is recognized before the search or UnsupportedDegree.  The
-    Δ=3 and Δ=4 labelers verify their own output, so only the other
-    results are verified here.
+    Raises NotOuterplanar on a non-outerplanar host before any labeling:
+    every path recognizes each component of ``g`` once, and the reduction
+    driver carries that embedding through every reduction.  The Δ=3 and
+    Δ=4 labelers verify their own output, so only the other results are
+    verified here.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -43,11 +46,10 @@ def label_outerplanar(
         return label_delta3(g, diag)
     if delta == 4:
         return label_delta4(g, diag)
+    emb = recognize_components(g)  # raises NotOuterplanar before any search
     if delta <= 2:
-        f = reduce_and_extend(g, 4, partial(label_cycle_or_path, k=4))
+        f = reduce_and_extend(emb, 4, lambda host: label_cycle_or_path(host.graph, k=4))
     else:
-        for comp in g.components():
-            recognize_embed(g.induced(comp))
         f = find_labeling_bounded(g, 2, delta + 2) if fallback_search else None
         if f is None:
             raise UnsupportedDegree(delta)

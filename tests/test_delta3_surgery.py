@@ -131,5 +131,5 @@ def test_whole_driver_on_far_chord_host():
     w = max(leaf.vertices) + 1
     g = leaf.add_edges([(v_c, w), (w, w + 1), (w + 1, w + 2)])
     assert g.max_degree() == 3
-    f = _label_span5(g, None)
+    f = _label_span5(recognize_embed(g), None)
     assert verify(f, 2) == [] and span(f) <= 5

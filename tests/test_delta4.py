@@ -159,24 +159,25 @@ def test_template_sweep_small(case_id, t):
 
 
 def test_reduce_c1():
-    g = gen.gen_cycle(5)
-    cfg = find_configuration(recognize_embed(g))
-    h, freed = reduce_c1c2(g, cfg)
-    assert h.n == 4 and h.m == 3
+    emb = recognize_embed(gen.gen_cycle(5))
+    cfg = find_configuration(emb)
+    h, freed = reduce_c1c2(emb, cfg)
+    assert h.graph.n == 4 and h.graph.m == 3
     assert freed == [0, (0, 1), (0, 4)]
 
 
 def test_reduce_c2():
-    g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    cfg = find_configuration(recognize_embed(g))
-    h, freed = reduce_c1c2(g, cfg)
-    assert h.n == 3 and h.m == 3  # a triangle remains
+    emb = recognize_embed(Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+    cfg = find_configuration(emb)
+    h, freed = reduce_c1c2(emb, cfg)
+    assert h.graph.n == 3 and h.graph.m == 3  # a triangle remains
     assert cfg.witnesses[0] in (1, 3)
 
 
 def test_reduce_rejects_c3():
     with pytest.raises(ValueError):
-        reduce_c1c2(gen.gen_cycle(5), Configuration("C3", (0, 1, 2, 3, 4)))
+        reduce_c1c2(recognize_embed(gen.gen_cycle(5)),
+                    Configuration("C3", (0, 1, 2, 3, 4)))
 
 
 def test_label_delta4_requires_degree_4():
@@ -352,6 +353,35 @@ def test_one_full_verify_per_output(monkeypatch):
         for piece, caller in calls:
             if piece is not g:
                 assert caller == "extend_lemma1" and piece.n < g.n
+
+
+def test_one_recognition_per_component(monkeypatch):
+    # the driver carries the input's embedding through every reduction: the
+    # only recognitions are one per input component and extend_lemma1's of
+    # its auxiliary closed-off piece
+    calls = []
+
+    def counting(g):
+        calls.append((g, sys._getframe(1).f_code.co_name))
+        return recognize_embed(g)
+
+    monkeypatch.setattr(delta3, "recognize_embed", counting)
+    monkeypatch.setattr(delta4, "recognize_embed", counting)
+    for g in (_capped_polygon(96, 4, "one-recognition"), _strip(120), _bridged(16)):
+        calls.clear()
+        f = label_outerplanar(g)
+        assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
+        assert [caller for piece, caller in calls if piece is g] == [
+            "recognize_components"]
+        assert all(caller == "extend_lemma1"
+                   for piece, caller in calls if piece is not g)
+    # a disconnected input is recognized once per component
+    calls.clear()
+    left = _strip(30)
+    two = Graph.from_edges(list(left.edges) + [(u + 40, v + 40) for u, v in left.edges])
+    label_outerplanar(two)
+    assert [piece.vertices for piece, _ in calls] == [
+        tuple(range(30)), tuple(range(40, 70))]
 
 
 def test_final_verify_catches_a_bad_kept_part(monkeypatch):

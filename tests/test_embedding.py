@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from outerlabel.embedding import (
     recognize_embed,
 )
 from outerlabel.graphs import Graph, norm_edge
+from outerlabel.structure import enumerate_chains
 
 
 def c6_chord():
@@ -215,3 +218,72 @@ def test_decompose_rejects_wrong_degree():
         boundary_decompose(recognize_embed(gen.gen_cycle(5)))
     with pytest.raises(ValueError):
         boundary_decompose(recognize_embed(gen.gen_closed_chain(2, "merged")))
+
+
+def test_blocks_sorted_by_cycle():
+    # both blocks have smallest vertex 0; the depth-first search meets the
+    # square first, through its chord (0, 1), but its cycle sorts second
+    g = Graph.from_edges(
+        [(0, 3), (3, 1), (1, 4), (4, 0), (0, 1), (0, 2), (2, 5), (5, 0)]
+    )
+    assert [b.cycle for b in recognize_embed(g).blocks] == [(0, 2, 5), (0, 3, 1, 4)]
+
+
+def _capped_polygon(n: int, cap: int, seed: str) -> Graph:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "families.py"
+    spec = importlib.util.spec_from_file_location("perfbench_families", path)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    return Graph.from_edges(families.capped_polygon(n, cap, seed))
+
+
+def _removal_hosts() -> list[Graph]:
+    hosts = [gen.gen_closed_chain(t, mode) for t in (2, 3, 5)
+             for mode in ("merged", "pendants")]
+    hosts += [_capped_polygon(n, 4, f"without:{n}") for n in (16, 24, 40)]
+    for seed in range(40):
+        hosts.append(gen.gen_glued_outerplanar(
+            10 + seed % 25, seed, {"max_degree": 3 + seed % 2}))
+    return hosts
+
+
+def _removals(emb, rng: random.Random):
+    """(vertices, edges) removals of the kinds the reductions make, plus random ones."""
+    g = emb.graph
+    for v in g.vertices:
+        if g.degree(v) <= 2:  # pendants, and every 2-vertex a C1/C2 can name
+            yield [v], []
+    cuts = emb.cut_vertices()
+    for b in emb.blocks:
+        if len(cuts.intersection(b.cycle)) == 1:  # a leaf block
+            yield [v for v in b.cycle if v not in cuts], []
+    for ch in enumerate_chains(emb):
+        if ch.closing_inner_edge is not None:
+            yield ch.interior(), [ch.closing_inner_edge]
+    for _ in range(10):
+        yield rng.sample(g.vertices, rng.randrange(1, g.n)), []
+
+
+def test_without_equals_fresh_recognition():
+    rng = random.Random(0)
+    splits = 0
+    for g in _removal_hosts():
+        emb = recognize_embed(g)
+        assert emb.cut_vertices() == g.cut_vertices()
+        for vertices, edges in _removals(emb, rng):
+            rest = emb.without(vertices, edges)
+            assert rest.graph == g.remove_vertices(vertices).remove_edges(edges)
+            comps = rest.graph.components()
+            if not rest.may_split:
+                assert len(comps) == 1
+            parts = rest.split()
+            assert [p.graph for p in parts] == [rest.graph.induced(c) for c in comps]
+            splits += len(parts) > 1
+            for part in parts:
+                fresh = recognize_embed(part.graph)
+                assert part.blocks == fresh.blocks  # cycles, chords, faces, order
+                assert part.bridge_edges == fresh.bridge_edges
+                # the labelers iterate chord sets, so their order must match too
+                assert [list(b.chords) for b in part.blocks] == [
+                    list(b.chords) for b in fresh.blocks]
+    assert splits > 0

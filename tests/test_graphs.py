@@ -204,6 +204,13 @@ def test_induced_equals_rebuilt_graph(seed, pick):
         [v for v in g.vertices if v not in ks],
         [e for e in g.edges if e[0] not in ks and e[1] not in ks],
     )
+    cut = [e[::-1] for e in g.edges if rng.random() < 0.3]
+    thin = g.remove_edges(cut)
+    ref = Graph(g.vertices, [e for e in g.edges if e[::-1] not in cut])
+    assert thin == ref and [thin.neighbors(v) for v in g.vertices] == [
+        ref.neighbors(v) for v in g.vertices
+    ]
+    assert g.remove_edges([]) == g
 
 
 def test_induced_rejects_unknown_vertex():
