@@ -12,9 +12,10 @@ coordinates.
 An embedding is kept up to date as vertices and edges are removed
 (``OuterplanarEmbedding.without``), as in S. L. Mitchell's linear
 recognition (Inf. Process. Lett. 9(5), 1979): only the blocks a removal
-touches are redone, and removing an ear of a block (a 2-vertex whose two
-neighbours are joined by a chord) splices its boundary without searching
-for it again.
+touches are redone.  A block that loses one arc of its boundary cycle
+(an ear, a 2-vertex, a chain's interior, all of a leaf block but its cut
+vertex) falls apart along the path left of its cycle, without searching
+for any boundary again.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Iterable, Sequence
 
 from .graphs import Edge, Graph, norm_edge
@@ -130,15 +132,17 @@ class OuterplanarEmbedding:
         """The embedding of the graph with ``vertices`` and ``edges`` removed.
 
         Blocks and bridges that lose nothing are kept as they are.  A block
-        that loses a single vertex, an ear, is spliced: its boundary skips
-        the ear and the chord across it becomes a boundary edge (a triangle
-        leaves that edge as a bridge).  Any other block that loses something
-        is decomposed again on what is left of it alone.  Removal never
-        joins blocks, so the result equals a fresh recognition of each
-        component of the remainder.  It has ``may_split`` set when the
-        remainder may be disconnected: a removed vertex lay on two or more
-        blocks and bridges, a bridge was removed, or what is left of a
-        block is not connected.
+        that loses one arc of its cycle, and chords at most, leaves the path
+        ``P`` around the rest of its cycle: each outermost chord left on
+        ``P`` closes a block on the stretch under it, and each edge of ``P``
+        under no chord is a bridge (so losing an ear splices the boundary
+        across it, and a triangle leaves one bridge).  Any other block that
+        loses something is decomposed again on what is left of it alone.
+        Removal never joins blocks, so the result equals a fresh
+        recognition of each component of the remainder.  It has
+        ``may_split`` set when the remainder may be disconnected: a removed
+        vertex lay on two or more blocks and bridges, a bridge was removed,
+        or what is left of a block is not connected.
         """
         gone = set(vertices)
         cut = {norm_edge(u, v) for u, v in edges}
@@ -156,26 +160,13 @@ class OuterplanarEmbedding:
                 bridges.add(e)
         for b in self.blocks:
             hit = gone.intersection(b.cycle)
-            loses_edge = any(u in b.cycle and v in b.cycle for u, v in cut)
-            if not hit and not loses_edge:
+            lost = {e for e in cut if e[0] in b.cycle and e[1] in b.cycle}
+            if not hit and not lost:
                 blocks.append(b)
                 continue
             met.update(hit)
-            if len(hit) == 1 and not loses_edge:
-                c = b.cycle
-                i = c.index(*hit)
-                across = norm_edge(c[i - 1], c[(i + 1) % len(c)])
-                if len(c) == 3:
-                    bridges.add(across)
-                    continue
-                # an ear: no chord leaves it, as one would cross ``across``;
-                # chords go in sorted, as recognition passes them, so the
-                # chord set iterates in the same order as a fresh one
-                if across in b.chords:
-                    blocks.append(_finish_block(
-                        _canonical_cycle(c[:i] + c[i + 1:]),
-                        sorted(b.chords - {across})))
-                    continue
+            if _without_arc(b, gone, lost, blocks, bridges):
+                continue
             rest = g.induced(v for v in b.cycle if v not in gone)
             may_split = may_split or not rest.is_connected()
             for blk in rest.biconnected_components():
@@ -204,6 +195,52 @@ class OuterplanarEmbedding:
                 frozenset(e for e in self.bridge_edges if e[0] in inside),
             ))
         return out
+
+
+def _without_arc(
+    b: BlockEmbedding,
+    gone: set[int],
+    lost: set[Edge],
+    blocks: list[BlockEmbedding],
+    bridges: set[Edge],
+) -> bool:
+    """If ``gone`` takes one arc of ``b``'s cycle and ``lost`` only chords,
+    add what is left of ``b`` to ``blocks`` and ``bridges`` and return True;
+    else add nothing and return False.
+
+    The rest of the cycle is a path ``P``, on which the surviving chords
+    nest as intervals.  Each outermost chord closes a block on the stretch
+    of ``P`` under it, with the chords inside; each edge of ``P`` under no
+    chord is a bridge.  Chords go in sorted, as recognition passes them, so
+    each chord set iterates in the same order as a fresh one.
+    """
+    c = b.cycle
+    starts = [i for i, v in enumerate(c) if v not in gone and c[i - 1] in gone]
+    if len(starts) != 1:
+        return False
+    path = list(filterfalse(gone.__contains__, c[starts[0]:] + c[:starts[0]]))
+    at = {v: t for t, v in enumerate(path)}
+    if any(e not in b.chords for e in lost if e[0] in at and e[1] in at):
+        return False  # a boundary edge of P is cut
+    reach = list(range(len(path)))  # farthest chord end from each position
+    chords_at: list[list[Edge]] = [[] for _ in path]  # by nearer end
+    for e in b.chords:
+        if e[0] in at and e[1] in at and e not in lost:
+            i, j = sorted((at[e[0]], at[e[1]]))
+            chords_at[i].append(e)
+            reach[i] = max(reach[i], j)
+    t = 0
+    while t < len(path) - 1:
+        q = reach[t]
+        if q == t:
+            bridges.add(norm_edge(path[t], path[t + 1]))
+            t += 1
+        else:
+            blocks.append(_finish_block(
+                _canonical_cycle(path[t:q + 1]),
+                sorted(e for i in range(t, q) for e in chords_at[i])))
+            t = q
+    return True
 
 
 def _boundary_cycle(block: Graph) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ Vertices are nonnegative integers; an edge is the normalized pair
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Iterable, Iterator
 
 
@@ -93,12 +94,12 @@ class Graph:
     def max_degree(self) -> int:
         if not self._vertices:
             raise ValueError("empty graph has no maximum degree")
-        return max(len(ns) for ns in self._adj.values())
+        return max(map(len, self._adj.values()))
 
     def min_degree(self) -> int:
         if not self._vertices:
             raise ValueError("empty graph has no minimum degree")
-        return min(len(ns) for ns in self._adj.values())
+        return min(map(len, self._adj.values()))
 
     def elements(self) -> Iterator[Element]:
         yield from self._vertices
@@ -227,9 +228,26 @@ class Graph:
     # -- derived graphs ----------------------------------------------------
 
     def remove_vertices(self, remove: Iterable[int]) -> "Graph":
-        drop = set(remove)
-        keep = [v for v in self._vertices if v not in drop]
-        return self.induced(keep)
+        """This graph without ``remove`` (unknown ids are ignored).
+
+        Only the adjacency tuples of the removed vertices' neighbours are
+        rebuilt; everything else is copied or filtered by C-level calls, so
+        the Python work is set by the removed vertices' degrees.  The result
+        equals ``induced`` on the vertices left, tuple for tuple.
+        """
+        drop = set(remove).intersection(self._adj)
+        adj = dict(self._adj)
+        near: set[int] = set()
+        for v in drop:
+            near.update(adj.pop(v))
+        for w in near.difference(drop):
+            adj[w] = tuple(filterfalse(drop.__contains__, adj[w]))
+        lost = {norm_edge(v, w) for v in drop for w in self._adj[v]}
+        out = Graph.__new__(Graph)
+        out._vertices = tuple(filterfalse(drop.__contains__, self._vertices))
+        out._adj = adj
+        out._edges = tuple(filterfalse(lost.__contains__, self._edges))
+        return out
 
     def induced(self, keep: Iterable[int]) -> "Graph":
         """The subgraph on ``keep``, filtered from this graph's sorted tuples."""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outerlabel import delta3, delta4
+from outerlabel import delta3, delta4, embedding
 from outerlabel import generators as gen
 from outerlabel.delta3 import Diagnostics, InfeasibleTrace, NotDelta
 from outerlabel.delta4 import (
@@ -382,6 +382,28 @@ def test_one_recognition_per_component(monkeypatch):
     label_outerplanar(two)
     assert [piece.vertices for piece, _ in calls] == [
         tuple(range(30)), tuple(range(40, 70))]
+
+
+def test_driver_never_redecomposes(monkeypatch):
+    # every reduction removes a pendant or one arc of a block's boundary
+    # cycle (a C1/C2 2-vertex, a chain interior, a leaf block's non-cut
+    # vertices), so ``without`` never searches a boundary or a block again
+    calls = []
+
+    def counting(real):
+        def inner(*args):
+            calls.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+        return inner
+
+    monkeypatch.setattr(embedding, "embed_block", counting(embedding.embed_block))
+    monkeypatch.setattr(Graph, "biconnected_components",
+                        counting(Graph.biconnected_components))
+    for g in (_capped_polygon(96, 4, "one-recognition"), _strip(120), _bridged(16)):
+        calls.clear()
+        f = label_outerplanar(g)
+        assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
+        assert calls and "without" not in calls
 
 
 def test_final_verify_catches_a_bad_kept_part(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outerlabel import embedding
 from outerlabel import generators as gen
 from outerlabel.embedding import (
     NotOuterplanar,
@@ -260,18 +261,51 @@ def _removals(emb, rng: random.Random):
     for ch in enumerate_chains(emb):
         if ch.closing_inner_edge is not None:
             yield ch.interior(), [ch.closing_inner_edge]
+    for b in emb.blocks:  # arcs, some with chords into the rest of the cycle
+        c = b.cycle
+        for size in (2, 3):
+            if size < len(c):
+                for i in range(len(c)):
+                    yield [c[(i + j) % len(c)] for j in range(size)], []
+        if len(c) > 3:  # an arc and a boundary edge of what is left
+            yield [c[0]], [(c[2], c[1])]
     for _ in range(10):
         yield rng.sample(g.vertices, rng.randrange(1, g.n)), []
 
 
-def test_without_equals_fresh_recognition():
+def _one_arc(emb, vertices, edges) -> bool:
+    """Whether each block the removal touches loses one arc of its cycle, and chords at most."""
+    gone = set(vertices)
+    for b in emb.blocks:
+        on = [v in gone for v in b.cycle]
+        lost = [norm_edge(*e) for e in edges
+                if set(e) <= set(b.cycle) and gone.isdisjoint(e)]
+        arcs = sum(on[i] and not on[i - 1] for i in range(len(on)))
+        if (any(on) or lost) and (arcs != 1 or any(e not in b.chords for e in lost)):
+            return False
+    return True
+
+
+def test_without_equals_fresh_recognition(monkeypatch):
     rng = random.Random(0)
-    splits = 0
+    splits = arcs = 0
+    embedded = []
+    real = embedding.embed_block
+
+    def counting(blk):
+        embedded.append(blk)
+        return real(blk)
+
+    monkeypatch.setattr(embedding, "embed_block", counting)
     for g in _removal_hosts():
         emb = recognize_embed(g)
         assert emb.cut_vertices() == g.cut_vertices()
         for vertices, edges in _removals(emb, rng):
+            embedded.clear()
             rest = emb.without(vertices, edges)
+            if _one_arc(emb, vertices, edges):
+                arcs += 1
+                assert embedded == []  # the one-arc rule searches no boundary
             assert rest.graph == g.remove_vertices(vertices).remove_edges(edges)
             comps = rest.graph.components()
             if not rest.may_split:
@@ -286,4 +320,4 @@ def test_without_equals_fresh_recognition():
                 # the labelers iterate chord sets, so their order must match too
                 assert [list(b.chords) for b in part.blocks] == [
                     list(b.chords) for b in fresh.blocks]
-    assert splits > 0
+    assert splits > 0 and arcs > 0

@@ -200,10 +200,19 @@ def test_induced_equals_rebuilt_graph(seed, pick):
     ]
     assert sub.edges == ref.edges
     assert sub == ref and hash(sub) == hash(ref)
-    assert g.remove_vertices(ks) == Graph(
-        [v for v in g.vertices if v not in ks],
-        [e for e in g.edges if e[0] not in ks and e[1] not in ks],
-    )
+    unknown = max(g.vertices) + 1
+    for drop in (ks, set(), {unknown} | set(keep[:2])):
+        rest = g.remove_vertices(drop)
+        ref = Graph(
+            [v for v in g.vertices if v not in drop],
+            [e for e in g.edges if e[0] not in drop and e[1] not in drop],
+        )
+        assert rest == ref and rest.vertices == ref.vertices
+        assert rest.edges == ref.edges
+        assert [rest.neighbors(v) for v in ref.vertices] == [
+            ref.neighbors(v) for v in ref.vertices
+        ]
+        assert not rest.has_vertex(unknown)
     cut = [e[::-1] for e in g.edges if rng.random() < 0.3]
     thin = g.remove_edges(cut)
     ref = Graph(g.vertices, [e for e in g.edges if e[::-1] not in cut])

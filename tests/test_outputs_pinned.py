@@ -1,0 +1,40 @@
+"""The labelers' outputs, pinned bit for bit.
+
+One sha256 covers, for every input in turn, the ``repr`` of the labeling's
+assignment items in insertion order and of its ``(event, where)`` records.
+A change that alters any output, even only the order in which labels are
+assigned, must update ``DIGEST`` and say why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+from test_delta4 import _bridged, _capped_polygon, _strip
+
+from outerlabel import generators as gen
+from outerlabel.delta3 import Diagnostics
+from outerlabel.pipeline import label_outerplanar
+
+ROOT = Path(__file__).resolve().parents[1]
+DIGEST = "5e47806c93d3b6170ea9cd5796fca3331ed160151025a51622bb433dd7ae81fa"
+
+
+def _inputs():
+    for delta in (3, 4):
+        for entry in gen.load_manifest(ROOT / "corpus" / f"delta{delta}_manifest.json"):
+            yield gen.corpus_graph(entry)
+    yield _capped_polygon(96, 4, "one-recognition")
+    yield _strip(120)
+    yield _bridged(16)
+
+
+def test_outputs_match_pinned_digest():
+    h = hashlib.sha256()
+    for g in _inputs():
+        diag = Diagnostics()
+        f = label_outerplanar(g, diag=diag)
+        h.update(repr(list(f.assignment.items())).encode())
+        h.update(repr([(r.get("event"), r.get("where")) for r in diag.records]).encode())
+    assert h.hexdigest() == DIGEST
