@@ -370,7 +370,7 @@ def recognize_components(g: Graph) -> OuterplanarEmbedding:
     ``reduce_and_extend`` splits it into its components.
     """
     comps = g.components()
-    if len(comps) == 1:
+    if len(comps) <= 1:
         return recognize_embed(g)
     parts = [recognize_embed(g.induced(c)) for c in comps]
     blocks = sorted((b for p in parts for b in p.blocks), key=lambda b: b.cycle)
@@ -459,7 +459,7 @@ def complete(
 def _pendant_step(host: OuterplanarEmbedding, k: int, diag: Diagnostics | None):
     """Drop the smallest degree-1 vertex; search puts its vertex and edge back."""
     g = host.graph
-    u1 = min(v for v in g.vertices if g.degree(v) == 1)
+    u1 = min(host.worklists().pendants)
     u2 = g.neighbors(u1)[0]
     return host.without([u1]), partial(_restore_pendant, g, u1, u2, k, diag)
 
@@ -682,13 +682,11 @@ def _step5(emb: OuterplanarEmbedding, diag: Diagnostics | None):
 def _leaf_block_step(emb: OuterplanarEmbedding, diag: Diagnostics | None):
     """Cut off the first leaf block; the finish rule attaches it back."""
     g = emb.graph
-    cuts = emb.cut_vertices()
-    blk = next((b for b in emb.blocks if len(cuts.intersection(b.cycle)) == 1),
-               None)
-    if blk is None:
+    leaf = emb.leaf_block()
+    if leaf is None:
         raise InfeasibleTrace("no leaf block with a single cut vertex")
+    blk, v_c = leaf
     members = set(blk.cycle)
-    (v_c,) = members & cuts
     outside = [z for z in g.neighbors(v_c) if z not in members]
     if len(outside) != 1:
         raise InfeasibleTrace("cut vertex must leave its block by one bridge")

@@ -2,6 +2,12 @@
 
 Vertices are nonnegative integers; an edge is the normalized pair
 ``(min(u, v), max(u, v))``.  All mutating operations return new graphs.
+A removal counts the degrees of the graph it starts from into a histogram
+(once), and hands a copy patched at the vertices it touches to the graph
+it makes, so along a chain of removals the extreme degrees cost O(Δ); any
+other graph finds them by a scan.  A graph made by a removal copies only
+the adjacency dict and lists its sorted vertex and edge tuples when they
+are first read.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ def is_edge_element(x: Element) -> bool:
 class Graph:
     """Undirected simple graph with stable integer vertex ids."""
 
-    __slots__ = ("_vertices", "_adj", "_edges")
+    __slots__ = ("_vertices", "_adj", "_edges", "_m", "_degrees")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Edge]):
         vs = sorted(set(int(v) for v in vertices))
@@ -41,11 +47,23 @@ class Graph:
             es.add(e)
             adj[e[0]].add(e[1])
             adj[e[1]].add(e[0])
-        self._vertices: tuple[int, ...] = tuple(vs)
+        self._vertices: tuple[int, ...] | None = tuple(vs)
         self._adj: dict[int, tuple[int, ...]] = {
             v: tuple(sorted(ns)) for v, ns in adj.items()
         }
-        self._edges: tuple[Edge, ...] = tuple(sorted(es))
+        self._edges: tuple[Edge, ...] | None = tuple(sorted(es))
+        self._m = len(es)
+        self._degrees: list[int] | None = None
+
+    @classmethod
+    def _of(
+        cls, adj: dict[int, tuple[int, ...]], m: int, degrees: list[int] | None
+    ) -> "Graph":
+        """A graph on sorted adjacency tuples; vertices and edges are listed lazily."""
+        out = cls.__new__(cls)
+        out._vertices = out._edges = None
+        out._adj, out._m, out._degrees = adj, m, degrees
+        return out
 
     @classmethod
     def from_edges(cls, edges: Iterable[Edge], n: int | None = None) -> "Graph":
@@ -63,19 +81,27 @@ class Graph:
 
     @property
     def vertices(self) -> tuple[int, ...]:
+        if self._vertices is None:
+            self._vertices = tuple(sorted(self._adj))
         return self._vertices
 
     @property
     def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            # adjacency tuples are sorted, so this lists the edges in sorted order
+            adj = self._adj
+            self._edges = tuple(
+                (v, w) for v in self.vertices for w in adj[v] if w > v
+            )
         return self._edges
 
     @property
     def n(self) -> int:
-        return len(self._vertices)
+        return len(self._adj)
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return self._m
 
     def has_vertex(self, v: int) -> bool:
         return v in self._adj
@@ -92,18 +118,37 @@ class Graph:
         return len(self._adj[v])
 
     def max_degree(self) -> int:
-        if not self._vertices:
+        if not self._adj:
             raise ValueError("empty graph has no maximum degree")
-        return max(map(len, self._adj.values()))
+        if self._degrees is None:
+            return max(map(len, self._adj.values()))
+        top = len(self._degrees) - 1
+        while not self._degrees[top]:
+            top -= 1
+        return top
 
     def min_degree(self) -> int:
-        if not self._vertices:
+        if not self._adj:
             raise ValueError("empty graph has no minimum degree")
-        return min(map(len, self._adj.values()))
+        if self._degrees is None:
+            return min(map(len, self._adj.values()))
+        low = 0
+        while not self._degrees[low]:
+            low += 1
+        return low
+
+    def _histogram(self) -> list[int]:
+        """How many vertices have each degree, from 0 up to the maximum."""
+        if self._degrees is None:
+            lens = list(map(len, self._adj.values()))
+            self._degrees = [0] * (max(lens, default=0) + 1)
+            for d in lens:
+                self._degrees[d] += 1
+        return self._degrees
 
     def elements(self) -> Iterator[Element]:
-        yield from self._vertices
-        yield from self._edges
+        yield from self.vertices
+        yield from self.edges
 
     def incident_edges(self, v: int) -> list[Edge]:
         return [norm_edge(v, u) for u in self._adj[v]]
@@ -111,12 +156,12 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph)
-            and self._vertices == other._vertices
-            and self._edges == other._edges
+            and self.vertices == other.vertices
+            and self.edges == other.edges
         )
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._edges))
+        return hash((self.vertices, self.edges))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -126,7 +171,7 @@ class Graph:
     def components(self) -> list[list[int]]:
         seen: set[int] = set()
         out: list[list[int]] = []
-        for s in self._vertices:
+        for s in self.vertices:
             if s in seen:
                 continue
             comp = [s]
@@ -170,7 +215,7 @@ class Graph:
         blocks: list[list[Edge]] = []
         estack: list[Edge] = []
         timer = 0
-        for root in self._vertices:
+        for root in self.vertices:
             if root in disc:
                 continue
             parent[root] = None
@@ -231,67 +276,70 @@ class Graph:
         """This graph without ``remove`` (unknown ids are ignored).
 
         Only the adjacency tuples of the removed vertices' neighbours are
-        rebuilt; everything else is copied or filtered by C-level calls, so
-        the Python work is set by the removed vertices' degrees.  The result
-        equals ``induced`` on the vertices left, tuple for tuple.
+        rebuilt, and the degree histogram is patched at them and at the
+        removed vertices; the adjacency dict is copied by a C-level call,
+        so the Python work is set by the removed vertices' degrees.  The
+        result equals ``induced`` on the vertices left, tuple for tuple.
         """
-        drop = set(remove).intersection(self._adj)
-        adj = dict(self._adj)
+        adj = self._adj
+        drop = {v for v in remove if v in adj}
+        if not drop:
+            return self
+        adj = dict(adj)
+        degrees = self._histogram().copy()
         near: set[int] = set()
+        ends = 0  # edge ends at removed vertices; an edge inside counts twice
         for v in drop:
-            near.update(adj.pop(v))
+            ns = adj.pop(v)
+            near.update(ns)
+            degrees[len(ns)] -= 1
+            ends += len(ns)
+        inside = ends
         for w in near.difference(drop):
-            adj[w] = tuple(filterfalse(drop.__contains__, adj[w]))
-        lost = {norm_edge(v, w) for v in drop for w in self._adj[v]}
-        out = Graph.__new__(Graph)
-        out._vertices = tuple(filterfalse(drop.__contains__, self._vertices))
-        out._adj = adj
-        out._edges = tuple(filterfalse(lost.__contains__, self._edges))
-        return out
+            ns = adj[w]
+            adj[w] = left = tuple(filterfalse(drop.__contains__, ns))
+            degrees[len(ns)] -= 1
+            degrees[len(left)] += 1
+            inside -= len(ns) - len(left)
+        # ``inside`` now counts the ends of edges between removed vertices
+        return Graph._of(adj, self._m - ends + inside // 2, degrees)
 
     def induced(self, keep: Iterable[int]) -> "Graph":
-        """The subgraph on ``keep``, filtered from this graph's sorted tuples."""
+        """The subgraph on ``keep``, its adjacency filtered from this graph's."""
         ks = set(keep)
         unknown = ks.difference(self._adj)
         if unknown:
             raise ValueError(f"vertices {sorted(unknown)} are not in the graph")
-        out = Graph.__new__(Graph)
-        out._vertices = tuple(v for v in self._vertices if v in ks)
-        out._adj = {
-            v: tuple(w for w in self._adj[v] if w in ks) for v in out._vertices
-        }
-        # adjacency tuples are sorted, so this lists the edges in sorted order
-        out._edges = tuple(
-            (v, w) for v in out._vertices for w in out._adj[v] if w > v
-        )
-        return out
+        adj = {v: tuple(w for w in self._adj[v] if w in ks) for v in sorted(ks)}
+        return Graph._of(adj, sum(map(len, adj.values())) // 2, None)
 
     def remove_edges(self, remove: Iterable[Edge]) -> "Graph":
         """This graph without the listed edges, filtered like ``induced``."""
         drop = {norm_edge(u, v) for u, v in remove}
+        drop = {e for e in drop if self.has_edge(*e)}
         if not drop:
             return self
-        out = Graph.__new__(Graph)
-        out._vertices = self._vertices
-        out._adj = dict(self._adj)
-        for v in {x for e in drop for x in e}.intersection(self._adj):
-            out._adj[v] = tuple(
+        adj = dict(self._adj)
+        degrees = self._histogram().copy()
+        for v in {x for e in drop for x in e}:
+            adj[v] = left = tuple(
                 w for w in self._adj[v] if norm_edge(v, w) not in drop
             )
-        out._edges = tuple(e for e in self._edges if e not in drop)
-        return out
+            degrees[len(self._adj[v])] -= 1
+            degrees[len(left)] += 1
+        return Graph._of(adj, self._m - len(drop), degrees)
 
     def add_edges(self, add: Iterable[Edge]) -> "Graph":
         """Edge-augmented graph; endpoints missing from the vertex set are added."""
         new_edges = [norm_edge(u, v) for u, v in add]
-        vs = set(self._vertices)
+        vs = set(self._adj)
         for u, v in new_edges:
             vs.add(u)
             vs.add(v)
-        return Graph(vs, list(self._edges) + new_edges)
+        return Graph(vs, list(self.edges) + new_edges)
 
     def union(self, other: "Graph") -> "Graph":
         return Graph(
-            set(self._vertices) | set(other._vertices),
-            list(self._edges) + list(other._edges),
+            set(self._adj) | set(other._adj),
+            list(self.edges) + list(other.edges),
         )

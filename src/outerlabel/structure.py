@@ -6,9 +6,11 @@ Three configurations drive the reductions for hosts of minimum degree 2:
 * C2 - a triangular face with a 2-vertex and a 3-vertex;
 * C3 - two triangular faces sharing a 4-vertex, each carrying a 2-vertex.
 
-Beyond these, fans of triangles glued along chords ("chains") are detected,
-including the closed form whose two end spine vertices are themselves joined
-by a chord.
+C1 and C2 are read off the worklists the embedding carries (patched by
+every removal), so picking one costs what the last removals touched; C3 is
+looked for among the triangular faces.  Beyond these, fans of triangles
+glued along chords ("chains") are detected, including the closed form
+whose two end spine vertices are themselves joined by a chord.
 """
 
 from __future__ import annotations
@@ -73,33 +75,22 @@ def find_configuration(emb: OuterplanarEmbedding) -> Configuration:
     """Some C1/C2/C3 instance of a minimum-degree-2 host.
 
     Detection order is C1, C2, C3; within a kind the witness tuple with the
-    smallest vertex ids wins.  For outerplane hosts with minimum degree 2
-    one of the three always exists.
+    smallest vertex ids wins.  C1 and C2 are the smallest entries of the
+    embedding's worklists; C3 is looked for among the triangular faces.
+    For outerplane hosts with minimum degree 2 one of the three always
+    exists.
     """
     g = emb.graph
     if g.min_degree() != 2:
         raise ValueError("configuration search expects minimum degree 2")
 
-    c1 = [
-        e for e in g.edges if g.degree(e[0]) == 2 and g.degree(e[1]) == 2
-    ]
-    if c1:
-        return Configuration("C1", min(c1))
-
-    c2: list[tuple[int, ...]] = []
-    for face in emb.inner_faces:
-        if len(face.vertices) != 3:
-            continue
-        vs = sorted(face.vertices)
-        for u1 in vs:
-            if g.degree(u1) != 2:
-                continue
-            for u2 in vs:
-                if u2 != u1 and g.degree(u2) == 3:
-                    u3 = next(w for w in vs if w not in (u1, u2))
-                    c2.append((u1, u2, u3))
-    if c2:
-        return Configuration("C2", min(c2))
+    work = emb.worklists()
+    c1 = min(work.c1, default=None)
+    if c1 is not None:
+        return Configuration("C1", c1)
+    c2 = min(work.c2, default=None)
+    if c2 is not None:
+        return Configuration("C2", c2)
 
     c3: list[tuple[int, ...]] = []
     triangles = [f for f in emb.inner_faces if len(f.vertices) == 3]

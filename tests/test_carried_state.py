@@ -1,0 +1,149 @@
+"""The state the reduction driver carries, checked against whole-host scans.
+
+``OuterplanarEmbedding`` carries a vertex index (for ``cut_vertices`` and
+``leaf_block``) and worklists (degree-1 vertices, C1 edges, C2
+triangles), and ``Graph`` a degree histogram; each reduction patches them
+where it changed the host.
+The scans below, run only here, are the reference at every host the
+driver pops: a fresh recognition for the blocks and bridges, the extreme
+degrees, the pendant, C1 and C2 worklists and the configuration picked
+from them, the cut vertices and the first leaf block.
+The last test counts the work a labeling does.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+from itertools import combinations
+
+import pytest
+from test_delta4 import _bridged, _capped_polygon, _strip
+
+from outerlabel import delta3, delta4, embedding
+from outerlabel import generators as gen
+from outerlabel.graphs import Graph
+from outerlabel.labeling import span, verify
+from outerlabel.pipeline import label_outerplanar
+from outerlabel.embedding import recognize_embed
+from outerlabel.structure import find_configuration
+
+
+def _scanned_c1c2(emb):
+    """C1 edges and C2 triples by a scan of every edge and triangular face."""
+    g = emb.graph
+    c1 = {e for e in g.edges if g.degree(e[0]) == 2 and g.degree(e[1]) == 2}
+    c2 = set()
+    for face in emb.inner_faces:
+        if len(face.vertices) != 3:
+            continue
+        vs = sorted(face.vertices)
+        for u1 in vs:
+            if g.degree(u1) != 2:
+                continue
+            for u2 in vs:
+                if u2 != u1 and g.degree(u2) == 3:
+                    c2.add((u1, u2, next(w for w in vs if w not in (u1, u2))))
+    return c1, c2
+
+
+def _check(emb) -> None:
+    g = emb.graph
+    # the blocks, patched along the driver's whole chain of removals,
+    # equal a fresh recognition: cycles, chord order, faces and bridges
+    fresh = recognize_embed(g)
+    assert emb.blocks == fresh.blocks and emb.bridge_edges == fresh.bridge_edges
+    assert [list(b.chords) for b in emb.blocks] == [list(b.chords) for b in fresh.blocks]
+    assert [b.faces for b in emb.blocks] == [b.faces for b in fresh.blocks]
+    degrees = [g.degree(v) for v in g.vertices]
+    assert (g.min_degree(), g.max_degree()) == (min(degrees), max(degrees))
+    pendants = {v for v in g.vertices if g.degree(v) == 1}
+    assert emb.worklists().pendants == pendants
+    c1, c2 = _scanned_c1c2(emb)
+    assert set(emb.worklists().c1) == c1 and set(emb.worklists().c2) == c2
+    if min(degrees) == 2 and (c1 or c2):
+        cfg = find_configuration(emb)
+        assert (cfg.kind, cfg.witnesses) == (("C1", min(c1)) if c1 else ("C2", min(c2)))
+    on = Counter(v for b in emb.blocks for v in b.cycle)
+    on.update(v for e in emb.bridge_edges for v in e)
+    cuts = {v for v, c in on.items() if c > 1}
+    assert emb.cut_vertices() == cuts == g.cut_vertices()
+    leaf = next((b for b in emb.blocks if len(cuts.intersection(b.cycle)) == 1), None)
+    if leaf is None:
+        assert emb.leaf_block() is None
+    else:
+        assert emb.leaf_block() == (leaf, *cuts.intersection(leaf.cycle))
+
+
+def _dissections(top: int):
+    for n in range(4, top + 1):
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        seen: set[frozenset] = set()
+        for tri in gen.enumerate_triangulations(n):
+            diagonals = [e for e in tri.edges if (e[1] - e[0]) % n not in (1, n - 1)]
+            for r in range(len(diagonals) + 1):
+                for kept in combinations(diagonals, r):
+                    if frozenset(kept) not in seen:
+                        seen.add(frozenset(kept))
+                        yield Graph(range(n), ring + list(kept))
+
+
+def test_carried_state_equals_scans(monkeypatch):
+    popped = []
+
+    def checked(real):
+        def step(emb, diag):
+            _check(emb)
+            popped.append(emb.graph.n)
+            return real(emb, diag)
+        return step
+
+    monkeypatch.setattr(delta3, "_step5", checked(delta3._step5))
+    monkeypatch.setattr(delta4, "_step6", checked(delta4._step6))
+    hosts = [_capped_polygon(96, 4, "carried"), _strip(120), _bridged(16)]
+    hosts += [gen.gen_glued_outerplanar(10 + s % 40, s, {"max_degree": 3 + s % 2})
+              for s in range(200)]
+    hosts += [g for g in _dissections(7) if g.max_degree() in (3, 4)]
+    for g in hosts:
+        f = label_outerplanar(g)
+        assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
+    assert len(popped) > 3000
+
+
+def _inside_without() -> bool:
+    frame = sys._getframe(2)
+    while frame is not None:
+        if frame.f_code is embedding.OuterplanarEmbedding.without.__code__:
+            return True
+        frame = frame.f_back
+    return False
+
+
+@pytest.mark.parametrize("g", [_strip(480), _capped_polygon(960, 4, "work"), _bridged(160)],
+                         ids=["strip480", "capped960", "bridged160"])
+def test_reduction_work_is_linear(monkeypatch, g):
+    # a removal traces no faces (the blocks it leaves trace theirs when
+    # read), and the steps read degrees off the worklists and the degree
+    # histogram instead of scanning the host: at most 10 Graph.degree calls
+    # per vertex (about 4-7 today; the whole-host scans made 86-1,205)
+    passes = []
+    real_pass = embedding._face_pass
+
+    def face_pass(*args):
+        passes.append(_inside_without())
+        return real_pass(*args)
+
+    calls = 0
+    real_degree = Graph.degree
+
+    def degree(self, v):
+        nonlocal calls
+        calls += 1
+        return real_degree(self, v)
+
+    monkeypatch.setattr(embedding, "_face_pass", face_pass)
+    monkeypatch.setattr(Graph, "degree", degree)
+    f = label_outerplanar(g)
+    assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
+    assert True not in passes
+    assert calls <= 10 * g.n

@@ -137,6 +137,19 @@ def test_structure_command(tmp_path, capsys):
     assert data["embedding"]["blocks"][0]["boundary"]
 
 
+def test_structure_disconnected(tmp_path, capsys):
+    # ``label`` accepts a disconnected outerplanar graph, and so does ``structure``
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n2 3\n3 4\n4 2\n")
+    code, out, _ = run(capsys, "structure", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert [b["boundary"] for b in data["embedding"]["blocks"]] == [[2, 3, 4]]
+    assert data["embedding"]["bridges"] == [[0, 1]]
+    code, _, _ = run(capsys, "label", str(path))
+    assert code == 0
+
+
 def test_gen_deterministic(capsys):
     code1, out1, _ = run(capsys, "gen", "--kind", "random", "--n", "8",
                          "--seed", "5")

@@ -278,3 +278,19 @@ def test_pipeline_mixed_low_degree_components():
     g = Graph.from_edges([(0, 1), (1, 2), (2, 0), (5, 6), (6, 7)])
     f = label_outerplanar(g)
     assert verify(f, 2) == [] and span(f) <= 4
+
+
+@pytest.mark.parametrize(
+    "n, edges, delta",
+    [(1, [], 0), (2, [], 0), (2, [(0, 1)], 1), (3, [(0, 1)], 1)],
+    ids=["K1", "2K1", "K2", "K2+K1"],
+)
+def test_pipeline_span_bound_below_degree_2(n, edges, delta):
+    # k = max_degree + 2 holds at Δ ≤ 1 too
+    from outerlabel.pipeline import label_outerplanar
+
+    g = Graph.from_edges(edges, n=n)
+    assert g.max_degree() == delta
+    f = label_outerplanar(g)
+    assert f.k == delta + 2
+    assert verify(f, 2) == [] and span(f) <= delta + 2

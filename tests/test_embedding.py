@@ -316,8 +316,18 @@ def test_without_equals_fresh_recognition(monkeypatch):
             for part in parts:
                 fresh = recognize_embed(part.graph)
                 assert part.blocks == fresh.blocks  # cycles, chords, faces, order
+                # blocks left by a removal trace their faces when first read
+                assert [b.faces for b in part.blocks] == [b.faces for b in fresh.blocks]
                 assert part.bridge_edges == fresh.bridge_edges
                 # the labelers iterate chord sets, so their order must match too
                 assert [list(b.chords) for b in part.blocks] == [
                     list(b.chords) for b in fresh.blocks]
     assert splits > 0 and arcs > 0
+    # ``without`` finds a touched block by bisection, so a reversed
+    # embedding must keep its blocks sorted by cycle too
+    g = Graph.from_edges([(0, 1), (1, 5), (0, 5), (1, 2), (2, 3), (1, 3)])
+    its = recognize_embed(g).reversed()
+    assert [b.cycle for b in its.blocks] == [(3, 2, 1), (5, 1, 0)]
+    rest = its.without([2])
+    assert [b.cycle for b in rest.blocks] == [(5, 1, 0)]
+    assert rest.bridge_edges == {(1, 3)}

@@ -1,0 +1,146 @@
+"""Time ``label_outerplanar`` on growing hosts and fit a scaling exponent per family.
+
+    python tools/scaling_sweep.py --run change=src [--run parent=OTHER/src] --out BENCH.json
+
+Each ``--run LABEL=SRC`` imports ``outerlabel`` from ``SRC``, in a fresh
+process per family, and labels three families with fixed seeds, from about
+10^2 to 10^4 vertices: bridged(k) and capped(n, 4) from ``perfbench/families.py`` (read,
+not changed) and strip(n), the path 0..n-1 plus the chords (i, i + 2),
+defined here.  Every labeling is checked with ``verify`` and span <= Δ + 2.
+A size is timed as the best of up to three runs (one run once a run takes
+a second).  A family stops growing after a size whose run took longer
+than ``CAP_SECONDS`` or whose process peak memory (``ru_maxrss``, measured
+after the size) passed ``MAX_MB``: the labelers keep every intermediate
+host's graph until the end, so the peak grows faster than n.  The exponent
+is the least-squares slope of log(seconds) over log(n), over every size a
+run reached (``exponent``) and over the sizes every run reached
+(``shared_exponent``), which compares runs over one range.  All runs go
+into one JSON file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import math
+import platform
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIZES = (100, 200, 400, 800, 1600, 3200, 6400, 10000)  # vertices, about
+CAP_SECONDS = 20.0  # a family stops after a size that took longer
+MAX_MB = 400.0  # or after a size that took the process past this peak
+
+
+def strip(n: int) -> list[tuple[int, int]]:
+    """The path 0..n-1 plus the chords (i, i + 2): one block of maximum degree 4."""
+    return [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
+
+
+def _families():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_families", ROOT / "perfbench" / "families.py")
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    return {
+        "bridged": lambda n: families.bridged(max(1, round(n / 6)), f"sweep:bridged:{n}"),
+        "capped4": lambda n: families.capped_polygon(n, 4, f"sweep:capped4:{n}"),
+        "strip": strip,
+    }
+
+
+def exponent(points: list[dict]) -> float | None:
+    xs = [math.log(p["n"]) for p in points]
+    ys = [math.log(p["seconds"]) for p in points]
+    if len(xs) < 2:
+        return None
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - mx) ** 2 for x in xs)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+
+
+def _peak_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def sweep(name: str) -> dict:
+    """Run in the child process: one family, growing until a limit."""
+    from outerlabel.graphs import Graph
+    from outerlabel.labeling import span, verify
+    from outerlabel.pipeline import label_outerplanar
+
+    make = _families()[name]
+    points = []
+    for size in SIZES:
+        g = Graph.from_edges(make(size))
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            f = label_outerplanar(g)
+            best = min(best, time.perf_counter() - t0)
+            if best > 1:
+                break
+        if verify(f, 2) or span(f) > g.max_degree() + 2:
+            raise AssertionError(f"{name}({size}): bad labeling")
+        peak = _peak_mb()
+        points.append({"n": g.n, "m": g.m, "seconds": round(best, 4),
+                       "peak_mb": round(peak)})
+        print(f"{name:8s} n={g.n:6d} m={g.m:6d} {best:9.4f} s {peak:6.0f} MB",
+              file=sys.stderr)
+        if best > CAP_SECONDS or peak > MAX_MB:
+            break
+    slope = exponent(points)
+    return {"points": points, "exponent": None if slope is None else round(slope, 3)}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--run", action="append", default=[], metavar="LABEL=SRC",
+                    help="label and source directory holding the outerlabel package")
+    ap.add_argument("--out", help="JSON file to write (default: stdout)")
+    ap.add_argument("--child", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.child:
+        print(json.dumps(sweep(args.child)))
+        return 0
+    runs = {}
+    for spec in args.run or ["change=src"]:
+        label, src = spec.split("=", 1)
+        print(f"-- {label}", file=sys.stderr)
+        runs[label] = {}
+        for name in _families():
+            proc = subprocess.run(
+                [sys.executable, __file__, "--child", name],
+                env={"PYTHONPATH": str(Path(src).resolve()), "PATH": ""},
+                stdout=subprocess.PIPE, check=True, text=True)
+            runs[label][name] = json.loads(proc.stdout)
+    for name in _families():
+        shared = set.intersection(*({p["n"] for p in r[name]["points"]}
+                                    for r in runs.values()))
+        for r in runs.values():
+            slope = exponent([p for p in r[name]["points"] if p["n"] in shared])
+            r[name]["shared_exponent"] = None if slope is None else round(slope, 3)
+    result = {
+        "what": "wall seconds of label_outerplanar, best of up to 3 runs per size",
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {platform.system()}",
+        "sizes": list(SIZES),
+        "cap_seconds": CAP_SECONDS,
+        "max_mb": MAX_MB,
+        "runs": runs,
+    }
+    text = json.dumps(result, indent=1)
+    if args.out:
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    else:
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
