@@ -2,7 +2,8 @@
 
 JSON results go to stdout, human-readable summaries to stderr.  Exit codes:
 0 success, 1 failed verification, 2 input/parse error, 3 not outerplanar,
-4 unsupported maximum degree.
+4 unsupported input: a maximum degree no labeler serves, or (``exact``) more
+elements than the exhaustive search's element cap.
 """
 
 from __future__ import annotations

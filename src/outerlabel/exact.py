@@ -8,11 +8,25 @@ found, and hence every returned witness, is deterministic.
 ``extend_bounded`` searches only the elements it frees, against the labels
 of their neighbours; it does not check the labels it keeps, which is the
 job of the caller's check (``labeling.verify_around`` or ``verify``).
+
+One search node costs table lookups and bit operations.  Domains are
+bitmasks over {0..k}.  ``_keep_masks(gap, k)`` holds, for each label in
+{0..k}, the mask of labels a neighbour at that gap may still take, so the
+forward check of a label is one ``&`` per later constrained element; the
+tables for gaps 1 and p are fetched once per search.  Kept labels seed the
+starting domains through ``_forbid_mask`` instead, because they may lie
+outside {0..k}, where a table has no entry.  Narrowed domains go on one
+undo trail shared by the whole search.  ``SearchStats.nodes`` counts every
+label tried, and a search with a ``budget`` raises ``SearchBudgetExceeded``
+at the first label past it, so a spent budget leaves ``nodes == budget +
+1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from typing import NamedTuple
 
 from .graphs import Element, Graph, is_edge_element, norm_edge
 from .labeling import TotalLabeling, degree_lower_bound
@@ -34,40 +48,6 @@ class SearchStats:
     calls: int = 0
     budget: int | None = None
 
-    def charge(self) -> None:
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise SearchBudgetExceeded(f"exceeded {self.budget} search nodes")
-
-
-def _constraint_degree(g: Graph, el: Element) -> int:
-    if is_edge_element(el):
-        u, v = el
-        return g.degree(u) + g.degree(v)
-    return 2 * g.degree(el)
-
-
-def _element_order(g: Graph, elements: list[Element]) -> list[Element]:
-    # vertices sort before edges at equal constraint degree; ids break ties
-    def key(el: Element):
-        if is_edge_element(el):
-            return (-_constraint_degree(g, el), 1, el)
-        return (-_constraint_degree(g, el), 0, (el, el))
-
-    return sorted(elements, key=key)
-
-
-def _constraints(g: Graph, el: Element, p: int) -> list[tuple[Element, int]]:
-    """The elements ``el`` constrains, each with the gap it requires."""
-    if is_edge_element(el):
-        u, v = el
-        near = [
-            norm_edge(w, x) for w, y in ((u, v), (v, u)) for x in g.neighbors(w) if x != y
-        ]
-        return [(u, p), (v, p)] + [(e, 1) for e in near]
-    ns = g.neighbors(el)
-    return [(w, 1) for w in ns] + [(norm_edge(el, w), p) for w in ns]
-
 
 def _forbid_mask(label: int, gap: int, k: int) -> int:
     lo = max(0, label - gap + 1)
@@ -77,35 +57,74 @@ def _forbid_mask(label: int, gap: int, k: int) -> int:
     return ((1 << (hi - lo + 1)) - 1) << lo
 
 
-# (order, ahead, outside), as built by ``_plan``
-Plan = tuple[
-    list[Element], list[list[tuple[int, int]]], list[list[tuple[Element, int]]]
-]
+@cache
+def _keep_masks(gap: int, k: int) -> tuple[int, ...]:
+    """For each label in {0..k}, the mask of {0..k} a neighbour at ``gap`` may still take."""
+    full = (1 << (k + 1)) - 1
+    return tuple(full & ~_forbid_mask(lab, gap, k) for lab in range(k + 1))
+
+
+class Plan(NamedTuple):
+    """A search order and each element's constraints, as built by ``_plan``."""
+
+    order: list[Element]
+    ahead: list[list[tuple[int, bool]]]
+    outside: list[list[tuple[Element, int]]]
+    p: int
 
 
 def _plan(g: Graph, p: int, free: list[Element]) -> Plan:
     """The search order of ``free``, and each element's constraints split two ways.
 
-    ``ahead[pos]`` lists (position, gap) of each later free element that
-    ``order[pos]`` constrains; ``outside[pos]`` lists (element, gap) of each
-    constrained element that is not free.  None of it depends on the range.
+    Elements sort by decreasing constraint degree (the degree sum of an
+    edge's ends, twice a vertex's degree), vertices before edges at equal
+    degree, then by id.  A vertex constrains its neighbours at gap 1 and its
+    edges at gap p; an edge constrains its ends at gap p and the edges next
+    to it at gap 1.  ``ahead[pos]`` lists (position, whether the gap is p)
+    of each later free element that ``order[pos]`` constrains;
+    ``outside[pos]`` lists (element, gap) of each constrained element that
+    is not free.  None of it depends on the range.  Only the vertices of
+    the free elements are read, each once.
     """
-    order = _element_order(g, free)
+    # is_edge_element and norm_edge are inlined here and below: these loops
+    # are the whole set-up cost of a search
+    nbrs: dict[int, tuple[int, ...]] = {}
+    for el in free:
+        for v in el if isinstance(el, tuple) else (el,):
+            if v not in nbrs:
+                nbrs[v] = g.neighbors(v)
+    keyed = sorted(
+        (-len(nbrs[el[0]]) - len(nbrs[el[1]]), 1, el) if isinstance(el, tuple)
+        else (-2 * len(nbrs[el]), 0, (el, el))
+        for el in free
+    )
+    order = [el if is_edge else el[0] for _, is_edge, el in keyed]
     index = {el: i for i, el in enumerate(order)}
-    ahead: list[list[tuple[int, int]]] = []
+    ahead: list[list[tuple[int, bool]]] = []
     outside: list[list[tuple[Element, int]]] = []
     for pos, el in enumerate(order):
+        if isinstance(el, tuple):
+            u, v = el
+            constraints = [(u, p), (v, p)]
+            constraints += [
+                ((w, x) if w < x else (x, w), 1)
+                for w, y in ((u, v), (v, u)) for x in nbrs[w] if x != y
+            ]
+        else:
+            ns = nbrs[el]
+            constraints = [(w, 1) for w in ns]
+            constraints += [((el, w) if el < w else (w, el), p) for w in ns]
         later = []
         kept = []
-        for other, gap in _constraints(g, el, p):
+        for other, gap in constraints:
             i = index.get(other)
             if i is None:
                 kept.append((other, gap))
             elif i > pos:
-                later.append((i, gap))
+                later.append((i, gap != 1))
         ahead.append(later)
         outside.append(kept)
-    return order, ahead, outside
+    return Plan(order, ahead, outside, p)
 
 
 def _search(
@@ -123,7 +142,7 @@ def _search(
     ``fixed`` outside the free elements, then the free elements in search
     order.
     """
-    order, ahead, outside = plan
+    order, ahead, outside, p = plan
     full = (1 << (k + 1)) - 1
     domains = []
     for kept in outside:
@@ -135,7 +154,7 @@ def _search(
         domains.append(dom)
     if not order:
         return dict(fixed)
-    if any(d == 0 for d in domains):
+    if not all(domains):
         return None
 
     if symmetry and not fixed:
@@ -144,45 +163,60 @@ def _search(
         half = (k + 1) // 2 + 1  # labels 0..ceil(k/2)
         domains[0] &= (1 << half) - 1
 
-    assignment: list[int | None] = [None] * len(order)
-
-    def rec(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        dom = domains[pos]
-        while dom:
+    near = _keep_masks(1, k)
+    far = _keep_masks(p, k)
+    last = len(order) - 1
+    assignment = [0] * len(order)
+    untried = [0] * len(order)  # labels left to try at each position on the path
+    marks = [0] * len(order)  # trail length when each position was entered
+    trail: list[tuple[int, int]] = []  # (position, its domain before a narrowing)
+    budget = stats.budget
+    nodes = stats.nodes
+    pos = 0
+    untried[0] = domains[0]
+    # constraints are symmetric, so checking each label forward suffices
+    try:
+        while True:
+            # undo the forward checks of the label last tried at pos
+            mark = marks[pos]
+            while len(trail) > mark:
+                i, old = trail.pop()
+                domains[i] = old
+            dom = untried[pos]
+            if not dom:
+                if not pos:
+                    return None
+                pos -= 1
+                continue
             low = dom & -dom
+            untried[pos] = dom ^ low
             lab = low.bit_length() - 1
-            dom ^= low
-            stats.charge()
-            touched: list[tuple[int, int]] = []
-            ok = True
-            for i, gap in ahead[pos]:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise SearchBudgetExceeded(f"exceeded {budget} search nodes")
+            keep1 = near[lab]
+            keepp = far[lab]
+            for i, at_p in ahead[pos]:
                 old = domains[i]
-                new = old & ~_forbid_mask(lab, gap, k)
+                new = old & (keepp if at_p else keep1)
                 if new != old:
                     domains[i] = new
-                    touched.append((i, old))
-                    if new == 0:
-                        ok = False
+                    trail.append((i, old))
+                    if not new:
                         break
-            if ok:
+            else:
                 assignment[pos] = lab
-                if rec(pos + 1):
-                    return True
-            for i, old in touched:
-                domains[i] = old
-        assignment[pos] = None
-        return False
-
-    # constraints are symmetric, so checking each label forward suffices
-    if not rec(0):
-        return None
+                if pos == last:
+                    break
+                pos += 1
+                untried[pos] = domains[pos]
+                marks[pos] = len(trail)
+    finally:
+        stats.nodes = nodes
     out = dict(fixed)
     for el in order:
         out.pop(el, None)
-    for i, el in enumerate(order):
-        out[el] = assignment[i]  # type: ignore[assignment]
+    out.update(zip(order, assignment))
     return out
 
 

@@ -127,6 +127,26 @@ def test_exact_command(tmp_path, capsys):
     assert "nodes=" in err
 
 
+def test_exact_witness_verifies(tmp_path, capsys):
+    gpath = write_graph(tmp_path, gen.gen_cycle(3))
+    code, out, _ = run(capsys, "exact", gpath)
+    assert code == 0
+    data = json.loads(out)
+    assert data["lambda"] == 4
+    lpath = tmp_path / "witness.json"
+    lpath.write_text(json.dumps(data["witness"]))
+    code, out, _ = run(capsys, "verify", gpath, str(lpath))
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_exact_past_the_element_cap(tmp_path, capsys):
+    # a 17-cycle (maximum degree 2) has 34 elements, past the cap of 30
+    path = write_graph(tmp_path, gen.gen_cycle(17))
+    code, out, err = run(capsys, "exact", path)
+    assert (code, out) == (4, "")
+    assert "34 elements exceed the search cap 30" in err
+
+
 def test_structure_command(tmp_path, capsys):
     path = write_graph(tmp_path, gen.gen_closed_chain(2, "merged"))
     code, out, _ = run(capsys, "structure", path)

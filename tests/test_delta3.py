@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outerlabel import delta3
 from outerlabel import generators as gen
 from outerlabel.delta3 import (
     Diagnostics,
+    InfeasibleTrace,
     LabelK2Options,
     NotDelta,
     extend_lemma1,
@@ -209,6 +211,17 @@ def test_cut_vertex_cycle_block():
     assert g.max_degree() == 3
     f = label_delta3(g)
     assert verify(f, 2) == [] and span(f) <= 5
+
+
+def test_completion_budget_raises(monkeypatch):
+    # putting the pendant 0 back takes two search nodes on this tree
+    g = Graph.from_edges([(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (5, 6)])
+    assert verify(label_delta3(g), 2) == []
+    monkeypatch.setattr(delta3, "COMPLETION_BUDGET", 1)
+    with pytest.raises(InfeasibleTrace, match=(
+        r"^pendant at vertex 0: completion search tried 2 nodes, past its budget of 1$"
+    )):
+        label_delta3(g)
 
 
 def test_disconnected_components():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from outerlabel import generators as gen
 from outerlabel.exact import (
+    SearchBudgetExceeded,
     SearchCapExceeded,
+    SearchStats,
     extend_bounded,
     find_labeling_bounded,
     lambda_exact,
@@ -135,6 +138,16 @@ def test_extend_bounded_leaves_the_fixed_part_to_verify():
         ("label-out-of-range", ((1, 2),))
     ]
 
+    # so does one below 0: vertex 1 at -1 forbids only label 0 to (0, 1); a
+    # table indexed by -1 would read label 5's row and forbid 4 and 5 instead
+    kept = {1: -1, (1, 2): 1, 2: 3, 3: 0, (2, 3): 5}
+    done = extend_bounded(TotalLabeling(p4, 5, dict(kept)), [0, (0, 1)], k=5)
+    assert done is not None
+    assert {0: done.assignment[0], (0, 1): done.assignment[(0, 1)]} == {0: 0, (0, 1): 2}
+    assert [(v.kind, v.witnesses) for v in verify(done, 2)] == [
+        ("label-out-of-range", (1,))
+    ]
+
 
 def test_witness_deterministic():
     g = gen.gen_glued_outerplanar(8, seed=11, constraints={}, retries=10)
@@ -153,3 +166,33 @@ def test_lambda_le_constructive_span():
         lam, _ = lambda_exact(g, 2, g.max_degree() + 2)
         f = label_outerplanar(g)
         assert lam <= span(f)
+
+
+# sha256 over lambda_exact(g, 2, Δ+2, cap=33) on the seed-0 degree corpora of
+# 60 entries on 4-9 vertices, Δ = 3 and Δ = 4: λ, the witness items in
+# insertion order, and the search's nodes and calls.  It pins the search
+# tree: the element and label order and the node accounting.
+SEARCH_DIGEST = "e53bd99f70fc682af1fad7d0e26865650bab37b06c59d7a6853e8490082bcd0c"
+
+
+def test_search_trees_pinned():
+    h = hashlib.sha256()
+    for delta in (3, 4):
+        for entry in gen.build_degree_corpus(delta, 60, (4, 9), seed0=0):
+            stats = SearchStats()
+            lam, witness = lambda_exact(
+                gen.corpus_graph(entry), 2, delta + 2, cap=33, stats=stats)
+            h.update(repr((lam, list(witness.assignment.items()),
+                           stats.nodes, stats.calls)).encode())
+    assert h.hexdigest() == SEARCH_DIGEST
+
+
+def test_spent_budget_counts_one_node_past_it():
+    stats = SearchStats(budget=3)
+    with pytest.raises(SearchBudgetExceeded):
+        find_labeling_bounded(gen.gen_cycle(9), 2, 4, stats=stats)
+    assert stats.nodes == 4
+
+    stats = SearchStats()
+    assert lambda_exact(gen.gen_cycle(9), 2, 4, stats=stats, budget=5) == (None, None)
+    assert stats.nodes == 6
