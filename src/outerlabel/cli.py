@@ -3,7 +3,9 @@
 JSON results go to stdout, human-readable summaries to stderr.  Exit codes:
 0 success, 1 failed verification, 2 input/parse error, 3 not outerplanar,
 4 unsupported input: a maximum degree no labeler serves, or (``exact``) more
-elements than the exhaustive search's element cap.
+elements than the exhaustive search's element cap, 5 labeler fault: a
+labeler found no verified labeling or spent a completion search's node
+budget (``delta3.InfeasibleTrace``), with its message on stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import generators, io
-from .delta3 import Diagnostics, recognize_components
+from .delta3 import Diagnostics, InfeasibleTrace, recognize_components
 from .embedding import NotOuterplanar
 # recognize_embed is unused here; perfbench/tracing.py patches this binding
 from .embedding import recognize_embed  # noqa: F401
@@ -30,6 +32,7 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_NOT_OUTERPLANAR = 3
 EXIT_UNSUPPORTED = 4
+EXIT_LABELER = 5
 
 
 def _read_text(path: str) -> str:
@@ -248,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UnsupportedDegree, SearchCapExceeded) as exc:
         _say(str(exc))
         return EXIT_UNSUPPORTED
+    except InfeasibleTrace as exc:
+        _say(f"labeler fault: {exc}")
+        return EXIT_LABELER
     except (ChainNotFound, ValueError) as exc:
         _say(f"error: {exc}")
         return EXIT_PARSE

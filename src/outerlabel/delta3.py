@@ -9,24 +9,24 @@ the block by a case table on the bridge's edge label, occasionally routing
 through an auxiliary closed-up copy of the far side (``extend_lemma1``).
 
 Both this labeler and the degree-4 one run on one iterative driver,
-``reduce_and_extend``: a per-degree step function either labels a connected
-host directly (path or cycle, tiny-host search, boundary walk) or returns a
-smaller host and the finish rule that extends its labeling back (pendant
-search, leaf-block attach), and the driver keeps the pending finish rules on
-an explicit stack.  Hosts are outerplanar embeddings: each component of the
-input is recognized once, and each reduction hands on its smaller host as
-``OuterplanarEmbedding.without`` what it removed, which redoes only the
-blocks the removal touched.
+``reduce_and_extend``, in place: one working copy of the input graph and of
+its embedding (each component recognized once), and one labeling per
+component.  A per-degree step function either labels a connected host
+directly (path or cycle, tiny-host search, boundary walk) or removes what
+its reduction drops (``OuterplanarEmbedding.remove``) and returns the
+graph's undo record with the finish rule that extends the smaller host's
+labeling back (pendant search, leaf-block attach); the driver replays each
+record just before its rule runs.
 
-Every finish rule checks what it changed: ``complete`` is the one place
-that extends, checks and widens.  It runs ``verify_around`` on the elements
-the rule touched or freed, which is exact because the smaller host's
-labeling was valid and the rest of it is kept (or complemented as a
-whole).  If a case table ever disagrees with that check, the touched
-elements are relabeled by bounded exhaustive search, tier by tier, and a
-discrepancy record is emitted.  ``label_delta3`` runs the one full
-``verify`` on the finished labeling, so the verifier has the last word on
-every output.
+Every finish rule extends its component's labeling in place and checks
+what it changed: ``complete`` is the one place that extends, checks and
+widens.  It runs ``verify_around`` on the elements the rule touched or
+freed, which is exact because the smaller host's labeling was valid and
+the rest of it is kept (or complemented as a whole).  If a case table
+ever disagrees with that check, the touched elements are relabeled by
+bounded exhaustive search, tier by tier, and a discrepancy record is
+emitted.  ``label_delta3`` runs the one full ``verify`` on the finished
+labeling, so the verifier has the last word on every output.
 """
 
 from __future__ import annotations
@@ -367,145 +367,126 @@ def _cycle_labels(m: int) -> list[int]:
 
 # -- the reduction driver ----------------------------------------------------
 
-Finish = Callable[[TotalLabeling], TotalLabeling]
-Step = Callable[
-    [OuterplanarEmbedding], "TotalLabeling | tuple[OuterplanarEmbedding, Finish]"
-]
-
 
 def recognize_components(g: Graph) -> OuterplanarEmbedding:
-    """The embedding of ``g``, recognizing each component once.
-
-    Raises NotOuterplanar if some component is not outerplanar.  The
-    embedding of a disconnected ``g`` has ``may_split`` set, so
-    ``reduce_and_extend`` splits it into its components.
-    """
+    """The embedding of ``g``, recognizing each component once (raises
+    NotOuterplanar if one is not outerplanar); a disconnected ``g``'s
+    embedding has a seed in each, so ``reduce_and_extend`` splits it."""
     comps = g.components()
     if len(comps) <= 1:
         return recognize_embed(g)
     parts = [recognize_embed(g.induced(c)) for c in comps]
     blocks = sorted((b for p in parts for b in p.blocks), key=lambda b: b.cycle)
     bridges = frozenset(e for p in parts for e in p.bridge_edges)
-    return OuterplanarEmbedding(g, tuple(blocks), bridges, may_split=True)
+    return OuterplanarEmbedding(g, blocks, bridges, {c[0] for c in comps})
 
 
-def reduce_and_extend(host: OuterplanarEmbedding, k: int, step: Step) -> TotalLabeling:
+def reduce_and_extend(host: OuterplanarEmbedding, k: int,
+                      step: Callable) -> TotalLabeling:
     """Label ``host.graph`` within ``{0..k}`` by reducing it, then extending back.
 
-    This is the paper's induction run on an explicit stack.  ``step`` gets
-    the embedding of a connected host and returns either a labeling of it or
-    a smaller host's embedding, made by ``without``, together with the
-    finish rule that extends the smaller host's labeling back onto the host.
-    So the input is recognized once, by the caller, and no host is
-    recognized again.  A host whose embedding may split is split into its
-    components, which are labeled in vertex order and joined.  Finish rules
-    run in the post-order a recursive induction would give them, and the
-    call stack stays flat however many reductions a host needs.
+    The paper's induction, run in place on an explicit stack, on
+    ``host.working()``: neither the caller's graph nor its embedding
+    changes.  ``step`` gets the embedding of a connected host and returns a
+    labeling of it, or removes what its reduction drops
+    (``OuterplanarEmbedding.remove``) and returns the graph's undo record
+    with the finish rule that extends the smaller host's labeling back.
+    The driver replays the record just before the rule runs, so each rule
+    sees exactly its own host and extends its component's labeling in
+    place.  A host that may split is split into its components, labeled in
+    vertex order and joined into the largest one's labeling.  Finish rules
+    run in the post-order a recursive induction would give them.
     """
-    todo: list = [host]  # hosts to label, finish rules, (graph, parts) joins
+    graph = host.graph
+    todo: list = [host.working()]  # hosts to label; (graph, record, rule or join)
     done: list[TotalLabeling] = []
     while todo:
         item = todo.pop()
-        if isinstance(item, OuterplanarEmbedding):
-            parts = item.split()
-            if len(parts) > 1:
-                todo.append((item.graph, len(parts)))
+        if type(item) is OuterplanarEmbedding:
+            parts, undo = item.split()
+            if undo is not None:
+                todo.append((item.graph, undo, len(parts)))
                 todo.extend(reversed(parts))
                 continue
-            out = step(parts[0])
+            out = step(item)
             if isinstance(out, TotalLabeling):
                 done.append(out)
             else:
-                smaller, finish = out
-                todo += [finish, smaller]
-        elif isinstance(item, tuple):
-            host, parts = item
-            assign: dict[Element, int] = {}
-            for f in done[-parts:]:
-                assign.update(f.assignment)
-            del done[-parts:]
-            done.append(TotalLabeling(host, k, assign))
+                undo, finish = out
+                todo += [(item.graph, undo, finish), item]
+            continue
+        g, undo, then = item
+        g.put_back(undo)
+        if type(then) is int:  # join the split's components into the kept one's
+            parts = done[-then:]
+            del done[-then:]
+            f = next(part for part in parts if part.graph is g)
+            for part in parts:
+                if part is not f:
+                    f.update({z: part.get(z) for z in part.assignment})
+            done.append(f)
         else:
-            done.append(item(done.pop()))
-    return done.pop()
+            done.append(then(done.pop()))
+    f = done.pop()
+    if f.flip:  # read every label through the complement once, at the end
+        f.assignment, f.flip = {z: f.get(z) for z in f.assignment}, 0
+    return f if f.graph is graph else TotalLabeling(graph, k, f.assignment)
 
 
-def complete(
-    f: TotalLabeling,
-    first: list[Element],
-    tiers: list[list[Element]],
-    where: str,
-    diag: Diagnostics | None,
-    event: str = "fallback",
-    *,
-    touched: Collection[Element],
-) -> TotalLabeling:
+def complete(f: TotalLabeling, first: list[Element], tiers: list[list[Element]],
+             where: str, diag: Diagnostics | None, event: str = "fallback", *,
+             touched: Collection[Element]) -> TotalLabeling:
     """The first checked completion of ``f``, freeing ``first``, then each tier.
 
-    ``f`` labels the host as the smaller host's valid labeling ``fh`` does,
-    or as its complement does, except at ``touched``: every element whose
-    label may differ, and every element of the host that ``fh`` does not
-    label.  So a completion is valid exactly when ``verify_around`` finds
-    nothing around ``touched`` and the freed elements, and no full
-    ``verify`` runs here.  With ``first`` empty, ``f`` is a finished
-    candidate and is only checked; otherwise bounded search relabels the
-    ``first`` elements.  If that does not check clean, each non-empty tier
-    is freed in turn, and each one used is logged as ``event`` at
-    ``where``.  Raises InfeasibleTrace when no tier gives a valid labeling,
-    or when a search runs past ``COMPLETION_BUDGET`` nodes.
+    ``f`` labels the host as the smaller host's valid labeling does, or as
+    its complement does, except at ``touched``: every element whose label
+    may differ, and every element of the host the smaller one lacks.  So a
+    completion is valid exactly when ``verify_around`` finds nothing around
+    ``touched`` and the freed elements; no full ``verify`` runs here.  With
+    ``first`` empty, ``f`` is only checked.  Else ``extend_bounded``
+    relabels the ``first`` elements (normalized), in place, within
+    ``COMPLETION_BUDGET`` nodes; a completion that does not check clean is
+    put back, and each non-empty tier is freed in turn and logged as
+    ``event`` at ``where``.  Returns ``f``; raises InfeasibleTrace when no
+    tier gives a valid labeling or a search spends its budget.
     """
-    done = _extend(f, first, where) if first else f
-    if done is not None and not verify_around(done, [*touched, *first]):
-        return done
-    for free in tiers:
-        if not free:
+    a = f.assignment
+    for i, free in enumerate([first, *tiers]):
+        if i and not free:
             continue
-        if diag is not None:
+        if i and diag is not None:
             diag.note(event=event, where=where, freed=len(free))
-        done = _extend(f, free, where)
-        if done is not None and not verify_around(done, [*touched, *free]):
-            return done
+        old = [(el, a[el]) for el in free if el in a]
+        stats = SearchStats(budget=COMPLETION_BUDGET)
+        try:
+            if free and extend_bounded(f, free, stats=stats) is None:
+                continue
+        except SearchBudgetExceeded as exc:
+            raise InfeasibleTrace(
+                f"{where}: completion search tried {stats.nodes} nodes, "
+                f"past its budget of {COMPLETION_BUDGET}") from exc
+        if not verify_around(f, [*touched, *free]):
+            return f
+        for el in free:
+            a.pop(el, None)
+        a.update(old)
     raise InfeasibleTrace(f"{where}: no verified completion")
 
 
-def _extend(f: TotalLabeling, free: list[Element], where: str) -> TotalLabeling | None:
-    """``extend_bounded`` within ``COMPLETION_BUDGET`` nodes; a spent budget raises."""
-    stats = SearchStats(budget=COMPLETION_BUDGET)
-    try:
-        return extend_bounded(f, free, stats=stats)
-    except SearchBudgetExceeded as exc:
-        raise InfeasibleTrace(
-            f"{where}: completion search tried {stats.nodes} nodes, "
-            f"past its budget of {COMPLETION_BUDGET}"
-        ) from exc
-
-
-def _pendant_step(host: OuterplanarEmbedding, k: int, diag: Diagnostics | None):
+def _pendant_step(host: OuterplanarEmbedding, diag: Diagnostics | None):
     """Drop the smallest degree-1 vertex; search puts its vertex and edge back."""
-    g = host.graph
-    u1 = min(host.worklists().pendants)
-    u2 = g.neighbors(u1)[0]
-    return host.without([u1]), partial(_restore_pendant, g, u1, u2, k, diag)
+    u1 = host.worklists().first("pendant")
+    u2 = host.graph.neighbors(u1)[0]
+    return host.remove([u1]), partial(_restore_pendant, u1, u2, diag)
 
 
-def _restore_pendant(
-    g: Graph, u1: int, u2: int, k: int, diag: Diagnostics | None, fh: TotalLabeling
-) -> TotalLabeling:
-    # the search copies the assignment on output, so fh's is not copied here
-    grown = TotalLabeling(g, k, fh.assignment)
-    return complete(grown, [u1, _E(u1, u2)], [], f"pendant at vertex {u1}", diag,
+def _restore_pendant(u1: int, u2: int, diag: Diagnostics | None,
+                     fh: TotalLabeling) -> TotalLabeling:
+    return complete(fh, [u1, _E(u1, u2)], [], f"pendant at vertex {u1}", diag,
                     touched=[])
 
 
 # -- leaf-block surgery ------------------------------------------------------
-
-def _splice(
-    base: TotalLabeling, extra: dict[Element, int], g: Graph, k: int
-) -> TotalLabeling:
-    out = TotalLabeling(g, k, dict(base.assignment))
-    out.update(extra)
-    return out
-
 
 def _incident_elements(g: Graph, vs: Iterable[int]) -> list[Element]:
     out: list[Element] = []
@@ -573,7 +554,7 @@ def extend_lemma1(
         free = [e for e in g2.edges] + [
             w for w in g2.vertices if w not in (u_prime, v_prime)
         ]
-        merged = TotalLabeling(g_full, 5, work.assignment)
+        merged = TotalLabeling(g_full, 5, dict(work.assignment))
         done = complete(merged, free, [], "tiny reattachment", diag, touched=around)
         return complement(done) if flipped else done
 
@@ -616,7 +597,7 @@ def extend_lemma1(
             continue
         part = {z: l for z, l in f1.assignment.items() if z in keep}
         if f1.vertex(u_prime) == vu and f1.vertex(v_prime) == vv:
-            cand = _splice(work, part, g_full, 5)
+            cand = TotalLabeling(g_full, 5, {**work.assignment, **part})
             if not verify_around(cand, around):
                 best = cand.assignment
                 break
@@ -658,8 +639,7 @@ def extend_lemma1(
 
 # -- whole-graph driver ------------------------------------------------------
 
-def _E(a: int, b: int) -> Edge:
-    return norm_edge(a, b)
+_E = norm_edge
 
 
 def label_delta3(g: Graph, diag: Diagnostics | None = None) -> TotalLabeling:
@@ -673,7 +653,7 @@ def label_delta3(g: Graph, diag: Diagnostics | None = None) -> TotalLabeling:
         raise ValueError("empty graph")
     if g.max_degree() != 3:
         raise NotDelta(3, g.max_degree())
-    out = TotalLabeling(g, 5, _label_span5(recognize_components(g), diag).assignment)
+    out = _label_span5(recognize_components(g), diag)
     bad = verify(out, 2)
     if bad:
         raise InfeasibleTrace(f"driver produced an invalid labeling: {bad[:3]}")
@@ -696,7 +676,7 @@ def _step5(emb: OuterplanarEmbedding, diag: Diagnostics | None):
             raise InfeasibleTrace("tiny host admits no labeling within {0..5}")
         return f
     if g.min_degree() == 1:
-        return _pendant_step(emb, 5, diag)
+        return _pendant_step(emb, diag)
     if emb.is_biconnected():
         f, _ = label_k2(emb, LabelK2Options(), diag)
         return f
@@ -716,22 +696,14 @@ def _leaf_block_step(emb: OuterplanarEmbedding, diag: Diagnostics | None):
         raise InfeasibleTrace("cut vertex must leave its block by one bridge")
     w = outside[0]
 
-    return emb.without(members - {v_c}), partial(
+    return emb.remove(members - {v_c}), partial(
         _attach_leaf_block, g, blk, v_c, w, diag)
 
 
-def _attach_leaf_block(
-    g: Graph,
-    blk: BlockEmbedding,
-    v_c: int,
-    w: int,
-    diag: Diagnostics | None,
-    fh: TotalLabeling,
-) -> TotalLabeling:
-    assign = fh.assignment
-    if fh.edge(v_c, w) <= 2:
-        assign = {z: 5 - l for z, l in assign.items()}
-    base = TotalLabeling(g, 5, assign)
+def _attach_leaf_block(g: Graph, blk: BlockEmbedding, v_c: int, w: int,
+                       diag: Diagnostics | None, base: TotalLabeling) -> TotalLabeling:
+    if base.edge(v_c, w) <= 2:  # complement the host's labeling, by its flag
+        base.flip = 5 - base.flip
     leaf = g.induced(blk.cycle)
     emb1 = OuterplanarEmbedding(leaf, (blk,), frozenset())
     if diag is not None:
@@ -749,14 +721,8 @@ def _rotate_to(seq: Sequence[int], first: int) -> list[int]:
     return [seq[(i + j) % len(seq)] for j in range(len(seq))]
 
 
-def _attach_cycle_block(
-    base: TotalLabeling,
-    g: Graph,
-    emb1,
-    v_c: int,
-    w: int,
-    diag: Diagnostics | None,
-) -> TotalLabeling:
+def _attach_cycle_block(base: TotalLabeling, g: Graph, emb1, v_c: int, w: int,
+                        diag: Diagnostics | None) -> TotalLabeling:
     """Label a chordless leaf cycle against the already-labeled bridge."""
     few = base.edge(v_c, w)
     fw = base.vertex(w)
@@ -793,9 +759,9 @@ def _attach_cycle_block(
         elif few == 3 and r % 2 == 1:
             ext[_E(order[2], order[1])] = 3
             ext[_E(order[1], v_c)] = 4
-    cand = _splice(base, ext, g, 5)
+    base.update(ext)
     tiers = [[v_c], _incident_elements(g, [v_c, order[1], order[-1]])]
-    return complete(cand, [], tiers, "cycle-block attach", diag, touched=ext)
+    return complete(base, [], tiers, "cycle-block attach", diag, touched=ext)
 
 
 def _attach_chorded_block(
@@ -817,17 +783,9 @@ def _attach_chorded_block(
     return _attach_tight_gap(base, g, leaf, emb1, xs, ys, v_c, w, diag)
 
 
-def _attach_wide_gap(
-    base: TotalLabeling,
-    g: Graph,
-    leaf: Graph,
-    emb1,
-    xs: list[int],
-    ys: list[list[int]],
-    v_c: int,
-    w: int,
-    diag: Diagnostics | None,
-) -> TotalLabeling:
+def _attach_wide_gap(base: TotalLabeling, g: Graph, leaf: Graph, emb1,
+                     xs: list[int], ys: list[list[int]], v_c: int, w: int,
+                     diag: Diagnostics | None) -> TotalLabeling:
     """The cut vertex has a 2-vertex neighbor inside its run."""
     few = base.edge(v_c, w)
     fw = base.vertex(w)
@@ -862,9 +820,9 @@ def _attach_wide_gap(
     ext = dict(f1.assignment)
     if few in (4, 5):
         ext[_E(ystar, v_c)] = 3
-    cand = _splice(base, ext, g, 5)
+    base.update(ext)
     tiers = [[v_c], _incident_elements(g, [v_c] + ([ystar] if ystar else []))]
-    return complete(cand, [], tiers, "wide-gap attach", diag, touched=ext)
+    return complete(base, [], tiers, "wide-gap attach", diag, touched=ext)
 
 
 def _plain_run(
@@ -915,9 +873,9 @@ def _attach_tight_gap(
         )
         f1, _ = label_k2(emb1, opts)
         ext = {z: 5 - l for z, l in f1.assignment.items()}
-        cand = _splice(base, ext, g, 5)
+        base.update(ext)
         tiers = [[v_c], _incident_elements(g, [v_c])]
-        return complete(cand, [], tiers, "tight-gap flip attach", diag, touched=ext)
+        return complete(base, [], tiers, "tight-gap flip attach", diag, touched=ext)
 
     if pprime == 2:
         return _tight_gap_short_chord(
@@ -1167,32 +1125,20 @@ def _tight_gap_short_chord(
     return _finish_reattach(base, T, g, x1, x2, uprime, vprime, diag)
 
 
-def _finish_direct(
-    base: TotalLabeling,
-    ext: dict[Element, int],
-    g: Graph,
-    diag: Diagnostics | None,
-    where: str,
-) -> TotalLabeling:
-    cand = _splice(base, ext, g, 5)
+def _finish_direct(base: TotalLabeling, ext: dict[Element, int], g: Graph,
+                   diag: Diagnostics | None, where: str) -> TotalLabeling:
+    base.update(ext)
     small = sorted(ext, key=repr) if len(ext) <= 24 else []
     tiers: list[list[Element]] = [
         [z for z in ext if isinstance(z, int)][:4],
         small,
     ]
-    return complete(cand, [], tiers, where, diag, touched=ext)
+    return complete(base, [], tiers, where, diag, touched=ext)
 
 
-def _finish_reattach(
-    base: TotalLabeling,
-    ext: dict[Element, int],
-    g: Graph,
-    x1: int,
-    xp: int,
-    uprime: int,
-    vprime: int,
-    diag: Diagnostics | None,
-) -> TotalLabeling:
+def _finish_reattach(base: TotalLabeling, ext: dict[Element, int], g: Graph,
+                     x1: int, xp: int, uprime: int, vprime: int,
+                     diag: Diagnostics | None) -> TotalLabeling:
     far = g.remove_vertices([x1, xp])
     far_comp = next(c for c in far.components() if uprime in c)
     g2 = g.induced(far_comp)
@@ -1200,11 +1146,13 @@ def _finish_reattach(
         [(x1, uprime), (xp, vprime)]
     )
     keep = set(gprime.elements())
-    merged = dict(base.assignment)
+    merged = {z: base.get(z) for z in base.assignment}
     merged.update(ext)
     fprime = TotalLabeling(
         gprime, 5, {z: l for z, l in merged.items() if z in keep}
     )
     fprime = complete(fprime, [], [[uprime, vprime]], "reattachment stub", diag,
                       touched=[z for z in ext if z in keep])
-    return extend_lemma1(fprime, x1, xp, uprime, vprime, g2, diag)
+    done = extend_lemma1(fprime, x1, xp, uprime, vprime, g2, diag)
+    base.assignment, base.flip = done.assignment, 0
+    return base

@@ -2,8 +2,8 @@
 
 The degree-4 step function for ``delta3.reduce_and_extend`` labels a host
 directly or reduces it by one rule.  A host comes with its embedding, and
-each rule hands on that embedding without what it removed
-(``OuterplanarEmbedding.without``), so no host is recognized again.  Hosts
+each rule removes what it drops from that embedding in place
+(``OuterplanarEmbedding.remove``), so no host is recognized again.  Hosts
 of maximum degree 3 are labeled by the span-5 labeler inside the span-6
 range, on the same embedding.  Hosts of minimum degree 1 lose a pendant;
 hosts containing two adjacent 2-vertices or a triangle with a 2-vertex and
@@ -778,10 +778,8 @@ def apply_template(
 
 # -- reductions and the driver -----------------------------------------------
 
-def reduce_c1c2(
-    host: OuterplanarEmbedding, config: Configuration
-) -> tuple[OuterplanarEmbedding, list[Element]]:
-    """Drop one 2-vertex of a C1/C2 instance; freed elements come back later."""
+def reduce_c1c2(host: OuterplanarEmbedding, config: Configuration) -> tuple[tuple, list]:
+    """Drop one 2-vertex of a C1/C2 instance; its undo record and freed elements."""
     if config.kind not in ("C1", "C2"):
         raise ValueError("reduction applies to C1/C2 only")
     g = host.graph
@@ -789,7 +787,7 @@ def reduce_c1c2(
     if g.degree(u1) != 2:
         raise ValueError(f"witness {u1} is not a 2-vertex")
     freed: list[Element] = [u1] + g.incident_edges(u1)
-    return host.without([u1]), freed
+    return host.remove([u1]), freed
 
 
 def label_delta4(g: Graph, diag: Diagnostics | None = None) -> TotalLabeling:
@@ -802,8 +800,7 @@ def label_delta4(g: Graph, diag: Diagnostics | None = None) -> TotalLabeling:
         raise ValueError("empty graph")
     if g.max_degree() != 4:
         raise NotDelta(4, g.max_degree())
-    f = reduce_and_extend(recognize_components(g), 6, partial(_step6, diag=diag))
-    out = TotalLabeling(g, 6, f.assignment)
+    out = reduce_and_extend(recognize_components(g), 6, partial(_step6, diag=diag))
     bad = verify(out, 2)
     if bad:
         raise InfeasibleTrace(f"driver produced an invalid labeling: {bad[:3]}")
@@ -824,25 +821,20 @@ def _step6(emb: OuterplanarEmbedding, diag: Diagnostics | None):
             raise InfeasibleTrace("tiny host admits no labeling within {0..6}")
         return f
     if g.min_degree() == 1:
-        return _pendant_step(emb, 6, diag)
+        return _pendant_step(emb, diag)
     cfg = find_configuration(emb)
     if diag is not None:
         diag.step(f"degree-4 dispatch: {cfg.kind} at {cfg.witnesses}")
     if cfg.kind in ("C1", "C2"):
-        h, freed = reduce_c1c2(emb, cfg)
-        return h, partial(_fill_c1c2, g, cfg, freed, diag)
+        undo, freed = reduce_c1c2(emb, cfg)
+        return undo, partial(_fill_c1c2, g, cfg, freed, diag)
     chain = find_closed_chain(emb, check_preconditions=False)
-    h = emb.without(chain.interior(), [chain.closing_inner_edge])
-    return h, partial(_chain_surgery, g, chain, diag)
+    undo = emb.remove(chain.interior(), [chain.closing_inner_edge])
+    return undo, partial(_chain_surgery, chain, diag)
 
 
-def _fill_c1c2(
-    g: Graph,
-    cfg: Configuration,
-    freed: list[Element],
-    diag: Diagnostics | None,
-    fh: TotalLabeling,
-) -> TotalLabeling:
+def _fill_c1c2(g: Graph, cfg: Configuration, freed: list[Element],
+               diag: Diagnostics | None, fh: TotalLabeling) -> TotalLabeling:
     # Freeing only the dropped vertex's own elements is not always
     # completable (the host can force both freed edges into {3,6}, say,
     # leaving no vertex label).  Widening the search to the neighbors'
@@ -851,10 +843,8 @@ def _fill_c1c2(
     for nb in g.neighbors(cfg.witnesses[0]):
         wider.add(nb)
         wider.update(g.incident_edges(nb))
-    # the search copies the assignment on output, so fh's is not copied here
-    grown = TotalLabeling(g, 6, fh.assignment)
     return complete(
-        grown,
+        fh,
         freed,
         [sorted(wider, key=repr)],
         f"{cfg.kind} completion",
@@ -864,9 +854,7 @@ def _fill_c1c2(
     )
 
 
-def _chain_surgery(
-    g: Graph, chain, diag: Diagnostics | None, fh: TotalLabeling
-) -> TotalLabeling:
+def _chain_surgery(chain, diag: Diagnostics | None, fh: TotalLabeling) -> TotalLabeling:
     spine = chain.spine
     closing = chain.closing_inner_edge
     w1, w2 = chain.attachments
@@ -881,35 +869,25 @@ def _chain_surgery(
             f"reverse={cc.reverse} complement={cc.complement}"
         )
 
-    host = fh.assignment
-    if cc.complement:
-        host = {z: 6 - l for z, l in host.items()}
     sp = spine[::-1] if cc.reverse else spine
     wl, wr = (w2, w1) if cc.reverse else (w1, w2)
-    ctx = (
-        host[wl],
-        host[norm_edge(sp[0], wl)],
-        host[wr],
-        host[norm_edge(sp[-1], wr)],
-    )
+    ctx = tuple(6 - fh.get(z) if cc.complement else fh.get(z) for z in (
+        wl, norm_edge(sp[0], wl), wr, norm_edge(sp[-1], wr)))
     if diag is not None:
         parity = "even" if chain.t % 2 == 0 else "odd"
         diag.step(
             f"subcase {_subcase_key(cc.case_id, parity, ctx[1], ctx[3])} "
             f"stub edges ({ctx[1]}, {ctx[3]})"
         )
+    # the template is written in the canonical frame: only its own labels
+    # are complemented back, the rest of the host keeps fh's
     try:
-        tmpl = chain_template(cc.case_id, chain.t, ctx)
-        ext = apply_template(tmpl, sp)
-        merged = dict(host)
-        merged.pop(sp[0], None)
-        merged.pop(sp[-1], None)
-        merged.update(ext)
-        if cc.complement:
-            merged = {z: 6 - l for z, l in merged.items()}
+        ext = apply_template(chain_template(cc.case_id, chain.t, ctx), sp)
+        fh.assignment.pop(sp[0], None)
+        fh.assignment.pop(sp[-1], None)
+        fh.update({z: 6 - lab for z, lab in ext.items()} if cc.complement else ext)
     except CaseFault:
         ext = {}
-        merged = fh.assignment
     free: list[Element] = list(spine)
     free.append(closing)
     for i in range(len(spine) - 1):
@@ -919,9 +897,9 @@ def _chain_surgery(
     # the fallback search is exhaustive, so a long chain gets none
     tiers = [free] if len(free) <= 30 else []
     # outside ``free`` (which holds everything cut out with the chain) and
-    # the template's keys, ``merged`` is fh: a complement applied twice cancels
+    # the template's keys, the labeling is fh
     return complete(
-        TotalLabeling(g, 6, merged),
+        fh,
         [],
         tiers,
         f"chain template case {cc.case_id} t={chain.t}",

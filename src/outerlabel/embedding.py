@@ -9,30 +9,27 @@ they must nest like parentheses.  The same pass traces the inner faces.
 "Clockwise" means the stored orientation of each cycle; there are no
 coordinates.
 
-An embedding is kept up to date as vertices and edges are removed
-(``OuterplanarEmbedding.without``), as in S. L. Mitchell's linear
-recognition (Inf. Process. Lett. 9(5), 1979), and a removal costs what it
-touches.  At its first removal an embedding indexes, for every vertex, the
-blocks and bridges it lies on; each removal patches that index, the cut
-vertices, the leaf blocks and the reduction worklists (degree-1 vertices,
-C1 edges, C2 triangles) at the vertices it changes, and hands them on to
-the embedding it returns.  Untouched blocks and bridges are copied by
-C-level calls.  A block that loses one arc of its boundary cycle (an ear,
-a 2-vertex, a chain's interior, all of a leaf block but its cut vertex)
-falls apart along the path left of its cycle, found by jumping along
-outermost chords, without searching for any boundary again.  Such a block
-traces its faces, and orders its chords as recognition does, only when
-they are first read.  Recognition itself builds none of this state.
+The reduction driver changes one embedding in place, as in S. L.
+Mitchell's linear recognition (Inf. Process. Lett. 9(5), 1979).
+``OuterplanarEmbedding.remove`` cuts vertices and edges out of a working
+copy of the graph and returns its undo record, which the driver replays
+just before the step's finish rule runs; it patches the vertex index, the
+cut vertices, the leaf blocks and the reduction worklists where it changed
+them.  A block that loses one arc of its cycle (an ear, a 2-vertex, a
+chain's interior, all of a leaf block but its cut vertex) falls apart along
+the path left of its cycle, found by jumping along outermost chords, and
+its largest piece is relinked in place.  So a removal costs what it
+touches.  Recognition builds none of this state.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, insort
-from dataclasses import dataclass, field
-from itertools import chain, count, filterfalse
-from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from itertools import chain, count
+from operator import attrgetter, itemgetter
+from typing import Iterable, Sequence
 
 from .graphs import Edge, Graph, norm_edge
 
@@ -48,9 +45,6 @@ class Face:
     vertices: tuple[int, ...]
     inner_edge_count: int
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
     def edges(self) -> list[Edge]:
         vs = self.vertices
         return [norm_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
@@ -62,38 +56,53 @@ class Face:
 class BlockEmbedding:
     """One biconnected block: boundary cycle, chords, inner faces.
 
-    Recognition fills in everything at once.  A block left by ``without``
-    traces its ``faces`` on first read, and until ``chords`` is first read
-    holds its chord set in whatever order set operations left it; the first
-    read rebuilds it from the sorted chords, as recognition does, so every
-    chord set iterates in the same order as a fresh one.  ``spot`` numbers
-    the boundary positions of the recognized block a block descends from:
-    removals keep the cyclic order of what is left, so every descendant
-    shares that map.
+    A recognized block never changes: a removal replaces it by a linked
+    block, which keeps ``_next`` (each vertex's boundary successor) and
+    ``_spot`` (the positions of the recognized block it descends from;
+    removals keep the cyclic order, so descendants share it).  A linked
+    block lists its ``cycle``, traces its ``faces`` and sorts its
+    ``chords`` as recognition does only when first read after a change.
     """
 
-    __slots__ = ("cycle", "_chords", "_sorted", "_faces", "_spot")
+    __slots__ = ("_cycle", "_chords", "_frozen", "_faces", "_spot", "_next")
 
-    def __init__(
-        self,
-        cycle: tuple[int, ...],
-        chords: frozenset[Edge],
-        faces: tuple[Face, ...] | None = None,
-        spot: dict[int, int] | None = None,
-        ordered: bool = True,
-    ):
-        self.cycle = cycle
-        self._chords = chords
-        self._sorted = ordered
+    def __init__(self, cycle: tuple[int, ...], chords: frozenset[Edge],
+                 faces: tuple[Face, ...] | None = None):
+        self._cycle = cycle
+        self._chords = self._frozen = chords
         self._faces = faces
-        self._spot = spot
+        self._next: dict[int, int] | None = None
+
+    @classmethod
+    def _linked(cls, ring: Sequence[int], chords: set[Edge],
+                spot: dict[int, int]) -> "BlockEmbedding":
+        """The block on ``ring``, listed in increasing positions, to be cut in place."""
+        b = cls.__new__(cls)
+        b._cycle = b._faces = b._frozen = None
+        b._chords, b._spot = chords, spot
+        b._next = dict(zip(ring, [*ring[1:], ring[0]]))
+        return b
+
+    def __len__(self) -> int:
+        return len(self._cycle if self._next is None else self._next)
+
+    def vertices(self) -> Iterable[int]:
+        return self._cycle if self._next is None else self._next
+
+    @property
+    def cycle(self) -> tuple[int, ...]:
+        if self._cycle is None:
+            ring = [min(self._next)]
+            while self._next[ring[-1]] != ring[0]:
+                ring.append(self._next[ring[-1]])
+            self._cycle = _canonical_cycle(ring)
+        return self._cycle
 
     @property
     def chords(self) -> frozenset[Edge]:
-        if not self._sorted:
-            self._chords = frozenset(sorted(self._chords))
-            self._sorted = True
-        return self._chords
+        if self._frozen is None:
+            self._frozen = frozenset(sorted(self._chords))
+        return self._frozen
 
     @property
     def faces(self) -> tuple[Face, ...]:
@@ -101,25 +110,15 @@ class BlockEmbedding:
             self._faces = _face_pass(self.cycle, _positions(self.cycle), self._chords)
         return self._faces
 
-    def spot(self) -> dict[int, int]:
-        if self._spot is None:
-            self._spot = _positions(self.cycle)
-        return self._spot
-
     def outer_edges(self) -> list[Edge]:
         c = self.cycle
         return [norm_edge(c[i], c[(i + 1) % len(c)]) for i in range(len(c))]
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BlockEmbedding)
-            and self.cycle == other.cycle
-            and self._chords == other._chords
-            and self.faces == other.faces
-        )
+        return (isinstance(other, BlockEmbedding) and self.cycle == other.cycle
+                and self._chords == other._chords and self.faces == other.faces)
 
-    def __hash__(self) -> int:
-        return hash(self.cycle)
+    __hash__ = None  # type: ignore[assignment]  # a linked block changes
 
     def __repr__(self) -> str:
         return f"BlockEmbedding(cycle={self.cycle}, chords={sorted(self._chords)})"
@@ -128,56 +127,63 @@ class BlockEmbedding:
 class Worklists:
     """What the reduction steps pick from, each by its smallest entry.
 
-    ``pendants`` is the set of degree-1 vertices; ``c1`` iterates the edges
-    joining two 2-vertices (such an edge comes once per end), and ``c2``
-    the triples ``(u1, u2, u3)`` of a triangle with ``u1`` of degree 2 and
-    ``u2`` of degree 3.  Only 2-vertices with an entry are kept.  A
-    2-vertex whose neighbours are adjacent always closes a triangular face,
-    so the triangles are read off the graph.  ``without`` patches
-    ``pendants`` at the vertices whose degree changed and only marks them
-    for C1 and C2, whose entries are kept by their 2-vertex: the entries at
-    the marked vertices and at the 2-vertices next to them (a triangle's
-    entry changes with its 3-vertex) are redone when ``c1`` or ``c2`` is
-    next read, so a run of removals that never reads them (pendants, say)
-    costs no more than the marking.
+    The degree-1 vertices (``pendants``), the edges joining two 2-vertices
+    (``c1``) and the triples ``(u1, u2, u3)`` of a triangle with ``u1`` of
+    degree 2 and ``u2`` of degree 3 (``c2``; a 2-vertex whose neighbours
+    are adjacent closes a triangular face).  Each is a heap with lazy
+    deletion: an entry is pushed when it may have become one, and ``first``
+    pops until the graph says the top still is one.  ``removed`` pushes the
+    new pendants and marks the vertices whose degree changed; the C1 and C2
+    entries at them and at the 2-vertices next to them are pushed when
+    those heaps are next read, so removals that never read them cost no
+    more than the marking.
     """
 
-    __slots__ = ("graph", "pendants", "_c1", "_c2", "_stale")
+    __slots__ = ("graph", "_heaps", "_stale")
 
     def __init__(self, g: Graph):
         self.graph = g
-        self.pendants = {v for v in g.vertices if len(g.neighbors(v)) == 1}
-        self._c1: dict[int, tuple[Edge, ...]] = {}
-        self._c2: dict[int, tuple[tuple[int, int, int], ...]] = {}
+        pendants = [v for v in g.vertices if len(g.neighbors(v)) == 1]  # sorted: a heap
+        self._heaps: dict[str, list] = {"pendant": pendants, "C1": [], "C2": []}
         self._stale: set[int] | None = None  # None: every vertex
 
-    @property
-    def c1(self) -> Iterator[Edge]:
-        self._redo()
-        return chain.from_iterable(self._c1.values())
+    def entries(self, kind: str) -> set:
+        """Every pendant, C1 edge or C2 triple (``kind``) there is."""
+        if kind != "pendant":
+            self._redo()
+        return set(filter(self._is(kind), self._heaps[kind]))
 
-    @property
-    def c2(self) -> Iterator[tuple[int, int, int]]:
-        self._redo()
-        return chain.from_iterable(self._c2.values())
+    def first(self, kind: str):
+        """The smallest pendant, C1 edge or C2 triple (``kind``), or None."""
+        if kind != "pendant":
+            self._redo()
+        heap, listed = self._heaps[kind], self._is(kind)
+        while heap and not listed(heap[0]):
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
-    def removed(self, g: Graph, gone: set[int], changed: set[int]) -> None:
-        """Make these the worklists of ``g``, which is their graph without
-        ``gone`` and some edges; ``changed`` holds the other vertices whose
-        degree changed."""
-        self.graph = g
-        self.pendants.difference_update(gone)
+    def _is(self, kind: str):
+        has, nbrs, edge = self.graph.has_vertex, self.graph.neighbors, self.graph.has_edge
+        if kind == "pendant":
+            return lambda v: has(v) and len(nbrs(v)) == 1
+        if kind == "C1":
+            return lambda e: edge(*e) and len(nbrs(e[0])) == len(nbrs(e[1])) == 2
+        return lambda t: (edge(t[0], t[1]) and edge(t[0], t[2]) and edge(t[1], t[2])
+                          and len(nbrs(t[0])) == 2 and len(nbrs(t[1])) == 3)
+
+    def removed(self, gone: set[int], changed: Iterable[int]) -> None:
+        """Note that the graph lost ``gone`` and some edges; ``changed`` holds
+        the other vertices whose degree changed."""
+        nbrs = self.graph.neighbors
         for v in changed:
-            if len(g.neighbors(v)) == 1:
-                self.pendants.add(v)
-            else:
-                self.pendants.discard(v)
+            if len(nbrs(v)) == 1:
+                heapq.heappush(self._heaps["pendant"], v)
         if self._stale is not None:
             self._stale |= gone
-            self._stale |= changed
+            self._stale.update(changed)
 
     def _redo(self) -> None:
-        g, c1, c2 = self.graph, self._c1, self._c2
+        g = self.graph
         nbrs = g.neighbors
         if self._stale is None:
             redo: Iterable[int] = g.vertices
@@ -187,229 +193,220 @@ class Worklists:
                 if g.has_vertex(v):
                     redo.add(v)
                     redo.update(u for u in nbrs(v) if len(nbrs(u)) == 2)
-                else:
-                    c1.pop(v, None)
-                    c2.pop(v, None)
         self._stale = set()
+        h1, h2 = self._heaps["C1"], self._heaps["C2"]
         for v in redo:
             ns = nbrs(v)
-            if len(ns) != 2:
-                c1.pop(v, None)
-                c2.pop(v, None)
-                continue
-            a, b = ns
-            da, db = len(nbrs(a)), len(nbrs(b))
-            here = ((norm_edge(v, a),) if da == 2 else ()) + (
-                (norm_edge(v, b),) if db == 2 else ())
-            if here:
-                c1[v] = here
-            else:
-                c1.pop(v, None)
-            if g.has_edge(a, b) and (da == 3 or db == 3):
-                c2[v] = ((v, a, b),) * (da == 3) + ((v, b, a),) * (db == 3)
-            else:
-                c2.pop(v, None)
+            if len(ns) == 2:
+                a, b = ns
+                da, db = len(nbrs(a)), len(nbrs(b))
+                if da == 2:
+                    heapq.heappush(h1, norm_edge(v, a))
+                if db == 2:
+                    heapq.heappush(h1, norm_edge(v, b))
+                if g.has_edge(a, b):
+                    if da == 3:
+                        heapq.heappush(h2, (v, a, b))
+                    if db == 3:
+                        heapq.heappush(h2, (v, b, a))
 
 
 _cycle = attrgetter("cycle")
 
 
-@dataclass
-class _Index:
-    """For each vertex the keys of the blocks (ints) and bridges (edges) on
-    it, the blocks by key, and the vertices on two or more of them.
-
-    ``leaves`` holds the blocks with one cut vertex, by cycle, except that
-    the blocks in ``fresh`` (new ones, and those at a vertex that became or
-    stopped being a cut vertex) are counted again when a leaf is asked for.
-    ``keys`` numbers the blocks.
-    """
-
-    at: dict[int, tuple]
-    block: dict[int, BlockEmbedding]
-    cuts: set[int]
-    leaves: dict[tuple[int, ...], BlockEmbedding]
-    fresh: set[int]
-    keys: Iterator[int]
-
-
-@dataclass(frozen=True)
 class OuterplanarEmbedding:
     """The blocks, sorted by boundary cycle, and the bridges of a graph.
 
-    ``may_split`` is set by ``without`` when its remainder may be
-    disconnected; ``split`` then gives the embedding of each component.
-    The vertex index and the worklists are built on first use.  ``without``
-    patches them in place and hands them on to the embedding it returns,
-    so an embedding that is used again after ``without`` builds them anew.
+    Only ``remove`` and ``split`` change an embedding, and only one made by
+    ``working``, which owns a working copy of its graph, so the graph an
+    embedding was made with never changes.  The vertex index and the
+    worklists are built on first use and patched by every removal.
+    ``may_split`` is set when the graph may be disconnected (by a removal,
+    or as made, with ``seeds``: a vertex of each component).
     """
 
-    graph: Graph
-    blocks: tuple[BlockEmbedding, ...]
-    bridge_edges: frozenset[Edge]
-    may_split: bool = field(default=False, compare=False)
-    _index: _Index | None = field(default=None, compare=False, repr=False)
-    _work: Worklists | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("graph", "_seeds", "_sorted", "_bridges", "_own", "_block", "_at",
+                 "_cuts", "_leaves", "_heap", "_fresh", "_keys", "_work", "_low")
+
+    def __init__(self, graph: Graph, blocks: Iterable[BlockEmbedding],
+                 bridge_edges: Iterable[Edge], seeds: Iterable[int] = ()):
+        self.graph = graph
+        self._seeds = set(seeds)  # a vertex of every component the graph may have
+        self._sorted: tuple[BlockEmbedding, ...] | None = tuple(blocks)
+        self._bridges = set(bridge_edges)
+        self._own = False  # whether ``graph`` is this embedding's working copy
+        self._block: dict[int, BlockEmbedding] | None = None  # by key, with the index
+        self._work: Worklists | None = None
+        self._low: list[int] | None = None
+
+    may_split = property(lambda self: bool(self._seeds))
+
+    @property
+    def blocks(self) -> tuple[BlockEmbedding, ...]:
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self._block.values(), key=_cycle))
+        return self._sorted
+
+    @property
+    def bridge_edges(self) -> frozenset[Edge]:
+        return frozenset(self._bridges)
 
     @property
     def outer_edges(self) -> set[Edge]:
-        out = set(self.bridge_edges)
-        for b in self.blocks:
-            out.update(b.outer_edges())
-        return out
+        return self._bridges.union(*(b.outer_edges() for b in self.blocks))
 
     @property
     def inner_edges(self) -> set[Edge]:
-        out: set[Edge] = set()
-        for b in self.blocks:
-            out.update(b.chords)
-        return out
+        return set().union(*(b.chords for b in self.blocks))
 
     @property
     def inner_faces(self) -> list[Face]:
-        out: list[Face] = []
-        for b in self.blocks:
-            out.extend(b.faces)
-        return out
+        return [face for b in self.blocks for face in b.faces]
+
+    def _single(self) -> BlockEmbedding | None:
+        """The block of a 2-connected host (one block, no bridges), else None."""
+        bs = self._sorted if self._sorted is not None else self._block.values()
+        if self._bridges or len(bs) != 1:
+            return None
+        (b,) = bs
+        return b if len(b) == self.graph.n else None
 
     @property
     def boundary(self) -> tuple[int, ...]:
         """Boundary cycle of a 2-connected host (single block, no bridges)."""
-        if self.bridge_edges or len(self.blocks) != 1:
+        if self._single() is None:
             raise ValueError("boundary cycle is only stored for 2-connected hosts")
-        b = self.blocks[0]
-        if len(b.cycle) != self.graph.n:
-            raise ValueError("boundary cycle is only stored for 2-connected hosts")
-        return b.cycle
+        return self._single().cycle
 
     def is_biconnected(self) -> bool:
-        return not self.bridge_edges and len(self.blocks) == 1 and (
-            len(self.blocks[0].cycle) == self.graph.n
-        )
+        return self._single() is not None
 
     def reversed(self) -> "OuterplanarEmbedding":
         """The same embedding with every boundary cycle read the other way
         (the blocks sorted again by cycle)."""
-        blocks = sorted(
-            (_finish_block(b.cycle[::-1], b.chords) for b in self.blocks), key=_cycle
-        )
-        return OuterplanarEmbedding(self.graph, tuple(blocks), self.bridge_edges)
+        blocks = [_finish_block(b.cycle[::-1], b.chords) for b in self.blocks]
+        return OuterplanarEmbedding(self.graph, sorted(blocks, key=_cycle), self._bridges)
+
+    def working(self) -> "OuterplanarEmbedding":
+        """This embedding if it has its working copy, else a copy that has one
+        (sharing the blocks, which removals replace rather than change)."""
+        if self._own:
+            return self
+        out = OuterplanarEmbedding(
+            self.graph.working_copy(), self.blocks, self._bridges, self._seeds)
+        out._own = True
+        return out
 
     def worklists(self) -> Worklists:
         if self._work is None:
-            object.__setattr__(self, "_work", Worklists(self.graph))
+            self._work = Worklists(self.graph)
         return self._work
 
     def cut_vertices(self) -> frozenset[int]:
         """The vertices lying on two or more blocks and bridges."""
-        return frozenset(self._pieces().cuts)
+        self._index()
+        return frozenset(self._cuts)
 
-    def _pieces(self) -> _Index:
-        if self._index is None:
+    def _index(self) -> dict[int, tuple]:
+        """For each vertex the keys of the blocks (ints) and bridges (edges) on
+        it, built with ``_block`` (blocks by key), ``_cuts`` and ``_leaves``
+        (blocks with one cut vertex, but for those in ``_fresh``)."""
+        if self._block is None:
             at: dict[int, tuple] = dict.fromkeys(self.graph.vertices, ())
-            block: dict[int, BlockEmbedding] = {}
-            keys = count()
-            for b in self.blocks:
-                key = next(keys)
-                block[key] = b
+            self._block = dict(enumerate(self._sorted))
+            for key, b in self._block.items():
                 for v in b.cycle:
                     at[v] += (key,)
-            for e in self.bridge_edges:
+            for e in self._bridges:
                 for v in e:
                     at[v] += (e,)
-            cuts = {v for v, on in at.items() if len(on) > 1}
-            object.__setattr__(
-                self, "_index", _Index(at, block, cuts, {}, set(block), keys))
-        return self._index
+            self._at = at
+            self._cuts = {v for v, on in at.items() if len(on) > 1}
+            self._leaves: dict[int, BlockEmbedding] = {}
+            self._heap: list = []  # (cycle, key) of the leaves, lazily deleted
+            self._fresh = set(self._block)
+            self._keys = count(len(self._block))
+        return self._at
 
     def leaf_block(self) -> tuple[BlockEmbedding, int] | None:
         """The first block, by cycle, with exactly one cut vertex, and that vertex."""
-        idx = self._pieces()
-        for key in idx.fresh:
-            b = idx.block.get(key)  # None: the block is gone
-            if b is None:
-                continue
-            if len(idx.cuts.intersection(b.cycle)) == 1:
-                idx.leaves[b.cycle] = b
+        self._index()
+        block, cuts, leaves = self._block, self._cuts, self._leaves
+        for key in self._fresh:
+            b = block.get(key)  # None: the block is gone
+            if b is not None and len(cuts.intersection(b.vertices())) == 1:
+                leaves[key] = b
+                heapq.heappush(self._heap, (b.cycle, key))
             else:
-                idx.leaves.pop(b.cycle, None)
-        idx.fresh.clear()
-        if not idx.leaves:
+                leaves.pop(key, None)
+        self._fresh.clear()
+        heap = self._heap  # (cycle, key): stale once the key left or its cycle changed
+        while heap and getattr(leaves.get(heap[0][1]), "cycle", None) is not heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
             return None
-        b = idx.leaves[min(idx.leaves)]
-        (cut,) = idx.cuts.intersection(b.cycle)
+        b = leaves[heap[0][1]]
+        (cut,) = cuts.intersection(b.vertices())
         return b, cut
 
-    def _hand_over(self) -> tuple[_Index | None, Worklists | None]:
-        """This embedding's index and worklists, which it gives up."""
-        out = self._index, self._work
-        object.__setattr__(self, "_index", None)
-        object.__setattr__(self, "_work", None)
-        return out
+    def remove(self, vertices: Iterable[int], edges: Iterable[Edge] = ()) -> tuple:
+        """Cut ``vertices`` and ``edges`` out of this embedding and its graph.
 
-    def without(
-        self, vertices: Iterable[int], edges: Iterable[Edge] = ()
-    ) -> "OuterplanarEmbedding":
-        """The embedding of the graph with ``vertices`` and ``edges`` removed.
-
-        Blocks and bridges that lose nothing are kept as they are; the index
-        names the ones that do.  A block that loses one arc of its cycle,
-        and chords at most, leaves the path ``P`` around the rest of its
-        cycle: each outermost chord left on ``P`` closes a block on the
-        stretch under it, and each edge of ``P`` under no chord is a bridge
-        (so losing an ear splices the boundary across it, and a triangle
-        leaves one bridge).  Any other block that loses something is
-        decomposed again on what is left of it alone.  Removal never joins
-        blocks, so the result equals a fresh recognition of each component
-        of the remainder.  It has ``may_split`` set when the remainder may
-        be disconnected: a removed vertex lay on two or more blocks and
-        bridges, a bridge was removed, or what is left of a block is not
-        connected.
+        Returns the graph's undo record (``Graph.put_back``).  Only the
+        blocks and bridges the index names are touched: one that loses an
+        arc of its cycle, and chords at most, falls apart by ``_cut_arc``;
+        any other is decomposed again.  Removal never joins blocks, so the
+        result equals a fresh recognition of each component of what is
+        left.  ``may_split`` is set when a removed vertex was a cut vertex,
+        a bridge was removed, or what is left of a block is not connected.
         """
-        old = self.graph
-        gone = {v for v in vertices if old.has_vertex(v)}
-        cut = {e for e in (norm_edge(u, v) for u, v in edges)
-               if old.has_edge(*e) and gone.isdisjoint(e)} if edges else set()
-        g = old.remove_vertices(gone)
-        if cut:
-            g = g.remove_edges(cut)
-        self._pieces()
-        idx, work = self._hand_over()
-        at, block = idx.at, idx.block
-        may_split = self.may_split or not idx.cuts.isdisjoint(gone)
+        if not self._own:
+            raise ValueError("only a working() embedding can be changed")
+        g = self.graph
+        at = self._at if self._block is not None else self._index()
+        block, cuts, bridges = self._block, self._cuts, self._bridges
+        gone = set(vertices)
+        if not gone <= at.keys():
+            gone = {v for v in gone if v in at}
+        cut = [e for e in {norm_edge(u, v) for u, v in edges}
+               if g.has_edge(*e) and gone.isdisjoint(e)] if edges else []
+        may_split = not cuts.isdisjoint(gone)
         hits: dict[int, set[int]] = {}  # touched block key -> its removed vertices
         lost: dict[int, list[Edge]] = {}  # touched block key -> its removed chords
-        dead: set[Edge] = set()  # removed bridges
+        nbrs = {}  # the removed vertices' neighbours, as they were
+        near: set[int] = set()  # the other vertices whose degree changes
         for v in gone:
-            for key in at[v]:
+            nbrs[v] = ns = g.neighbors(v)
+            near.update(ns)
+            for key in at.pop(v):
                 if type(key) is int:
                     hits.setdefault(key, set()).add(v)
-                else:
-                    dead.add(key)
+                elif key in bridges:
+                    bridges.discard(key)
+                    w = key[0] + key[1] - v
+                    if w not in gone:
+                        at[w] = _drop(at[w], key)
+        near -= gone
         for e in cut:
-            if e in self.bridge_edges:
-                dead.add(e)
+            near.update(e)
+            if e in bridges:
+                bridges.discard(e)
                 may_split = True
+                for w in e:
+                    at[w] = _drop(at[w], e)
             else:
                 (key,) = set(at[e[0]]).intersection(at[e[1]])
                 hits.setdefault(key, set())
                 lost.setdefault(key, []).append(e)
-        lose: dict[int, set] = {}  # vertex -> keys it no longer lies on
-        gain: dict[int, list] = {}  # vertex -> keys of the new pieces on it
-        for e in dead:
-            for v in e:
-                lose.setdefault(v, set()).add(e)
-        bridges: list[Edge] = []
-        blocks = self.blocks
-        if hits:
-            blocks = list(blocks)
+        undo = g.cut(gone, cut)
+        touched = set(near)  # the vertices whose index entry may change
         for key, hit in hits.items():
             b = block.pop(key)
-            del blocks[bisect_left(blocks, b.cycle, key=_cycle)]
-            idx.leaves.pop(b.cycle, None)
-            left = _without_arc(b, key, hit, lost.get(key, ()), old, g, at)
+            self._leaves.pop(key, None)
+            self._sorted = None
+            left = _cut_arc(b, hit, lost.get(key, ()), nbrs, g)
             if left is None:
-                rest = g.induced(v for v in b.cycle if v not in gone)
+                rest = g.induced(v for v in b.vertices() if v not in gone)
                 may_split = may_split or not rest.is_connected()
                 leaving: Iterable[int] = rest.vertices
                 pieces = [blk.edges[0] if blk.n == 2 else embed_block(blk)
@@ -418,173 +415,213 @@ class OuterplanarEmbedding:
             else:
                 leaving, pieces, kept = left
             for v in leaving:
-                lose.setdefault(v, set()).add(key)
+                at[v] = _drop(at[v], key)
+                touched.add(v)
             if kept is not None:  # the largest block keeps the key
                 block[key] = kept
-                insort(blocks, kept, key=_cycle)
-                idx.fresh.add(key)
+                self._fresh.add(key)
             for piece in pieces:
                 if isinstance(piece, tuple):
-                    bridges.append(piece)
-                    ons: Iterable[int] = piece
-                    new: object = piece
+                    bridges.add(piece)
+                    new, ons = piece, piece
                 else:
-                    new = next(idx.keys)
+                    new, ons = next(self._keys), piece.vertices()
                     block[new] = piece
-                    insort(blocks, piece, key=_cycle)
-                    idx.fresh.add(new)
-                    ons = piece.cycle
+                    self._fresh.add(new)
                 for v in ons:
-                    gain.setdefault(v, []).append(new)
-        for v in gone:
-            del at[v]
-            lose.pop(v, None)
-        for v, keys in lose.items():
-            at[v] = tuple(filterfalse(keys.__contains__, at[v]))
-        for v, keys in gain.items():
-            at[v] += tuple(keys)
-        idx.cuts.difference_update(gone)
-        for v in lose.keys() | gain.keys():
-            cut_now = len(at[v]) > 1
-            if cut_now != (v in idx.cuts):
-                idx.fresh.update(k for k in at[v] if type(k) is int)
-                if cut_now:
-                    idx.cuts.add(v)
+                    at[v] += (new,)
+                    touched.add(v)
+        cuts -= gone
+        for v in touched:
+            on = at[v]
+            if (len(on) > 1) != (v in cuts):
+                self._fresh.update(k for k in on if type(k) is int)
+                if len(on) > 1:
+                    cuts.add(v)
                 else:
-                    idx.cuts.discard(v)
-        if work is not None:
-            changed = {w for v in gone for w in old.neighbors(v)}
-            changed.update(*cut)
-            work.removed(g, gone, changed.difference(gone))
-        bridge_edges = self.bridge_edges
-        if dead:
-            bridge_edges = bridge_edges.difference(dead)
-        if bridges:
-            bridge_edges = bridge_edges.union(bridges)
-        return OuterplanarEmbedding(
-            g, tuple(blocks), bridge_edges, may_split, idx, work)
+                    cuts.discard(v)
+        if self._work is not None:
+            self._work.removed(gone, near)
+        if may_split:
+            self._seeds |= near
+        return undo
 
-    def split(self) -> list["OuterplanarEmbedding"]:
-        """The embedding of each component, in vertex order.
+    def split(self) -> tuple[list["OuterplanarEmbedding"], tuple | None]:
+        """The embedding of each component, in vertex order, and an undo record.
 
-        Only an embedding with ``may_split`` set is checked; any other is
-        connected and comes back as ``[self]``.  The largest component
-        takes over the index and the worklists, less the other components'
-        vertices.
-        """
-        if not self.may_split:
-            return [self]
-        comps = self.graph.components()
-        big = max(comps, key=len)
-        idx, work = self._hand_over()
-        out = []
-        for comp in comps:
-            inside = set(comp)
-            blocks = tuple(b for b in self.blocks if b.cycle[0] in inside)
-            bridges = frozenset(e for e in self.bridge_edges if e[0] in inside)
-            if comp is not big:
-                out.append(OuterplanarEmbedding(
-                    self.graph.induced(comp), blocks, bridges))
-                continue
-            others = set(self.graph.vertices).difference(inside)
-            g = self.graph.remove_vertices(others)
-            if idx is not None:
-                for key in {k for v in others for k in idx.at[v] if type(k) is int}:
-                    idx.leaves.pop(idx.block.pop(key).cycle, None)
-                for v in others:
-                    del idx.at[v]
-                idx.cuts -= others
-            if work is not None:
-                work.removed(g, others, set())
-            out.append(OuterplanarEmbedding(g, blocks, bridges, False, idx, work))
-        return out
+        Only an embedding with ``may_split`` set is checked.  This one keeps
+        the largest component; each other one is copied out with its blocks
+        and bridges and removed (the record undoes that), so a split costs
+        the components it copies out."""
+        if not self._seeds:
+            return [self], None
+        g = self.graph
+        seeds, self._seeds = self._seeds, set()
+        small = _small_components(g, seeds)
+        if not small:
+            return [self], None
+        at = self._index()
+        others = set().union(*small)
+        parts = []
+        for comp in small:
+            keys = {k for v in comp for k in at[v]}
+            part = OuterplanarEmbedding(
+                g.induced(comp),
+                sorted((self._block[k] for k in keys if type(k) is int), key=_cycle),
+                [k for k in keys if type(k) is not int])
+            part._own = True
+            parts.append((min(comp), part))
+        undo = self.remove(others)
+        self._seeds.clear()  # what is left is the largest component
+        if self._low is None:
+            self._low = list(g.vertices)  # sorted, so a heap
+        while not g.has_vertex(self._low[0]):
+            heapq.heappop(self._low)
+        parts.append((self._low[0], self))
+        parts.sort(key=itemgetter(0))
+        return [part for _, part in parts], undo
 
 
-def _without_arc(
-    b: BlockEmbedding,
-    key: int,
-    hit: set[int],
-    lost: Iterable[Edge],
-    old: Graph,
-    g: Graph,
-    at: dict[int, tuple],
-) -> tuple[tuple[int, ...], list, BlockEmbedding | None] | None:
+def _drop(on: tuple, key: object) -> tuple:
+    """``on`` without its entry ``key``."""
+    i = on.index(key)
+    return on[:i] + on[i + 1:]
+
+
+def _walk(nxt: dict[int, int], a: int, z: int) -> list[int]:
+    """The boundary from ``a`` to ``z``, both included."""
+    ring = [a]
+    while a != z:
+        a = nxt[a]
+        ring.append(a)
+    return ring
+
+
+def _cut_arc(b: BlockEmbedding, hit: set[int], lost: Iterable[Edge],
+             nbrs: dict[int, tuple[int, ...]], g: Graph) -> tuple | None:
     """What is left of ``b`` if ``hit`` is one arc of its cycle and ``lost``
     holds only chords; else None.
 
-    The rest of the cycle is a path ``P``, on which the surviving chords
-    nest as intervals.  From the start of ``P`` each step looks at the
-    neighbours of the current vertex that lie on ``b`` (``at`` is the
-    index before the removal) and ahead of it on ``P``.  If the farthest
-    is its successor, the edge between them is a bridge; else it ends the
-    outermost chord that closes a block on the stretch under it, and the
-    walk jumps there.  So the Python work is set by the removed vertices
-    and the pieces, and the vertex tuples and chord sets are cut out by
-    C-level calls: the largest block's chords are what is left of ``b``'s
-    after the other blocks take theirs, collected from their own vertices.
-
-    Returns three things: the vertices of ``P`` off the largest block, the
-    other pieces (bridge edges and blocks), and the largest block, which
-    keeps ``key`` (None if ``P`` closes no block).
+    ``nbrs`` holds the removed vertices' neighbours and ``g`` is the graph
+    after the removal.  The rest of the cycle is a path ``P`` on which the
+    surviving chords nest.  From the start of ``P`` each step looks at the
+    current vertex's neighbours on ``b`` ahead of it on ``P``: if the
+    farthest is its successor, the edge between them is a bridge; else it
+    ends the outermost chord that closes a block on the stretch under it,
+    and the walk jumps there.  The stretch spanning the most positions keeps
+    ``b`` (a recognized block is first linked), relinked across its closing
+    chord; only what leaves it is walked, so the work is set by the removed
+    vertices and the pieces, not by ``b``'s size.  Returns the vertices of
+    ``P`` off the kept block, the other pieces (bridge edges and blocks) and
+    the kept block (None if ``P`` closes no block).
     """
     if not hit or any(e not in b._chords for e in lost):
         return None
-    c = b.cycle
-    spot = b.spot()
-    size = len(spot)  # positions of the recognized block; gaps are harmless
-
-    def ahead(v: int, nbrs: Iterable[int]) -> list[tuple[int, int]]:
-        s = spot[v]
-        return [((spot[w] - s) % size, w) for w in nbrs if key in at[w]]
-
-    succ = {v: min(ahead(v, old.neighbors(v)))[1] for v in hit}
-    tails = [v for v in hit if succ[v] not in hit]
+    if len(hit) + 1 >= len(b):  # all but one vertex at most: no piece is left
+        return [v for v in b.vertices() if v not in hit], [], None
+    if b._next is None:
+        b = BlockEmbedding._linked(b.cycle, set(b._chords), _positions(b.cycle))
+    nxt, spot, chords = b._next, b._spot, b._chords
+    tails = [v for v in hit if nxt[v] not in hit]
     if len(tails) != 1:  # not one arc, or all of the cycle
         return None
-    i = c.index(succ[tails[0]])
-    k = len(c) - len(hit)  # vertices left
-    if (spot[c[1]] - spot[c[0]]) % size < (spot[c[2]] - spot[c[0]]) % size:
-        path = c[i:i + k] if i + k <= len(c) else c[i:] + c[:i + k - len(c)]
-    else:
-        path = c[i::-1][:k] if i + 1 >= k else c[i::-1] + c[:i - k:-1]
-    room = spot[path[-1]]  # where the path ends
+    start = nxt[tails[0]]
+    end = next(w for v in hit for w in nbrs[v] if w not in hit and nxt.get(w) == v)
+    size = len(spot)  # positions of the recognized block; gaps are harmless
+    room = spot[end]
     pieces: list = []
-    stretches: list[tuple[int, int]] = []
-    t = 0
-    while t < len(path) - 1:
-        v = path[t]
-        reach = (room - spot[v]) % size
-        far = max([r for r in ahead(v, g.neighbors(v)) if r[0] <= reach])[1]
-        if far == path[t + 1]:
+    stretches: list[tuple[int, int, int]] = []  # (positions spanned, first, last)
+    v = start
+    while v != end:
+        s = spot[v]
+        reach = (room - s) % size
+        far, fd = v, 0
+        for w in g.neighbors(v):
+            if w in nxt:
+                d = (spot[w] - s) % size
+                if fd < d <= reach:
+                    far, fd = w, d
+        if far == nxt[v]:
             pieces.append(norm_edge(v, far))
-            t += 1
         else:
-            q = len(path) - 1 if far == path[-1] else path.index(far, t + 2)
-            stretches.append((t, q))
-            t = q
+            stretches.append((fd, v, far))
+        v = far
     if not stretches:
-        return path, pieces, None
-    big = max(stretches, key=lambda tq: tq[1] - tq[0])
-    closing = [norm_edge(path[t], path[q]) for t, q in stretches]
-    taken: list[set[Edge]] = []
-    for tq, chord in zip(stretches, closing):
-        if tq is big:
+        return _walk(nxt, start, end), pieces, None
+    big = max(stretches)
+    _, v0, f0 = big
+    taken: set[Edge] = set()
+    for stretch in stretches:
+        _, v, far = stretch
+        closing = norm_edge(v, far)
+        taken.add(closing)
+        if stretch is big:
             continue
-        verts = path[tq[0]:tq[1] + 1]
-        inside = set(verts)
-        chords = {(v, w) for v in verts for w in g.neighbors(v)
-                  if v < w and w in inside and (v, w) in b._chords}
-        chords.discard(chord)
-        taken.append(chords)
-        pieces.append(BlockEmbedding(
-            _canonical_cycle(verts), frozenset(chords), spot=spot, ordered=False))
-    dead = {norm_edge(v, w) for v in hit for w in old.neighbors(v)}
-    dead.update(lost)
-    t, q = big
-    kept = BlockEmbedding(
-        _canonical_cycle(path[t:q + 1]), b._chords.difference(dead, closing, *taken),
-        spot=spot, ordered=False)
-    return path[:t] + path[q + 1:], pieces, kept
+        ring = _walk(nxt, v, far)
+        inside = set(ring)
+        own = {(x, y) for x in ring for y in g.neighbors(x)
+               if x < y and y in inside and (x, y) in chords}
+        own.discard(closing)
+        taken |= own
+        pieces.append(BlockEmbedding._linked(ring, own, spot))
+    leaving = _walk(nxt, start, v0)[:-1] + _walk(nxt, f0, end)[1:]
+    for x in chain(hit, leaving):
+        del nxt[x]
+    nxt[f0] = v0
+    chords.difference_update([norm_edge(v, w) for v in hit for w in nbrs[v]], lost, taken)
+    b._cycle = b._faces = b._frozen = None
+    return leaving, pieces, b
+
+
+def _small_components(g: Graph, seeds: set[int]) -> list[list[int]]:
+    """Every component of ``g`` but a largest one: [] when ``g`` is connected.
+
+    ``seeds`` holds a vertex of every component.  A search runs from each
+    seed, a vertex at a time in turn; searches that meet merge, and one
+    that runs out has found a component.  The work stops when one search is
+    left running.
+    """
+    stacks = [[s] for s in seeds if g.has_vertex(s)]
+    owner = {stack[0]: i for i, stack in enumerate(stacks)}  # vertex -> its search
+    root = list(range(len(stacks)))  # merged searches, as a union-find
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    running = list(range(len(root)))
+    finished: list[int] = []
+    while len(running) > 1:
+        for i in running:
+            if root[i] != i:  # merged this round
+                continue
+            stack = stacks[i]
+            if not stack:
+                finished.append(i)
+                continue
+            for w in g.neighbors(stack.pop()):
+                j = owner.get(w)
+                if j is None:
+                    owner[w] = i
+                    stack.append(w)
+                elif find(j) != i:  # two searches met: one component
+                    j = find(j)
+                    root[j] = i
+                    stack += stacks[j]
+                    stacks[j] = []
+        running = [i for i in running if root[i] == i and i not in finished]
+    if not finished:
+        return []
+    if not running:  # every search ran out: keep the largest one's component
+        sizes = Counter(find(j) for j in owner.values())
+        finished.remove(max(finished, key=sizes.__getitem__))
+    comps: dict[int, list[int]] = {i: [] for i in finished}
+    for v, j in owner.items():
+        j = find(j)
+        if j in comps:
+            comps[j].append(v)
+    return [sorted(c) for c in comps.values()]
 
 
 def _boundary_cycle(block: Graph) -> tuple[int, ...]:

@@ -6,27 +6,29 @@ decreasing constraint degree, labels ascending), so the first labeling
 found, and hence every returned witness, is deterministic.
 
 ``extend_bounded`` searches only the elements it frees, against the labels
-of their neighbours; it does not check the labels it keeps, which is the
-job of the caller's check (``labeling.verify_around`` or ``verify``).
+of their neighbours, and writes the labels it finds into the labeling it
+was given; it does not check the labels it keeps, which is the job of the
+caller's check (``labeling.verify_around`` or ``verify``).
 
 One search node costs table lookups and bit operations.  Domains are
 bitmasks over {0..k}.  ``_keep_masks(gap, k)`` holds, for each label in
 {0..k}, the mask of labels a neighbour at that gap may still take, so the
 forward check of a label is one ``&`` per later constrained element; the
 tables for gaps 1 and p are fetched once per search.  Kept labels seed the
-starting domains through ``_forbid_mask`` instead, because they may lie
-outside {0..k}, where a table has no entry.  Narrowed domains go on one
-undo trail shared by the whole search.  ``SearchStats.nodes`` counts every
-label tried, and a search with a ``budget`` raises ``SearchBudgetExceeded``
-at the first label past it, so a spent budget leaves ``nodes == budget +
-1``.
+starting domains through the same tables, or through ``_forbid_mask`` when
+they lie outside {0..k}, where a table has no entry.  Narrowed domains go on
+one undo trail shared by the whole search.  ``SearchStats.nodes`` counts every
+label tried.  A call given a ``budget`` (or a ``SearchStats`` whose
+``budget`` the caller set) raises ``SearchBudgetExceeded`` at the first
+label past it, counted from the call's own first node, so a spent budget
+leaves ``nodes`` one past the budget more than the call found it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .graphs import Element, Graph, is_edge_element, norm_edge
 from .labeling import TotalLabeling, degree_lower_bound
@@ -130,47 +132,51 @@ def _plan(g: Graph, p: int, free: list[Element]) -> Plan:
 def _search(
     plan: Plan,
     k: int,
-    fixed: dict[Element, int],
+    fixed: Callable[[Element], int | None],
     stats: SearchStats,
     symmetry: bool,
-) -> dict[Element, int] | None:
+    limit: int | None,
+) -> list[int] | None:
     """Depth-first search with forward checking over bitmask domains.
 
     Only the planned free elements are searched: each starts from the labels
-    its ``fixed`` neighbours leave open, and ``fixed`` itself is neither
-    checked nor read at a free element.  The result lists the labels of
-    ``fixed`` outside the free elements, then the free elements in search
-    order.
+    its neighbours hold (read by ``fixed``) leave open, and those labels are
+    neither checked nor read at a free element.  ``symmetry`` is for a
+    search with nothing fixed.  The result lists the labels of the free
+    elements in search order.  Past ``limit`` nodes in all (counted by
+    ``stats``) the search raises ``SearchBudgetExceeded``.
     """
     order, ahead, outside, p = plan
+    if not order:
+        return []
     full = (1 << (k + 1)) - 1
+    near = _keep_masks(1, k)
+    far = _keep_masks(p, k)
     domains = []
     for kept in outside:
         dom = full
         for other, gap in kept:
-            lab = fixed.get(other)
+            lab = fixed(other)
             if lab is not None:
-                dom &= ~_forbid_mask(lab, gap, k)
+                if 0 <= lab <= k:
+                    dom &= near[lab] if gap == 1 else far[lab]
+                else:
+                    dom &= ~_forbid_mask(lab, gap, k)
         domains.append(dom)
-    if not order:
-        return dict(fixed)
     if not all(domains):
         return None
 
-    if symmetry and not fixed:
+    if symmetry:
         # the complement z -> k - f(z) preserves validity, so the first
         # branched element may be pinned to the lower half of the range
         half = (k + 1) // 2 + 1  # labels 0..ceil(k/2)
         domains[0] &= (1 << half) - 1
 
-    near = _keep_masks(1, k)
-    far = _keep_masks(p, k)
     last = len(order) - 1
     assignment = [0] * len(order)
     untried = [0] * len(order)  # labels left to try at each position on the path
     marks = [0] * len(order)  # trail length when each position was entered
     trail: list[tuple[int, int]] = []  # (position, its domain before a narrowing)
-    budget = stats.budget
     nodes = stats.nodes
     pos = 0
     untried[0] = domains[0]
@@ -192,8 +198,8 @@ def _search(
             untried[pos] = dom ^ low
             lab = low.bit_length() - 1
             nodes += 1
-            if budget is not None and nodes > budget:
-                raise SearchBudgetExceeded(f"exceeded {budget} search nodes")
+            if limit is not None and nodes > limit:
+                raise SearchBudgetExceeded(f"exceeded the node budget at {limit}")
             keep1 = near[lab]
             keepp = far[lab]
             for i, at_p in ahead[pos]:
@@ -213,11 +219,7 @@ def _search(
                 marks[pos] = len(trail)
     finally:
         stats.nodes = nodes
-    out = dict(fixed)
-    for el in order:
-        out.pop(el, None)
-    out.update(zip(order, assignment))
-    return out
+    return assignment
 
 
 def _whole_plan(g: Graph, p: int, cap: int) -> Plan:
@@ -231,21 +233,13 @@ def _whole_plan(g: Graph, p: int, cap: int) -> Plan:
 
 
 def _labeling(
-    g: Graph,
-    k: int,
-    plan: Plan,
-    stats: SearchStats | None,
-    symmetry: bool,
-    budget: int | None,
+    g: Graph, k: int, plan: Plan, st: SearchStats, symmetry: bool, limit: int | None
 ) -> TotalLabeling | None:
-    st = stats if stats is not None else SearchStats()
-    if budget is not None:
-        st.budget = budget
     st.calls += 1
-    found = _search(plan, k, {}, st, symmetry)
+    found = _search(plan, k, {}.get, st, symmetry, limit)
     if found is None:
         return None
-    return TotalLabeling(g, k, found)
+    return TotalLabeling(g, k, dict(zip(plan.order, found)))
 
 
 def find_labeling_bounded(
@@ -262,7 +256,9 @@ def find_labeling_bounded(
     The search is exhaustive, so a None answer is a proof of infeasibility;
     an exhausted node ``budget`` raises instead of guessing.
     """
-    return _labeling(g, k, _whole_plan(g, p, cap), stats, symmetry, budget)
+    st = stats if stats is not None else SearchStats()
+    limit = st.budget if budget is None else st.nodes + budget
+    return _labeling(g, k, _whole_plan(g, p, cap), st, symmetry, limit)
 
 
 def lambda_exact(
@@ -286,9 +282,11 @@ def lambda_exact(
     if not ks:  # nothing to search, so the element cap does not apply
         return None, None
     plan = _whole_plan(g, p, cap)
+    st = stats if stats is not None else SearchStats()
+    limit = st.budget if budget is None else st.nodes + budget  # from this call on
     try:
         for k in ks:
-            f = _labeling(g, k, plan, stats, symmetry, budget)
+            f = _labeling(g, k, plan, st, symmetry, limit)
             if f is not None:
                 return k, f
     except SearchBudgetExceeded:
@@ -305,14 +303,16 @@ def extend_bounded(
 ) -> TotalLabeling | None:
     """Exhaustively complete ``f`` on the ``free`` elements within ``{0..k}``.
 
-    Elements already assigned keep their labels; returns the first
-    completion the search finds, or None only when the free elements cannot
-    be labeled against their labeled neighbours.  Only the free elements and
-    their neighbours are read, and ``f.assignment`` is copied once, into the
-    result, so the result is not verified: a conflict among the kept labels,
-    a kept label outside ``{0..k}``, or an element that is neither assigned
-    nor free is left for the check that callers run on it (``complete``
-    checks around the touched and freed elements with ``verify_around``).
+    Elements already assigned keep their labels.  The first completion the
+    search finds is written into ``f`` (each free element moves to the end
+    of the assignment, in search order) and ``f`` is returned; None, with
+    ``f`` unchanged, only when the free elements cannot be labeled against
+    their labeled neighbours.  Only the free elements and their neighbours
+    are read, so the result is not verified: a conflict among the kept
+    labels, a kept label outside ``{0..k}``, or an element that is neither
+    assigned nor free is left for the check that callers run on it
+    (``complete`` checks around the touched and freed elements with
+    ``verify_around``).
     """
     kk = f.k if k is None else k
     g = f.graph
@@ -321,8 +321,12 @@ def extend_bounded(
     ]
     st = stats if stats is not None else SearchStats()
     st.calls += 1
-    found = _search(_plan(g, p, norm_free), kk, f.assignment, st, False)
+    plan = _plan(g, p, norm_free)
+    found = _search(plan, kk, f.get if f.flip else f.assignment.get, st, False, st.budget)
     if found is None:
         return None
-    return TotalLabeling(g, kk, found)
-
+    a = f.assignment
+    for el in plan.order:
+        a.pop(el, None)
+    a.update(zip(plan.order, [f.flip - lab for lab in found] if f.flip else found))
+    return f if kk == f.k else TotalLabeling(g, kk, a)

@@ -1,17 +1,18 @@
 """Immutable undirected simple graphs and basic connectivity primitives.
 
 Vertices are nonnegative integers; an edge is the normalized pair
-``(min(u, v), max(u, v))``.  All mutating operations return new graphs.
-A removal counts the degrees of the graph it starts from into a histogram
-(once), and hands a copy patched at the vertices it touches to the graph
-it makes, so along a chain of removals the extreme degrees cost O(Δ); any
-other graph finds them by a scan.  A graph made by a removal copies only
-the adjacency dict and lists its sorted vertex and edge tuples when they
-are first read.
+``(min(u, v), max(u, v))``.  Graph operations return new graphs, except on
+a working copy (``working_copy``), which ``cut`` changes in place and
+``put_back`` restores from the record ``cut`` returned; the reduction driver
+keeps one.  A working copy counts its degrees into a histogram once, and a
+cut patches it at the vertices it touches, so its extreme degrees cost O(Δ);
+any other graph finds them by a scan.  A graph made by a removal lists its
+sorted vertex and edge tuples only when they are first read.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import filterfalse
 from typing import Iterable, Iterator
 
@@ -120,7 +121,7 @@ class Graph:
     def max_degree(self) -> int:
         if not self._adj:
             raise ValueError("empty graph has no maximum degree")
-        if self._degrees is None:
+        if self._degrees is None:  # a scan costs less than counting
             return max(map(len, self._adj.values()))
         top = len(self._degrees) - 1
         while not self._degrees[top]:
@@ -140,10 +141,8 @@ class Graph:
     def _histogram(self) -> list[int]:
         """How many vertices have each degree, from 0 up to the maximum."""
         if self._degrees is None:
-            lens = list(map(len, self._adj.values()))
-            self._degrees = [0] * (max(lens, default=0) + 1)
-            for d in lens:
-                self._degrees[d] += 1
+            counts = Counter(map(len, self._adj.values()))  # counted at C level
+            self._degrees = [counts[d] for d in range(max(counts, default=0) + 1)]
         return self._degrees
 
     def elements(self) -> Iterator[Element]:
@@ -270,39 +269,66 @@ class Graph:
             b.edges[0] for b in self.biconnected_components() if b.n == 2
         }
 
+    # -- a working copy, changed in place ----------------------------------
+
+    def working_copy(self) -> "Graph":
+        """A copy for ``cut`` and ``put_back``; this graph is never changed."""
+        return Graph._of(dict(self._adj), self._m, self._histogram().copy())
+
+    def cut(self, vertices: Iterable[int], edges: Iterable[Edge] = ()) -> tuple:
+        """Remove ``vertices`` and existing ``edges`` from a working copy, in
+        place; the undo record holds the tuples it changed, so ``put_back``
+        costs what the cut did."""
+        adj = self._adj
+        degrees = self._degrees or self._histogram()
+        lose: dict[int, list[int]] = {}
+        saved = []
+        ends = 0
+        for v in vertices:
+            ns = adj.pop(v, None)
+            if ns is not None:
+                saved.append((v, ns))
+                degrees[len(ns)] -= 1
+                ends += len(ns)
+                for w in ns:
+                    lose.setdefault(w, []).append(v)
+        for a, b in edges:
+            lose.setdefault(a, []).append(b)
+            lose.setdefault(b, []).append(a)
+        for w, xs in lose.items():
+            ns = adj.get(w)
+            if ns is None:  # removed as well
+                continue
+            saved.append((w, ns))
+            adj[w] = left = tuple(filterfalse(xs.__contains__, ns))
+            degrees[len(ns)] -= 1
+            degrees[len(left)] += 1
+            ends += len(ns) - len(left)
+        record = (saved, self._m)
+        self._m -= ends // 2
+        self._vertices = self._edges = None
+        return record
+
+    def put_back(self, record: tuple) -> None:
+        """Undo the ``cut`` that returned ``record``, after every later one."""
+        saved, self._m = record
+        adj, degrees = self._adj, self._degrees
+        for v, ns in reversed(saved):
+            cur = adj.get(v)
+            if cur is not None:
+                degrees[len(cur)] -= 1
+            adj[v] = ns
+            degrees[len(ns)] += 1
+        self._vertices = self._edges = None
+
     # -- derived graphs ----------------------------------------------------
 
     def remove_vertices(self, remove: Iterable[int]) -> "Graph":
-        """This graph without ``remove`` (unknown ids are ignored).
-
-        Only the adjacency tuples of the removed vertices' neighbours are
-        rebuilt, and the degree histogram is patched at them and at the
-        removed vertices; the adjacency dict is copied by a C-level call,
-        so the Python work is set by the removed vertices' degrees.  The
-        result equals ``induced`` on the vertices left, tuple for tuple.
-        """
-        adj = self._adj
-        drop = {v for v in remove if v in adj}
-        if not drop:
-            return self
-        adj = dict(adj)
-        degrees = self._histogram().copy()
-        near: set[int] = set()
-        ends = 0  # edge ends at removed vertices; an edge inside counts twice
-        for v in drop:
-            ns = adj.pop(v)
-            near.update(ns)
-            degrees[len(ns)] -= 1
-            ends += len(ns)
-        inside = ends
-        for w in near.difference(drop):
-            ns = adj[w]
-            adj[w] = left = tuple(filterfalse(drop.__contains__, ns))
-            degrees[len(ns)] -= 1
-            degrees[len(left)] += 1
-            inside -= len(ns) - len(left)
-        # ``inside`` now counts the ends of edges between removed vertices
-        return Graph._of(adj, self._m - ends + inside // 2, degrees)
+        """This graph without ``remove`` (unknown ids are ignored); it equals
+        ``induced`` on the vertices left, tuple for tuple."""
+        out = self.working_copy()
+        out.cut(remove)
+        return out
 
     def induced(self, keep: Iterable[int]) -> "Graph":
         """The subgraph on ``keep``, its adjacency filtered from this graph's."""
@@ -314,20 +340,11 @@ class Graph:
         return Graph._of(adj, sum(map(len, adj.values())) // 2, None)
 
     def remove_edges(self, remove: Iterable[Edge]) -> "Graph":
-        """This graph without the listed edges, filtered like ``induced``."""
+        """This graph without the listed edges (unknown ones are ignored)."""
         drop = {norm_edge(u, v) for u, v in remove}
-        drop = {e for e in drop if self.has_edge(*e)}
-        if not drop:
-            return self
-        adj = dict(self._adj)
-        degrees = self._histogram().copy()
-        for v in {x for e in drop for x in e}:
-            adj[v] = left = tuple(
-                w for w in self._adj[v] if norm_edge(v, w) not in drop
-            )
-            degrees[len(self._adj[v])] -= 1
-            degrees[len(left)] += 1
-        return Graph._of(adj, self._m - len(drop), degrees)
+        out = self.working_copy()
+        out.cut((), [e for e in drop if self.has_edge(*e)])
+        return out
 
     def add_edges(self, add: Iterable[Edge]) -> "Graph":
         """Edge-augmented graph; endpoints missing from the vertex set are added."""

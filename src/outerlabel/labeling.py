@@ -35,29 +35,37 @@ VIOLATION_KINDS = (
 
 @dataclass
 class TotalLabeling:
-    """Partial or total assignment from vertices and edges to ``{0..k}``."""
+    """Partial or total assignment from vertices and edges to ``{0..k}``.
+
+    With ``flip`` set to some ``c``, ``assignment`` holds ``c`` minus each
+    label, so complementing costs O(1); the methods read and write through
+    it.  Only the reduction driver's working labelings have one set.
+    """
 
     graph: Graph
     k: int
     assignment: dict[Element, int] = field(default_factory=dict)
+    flip: int = 0
 
     def get(self, element: Element) -> int | None:
-        return self.assignment.get(element)
+        lab = self.assignment.get(element)
+        return lab if lab is None or not self.flip else self.flip - lab
 
     def vertex(self, v: int) -> int | None:
-        return self.assignment.get(v)
+        return self.get(v)
 
     def edge(self, u: int, v: int) -> int | None:
-        return self.assignment.get(norm_edge(u, v))
+        return self.get(norm_edge(u, v))
 
     def set(self, element: Element, label: int) -> None:
-        self.assignment[element] = label
+        self.assignment[element] = self.flip - label if self.flip else label
 
     def set_edge(self, u: int, v: int, label: int) -> None:
-        self.assignment[norm_edge(u, v)] = label
+        self.set(norm_edge(u, v), label)
 
     def update(self, other: Mapping[Element, int]) -> None:
-        self.assignment.update(other)
+        c = self.flip
+        self.assignment.update({z: c - lab for z, lab in other.items()} if c else other)
 
 
 def span(f: TotalLabeling) -> int:
@@ -123,14 +131,9 @@ def verify_around(
     Raises ValueError on an element that is not in the graph.
     """
     g = f.graph
-    a = f.assignment
+    get = f.get if f.flip else f.assignment.get
+    nbrs = g.neighbors
     out: dict[Violation, None] = {}
-
-    def pair(kind: str, x: Element, lx: int | None, y: Element, ly: int | None,
-             gap: int) -> None:
-        if lx is not None and ly is not None and abs(lx - ly) < gap:
-            out[Violation(kind, (x, y))] = None
-
     for el in elements:
         if isinstance(el, tuple):
             el = norm_edge(*el)
@@ -138,28 +141,35 @@ def verify_around(
                 raise ValueError(f"edge {el} is not in the graph")
         elif not g.has_vertex(el):
             raise ValueError(f"vertex {el} is not in the graph")
-        lab = a.get(el)
+        lab = get(el)
         if lab is None:
             out[Violation("unlabeled-element", (el,))] = None
-        elif not (0 <= lab <= f.k):
+            continue  # every pair it takes part in has a label missing
+        if not (0 <= lab <= f.k):
             out[Violation("label-out-of-range", (el,))] = None
         if isinstance(el, tuple):
             for x in el:
-                pair("vertex-edge-too-close", x, a.get(x), el, lab, p)
+                lx = get(x)
+                if lx is not None and abs(lx - lab) < p:
+                    out[Violation("vertex-edge-too-close", (x, el))] = None
                 # edges at x in adjacency order, as ``verify`` pairs them
                 y = el[0] + el[1] - x
-                for z in g.neighbors(x):
+                for z in nbrs(x):
                     if z != y:
-                        e = norm_edge(x, z)
-                        first, second = (el, e) if y < z else (e, el)
-                        pair("adjacent-edges-equalish", first, a.get(first),
-                             second, a.get(second), 1)
+                        e = (x, z) if x < z else (z, x)
+                        le = get(e)
+                        if le is not None and abs(le - lab) < 1:
+                            out[Violation("adjacent-edges-equalish",
+                                          (el, e) if y < z else (e, el))] = None
         else:
-            for w in g.neighbors(el):
-                e = norm_edge(el, w)
-                pair("adjacent-vertices-equalish", e[0], a.get(e[0]), e[1],
-                     a.get(e[1]), 1)
-                pair("vertex-edge-too-close", el, lab, e, a.get(e), p)
+            for w in nbrs(el):
+                e = (el, w) if el < w else (w, el)
+                lw = get(w)
+                if lw is not None and abs(lw - lab) < 1:
+                    out[Violation("adjacent-vertices-equalish", e)] = None
+                le = get(e)
+                if le is not None and abs(lab - le) < p:
+                    out[Violation("vertex-edge-too-close", (el, e))] = None
     return list(out)
 
 

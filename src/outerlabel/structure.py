@@ -7,8 +7,9 @@ Three configurations drive the reductions for hosts of minimum degree 2:
 * C3 - two triangular faces sharing a 4-vertex, each carrying a 2-vertex.
 
 C1 and C2 are read off the worklists the embedding carries (patched by
-every removal), so picking one costs what the last removals touched; C3 is
-looked for among the triangular faces.  Beyond these, fans of triangles
+every removal, with a heap each), so picking one costs what the last
+removals touched and a heap pop; C3 is looked for among the triangular
+faces.  Beyond these, fans of triangles
 glued along chords ("chains") are detected, including the closed form
 whose two end spine vertices are themselves joined by a chord.
 """
@@ -76,21 +77,19 @@ def find_configuration(emb: OuterplanarEmbedding) -> Configuration:
 
     Detection order is C1, C2, C3; within a kind the witness tuple with the
     smallest vertex ids wins.  C1 and C2 are the smallest entries of the
-    embedding's worklists; C3 is looked for among the triangular faces.
-    For outerplane hosts with minimum degree 2 one of the three always
-    exists.
+    embedding's worklists, read off their heaps; C3 is looked for among the
+    triangular faces.  For outerplane hosts with minimum degree 2 one of the
+    three always exists.
     """
     g = emb.graph
     if g.min_degree() != 2:
         raise ValueError("configuration search expects minimum degree 2")
 
     work = emb.worklists()
-    c1 = min(work.c1, default=None)
-    if c1 is not None:
-        return Configuration("C1", c1)
-    c2 = min(work.c2, default=None)
-    if c2 is not None:
-        return Configuration("C2", c2)
+    for kind in ("C1", "C2"):
+        witnesses = work.first(kind)
+        if witnesses is not None:
+            return Configuration(kind, witnesses)
 
     c3: list[tuple[int, ...]] = []
     triangles = [f for f in emb.inner_faces if len(f.vertices) == 3]

@@ -1,13 +1,15 @@
 """The state the reduction driver carries, checked against whole-host scans.
 
-``OuterplanarEmbedding`` carries a vertex index (for ``cut_vertices`` and
-``leaf_block``) and worklists (degree-1 vertices, C1 edges, C2
-triangles), and ``Graph`` a degree histogram; each reduction patches them
-where it changed the host.
+The driver changes one working host in place: a working copy of the graph
+(with a degree histogram and an edge count) and its ``OuterplanarEmbedding``
+(a vertex index for ``cut_vertices`` and ``leaf_block``, linked boundaries
+of the blocks it cut, and worklist heaps of degree-1 vertices, C1 edges
+and C2 triangles); each reduction patches them where it changed the host.
 The scans below, run only here, are the reference at every host the
-driver pops: a fresh recognition for the blocks and bridges, the extreme
-degrees, the pendant, C1 and C2 worklists and the configuration picked
-from them, the cut vertices and the first leaf block.
+driver pops: a fresh recognition of the working graph for the blocks and
+bridges, the extreme degrees and edge count, the pendant, C1 and C2
+worklists and the picks made from them, the cut vertices and the first
+leaf block.
 The last test counts the work a labeling does.
 """
 
@@ -57,10 +59,13 @@ def _check(emb) -> None:
     assert [b.faces for b in emb.blocks] == [b.faces for b in fresh.blocks]
     degrees = [g.degree(v) for v in g.vertices]
     assert (g.min_degree(), g.max_degree()) == (min(degrees), max(degrees))
+    assert g.m == len(g.edges) == sum(degrees) // 2
     pendants = {v for v in g.vertices if g.degree(v) == 1}
-    assert emb.worklists().pendants == pendants
+    work = emb.worklists()
+    assert work.entries("pendant") == pendants
+    assert work.first("pendant") == min(pendants, default=None)
     c1, c2 = _scanned_c1c2(emb)
-    assert set(emb.worklists().c1) == c1 and set(emb.worklists().c2) == c2
+    assert work.entries("C1") == c1 and work.entries("C2") == c2
     if min(degrees) == 2 and (c1 or c2):
         cfg = find_configuration(emb)
         assert (cfg.kind, cfg.witnesses) == (("C1", min(c1)) if c1 else ("C2", min(c2)))
@@ -110,10 +115,10 @@ def test_carried_state_equals_scans(monkeypatch):
     assert len(popped) > 3000
 
 
-def _inside_without() -> bool:
+def _inside_remove() -> bool:
     frame = sys._getframe(2)
     while frame is not None:
-        if frame.f_code is embedding.OuterplanarEmbedding.without.__code__:
+        if frame.f_code is embedding.OuterplanarEmbedding.remove.__code__:
             return True
         frame = frame.f_back
     return False
@@ -130,7 +135,7 @@ def test_reduction_work_is_linear(monkeypatch, g):
     real_pass = embedding._face_pass
 
     def face_pass(*args):
-        passes.append(_inside_without())
+        passes.append(_inside_remove())
         return real_pass(*args)
 
     calls = 0

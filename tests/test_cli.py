@@ -77,6 +77,17 @@ def test_label_unsupported_degree(tmp_path, capsys):
     assert json.loads(out)["k"] == 7
 
 
+def test_label_labeler_fault_exit_code(tmp_path, capsys, monkeypatch):
+    # a spent completion budget is a labeler fault: exit 5, message on stderr
+    from outerlabel import delta3
+
+    monkeypatch.setattr(delta3, "COMPLETION_BUDGET", 1)
+    tree = gen.Graph.from_edges([(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (5, 6)])
+    code, out, err = run(capsys, "label", write_graph(tmp_path, tree))
+    assert (code, out) == (5, "")
+    assert "labeler fault" in err and "past its budget of 1" in err
+
+
 def test_label_dot_output(tmp_path, capsys):
     path = write_graph(tmp_path, gen.gen_cycle(4))
     dot = tmp_path / "out.dot"

@@ -159,24 +159,28 @@ def test_template_sweep_small(case_id, t):
 
 
 def test_reduce_c1():
-    emb = recognize_embed(gen.gen_cycle(5))
+    # the reduction works in place on a copy of the graph, and its record undoes it
+    g = gen.gen_cycle(5)
+    emb = recognize_embed(g).working()
     cfg = find_configuration(emb)
-    h, freed = reduce_c1c2(emb, cfg)
-    assert h.graph.n == 4 and h.graph.m == 3
+    undo, freed = reduce_c1c2(emb, cfg)
+    assert emb.graph.n == 4 and emb.graph.m == 3 and g.n == 5
     assert freed == [0, (0, 1), (0, 4)]
+    emb.graph.put_back(undo)
+    assert emb.graph == g
 
 
 def test_reduce_c2():
-    emb = recognize_embed(Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+    emb = recognize_embed(Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])).working()
     cfg = find_configuration(emb)
-    h, freed = reduce_c1c2(emb, cfg)
-    assert h.graph.n == 3 and h.graph.m == 3  # a triangle remains
+    reduce_c1c2(emb, cfg)
+    assert emb.graph.n == 3 and emb.graph.m == 3  # a triangle remains
     assert cfg.witnesses[0] in (1, 3)
 
 
 def test_reduce_rejects_c3():
     with pytest.raises(ValueError):
-        reduce_c1c2(recognize_embed(gen.gen_cycle(5)),
+        reduce_c1c2(recognize_embed(gen.gen_cycle(5)).working(),
                     Configuration("C3", (0, 1, 2, 3, 4)))
 
 
@@ -387,7 +391,7 @@ def test_one_recognition_per_component(monkeypatch):
 def test_driver_never_redecomposes(monkeypatch):
     # every reduction removes a pendant or one arc of a block's boundary
     # cycle (a C1/C2 2-vertex, a chain interior, a leaf block's non-cut
-    # vertices), so ``without`` never searches a boundary or a block again
+    # vertices), so ``remove`` never searches a boundary or a block again
     calls = []
 
     def counting(real):
@@ -403,7 +407,7 @@ def test_driver_never_redecomposes(monkeypatch):
         calls.clear()
         f = label_outerplanar(g)
         assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
-        assert calls and "without" not in calls
+        assert calls and "remove" not in calls
 
 
 def test_final_verify_catches_a_bad_kept_part(monkeypatch):

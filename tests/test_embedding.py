@@ -302,7 +302,8 @@ def test_without_equals_fresh_recognition(monkeypatch):
         assert emb.cut_vertices() == g.cut_vertices()
         for vertices, edges in _removals(emb, rng):
             embedded.clear()
-            rest = emb.without(vertices, edges)
+            rest = emb.working()  # a copy: neither emb nor g changes
+            undo = rest.remove(vertices, edges)
             if _one_arc(emb, vertices, edges):
                 arcs += 1
                 assert embedded == []  # the one-arc rule searches no boundary
@@ -310,8 +311,9 @@ def test_without_equals_fresh_recognition(monkeypatch):
             comps = rest.graph.components()
             if not rest.may_split:
                 assert len(comps) == 1
-            parts = rest.split()
-            assert [p.graph for p in parts] == [rest.graph.induced(c) for c in comps]
+            graphs = [rest.graph.induced(c) for c in comps]
+            parts, split_undo = rest.split()
+            assert [p.graph for p in parts] == graphs
             splits += len(parts) > 1
             for part in parts:
                 fresh = recognize_embed(part.graph)
@@ -322,12 +324,18 @@ def test_without_equals_fresh_recognition(monkeypatch):
                 # the labelers iterate chord sets, so their order must match too
                 assert [list(b.chords) for b in part.blocks] == [
                     list(b.chords) for b in fresh.blocks]
+            # the records put the working copy back as it was, in reverse order
+            if split_undo is not None:
+                rest.graph.put_back(split_undo)
+            rest.graph.put_back(undo)
+            assert rest.graph == g and rest.graph.max_degree() == g.max_degree()
+            assert emb.blocks == recognize_embed(g).blocks
     assert splits > 0 and arcs > 0
-    # ``without`` finds a touched block by bisection, so a reversed
-    # embedding must keep its blocks sorted by cycle too
+    # a reversed embedding keeps its blocks sorted by cycle, and removing
+    # from a working copy of it cuts the right block
     g = Graph.from_edges([(0, 1), (1, 5), (0, 5), (1, 2), (2, 3), (1, 3)])
-    its = recognize_embed(g).reversed()
+    its = recognize_embed(g).reversed().working()
     assert [b.cycle for b in its.blocks] == [(3, 2, 1), (5, 1, 0)]
-    rest = its.without([2])
-    assert [b.cycle for b in rest.blocks] == [(5, 1, 0)]
-    assert rest.bridge_edges == {(1, 3)}
+    its.remove([2])
+    assert [b.cycle for b in its.blocks] == [(5, 1, 0)]
+    assert its.bridge_edges == {(1, 3)}

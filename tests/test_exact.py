@@ -187,6 +187,19 @@ def test_search_trees_pinned():
     assert h.hexdigest() == SEARCH_DIGEST
 
 
+def test_budget_counts_from_each_calls_first_node():
+    # a budget given to one call neither stays in the caller's SearchStats
+    # nor counts the nodes of earlier calls
+    stats = SearchStats()
+    assert lambda_exact(gen.gen_cycle(5), 2, 6, stats=stats, budget=50) == (None, None)
+    assert stats.budget is None and stats.nodes == 51
+    lam, witness = lambda_exact(gen.gen_cycle(9), 2, 6, stats=stats)
+    assert lam == 4 and verify(witness, 2) == []
+    before = stats.nodes
+    assert lambda_exact(gen.gen_cycle(9), 2, 6, stats=stats, budget=5) == (None, None)
+    assert stats.nodes == before + 6
+
+
 def test_spent_budget_counts_one_node_past_it():
     stats = SearchStats(budget=3)
     with pytest.raises(SearchBudgetExceeded):

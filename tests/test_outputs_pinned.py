@@ -18,7 +18,7 @@ from outerlabel.delta3 import Diagnostics
 from outerlabel.pipeline import label_outerplanar
 
 ROOT = Path(__file__).resolve().parents[1]
-DIGEST = "5e47806c93d3b6170ea9cd5796fca3331ed160151025a51622bb433dd7ae81fa"
+DIGEST = "576c7a538853a0fc135b73d04dc5ba7d92c05516fc7748be380c2e7c74a86ead"
 
 
 def _inputs():

@@ -1,0 +1,147 @@
+"""Compare the labelings of two source trees, input by input.
+
+    python tools/equality_sweep.py --parent OTHER/src --change src [--glued 2000]
+
+Each ``SRC`` holds an ``outerlabel`` package; it is imported in a fresh
+process, which labels every input with ``label_outerplanar`` and a
+``Diagnostics`` and reports, per input, a digest of the assignment as
+sorted items, of the ``(event, where)`` records and of the step trace
+lines (or the exception raised).  Insertion order is left out on purpose:
+the inputs must get equal labels, not equal dict histories.  The inputs:
+
+* both corpus manifests (``corpus/delta{3,4}_manifest.json``);
+* the seed-0 ``block`` and ``reduce`` inputs of the benchmark, built as
+  ``perfbench/workloads.py`` builds them (read, not changed);
+* every dissection of a 4- to 9-gon with maximum degree 3 or 4 (2,302);
+* ``--glued`` glued hosts, Δ = 3 and 4 in turn, and a disjoint union of
+  two of them for every tenth;
+* bridged, capped(·, 4) and strip hosts on 100 to 1,600 vertices.
+
+Prints the count of inputs per group and every mismatch, and exits 1 if
+there is one.  This is an opt-in check for changes that must keep outputs,
+not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from itertools import combinations
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _dissections(gen, Graph):
+    for n in range(4, 10):
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        seen: set[frozenset] = set()
+        for tri in gen.enumerate_triangulations(n):
+            diagonals = [e for e in tri.edges if (e[1] - e[0]) % n not in (1, n - 1)]
+            for r in range(len(diagonals) + 1):
+                for kept in combinations(diagonals, r):
+                    if frozenset(kept) not in seen:
+                        seen.add(frozenset(kept))
+                        g = Graph(range(n), ring + list(kept))
+                        if g.max_degree() in (3, 4):
+                            yield f"n{n}:{sorted(kept)}", g
+
+
+def inputs(glued: int):
+    """(group, name, graph) for every input, built with the imported package."""
+    import types
+
+    from outerlabel import generators as gen
+    from outerlabel import io
+    from outerlabel.graphs import Graph
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import families
+    import workloads
+    ol = types.SimpleNamespace(graphs=types.SimpleNamespace(Graph=Graph), generators=gen,
+                               io=io)
+    for delta in (3, 4):
+        for entry in gen.load_manifest(ROOT / "corpus" / f"delta{delta}_manifest.json"):
+            yield "manifests", entry["name"], gen.corpus_graph(entry)
+    for group, make in (("block", workloads._block_ops),
+                        ("reduce", workloads._reduce_ops)):
+        with tempfile.TemporaryDirectory() as tmp:  # they also write edge lists
+            for op in make(ol, 0, Path(tmp)):
+                yield group, op.name, op.graph
+    for name, g in _dissections(gen, Graph):
+        yield "dissections", name, g
+    for s in range(glued):
+        g = gen.gen_glued_outerplanar(20 + s % 60, s, {"max_degree": 3 + s % 2})
+        yield "glued", f"glued{s}", g
+        if s % 10 == 0:
+            h = gen.gen_glued_outerplanar(10 + s % 30, s + 1, {"max_degree": 3 + s % 2})
+            shift = max(g.vertices) + 1
+            yield "unions", f"union{s}", Graph.from_edges(
+                list(g.edges) + [(u + shift, v + shift) for u, v in h.edges])
+    for n in (100, 400, 1600):
+        yield "families", f"bridged{n}", Graph.from_edges(
+            families.bridged(max(1, round(n / 6)), f"sweep:bridged:{n}"))
+        yield "families", f"capped4-{n}", Graph.from_edges(
+            families.capped_polygon(n, 4, f"sweep:capped4:{n}"))
+        yield "families", f"strip{n}", Graph.from_edges(
+            [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)])
+
+
+def child(glued: int) -> None:
+    from outerlabel.delta3 import Diagnostics
+    from outerlabel.pipeline import label_outerplanar
+
+    for group, name, g in inputs(glued):
+        diag = Diagnostics()
+        try:
+            f = label_outerplanar(g, diag=diag)
+            out = repr(sorted(f.assignment.items(), key=repr))
+        except Exception as exc:  # a raise must be the same on both sides
+            out = f"{type(exc).__name__}: {exc}"
+        records = repr([(r.get("event"), r.get("where")) for r in diag.records])
+        digest = hashlib.sha256("\n".join((out, records, *diag.trace)).encode())
+        print(json.dumps([group, name, digest.hexdigest()]))
+
+
+def run(src: str, glued: int) -> list[list[str]]:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--child", str(glued)],
+        env={"PYTHONPATH": str(Path(src).resolve()), "PATH": ""},
+        stdout=subprocess.PIPE, check=True, text=True)
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", help="source directory of the reference tree")
+    ap.add_argument("--change", help="source directory of the changed tree")
+    ap.add_argument("--glued", type=int, default=2000, help="glued hosts to label")
+    ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.child is not None:
+        child(args.child)
+        return 0
+    if not (args.parent and args.change):
+        ap.error("--parent and --change are required")
+    parent, change = run(args.parent, args.glued), run(args.change, args.glued)
+    if [row[:2] for row in parent] != [row[:2] for row in change]:
+        print("the two trees built different inputs", file=sys.stderr)
+        return 1
+    counts = Counter(row[0] for row in parent)
+    bad = [(p[0], p[1]) for p, c in zip(parent, change) if p[2] != c[2]]
+    for group, n in counts.items():
+        wrong = sum(1 for b in bad if b[0] == group)
+        print(f"{group:12s} {n:6d} inputs {wrong:4d} mismatches")
+    print(f"{'total':12s} {len(parent):6d} inputs {len(bad):4d} mismatches")
+    for group, name in bad:
+        print(f"mismatch: {group} {name}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

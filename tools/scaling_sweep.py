@@ -10,12 +10,14 @@ defined here.  Every labeling is checked with ``verify`` and span <= Δ + 2.
 A size is timed as the best of up to three runs (one run once a run takes
 a second).  A family stops growing after a size whose run took longer
 than ``CAP_SECONDS`` or whose process peak memory (``ru_maxrss``, measured
-after the size) passed ``MAX_MB``: the labelers keep every intermediate
-host's graph until the end, so the peak grows faster than n.  The exponent
-is the least-squares slope of log(seconds) over log(n), over every size a
-run reached (``exponent``) and over the sizes every run reached
-(``shared_exponent``), which compares runs over one range.  All runs go
-into one JSON file.
+after the size) passed ``MAX_MB``.  The exponent is the least-squares slope
+of log(seconds) over log(n), over every size a run reached (``exponent``)
+and over the sizes every run reached (``shared_exponent``), which compares
+runs over one range.  ``memory_exponent`` is the slope of log(peak_mb -
+base_mb) over log(n), where ``base_mb`` is the child's peak before its
+first size (interpreter, package and family set-up; the package is
+compiled beforehand, so the compiler's peak is not in it), over the sizes
+whose peak grew past it.  All runs go into one JSON file.
 """
 
 from __future__ import annotations
@@ -54,9 +56,11 @@ def _families():
     }
 
 
-def exponent(points: list[dict]) -> float | None:
+def exponent(points: list[dict], key: str = "seconds", base: float = 0.0) -> float | None:
+    """The least-squares slope of log(point[key] - base) over log(n)."""
+    points = [p for p in points if p[key] > base]
     xs = [math.log(p["n"]) for p in points]
-    ys = [math.log(p["seconds"]) for p in points]
+    ys = [math.log(p[key] - base) for p in points]
     if len(xs) < 2:
         return None
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
@@ -75,6 +79,7 @@ def sweep(name: str) -> dict:
     from outerlabel.pipeline import label_outerplanar
 
     make = _families()[name]
+    base = _peak_mb()
     points = []
     for size in SIZES:
         g = Graph.from_edges(make(size))
@@ -89,13 +94,16 @@ def sweep(name: str) -> dict:
             raise AssertionError(f"{name}({size}): bad labeling")
         peak = _peak_mb()
         points.append({"n": g.n, "m": g.m, "seconds": round(best, 4),
-                       "peak_mb": round(peak)})
+                       "peak_mb": round(peak, 1)})
         print(f"{name:8s} n={g.n:6d} m={g.m:6d} {best:9.4f} s {peak:6.0f} MB",
               file=sys.stderr)
         if best > CAP_SECONDS or peak > MAX_MB:
             break
     slope = exponent(points)
-    return {"points": points, "exponent": None if slope is None else round(slope, 3)}
+    grow = exponent(points, "peak_mb", base)
+    return {"points": points, "exponent": None if slope is None else round(slope, 3),
+            "base_mb": round(base, 1),
+            "memory_exponent": None if grow is None else round(grow, 3)}
 
 
 def main() -> int:
@@ -113,11 +121,13 @@ def main() -> int:
         label, src = spec.split("=", 1)
         print(f"-- {label}", file=sys.stderr)
         runs[label] = {}
+        env = {"PYTHONPATH": str(Path(src).resolve()), "PATH": ""}
+        # compile the package once, so that no child's base_mb holds the compiler's peak
+        subprocess.run([sys.executable, "-c", "import outerlabel.pipeline"], env=env,
+                       check=True)
         for name in _families():
-            proc = subprocess.run(
-                [sys.executable, __file__, "--child", name],
-                env={"PYTHONPATH": str(Path(src).resolve()), "PATH": ""},
-                stdout=subprocess.PIPE, check=True, text=True)
+            proc = subprocess.run([sys.executable, __file__, "--child", name], env=env,
+                                  stdout=subprocess.PIPE, check=True, text=True)
             runs[label][name] = json.loads(proc.stdout)
     for name in _families():
         shared = set.intersection(*({p["n"] for p in r[name]["points"]}
