@@ -5,8 +5,10 @@ alternately, runs of 2-vertices are filled with 0/1 plus a single 2 in
 odd-length runs, chords get 3, and outer edges alternate 4/5 with a local
 seam repair when the boundary is odd.  Graphs with cut vertices are peeled
 one leaf block at a time; the labeling of the remainder is extended onto
-the block by a case table on the bridge's edge label, occasionally routing
-through an auxiliary closed-up copy of the far side (``extend_lemma1``).
+the block by a case table on the bridge's edge label.  When the cut vertex
+sits alone between two chord ends, the part of the block beyond the chord
+is labeled last (``extend_lemma1``), from a boundary walk of a closed-up
+copy built from that far side only.
 
 Both this labeler and the degree-4 one run on one iterative driver,
 ``reduce_and_extend``, in place: one working copy of the input graph and of
@@ -50,7 +52,7 @@ from .exact import (
     find_labeling_bounded,
 )
 from .graphs import Edge, Element, Graph, norm_edge
-from .labeling import TotalLabeling, complement, verify, verify_around
+from .labeling import TotalLabeling, verify, verify_around
 
 # Node budget of each completion search.  The largest search measured took
 # 17 nodes, over 74,465 completions: the seed-0 benchmark corpus and reduce
@@ -501,41 +503,47 @@ def extend_lemma1(
     f: TotalLabeling,
     u: int,
     v: int,
-    u_prime: int,
-    v_prime: int,
-    g2: Graph,
+    far: Sequence[int],
     diag: Diagnostics | None = None,
 ) -> TotalLabeling:
-    """Reattach a closed-off piece across a chord.
+    """Reattach the far side of the chord ``(u, v)``, in place.
 
-    ``f`` is a valid labeling of the host in which ``g2`` was replaced by
-    the two pendant stubs ``(u, u_prime)`` and ``(v, v_prime)``.  Requires
-    the stub labels to sit at opposite extremes: stub vertices in {0,1} with
-    stub edges in {4,5}, or the mirrored form.  Returns a span-5 labeling
-    of the reunited graph, checked around the stubs and ``g2``, the only
-    elements where it can differ from ``f`` or its mirror image.
+    ``far`` is a boundary arc of a block of ``f.graph``, from ``v``'s
+    neighbour ``v_prime`` to ``u``'s neighbour ``u_prime``; no vertex of it
+    but these two has a neighbour off it.  ``f`` is a valid labeling of
+    the host in which the far side is replaced by the two pendant stubs
+    ``(u, u_prime)`` and ``(v, v_prime)``, so it labels no element of the
+    far side but ``u_prime`` and ``v_prime``.  Requires the stub labels to sit at opposite extremes:
+    stub vertices in {0,1} with stub edges in {4,5}, or the mirrored form.
+    Labels the far side from a boundary walk of a closed-up copy of it,
+    built from the far side only, and returns ``f``, checked around the
+    stubs and the far side, the only elements where it can differ from the
+    stub host's labeling or its mirror image.
     """
-    g_full = f.graph.union(g2)
-    keep = set(g2.elements())
+    g = f.graph
+    u_prime, v_prime = far[-1], far[0]
+    inside = set(far)
+    far_edges = [(a, b) for a in far for b in g.neighbors(a) if a < b and b in inside]
+    keep = {*far, *far_edges}
     around = [norm_edge(u, u_prime), norm_edge(v, v_prime), *keep]
     vu, vv = f.vertex(u_prime), f.vertex(v_prime)
     eu, ev = f.edge(u, u_prime), f.edge(v, v_prime)
     if None in (vu, vv, eu, ev) or vu == vv:
         raise ValueError("stub labels missing or equal")
-    work = f
-    flipped = False
-    if {vu, vv} <= {4, 5} and {eu, ev} <= {0, 1}:
-        work = TotalLabeling(f.graph, 5, {z: 5 - l for z, l in f.assignment.items()})
-        flipped = True
+    flipped = {vu, vv} <= {4, 5} and {eu, ev} <= {0, 1}
+    if flipped:
         vu, vv, eu, ev = 5 - vu, 5 - vv, 5 - eu, 5 - ev
     if not ({vu, vv} <= {0, 1} and {eu, ev} <= {4, 5}):
         raise ValueError("stub labels do not meet the extension preconditions")
+    if flipped:  # extend the mirror image, by the complement flag
+        f.flip = 5 - f.flip
     if vu == 1:  # name the 0-labeled endpoint first
         u, v = v, u
         u_prime, v_prime = v_prime, u_prime
         vu, vv, eu, ev = vv, vu, ev, eu
 
-    next_id = max(max(g_full.vertices), 0) + 1
+    # the path vertices sort after the far side, as they would after the host
+    next_id = max(far) + 1
     if eu == ev:
         x, y = next_id, next_id + 1
         path = [(u_prime, x), (x, y), (y, v_prime)]
@@ -544,19 +552,17 @@ def extend_lemma1(
         x, y = next_id, None
         path = [(u_prime, x), (x, v_prime)]
         hidden = {x}
-    g3 = g2.add_edges(path)
-    deg_u = g3.degree(u_prime)
-    deg_v = g3.degree(v_prime)
-    if deg_u == 2 and deg_v == 2 and not g3.has_edge(u_prime, v_prime):
-        g3 = g3.add_edges([(u_prime, v_prime)])
+    far_degrees = [sum(w in inside for w in g.neighbors(z)) for z in (u_prime, v_prime)]
+    if far_degrees == [1, 1] and not g.has_edge(u_prime, v_prime):
+        path.append((u_prime, v_prime))  # both tips would have degree 2
+    g3 = Graph([*far, *hidden], far_edges + path)
     if g3.max_degree() <= 2:
         # the far side is a single edge; complete it in place
-        free = [e for e in g2.edges] + [
-            w for w in g2.vertices if w not in (u_prime, v_prime)
-        ]
-        merged = TotalLabeling(g_full, 5, dict(work.assignment))
-        done = complete(merged, free, [], "tiny reattachment", diag, touched=around)
-        return complement(done) if flipped else done
+        complete(f, [*far_edges, *far[1:-1]], [], "tiny reattachment", diag,
+                 touched=around)
+        if flipped:
+            f.flip = 5 - f.flip
+        return f
 
     emb3 = recognize_embed(g3)
 
@@ -581,7 +587,10 @@ def extend_lemma1(
                 )
             )
 
-    best: dict[Element, int] | None = None
+    # each candidate is written into ``f`` and taken out again on a miss
+    a = f.assignment
+    added = keep.difference((u_prime, v_prime))
+    fallback: dict[Element, int] | None = None
     for opts in option_sets:
         try:
             f1, _ = label_k2(emb3, opts)
@@ -597,26 +606,27 @@ def extend_lemma1(
             continue
         part = {z: l for z, l in f1.assignment.items() if z in keep}
         if f1.vertex(u_prime) == vu and f1.vertex(v_prime) == vv:
-            cand = TotalLabeling(g_full, 5, {**work.assignment, **part})
-            if not verify_around(cand, around):
-                best = cand.assignment
+            f.update(part)
+            if not verify_around(f, around):
                 break
-        if best is None:
+            for z in added:
+                del a[z]
+        if fallback is None:
             # keep a candidate needing only an endpoint repair
             part[u_prime] = vu
             part[v_prime] = vv
-            best = dict(work.assignment)
-            best.update(part)
-    if best is None:
-        raise InfeasibleTrace("no boundary-walk run matched the stub labels")
+            fallback = part
+    else:
+        if fallback is None:
+            raise InfeasibleTrace("no boundary-walk run matched the stub labels")
+        f.update(fallback)
 
-    cand = TotalLabeling(g_full, 5, best)
     # re-choosing a junction vertex label is the construction's own final
     # move, so it is logged as a patch; widening beyond that would be a
     # genuine disagreement with the tables
     try:
-        done = complete(
-            cand,
+        complete(
+            f,
             [],
             [[u_prime], [v_prime], [u_prime, v_prime]],
             "reattachment junction",
@@ -625,16 +635,12 @@ def extend_lemma1(
             touched=around,
         )
     except InfeasibleTrace:
-        done = complete(
-            cand,
-            [],
-            [_incident_elements(g2, [u_prime, v_prime])],
-            "extend_lemma1",
-            diag,
-            touched=around,
-        )
-    # ``done`` is valid, and its mirror image is valid exactly when it is
-    return complement(done) if flipped else done
+        tips = [z for z in _incident_elements(g3, [u_prime, v_prime]) if z in keep]
+        complete(f, [], [tips], "extend_lemma1", diag, touched=around)
+    # ``f`` is valid, and its mirror image is valid exactly when it is
+    if flipped:
+        f.flip = 5 - f.flip
+    return f
 
 
 # -- whole-graph driver ------------------------------------------------------
@@ -855,8 +861,8 @@ def _attach_tight_gap(
     order = _rotate_to(emb1.boundary, x1)
     n1 = len(order)
     idx_z = order.index(xp)
-    uprime = order[-1]
-    vprime = order[idx_z + 1]
+    far = order[idx_z + 1:]  # the boundary beyond the chord (x1, xp)
+    uprime, vprime = far[-1], far[0]
     same = uprime == vprime
     if diag is not None:
         diag.step(
@@ -879,7 +885,7 @@ def _attach_tight_gap(
 
     if pprime == 2:
         return _tight_gap_short_chord(
-            base, g, leaf, few, fw, x1, xp, v_c, uprime, vprime, same, diag
+            base, g, leaf, few, fw, x1, xp, v_c, far, diag
         )
 
     ext: dict[Element, int] = {}
@@ -938,7 +944,7 @@ def _attach_tight_gap(
             ext[uprime] = 4
             ext[vprime] = 5
             ext[_E(uprime, x1)] = 1
-            return _finish_reattach(base, ext, g, x1, xp, uprime, vprime, diag)
+            return _finish_reattach(base, ext, g, x1, xp, far, diag)
         last = ext[_E(order[m1 - 1], order[m1])]
         if not same:
             ext[x1] = 4
@@ -950,7 +956,7 @@ def _attach_tight_gap(
             ext[_E(x1, v_c)] = 2
             ext[_E(x1, uprime)] = 1
             ext[_E(xp, vprime)] = 1
-            return _finish_reattach(base, ext, g, x1, xp, uprime, vprime, diag)
+            return _finish_reattach(base, ext, g, x1, xp, far, diag)
         if last == 4:
             ext.update({
                 x1: 5, xp: 3, uprime: 4,
@@ -986,7 +992,7 @@ def _attach_tight_gap(
                     _E(x1, uprime): 1, _E(xp, vprime): 1,
                 })
                 _plain_run(ext, last_run, 0, 1)
-            return _finish_reattach(base, ext, g, x1, xp, uprime, vprime, diag)
+            return _finish_reattach(base, ext, g, x1, xp, far, diag)
         if last == 4:
             ext[v_c] = 2
             fill_mid(1)
@@ -1022,7 +1028,7 @@ def _attach_tight_gap(
                 _E(x1, v_c): 2, _E(x1, xp): 0,
                 _E(x1, uprime): 1, _E(xp, vprime): 1,
             })
-            return _finish_reattach(base, ext, g, x1, xp, uprime, vprime, diag)
+            return _finish_reattach(base, ext, g, x1, xp, far, diag)
         ext.update({
             x1: 5, xp: 2, uprime: 0,
             _E(x1, v_c): 2, _E(x1, xp): 0,
@@ -1051,7 +1057,7 @@ def _attach_tight_gap(
             _E(x1, v_c): 2, _E(x1, xp): 4,
             _E(x1, uprime): 5, _E(xp, vprime): 5,
         })
-        return _finish_reattach(base, ext, g, x1, xp, uprime, vprime, diag)
+        return _finish_reattach(base, ext, g, x1, xp, far, diag)
     ext.update({
         x1: 0, xp: 2, uprime: 1,
         _E(x1, v_c): 2, _E(x1, xp): 4,
@@ -1069,12 +1075,12 @@ def _tight_gap_short_chord(
     x1: int,
     x2: int,
     v_c: int,
-    uprime: int,
-    vprime: int,
-    same: bool,
+    far: Sequence[int],
     diag: Diagnostics | None,
 ) -> TotalLabeling:
     """The chord from the run's start jumps to the very next chord endpoint."""
+    uprime, vprime = far[-1], far[0]
+    same = uprime == vprime
     T: dict[Element, int]
     if few == 5:  # bridge edge at the top; neighbor label 3
         if same:
@@ -1122,7 +1128,7 @@ def _tight_gap_short_chord(
                  _E(x2, vprime): 1, _E(uprime, x1): 1}
     if same:
         return _finish_direct(base, T, g, diag, "short-chord ends")
-    return _finish_reattach(base, T, g, x1, x2, uprime, vprime, diag)
+    return _finish_reattach(base, T, g, x1, x2, far, diag)
 
 
 def _finish_direct(base: TotalLabeling, ext: dict[Element, int], g: Graph,
@@ -1137,22 +1143,19 @@ def _finish_direct(base: TotalLabeling, ext: dict[Element, int], g: Graph,
 
 
 def _finish_reattach(base: TotalLabeling, ext: dict[Element, int], g: Graph,
-                     x1: int, xp: int, uprime: int, vprime: int,
+                     x1: int, xp: int, far: Sequence[int],
                      diag: Diagnostics | None) -> TotalLabeling:
-    far = g.remove_vertices([x1, xp])
-    far_comp = next(c for c in far.components() if uprime in c)
-    g2 = g.induced(far_comp)
-    gprime = g.remove_vertices(far_comp).add_edges(
-        [(x1, uprime), (xp, vprime)]
-    )
-    keep = set(gprime.elements())
-    merged = {z: base.get(z) for z in base.assignment}
-    merged.update(ext)
-    fprime = TotalLabeling(
-        gprime, 5, {z: l for z, l in merged.items() if z in keep}
-    )
-    fprime = complete(fprime, [], [[uprime, vprime]], "reattachment stub", diag,
-                      touched=[z for z in ext if z in keep])
-    done = extend_lemma1(fprime, x1, xp, uprime, vprime, g2, diag)
-    base.assignment, base.flip = done.assignment, 0
-    return base
+    """Label the near side of the chord ``(x1, xp)`` by ``ext``, then the far side.
+
+    ``far`` is the leaf block's boundary arc beyond the chord, from ``xp``'s
+    neighbour to ``x1``'s.  The near side is checked on the stub host: the
+    host cut to the far side's two ends, each a pendant on its chord end.
+    """
+    uprime, vprime = far[-1], far[0]
+    base.update(ext)
+    # the far side's ends keep only their stub edges
+    ties = [e for e in ((uprime, xp), (x1, vprime), (uprime, vprime)) if g.has_edge(*e)]
+    undo = g.cut(far[1:-1], ties)
+    complete(base, [], [[uprime, vprime]], "reattachment stub", diag, touched=ext)
+    g.put_back(undo)
+    return extend_lemma1(base, x1, xp, far, diag)

@@ -353,12 +353,13 @@ class OuterplanarEmbedding:
         """Cut ``vertices`` and ``edges`` out of this embedding and its graph.
 
         Returns the graph's undo record (``Graph.put_back``).  Only the
-        blocks and bridges the index names are touched: one that loses an
-        arc of its cycle, and chords at most, falls apart by ``_cut_arc``;
-        any other is decomposed again.  Removal never joins blocks, so the
-        result equals a fresh recognition of each component of what is
-        left.  ``may_split`` is set when a removed vertex was a cut vertex,
-        a bridge was removed, or what is left of a block is not connected.
+        blocks and bridges the index names are touched: each block must
+        lose one arc of its cycle, and chords at most, and falls apart by
+        ``_cut_arc``; any other removal raises ValueError and leaves this
+        embedding unusable.  Removal never joins blocks, so the result
+        equals a fresh recognition of each component of what is left.
+        ``may_split`` is set when a removed vertex was a cut vertex or a
+        bridge was removed.
         """
         if not self._own:
             raise ValueError("only a working() embedding can be changed")
@@ -406,14 +407,8 @@ class OuterplanarEmbedding:
             self._sorted = None
             left = _cut_arc(b, hit, lost.get(key, ()), nbrs, g)
             if left is None:
-                rest = g.induced(v for v in b.vertices() if v not in gone)
-                may_split = may_split or not rest.is_connected()
-                leaving: Iterable[int] = rest.vertices
-                pieces = [blk.edges[0] if blk.n == 2 else embed_block(blk)
-                          for blk in rest.biconnected_components()]
-                kept = None
-            else:
-                leaving, pieces, kept = left
+                raise ValueError(f"removal is not one arc of block {b.cycle}")
+            leaving, pieces, kept = left
             for v in leaving:
                 at[v] = _drop(at[v], key)
                 touched.add(v)

@@ -6,8 +6,9 @@ a working copy (``working_copy``), which ``cut`` changes in place and
 ``put_back`` restores from the record ``cut`` returned; the reduction driver
 keeps one.  A working copy counts its degrees into a histogram once, and a
 cut patches it at the vertices it touches, so its extreme degrees cost O(Δ);
-any other graph finds them by a scan.  A graph made by a removal lists its
-sorted vertex and edge tuples only when they are first read.
+any other graph finds them by a scan.  A working copy or an induced
+subgraph lists its sorted vertex and edge tuples only when they are first
+read.
 """
 
 from __future__ import annotations
@@ -323,13 +324,6 @@ class Graph:
 
     # -- derived graphs ----------------------------------------------------
 
-    def remove_vertices(self, remove: Iterable[int]) -> "Graph":
-        """This graph without ``remove`` (unknown ids are ignored); it equals
-        ``induced`` on the vertices left, tuple for tuple."""
-        out = self.working_copy()
-        out.cut(remove)
-        return out
-
     def induced(self, keep: Iterable[int]) -> "Graph":
         """The subgraph on ``keep``, its adjacency filtered from this graph's."""
         ks = set(keep)
@@ -338,13 +332,6 @@ class Graph:
             raise ValueError(f"vertices {sorted(unknown)} are not in the graph")
         adj = {v: tuple(w for w in self._adj[v] if w in ks) for v in sorted(ks)}
         return Graph._of(adj, sum(map(len, adj.values())) // 2, None)
-
-    def remove_edges(self, remove: Iterable[Edge]) -> "Graph":
-        """This graph without the listed edges (unknown ones are ignored)."""
-        drop = {norm_edge(u, v) for u, v in remove}
-        out = self.working_copy()
-        out.cut((), [e for e in drop if self.has_edge(*e)])
-        return out
 
     def add_edges(self, add: Iterable[Edge]) -> "Graph":
         """Edge-augmented graph; endpoints missing from the vertex set are added."""
@@ -355,8 +342,3 @@ class Graph:
             vs.add(v)
         return Graph(vs, list(self.edges) + new_edges)
 
-    def union(self, other: "Graph") -> "Graph":
-        return Graph(
-            set(self._adj) | set(other._adj),
-            list(self.edges) + list(other.edges),
-        )

@@ -124,59 +124,103 @@ def test_cycle_path_examples():
 # -- closed-off reattachment ---------------------------------------------------
 
 def _reattach_instance(chords, stub_labels):
-    """Cycle on 8 vertices with the given chords; the far side of chord
-    (0, 3) is closed off and prelabeled with the given stub labels."""
+    """Cycle on 8 vertices with the given chords, labeled but for the far
+    side [4, 5, 6, 7] of chord (0, 3): the labeling of the stub host, where
+    the far side's ends 4 and 7 are pendants, with the given stub labels."""
     g = Graph.from_edges([(i, (i + 1) % 8) for i in range(8)] + chords)
-    far = [4, 5, 6, 7]
-    g2 = g.induced(far)
-    gprime = g.remove_vertices(far).add_edges([(0, 7), (3, 4)])
-    f = TotalLabeling(gprime, 5)
+    stubs = g.working_copy()
+    stubs.cut([5, 6])
+    f = TotalLabeling(stubs, 5)
     for el, lab in stub_labels.items():
         f.set(el, lab)
-    done = extend_bounded(f, [el for el in gprime.elements()
+    done = extend_bounded(f, [el for el in stubs.elements()
                               if el not in f.assignment], k=5)
     assert done is not None, "stub prelabeling should extend over the near side"
-    return g, g2, done
+    return g, TotalLabeling(g, 5, dict(done.assignment))
+
+
+FAR = [4, 5, 6, 7]
 
 
 @pytest.mark.parametrize("eu,ev", [(5, 5), (4, 4), (4, 5), (5, 4)])
 def test_extend_lemma_both_tips_degree_two(eu, ev):
-    g, g2, f = _reattach_instance(
+    g, f = _reattach_instance(
         [(0, 3)],
         {7: 0, 4: 1, norm_edge(0, 7): eu, norm_edge(3, 4): ev},
     )
-    out = extend_lemma1(f, 0, 3, 7, 4, g2)
+    out = extend_lemma1(f, 0, 3, FAR)
+    assert out is f and out.graph is g
     assert verify(out, 2) == [] and span(out) <= 5
-    assert out.graph == g
 
 
 @pytest.mark.parametrize("eu,ev", [(5, 5), (4, 5)])
 def test_extend_lemma_mixed_degrees(eu, ev):
-    g, g2, f = _reattach_instance(
+    g, f = _reattach_instance(
         [(0, 3), (5, 7)],
         {7: 0, 4: 1, norm_edge(0, 7): eu, norm_edge(3, 4): ev},
     )
-    out = extend_lemma1(f, 0, 3, 7, 4, g2)
+    out = extend_lemma1(f, 0, 3, FAR)
     assert verify(out, 2) == [] and span(out) <= 5
 
 
 def test_extend_lemma_mirrored_form():
     # stub vertices high, stub edges low: the flipped precondition
-    g, g2, f = _reattach_instance(
+    g, f = _reattach_instance(
         [(0, 3)],
         {7: 5, 4: 4, norm_edge(0, 7): 0, norm_edge(3, 4): 0},
     )
-    out = extend_lemma1(f, 0, 3, 7, 4, g2)
+    out = extend_lemma1(f, 0, 3, FAR)
+    assert out.flip == 0  # the mirror image is read back through the flag
     assert verify(out, 2) == [] and span(out) <= 5
 
 
 def test_extend_lemma_rejects_bad_labels():
-    g, g2, f = _reattach_instance(
+    g, f = _reattach_instance(
         [(0, 3)],
         {7: 0, 4: 3, norm_edge(0, 7): 5, norm_edge(3, 4): 5},
     )
+    before = dict(f.assignment)
     with pytest.raises(ValueError):
-        extend_lemma1(f, 0, 3, 7, 4, g2)
+        extend_lemma1(f, 0, 3, FAR)
+    assert f.assignment == before and f.flip == 0
+
+
+def _pentagon_leaves(k: int) -> Graph:
+    """A k-cycle with a pentagon bridged to each of its vertices.
+
+    Pentagon i is ``k + 5i .. k + 5i + 4`` with the chord between its
+    vertices 0 and 2, and its vertex 1 is bridged to cycle vertex i.  So
+    Δ = 3, and each leaf's cut vertex sits alone between two chord ends:
+    every leaf is reattached across its chord.
+    """
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    for i in range(k):
+        p = [k + 5 * i + j for j in range(5)]
+        edges += [(p[j], p[(j + 1) % 5]) for j in range(5)]
+        edges += [(p[0], p[2]), (i, p[1])]
+    return Graph.from_edges(edges)
+
+
+def test_reattachment_builds_only_local_graphs(monkeypatch):
+    # each reattachment builds a closed-up copy of its far side and nothing
+    # host-sized, so the vertices of all graphs built stay linear in n
+    built = []
+    init, of = Graph.__init__, Graph._of.__func__
+
+    def counting_init(self, vertices, edges):
+        init(self, vertices, edges)
+        built.append(self.n)
+
+    def counting_of(cls, adj, m, degrees):
+        built.append(len(adj))
+        return of(cls, adj, m, degrees)
+
+    g = _pentagon_leaves(200)
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    monkeypatch.setattr(Graph, "_of", classmethod(counting_of))
+    f = label_delta3(g)
+    assert verify(f, 2) == [] and span(f) <= 5
+    assert sum(built) < 10 * g.n
 
 
 # -- whole-graph driver ------------------------------------------------------

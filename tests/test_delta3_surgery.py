@@ -55,7 +55,7 @@ def attach_case(pprime, q2, q3, q_last, few, fw):
     w = max(leaf.vertices) + 1
     tail = w + 1
     g = leaf.add_edges([(v_c, w), (w, tail)])
-    h = g.remove_vertices(set(leaf.vertices) - {v_c})
+    h = g.induced(v for v in g.vertices if v == v_c or not leaf.has_vertex(v))
     pinned = TotalLabeling(h, 5, {norm_edge(v_c, w): few, w: fw})
     base_h = extend_bounded(
         pinned, [el for el in h.elements() if el not in pinned.assignment], k=5
@@ -112,7 +112,7 @@ def test_six_endpoint_block(few, fw):
     v_c = 1
     w = 12
     g = leaf.add_edges([(v_c, w), (w, 13)])
-    h = g.remove_vertices(set(leaf.vertices) - {v_c})
+    h = g.induced(v for v in g.vertices if v == v_c or not leaf.has_vertex(v))
     pinned = TotalLabeling(h, 5, {norm_edge(v_c, w): few, w: fw})
     base_h = extend_bounded(
         pinned, [el for el in h.elements() if el not in pinned.assignment], k=5

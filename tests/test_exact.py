@@ -107,7 +107,7 @@ def test_extend_bounded_noop_and_pendant():
 
     # pendant completion: label a path minus its tip, then put the tip back
     p4 = gen.gen_path(4)
-    base = find_labeling_bounded(p4.remove_vertices([3]), 2, 5)
+    base = find_labeling_bounded(p4.induced([0, 1, 2]), 2, 5)
     grown = TotalLabeling(p4, 5, dict(base.assignment))
     done = extend_bounded(grown, [3, (2, 3)], k=5)
     assert done is not None and verify(done, 2) == []

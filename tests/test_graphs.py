@@ -160,9 +160,11 @@ def test_leaf_block_exists_when_cut(seed):
 
 def test_remove_and_add():
     c4 = gen.gen_cycle(4)
-    p3 = c4.remove_vertices([3])
+    p3 = c4.working_copy()
+    undo = p3.cut([3])
     assert p3.n == 3 and p3.m == 2
-    assert c4.remove_vertices([]) == c4
+    p3.put_back(undo)
+    assert p3 == c4
     p = gen.gen_path(3)
     c3 = p.add_edges([(0, 2)])
     assert c3.m == 3 and all(c3.degree(v) == 2 for v in c3.vertices)
@@ -172,7 +174,8 @@ def test_remove_and_add():
 
 def test_remove_edges():
     c4 = gen.gen_cycle(4)
-    broken = c4.remove_edges([(0, 1)])
+    broken = c4.working_copy()
+    broken.cut((), [(0, 1)])
     assert broken.m == 3 and not broken.has_edge(0, 1)
     assert broken.n == 4
 
@@ -202,7 +205,8 @@ def test_induced_equals_rebuilt_graph(seed, pick):
     assert sub == ref and hash(sub) == hash(ref)
     unknown = max(g.vertices) + 1
     for drop in (ks, set(), {unknown} | set(keep[:2])):
-        rest = g.remove_vertices(drop)
+        rest = g.working_copy()
+        rest.cut(drop)
         ref = Graph(
             [v for v in g.vertices if v not in drop],
             [e for e in g.edges if e[0] not in drop and e[1] not in drop],
@@ -214,12 +218,12 @@ def test_induced_equals_rebuilt_graph(seed, pick):
         ]
         assert not rest.has_vertex(unknown)
     cut = [e[::-1] for e in g.edges if rng.random() < 0.3]
-    thin = g.remove_edges(cut)
+    thin = g.working_copy()
+    thin.cut((), cut)
     ref = Graph(g.vertices, [e for e in g.edges if e[::-1] not in cut])
     assert thin == ref and [thin.neighbors(v) for v in g.vertices] == [
         ref.neighbors(v) for v in g.vertices
     ]
-    assert g.remove_edges([]) == g
 
 
 def test_induced_rejects_unknown_vertex():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+from test_delta3 import _pentagon_leaves
 from test_delta4 import _bridged, _capped_polygon, _strip
 
 from outerlabel import generators as gen
@@ -18,7 +19,7 @@ from outerlabel.delta3 import Diagnostics
 from outerlabel.pipeline import label_outerplanar
 
 ROOT = Path(__file__).resolve().parents[1]
-DIGEST = "576c7a538853a0fc135b73d04dc5ba7d92c05516fc7748be380c2e7c74a86ead"
+DIGEST = "f7b4fca3bb2382ab5c056a93f3ab8ccfa96895d559f2c920d9bcbabb94d05552"
 
 
 def _inputs():
@@ -28,6 +29,7 @@ def _inputs():
     yield _capped_polygon(96, 4, "one-recognition")
     yield _strip(120)
     yield _bridged(16)
+    yield _pentagon_leaves(24)  # every leaf reattached across a chord
 
 
 def test_outputs_match_pinned_digest():

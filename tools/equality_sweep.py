@@ -15,7 +15,8 @@ the inputs must get equal labels, not equal dict histories.  The inputs:
 * every dissection of a 4- to 9-gon with maximum degree 3 or 4 (2,302);
 * ``--glued`` glued hosts, Δ = 3 and 4 in turn, and a disjoint union of
   two of them for every tenth;
-* bridged, capped(·, 4) and strip hosts on 100 to 1,600 vertices.
+* bridged, capped(·, 4), strip and pentagon-leaf hosts on 100 to 1,600
+  vertices, the last two as ``tools/scaling_sweep.py`` builds them.
 
 Prints the count of inputs per group and every mismatch, and exits 1 if
 there is one.  This is an opt-in check for changes that must keep outputs,
@@ -62,6 +63,7 @@ def inputs(glued: int):
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     import families
+    import scaling_sweep  # beside this file
     import workloads
     ol = types.SimpleNamespace(graphs=types.SimpleNamespace(Graph=Graph), generators=gen,
                                io=io)
@@ -88,8 +90,9 @@ def inputs(glued: int):
             families.bridged(max(1, round(n / 6)), f"sweep:bridged:{n}"))
         yield "families", f"capped4-{n}", Graph.from_edges(
             families.capped_polygon(n, 4, f"sweep:capped4:{n}"))
-        yield "families", f"strip{n}", Graph.from_edges(
-            [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)])
+        yield "families", f"strip{n}", Graph.from_edges(scaling_sweep.strip(n))
+        yield "families", f"pentagon_leaves{n}", Graph.from_edges(
+            scaling_sweep.pentagon_leaves(round(n / 6)))
 
 
 def child(glued: int) -> None:

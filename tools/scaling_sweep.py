@@ -3,10 +3,12 @@
     python tools/scaling_sweep.py --run change=src [--run parent=OTHER/src] --out BENCH.json
 
 Each ``--run LABEL=SRC`` imports ``outerlabel`` from ``SRC``, in a fresh
-process per family, and labels three families with fixed seeds, from about
+process per family, and labels four families with fixed seeds, from about
 10^2 to 10^4 vertices: bridged(k) and capped(n, 4) from ``perfbench/families.py`` (read,
-not changed) and strip(n), the path 0..n-1 plus the chords (i, i + 2),
-defined here.  Every labeling is checked with ``verify`` and span <= Δ + 2.
+not changed), and two defined here: strip(n), the path 0..n-1 plus the
+chords (i, i + 2), and pentagon_leaves(k), a k-cycle with a chorded
+pentagon bridged to each vertex, whose every leaf is reattached across a
+chord.  Every labeling is checked with ``verify`` and span <= Δ + 2.
 A size is timed as the best of up to three runs (one run once a run takes
 a second).  A family stops growing after a size whose run took longer
 than ``CAP_SECONDS`` or whose process peak memory (``ru_maxrss``, measured
@@ -44,6 +46,21 @@ def strip(n: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
 
 
+def pentagon_leaves(k: int) -> list[tuple[int, int]]:
+    """A k-cycle with a pentagon bridged to each vertex: Δ = 3, 6k vertices.
+
+    Pentagon i is k + 5i .. k + 5i + 4 with the chord between its vertices
+    0 and 2; its vertex 1, alone between the chord's ends, is bridged to
+    cycle vertex i.
+    """
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    for i in range(k):
+        p = [k + 5 * i + j for j in range(5)]
+        edges += [(p[j], p[(j + 1) % 5]) for j in range(5)]
+        edges += [(p[0], p[2]), (i, p[1])]
+    return edges
+
+
 def _families():
     spec = importlib.util.spec_from_file_location(
         "perfbench_families", ROOT / "perfbench" / "families.py")
@@ -53,6 +70,7 @@ def _families():
         "bridged": lambda n: families.bridged(max(1, round(n / 6)), f"sweep:bridged:{n}"),
         "capped4": lambda n: families.capped_polygon(n, 4, f"sweep:capped4:{n}"),
         "strip": strip,
+        "pentagon_leaves": lambda n: pentagon_leaves(round(n / 6)),
     }
 
 
@@ -95,7 +113,7 @@ def sweep(name: str) -> dict:
         peak = _peak_mb()
         points.append({"n": g.n, "m": g.m, "seconds": round(best, 4),
                        "peak_mb": round(peak, 1)})
-        print(f"{name:8s} n={g.n:6d} m={g.m:6d} {best:9.4f} s {peak:6.0f} MB",
+        print(f"{name:15s} n={g.n:6d} m={g.m:6d} {best:9.4f} s {peak:6.0f} MB",
               file=sys.stderr)
         if best > CAP_SECONDS or peak > MAX_MB:
             break
