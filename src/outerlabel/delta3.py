@@ -111,13 +111,8 @@ class LabelK2Options:
 
 @dataclass
 class LabelK2Trace:
-    xs: list[int]
-    ys: list[list[int]]
-    qs: list[int]
-    two_vertices: dict[int, int | None]  # gap index -> vertex labeled 2
     seam_face: tuple[int, ...] | None = None
     patched: set[Element] = field(default_factory=set)
-    steps: list[str] = field(default_factory=list)
 
 
 def _fill_run(
@@ -126,16 +121,12 @@ def _fill_run(
     run: Sequence[int],
     opts: LabelK2Options,
     flip5: bool = False,
-) -> int | None:
+) -> None:
     """Label one run of 2-vertices between chord endpoints.
 
-    ``a_label`` is the label of the run's clockwise start endpoint.  Returns
-    the vertex that received label 2, if any.
+    ``a_label`` is the label of the run's clockwise start endpoint.
     """
     q = len(run)
-    if q == 0:
-        return None
-    two_at: int | None = None
     if q % 2 == 0:
         labs = [(1 - a_label) if i % 2 == 0 else a_label for i in range(q)]
     else:
@@ -151,7 +142,6 @@ def _fill_run(
             ),
         )
         j = order[0]
-        two_at = run[j]
         labs = []
         pos = 0
         for i in range(q):
@@ -164,7 +154,6 @@ def _fill_run(
         labs = [5 - l for l in labs]
     for v, l in zip(run, labs):
         assign[v] = l
-    return two_at
 
 
 def _alternate(
@@ -228,12 +217,12 @@ def label_k2(
 
     xs, ys, qs = boundary_decompose(emb, start=opts.start_vertex)
     assign: dict[Element, int] = {}
-    trace = LabelK2Trace(xs, ys, qs, {})
+    trace = LabelK2Trace()
 
     for i, x in enumerate(xs):
         assign[x] = (opts.start_parity + i) % 2
     for i, run in enumerate(ys):
-        trace.two_vertices[i] = _fill_run(assign, assign[xs[i]], run, opts)
+        _fill_run(assign, assign[xs[i]], run, opts)
     for e in emb.inner_edges:
         assign[e] = 3
 

@@ -8,15 +8,18 @@ Three configurations drive the reductions for hosts of minimum degree 2:
 
 C1 and C2 are read off the worklists the embedding carries (patched by
 every removal, with a heap each), so picking one costs what the last
-removals touched and a heap pop; C3 is looked for among the triangular
-faces.  Beyond these, fans of triangles
-glued along chords ("chains") are detected, including the closed form
-whose two end spine vertices are themselves joined by a chord.
+removals touched and a heap pop; C3 pairs only the triangular faces
+that share a 4-vertex, bucketed by their 4-vertices.  Beyond these, fans
+of triangles glued along chords ("chains") are read off a successor map
+that links each ear triangle to the one ear sharing its far 4-vertex,
+including the closed form whose two end spine vertices are themselves
+joined by a chord.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .embedding import BlockEmbedding, Face, OuterplanarEmbedding
 from .graphs import Edge, Graph, norm_edge
@@ -77,9 +80,9 @@ def find_configuration(emb: OuterplanarEmbedding) -> Configuration:
 
     Detection order is C1, C2, C3; within a kind the witness tuple with the
     smallest vertex ids wins.  C1 and C2 are the smallest entries of the
-    embedding's worklists, read off their heaps; C3 is looked for among the
-    triangular faces.  For outerplane hosts with minimum degree 2 one of the
-    three always exists.
+    embedding's worklists, read off their heaps; C3 pairs the triangular
+    faces at each 4-vertex.  For outerplane hosts with minimum degree 2 one
+    of the three always exists.
     """
     g = emb.graph
     if g.min_degree() != 2:
@@ -91,25 +94,23 @@ def find_configuration(emb: OuterplanarEmbedding) -> Configuration:
         if witnesses is not None:
             return Configuration(kind, witnesses)
 
+    at: dict[int, list[tuple[int, ...]]] = {}  # 4-vertex -> triangular faces on it
+    for face in emb.inner_faces:
+        if len(face.vertices) == 3:
+            for v in face.vertices:
+                if g.degree(v) == 4:
+                    at.setdefault(v, []).append(face.vertices)
     c3: list[tuple[int, ...]] = []
-    triangles = [f for f in emb.inner_faces if len(f.vertices) == 3]
-    for i in range(len(triangles)):
-        for j in range(len(triangles)):
-            if i == j:
+    for u3, faces in at.items():
+        for f1, f2 in permutations(faces, 2):
+            if len(set(f1) & set(f2)) != 1:
                 continue
-            f1, f2 = triangles[i], triangles[j]
-            shared = set(f1.vertices) & set(f2.vertices)
-            if len(shared) != 1:
-                continue
-            u3 = shared.pop()
-            if g.degree(u3) != 4:
-                continue
-            tips1 = [v for v in f1.vertices if v != u3 and g.degree(v) == 2]
-            tips2 = [v for v in f2.vertices if v != u3 and g.degree(v) == 2]
+            tips1 = [v for v in f1 if v != u3 and g.degree(v) == 2]
+            tips2 = [v for v in f2 if v != u3 and g.degree(v) == 2]
             for u2 in tips1:
                 for u4 in tips2:
-                    u1 = next(v for v in f1.vertices if v not in (u2, u3))
-                    u5 = next(v for v in f2.vertices if v not in (u3, u4))
+                    u1 = next(v for v in f1 if v not in (u2, u3))
+                    u5 = next(v for v in f2 if v not in (u3, u4))
                     c3.append((u1, u2, u3, u4, u5))
     if c3:
         return Configuration("C3", min(c3, key=lambda w: (min(w), w)))
@@ -130,81 +131,55 @@ def _chain_faces_of_block(
     return out
 
 
-def _extend_chains(
+def _chain_runs(
     g: Graph, triples: list[tuple[int, int, int]]
 ) -> list[list[tuple[int, int, int]]]:
-    """All maximal runs of triangles where consecutive ones share a 4-vertex."""
-    # orient both ways so runs can be walked left to right
-    oriented = set()
-    for a, b, c in triples:
-        oriented.add((a, b, c))
-        oriented.add((c, b, a))
-    nxt: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    prev_exists: set[tuple[int, int, int]] = set()
+    """All maximal runs of triangles where consecutive ones share a 4-vertex.
+
+    Each face is oriented both ways, and (a, tip, c) links to the one
+    triangle (c, tip', d) that shares only the 4-vertex c with it: a
+    4-vertex has room for two ears only.  So the links form paths and
+    rings, one of each mirror pair is walked, and the runs are read off:
+    a path is one run, unless its last triangle ends where its first
+    starts, when dropping either end triangle gives the two runs; a ring
+    of T triangles gives its T runs of T - 1.
+    """
+    oriented = triples + [(c, b, a) for a, b, c in triples]
+    starting_at: dict[int, list[tuple[int, int, int]]] = {}
     for tr in oriented:
-        nxt[tr] = []
-    for tr in oriented:
-        a, b, c = tr
-        if g.degree(c) != 4:
+        starting_at.setdefault(tr[0], []).append(tr)
+    succ = {}
+    for a, b, c in oriented:
+        if g.degree(c) == 4:
+            for tr2 in starting_at[c]:
+                if a not in tr2 and b not in tr2:
+                    succ[a, b, c] = tr2
+    has_pred = set(succ.values())
+
+    runs: list[list[tuple[int, int, int]]] = []
+    walked: set[tuple[int, int, int]] = set()
+    for head in [tr for tr in oriented if tr not in has_pred] + oriented:
+        if head in walked:
             continue
-        for tr2 in oriented:
-            if tr2[0] == c and tr2[2] != a and len(
-                {a, b, c, tr2[1], tr2[2]}
-            ) == 5:
-                nxt[tr].append(tr2)
-                prev_exists.add(tr2)
-
-    chains: list[list[tuple[int, int, int]]] = []
-    starts = [tr for tr in oriented if tr not in prev_exists] + sorted(oriented)
-    seen_runs: set[tuple[tuple[int, int, int], ...]] = set()
-    for start in starts:
-        runs = [[start]]
-        while runs:
-            run = runs.pop()
-            extended = False
-            for tr2 in sorted(nxt[run[-1]]):
-                used = {v for tr in run for v in tr}
-                if tr2[1] in used or tr2[2] in used:
-                    continue
-                runs.append(run + [tr2])
-                extended = True
-            if not extended and len(run) >= 2:
-                key = tuple(run)
-                rkey = tuple((c, b, a) for a, b, c in reversed(run))
-                if key not in seen_runs and rkey not in seen_runs:
-                    # drop runs that are sub-runs of an already kept maximal one
-                    seen_runs.add(key)
-                    chains.append(run)
-    # keep only runs not strictly contained in another kept run
-    def spine_of(run):
-        sp = [run[0][0]]
-        for tr in run:
-            sp.extend(tr[1:])
-        return tuple(sp)
-
-    spines = [spine_of(r) for r in chains]
-    keep = []
-    for i, r in enumerate(chains):
-        si = spines[i]
-        contained = False
-        for j, sj in enumerate(spines):
-            if i == j or len(sj) <= len(si):
-                continue
-            text = ",".join(map(str, sj)) + ","
-            rev = ",".join(map(str, sj[::-1])) + ","
-            probe = ",".join(map(str, si)) + ","
-            if probe in text or probe in rev:
-                contained = True
-                break
-        if not contained:
-            keep.append(r)
-    return keep
+        links = [head]
+        while links[-1] in succ and succ[links[-1]] != head:
+            links.append(succ[links[-1]])
+        walked.update(links)
+        walked.update((c, b, a) for a, b, c in links)  # its mirror image
+        if head in has_pred:  # a ring
+            runs += [(links[i:] + links[:i])[:-1] for i in range(len(links))]
+        elif links[-1][2] == head[0]:
+            runs += [links[:-1], links[1:]]
+        else:
+            runs.append(links)
+    return [run for run in runs if len(run) >= 2]
 
 
 def _run_to_chain(g: Graph, run: list[tuple[int, int, int]]) -> Chain:
     spine = [run[0][0]]
     for tr in run:
         spine.extend(tr[1:])
+    spine = min(spine, spine[::-1])
     u1, u_last = spine[0], spine[-1]
     closing = norm_edge(u1, u_last) if g.has_edge(u1, u_last) else None
     attachments = None
@@ -219,28 +194,14 @@ def _run_to_chain(g: Graph, run: list[tuple[int, int, int]]) -> Chain:
     return Chain(tuple(spine), closing, attachments)
 
 
-def _canonical_run(run: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    fwd = [run[0][0]] + [v for tr in run for v in tr[1:]]
-    rev = list(reversed(fwd))
-    return run if tuple(fwd) <= tuple(rev) else [
-        (c, b, a) for a, b, c in reversed(run)
-    ]
-
-
 def enumerate_chains(emb: OuterplanarEmbedding) -> list[Chain]:
     """All maximal chains (t >= 2) of the host, in deterministic order."""
     g = emb.graph
-    out: list[Chain] = []
-    seen: set[tuple[int, ...]] = set()
-    for block in emb.blocks:
-        triples = _chain_faces_of_block(g, block)
-        for run in _extend_chains(g, triples):
-            run = _canonical_run(run)
-            ch = _run_to_chain(g, run)
-            key = min(ch.spine, ch.spine[::-1])
-            if key not in seen:
-                seen.add(key)
-                out.append(ch)
+    out = [
+        _run_to_chain(g, run)
+        for block in emb.blocks
+        for run in _chain_runs(g, _chain_faces_of_block(g, block))
+    ]
     out.sort(key=lambda c: (min(c.spine), c.spine))
     return out
 
@@ -305,10 +266,7 @@ def find_closed_chain(
         cfg = find_configuration(emb)
         if cfg.kind in ("C1", "C2"):
             raise ValueError(f"host still contains {cfg.kind} at {cfg.witnesses}")
-    candidates = [
-        ch for ch in enumerate_chains(emb) if ch.closing_inner_edge is not None
-    ]
-    candidates = [ch for ch in candidates if not check_chain(g, emb, ch)]
-    if not candidates:
-        raise ChainNotFound("no closed chain of triangles found")
-    return candidates[0]
+    for ch in enumerate_chains(emb):
+        if ch.closing_inner_edge is not None and not check_chain(g, emb, ch):
+            return ch
+    raise ChainNotFound("no closed chain of triangles found")

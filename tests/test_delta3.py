@@ -185,6 +185,21 @@ def test_extend_lemma_rejects_bad_labels():
     assert f.assignment == before and f.flip == 0
 
 
+def test_extend_lemma_fallback_candidate():
+    # no boundary-walk run of this host's one reattachment matches both stub
+    # vertex labels, so the first run that matches the stub edges is kept
+    # and its junction vertices are re-chosen
+    g = gen.gen_glued_outerplanar(78, 6718, {"max_degree": 3})
+    assert g.n == 20
+    diag = Diagnostics()
+    f = label_delta3(g, diag)
+    assert verify(f, 2) == []
+    assert span(f) <= 5
+    assert [(r.get("event"), r.get("where")) for r in diag.records] == [
+        ("junction-patch", "reattachment junction")
+    ]
+
+
 def _pentagon_leaves(k: int) -> Graph:
     """A k-cycle with a pentagon bridged to each of its vertices.
 

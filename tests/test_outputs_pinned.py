@@ -13,13 +13,14 @@ from pathlib import Path
 
 from test_delta3 import _pentagon_leaves
 from test_delta4 import _bridged, _capped_polygon, _strip
+from test_structure import _sun, _sun_necklace
 
 from outerlabel import generators as gen
 from outerlabel.delta3 import Diagnostics
 from outerlabel.pipeline import label_outerplanar
 
 ROOT = Path(__file__).resolve().parents[1]
-DIGEST = "f7b4fca3bb2382ab5c056a93f3ab8ccfa96895d559f2c920d9bcbabb94d05552"
+DIGEST = "66aac58857c2a5805ff394c649b23671c741de60b6cc30c2999c94cb591638ff"
 
 
 def _inputs():
@@ -30,6 +31,8 @@ def _inputs():
     yield _strip(120)
     yield _bridged(16)
     yield _pentagon_leaves(24)  # every leaf reattached across a chord
+    yield _sun(12)  # one ring of ears
+    yield _sun_necklace(6)  # one closed chain per copy
 
 
 def test_outputs_match_pinned_digest():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,3 +175,73 @@ def test_chains_revalidate(seed):
             a, b, c = ch.spine[2 * i], ch.spine[2 * i + 1], ch.spine[2 * i + 2]
             assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
             assert g.degree(b) == 2
+
+
+def _sun(t: int, chords=()) -> Graph:
+    """t ears (2i, 2i + 1, 2i + 2 mod 2t) around the inner t-gon, plus ``chords``."""
+    n = 2 * t
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    gon = [(2 * i, (2 * i + 2) % n) for i in range(t)]
+    return Graph.from_edges(ring + gon + list(chords))
+
+
+def _sun_necklace(k: int) -> Graph:
+    """k copies of sun(4), tip 1 of copy j bridged to tip 5 of copy j + 1.
+
+    Each end copy has three ears in a row, a closed chain, and reducing a
+    copy leaves its neighbour one, so labeling takes k chain steps.
+    """
+    edges = []
+    for j in range(k):
+        edges += [(8 * j + u, 8 * j + v) for u, v in _sun(4).edges]
+        if j + 1 < k:
+            edges.append((8 * j + 1, 8 * j + 13))
+    return Graph.from_edges(edges)
+
+
+def _polygon_subsets():
+    """Every connected graph on n = 4..7 vertices whose edges lie in a triangulated n-gon."""
+    for n in range(4, 8):
+        seen: set[frozenset] = set()
+        for tri in gen.enumerate_triangulations(n):
+            edges = sorted(tri.edges)
+            for mask in range(1, 1 << len(edges)):
+                kept = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
+                if kept in seen:
+                    continue
+                seen.add(kept)
+                g = Graph(range(n), sorted(kept))
+                if g.min_degree() >= 1 and len(g.components()) == 1:
+                    yield g
+
+
+def _suns():
+    """Suns whose ears form a ring, paths cut by inner chords, and a ring closed on a pendant."""
+    for t in range(3, 11):
+        yield _sun(t)
+        yield _sun(t, [(0, 2 * t)])  # vertex 0 carries a pendant: a path closes on itself
+        for j in range(2, t - 1):
+            yield _sun(t, [(0, 2 * j)])
+            for k in range(1, t):
+                if abs(k - j) >= 2:
+                    yield _sun(t, [(0, 2 * j), (2 * j, 2 * k)])
+
+
+STRUCTURE_DIGEST = "8c71ca277104098f045fd0ffc0cbc59ca935864edd66d5bf3318f1f789cd38aa"
+
+
+def test_structure_outputs_match_pinned_digest():
+    # one sha256 over the chains, the configuration and the closed chain of
+    # every input, so any change to what structure.py picks shows
+    h = hashlib.sha256()
+    for g in itertools.chain(_polygon_subsets(), _suns()):
+        emb = recognize_embed(g)
+        out = [enumerate_chains(emb)]
+        if g.min_degree() == 2:
+            out.append(find_configuration(emb))
+        try:
+            out.append(find_closed_chain(emb, check_preconditions=False))
+        except ChainNotFound:
+            out.append(None)
+        h.update(repr(out).encode())
+    assert h.hexdigest() == STRUCTURE_DIGEST

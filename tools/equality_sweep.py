@@ -15,8 +15,11 @@ the inputs must get equal labels, not equal dict histories.  The inputs:
 * every dissection of a 4- to 9-gon with maximum degree 3 or 4 (2,302);
 * ``--glued`` glued hosts, Δ = 3 and 4 in turn, and a disjoint union of
   two of them for every tenth;
-* bridged, capped(·, 4), strip and pentagon-leaf hosts on 100 to 1,600
-  vertices, the last two as ``tools/scaling_sweep.py`` builds them.
+* the glued Δ = 3 hosts whose reattachment keeps ``extend_lemma1``'s
+  fallback candidate (``LEMMA1_SEEDS``), which ``--glued 2000`` misses;
+* bridged, capped(·, 4), strip, pentagon-leaf, sun and sun-necklace hosts
+  on about 100 to 1,600 vertices, the last four as
+  ``tools/scaling_sweep.py`` builds them.
 
 Prints the count of inputs per group and every mismatch, and exits 1 if
 there is one.  This is an opt-in check for changes that must keep outputs,
@@ -36,6 +39,7 @@ from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+LEMMA1_SEEDS = (3442, 3992, 4224, 6402, 6718)  # glued seeds, Δ = 3
 
 
 def _dissections(gen, Graph):
@@ -85,6 +89,9 @@ def inputs(glued: int):
             shift = max(g.vertices) + 1
             yield "unions", f"union{s}", Graph.from_edges(
                 list(g.edges) + [(u + shift, v + shift) for u, v in h.edges])
+    for s in LEMMA1_SEEDS:
+        yield "lemma1", f"glued{s}", gen.gen_glued_outerplanar(
+            20 + s % 60, s, {"max_degree": 3})
     for n in (100, 400, 1600):
         yield "families", f"bridged{n}", Graph.from_edges(
             families.bridged(max(1, round(n / 6)), f"sweep:bridged:{n}"))
@@ -93,6 +100,9 @@ def inputs(glued: int):
         yield "families", f"strip{n}", Graph.from_edges(scaling_sweep.strip(n))
         yield "families", f"pentagon_leaves{n}", Graph.from_edges(
             scaling_sweep.pentagon_leaves(round(n / 6)))
+        yield "families", f"sun{n}", Graph.from_edges(scaling_sweep.sun(n // 2))
+        yield "families", f"sun_necklace{n}", Graph.from_edges(
+            scaling_sweep.sun_necklace(n // 8))
 
 
 def child(glued: int) -> None:

@@ -3,12 +3,13 @@
     python tools/scaling_sweep.py --run change=src [--run parent=OTHER/src] --out BENCH.json
 
 Each ``--run LABEL=SRC`` imports ``outerlabel`` from ``SRC``, in a fresh
-process per family, and labels four families with fixed seeds, from about
+process per family, and labels five families with fixed seeds, from about
 10^2 to 10^4 vertices: bridged(k) and capped(n, 4) from ``perfbench/families.py`` (read,
-not changed), and two defined here: strip(n), the path 0..n-1 plus the
-chords (i, i + 2), and pentagon_leaves(k), a k-cycle with a chorded
-pentagon bridged to each vertex, whose every leaf is reattached across a
-chord.  Every labeling is checked with ``verify`` and span <= Δ + 2.
+not changed), and three defined here: strip(n), the path 0..n-1 plus the
+chords (i, i + 2); pentagon_leaves(k), a k-cycle with a chorded pentagon
+bridged to each vertex, whose every leaf is reattached across a chord;
+and sun_necklace(k), k suns of four ears in a row, reduced by one closed
+chain each.  Every labeling is checked with ``verify`` and span <= Δ + 2.
 A size is timed as the best of up to three runs (one run once a run takes
 a second).  A family stops growing after a size whose run took longer
 than ``CAP_SECONDS`` or whose process peak memory (``ru_maxrss``, measured
@@ -61,6 +62,26 @@ def pentagon_leaves(k: int) -> list[tuple[int, int]]:
     return edges
 
 
+def sun(t: int) -> list[tuple[int, int]]:
+    """t ears (2i, 2i + 1, 2i + 2 mod 2t) around the inner t-gon: Δ = 4, 2t vertices."""
+    n = 2 * t
+    return [(i, (i + 1) % n) for i in range(n)] + [(2 * i, (2 * i + 2) % n) for i in range(t)]
+
+
+def sun_necklace(k: int) -> list[tuple[int, int]]:
+    """k copies of sun(4), tip 1 of copy j bridged to tip 5 of copy j + 1: 8k vertices.
+
+    Each end copy has three ears in a row, a closed chain, and reducing a
+    copy leaves its neighbour one, so labeling takes k chain steps.
+    """
+    edges = []
+    for j in range(k):
+        edges += [(8 * j + u, 8 * j + v) for u, v in sun(4)]
+        if j + 1 < k:
+            edges.append((8 * j + 1, 8 * j + 13))
+    return edges
+
+
 def _families():
     spec = importlib.util.spec_from_file_location(
         "perfbench_families", ROOT / "perfbench" / "families.py")
@@ -71,6 +92,7 @@ def _families():
         "capped4": lambda n: families.capped_polygon(n, 4, f"sweep:capped4:{n}"),
         "strip": strip,
         "pentagon_leaves": lambda n: pentagon_leaves(round(n / 6)),
+        "sun_necklace": lambda n: sun_necklace(round(n / 8)),
     }
 
 
