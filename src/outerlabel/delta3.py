@@ -14,11 +14,11 @@ Both this labeler and the degree-4 one run on one iterative driver,
 ``reduce_and_extend``, in place: one working copy of the input graph and of
 its embedding (each component recognized once), and one labeling per
 component.  A per-degree step function either labels a connected host
-directly (path or cycle, tiny-host search, boundary walk) or removes what
-its reduction drops (``OuterplanarEmbedding.remove``) and returns the
-graph's undo record with the finish rule that extends the smaller host's
-labeling back (pendant search, leaf-block attach); the driver replays each
-record just before its rule runs.
+directly (path or cycle, boundary walk) or removes what its reduction
+drops (``OuterplanarEmbedding.remove``) and returns the graph's undo
+record with the finish rule that extends the smaller host's labeling back
+(pendant search, leaf-block attach); the driver replays each record just
+before its rule runs.
 
 Every finish rule extends its component's labeling in place and checks
 what it changed: ``complete`` is the one place that extends, checks and
@@ -45,12 +45,9 @@ from .embedding import (
     endfaces,
     recognize_embed,
 )
-from .exact import (
-    SearchBudgetExceeded,
-    SearchStats,
-    extend_bounded,
-    find_labeling_bounded,
-)
+from .exact import SearchBudgetExceeded, SearchStats, extend_bounded
+# find_labeling_bounded is unused here; perfbench/tracing.py patches this binding
+from .exact import find_labeling_bounded  # noqa: F401
 from .graphs import Edge, Element, Graph, norm_edge
 from .labeling import TotalLabeling, verify, verify_around
 
@@ -665,11 +662,6 @@ def _step5(emb: OuterplanarEmbedding, diag: Diagnostics | None):
     g = emb.graph
     if g.max_degree() <= 2:
         return label_cycle_or_path(g, k=5)
-    if g.n + g.m <= 7:
-        f = find_labeling_bounded(g, 2, 5)
-        if f is None:
-            raise InfeasibleTrace("tiny host admits no labeling within {0..5}")
-        return f
     if g.min_degree() == 1:
         return _pendant_step(emb, diag)
     if emb.is_biconnected():

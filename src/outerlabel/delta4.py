@@ -43,11 +43,14 @@ from .delta3 import (
 from .embedding import OuterplanarEmbedding
 # recognize_embed is unused here; perfbench/tracing.py patches this binding
 from .embedding import recognize_embed  # noqa: F401
-# extend_bounded is unused here; perfbench/tracing.py patches this binding
+# extend_bounded and find_labeling_bounded are unused here; perfbench/tracing.py
+# patches these bindings
 from .exact import extend_bounded, find_labeling_bounded  # noqa: F401
 from .graphs import Element, Graph, norm_edge
 from .labeling import TotalLabeling, verify
-from .structure import Configuration, find_closed_chain, find_configuration
+from .structure import Configuration, find_closed_chain
+# find_configuration is unused here; perfbench/tracing.py patches this binding
+from .structure import find_configuration  # noqa: F401
 
 
 class NoPair(ValueError):
@@ -815,20 +818,20 @@ def _step6(emb: OuterplanarEmbedding, diag: Diagnostics | None):
         return label_cycle_or_path(g, k=6)
     if delta == 3:
         return TotalLabeling(g, 6, _label_span5(emb, diag).assignment)
-    if g.n + g.m <= 9:
-        f = find_labeling_bounded(g, 2, 6)
-        if f is None:
-            raise InfeasibleTrace("tiny host admits no labeling within {0..6}")
-        return f
     if g.min_degree() == 1:
         return _pendant_step(emb, diag)
-    cfg = find_configuration(emb)
+    work = emb.worklists()
+    for kind in ("C1", "C2"):
+        witnesses = work.first(kind)
+        if witnesses is not None:
+            if diag is not None:
+                diag.step(f"degree-4 dispatch: {kind} at {witnesses}")
+            cfg = Configuration(kind, witnesses)
+            undo, freed = reduce_c1c2(emb, cfg)
+            return undo, partial(_fill_c1c2, g, cfg, freed, diag)
+    chain = find_closed_chain(emb)
     if diag is not None:
-        diag.step(f"degree-4 dispatch: {cfg.kind} at {cfg.witnesses}")
-    if cfg.kind in ("C1", "C2"):
-        undo, freed = reduce_c1c2(emb, cfg)
-        return undo, partial(_fill_c1c2, g, cfg, freed, diag)
-    chain = find_closed_chain(emb, check_preconditions=False)
+        diag.step(f"degree-4 dispatch: closed chain {chain.spine}")
     undo = emb.remove(chain.interior(), [chain.closing_inner_edge])
     return undo, partial(_chain_surgery, chain, diag)
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import random
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graphs import Edge, Graph, norm_edge
 
@@ -68,6 +69,51 @@ def gen_closed_chain(t: int, attachments: str = "merged") -> Graph:
     raise ValueError(f"unknown attachment mode {attachments!r}")
 
 
+def gen_strip(n: int) -> Graph:
+    """The path 0..n-1 plus the chords (i, i + 2): one block of maximum degree 4."""
+    return Graph.from_edges([(i, i + 1) for i in range(n - 1)]
+                            + [(i, i + 2) for i in range(n - 2)])
+
+
+def gen_sun(t: int, chords: Iterable[Edge] = ()) -> Graph:
+    """t ears (2i, 2i + 1, 2i + 2 mod 2t) around the inner t-gon, plus ``chords``."""
+    n = 2 * t
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    gon = [(2 * i, (2 * i + 2) % n) for i in range(t)]
+    return Graph.from_edges(ring + gon + list(chords))
+
+
+def gen_sun_necklace(k: int) -> Graph:
+    """k copies of sun(4), tip 1 of copy j bridged to tip 5 of copy j + 1: 8k vertices.
+
+    Labeling takes k chain steps: each end copy holds a closed chain of three ears.
+    """
+    sun = gen_sun(4).edges
+    edges = [(8 * j + u, 8 * j + v) for j in range(k) for u, v in sun]
+    return Graph.from_edges(edges + [(8 * j + 1, 8 * j + 13) for j in range(k - 1)])
+
+
+def gen_pentagon_leaves(k: int) -> Graph:
+    """A k-cycle with a pentagon bridged to each of its vertices: Δ = 3, 6k vertices.
+
+    Pentagon i is ``k + 5i .. k + 5i + 4`` with the chord (0, 2), and its vertex 1
+    is bridged to cycle vertex i: every leaf is reattached across its chord.
+    """
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    for i in range(k):
+        p = [k + 5 * i + j for j in range(5)]
+        edges += [(p[j], p[(j + 1) % 5]) for j in range(5)] + [(p[0], p[2]), (i, p[1])]
+    return Graph.from_edges(edges)
+
+
+def gen_bridged_hexagons(k: int) -> Graph:
+    """k hexagons with chord (1, 4), vertex 3 of each bridged to vertex 0 of the next."""
+    edges = [(6 * j + 3, 6 * j + 6) for j in range(k - 1)]
+    for b in range(0, 6 * k, 6):
+        edges += [(b + i, b + (i + 1) % 6) for i in range(6)] + [(b + 1, b + 4)]
+    return Graph.from_edges(edges)
+
+
 @lru_cache(maxsize=None)
 def catalan(n: int) -> int:
     if n <= 1:
@@ -102,6 +148,20 @@ def enumerate_triangulations(n: int) -> list[Graph]:
     for diag in diagonals(0, n - 1):
         graphs.append(Graph(range(n), boundary + diag))
     return graphs
+
+
+def enumerate_dissections(n: int) -> Iterator[Graph]:
+    """Every dissection of the labeled convex n-gon once: the subsets of each
+    triangulation's diagonals by size, in ``enumerate_triangulations`` order."""
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    seen: set[frozenset] = set()
+    for tri in enumerate_triangulations(n):
+        diagonals = [e for e in tri.edges if (e[1] - e[0]) % n not in (1, n - 1)]
+        for r in range(len(diagonals) + 1):
+            for kept in combinations(diagonals, r):
+                if frozenset(kept) not in seen:
+                    seen.add(frozenset(kept))
+                    yield Graph(range(n), ring + list(kept))
 
 
 def _random_triangulation_diagonals(n: int, rng: random.Random) -> list[Edge]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from .delta3 import (
     Diagnostics,
+    InfeasibleTrace,
     label_cycle_or_path,
     label_delta3,
     recognize_components,
@@ -37,7 +38,7 @@ def label_outerplanar(
     every path recognizes each component of ``g`` once, and the reduction
     driver carries that embedding through every reduction.  The Δ=3 and
     Δ=4 labelers verify their own output, so only the other results are
-    verified here.
+    verified here; like theirs, an invalid one raises InfeasibleTrace.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -54,6 +55,7 @@ def label_outerplanar(
         f = find_labeling_bounded(g, 2, delta + 2) if fallback_search else None
         if f is None:
             raise UnsupportedDegree(delta)
-    if verify(f, 2):
-        raise AssertionError("dispatcher produced an invalid labeling")
+    bad = verify(f, 2)
+    if bad:
+        raise InfeasibleTrace(f"dispatcher produced an invalid labeling: {bad[:3]}")
     return f

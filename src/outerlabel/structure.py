@@ -9,11 +9,12 @@ Three configurations drive the reductions for hosts of minimum degree 2:
 C1 and C2 are read off the worklists the embedding carries (patched by
 every removal, with a heap each), so picking one costs what the last
 removals touched and a heap pop; C3 pairs only the triangular faces
-that share a 4-vertex, bucketed by their 4-vertices.  Beyond these, fans
-of triangles glued along chords ("chains") are read off a successor map
-that links each ear triangle to the one ear sharing its far 4-vertex,
-including the closed form whose two end spine vertices are themselves
-joined by a chord.
+that share a 4-vertex, bucketed by their 4-vertices, and is only
+reported (the Δ = 4 labeler goes from C1/C2 straight to a closed chain).
+Beyond these, fans of triangles glued along chords ("chains") are read
+off a successor map that links each ear triangle to the one ear sharing
+its far 4-vertex, including the closed form whose two end spine vertices
+are themselves joined by a chord.
 """
 
 from __future__ import annotations
@@ -53,11 +54,6 @@ class Chain:
     @property
     def t(self) -> int:
         return (len(self.spine) - 1) // 2
-
-    @property
-    def faces(self) -> list[tuple[int, int, int]]:
-        s = self.spine
-        return [(s[2 * i], s[2 * i + 1], s[2 * i + 2]) for i in range(self.t)]
 
     def interior(self) -> list[int]:
         return list(self.spine[1:-1])
@@ -116,19 +112,6 @@ def find_configuration(emb: OuterplanarEmbedding) -> Configuration:
         return Configuration("C3", min(c3, key=lambda w: (min(w), w)))
     raise ChainNotFound("no C1/C2/C3 found; host is not an outerplane graph "
                         "with minimum degree 2")
-
-
-def _chain_faces_of_block(
-    g: Graph, block: BlockEmbedding
-) -> list[tuple[int, int, int]]:
-    """Oriented triangles (a, tip, c) that can participate in a chain."""
-    outer = set(block.outer_edges())
-    out = []
-    for face in block.faces:
-        triple = _face_triple(face, outer)
-        if triple is not None and g.degree(triple[1]) == 2:
-            out.append(triple)
-    return out
 
 
 def _chain_runs(
@@ -194,16 +177,23 @@ def _run_to_chain(g: Graph, run: list[tuple[int, int, int]]) -> Chain:
     return Chain(tuple(spine), closing, attachments)
 
 
+def _block_chains(g: Graph, block: BlockEmbedding) -> list[Chain]:
+    """The maximal chains of one block, read off the ears whose tip is a 2-vertex."""
+    outer = set(block.outer_edges())
+    ears = [tr for tr in (_face_triple(face, outer) for face in block.faces)
+            if tr is not None and g.degree(tr[1]) == 2]
+    return [_run_to_chain(g, run) for run in _chain_runs(g, ears)]
+
+
+def _chain_order(chain: Chain) -> tuple:
+    return (min(chain.spine), chain.spine)
+
+
 def enumerate_chains(emb: OuterplanarEmbedding) -> list[Chain]:
     """All maximal chains (t >= 2) of the host, in deterministic order."""
     g = emb.graph
-    out = [
-        _run_to_chain(g, run)
-        for block in emb.blocks
-        for run in _chain_runs(g, _chain_faces_of_block(g, block))
-    ]
-    out.sort(key=lambda c: (min(c.spine), c.spine))
-    return out
+    return sorted((ch for block in emb.blocks for ch in _block_chains(g, block)),
+                  key=_chain_order)
 
 
 def check_chain(g: Graph, emb: OuterplanarEmbedding, chain: Chain) -> list[str]:
@@ -248,25 +238,18 @@ def check_chain(g: Graph, emb: OuterplanarEmbedding, chain: Chain) -> list[str]:
     return problems
 
 
-def find_closed_chain(
-    emb: OuterplanarEmbedding, check_preconditions: bool = True
-) -> Chain:
-    """A chain whose spine ends are joined by a chord.
+def find_closed_chain(emb: OuterplanarEmbedding) -> Chain:
+    """The first chain, in ``enumerate_chains`` order, whose ends are joined by a chord.
 
-    With ``check_preconditions`` the host must have maximum degree 4,
-    minimum degree 2, and no C1/C2; such hosts always contain a closed
-    chain.  Raises ChainNotFound otherwise.
+    A chain read off the ear links already has its faces, tips, 4-vertices
+    and attachments in place (``check_chain`` is their reference check), so
+    only the closing edge is looked up, among its own block's chords.  A
+    host of maximum degree 4 and minimum degree 2 with no C1/C2 always has
+    one.  Raises ChainNotFound when there is none.
     """
     g = emb.graph
-    if check_preconditions:
-        if g.max_degree() != 4:
-            raise ValueError("closed-chain search expects maximum degree 4")
-        if g.min_degree() != 2:
-            raise ValueError("closed-chain search expects minimum degree 2")
-        cfg = find_configuration(emb)
-        if cfg.kind in ("C1", "C2"):
-            raise ValueError(f"host still contains {cfg.kind} at {cfg.witnesses}")
-    for ch in enumerate_chains(emb):
-        if ch.closing_inner_edge is not None and not check_chain(g, emb, ch):
-            return ch
-    raise ChainNotFound("no closed chain of triangles found")
+    closed = [ch for block in emb.blocks for ch in _block_chains(g, block)
+              if ch.closing_inner_edge in block.chords]
+    if not closed:
+        raise ChainNotFound("no closed chain of triangles found")
+    return min(closed, key=_chain_order)

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from itertools import combinations
 
 import pytest
-from test_delta4 import _bridged, _capped_polygon, _strip
+from test_delta4 import _capped_polygon
 
 from outerlabel import delta3, delta4, embedding
 from outerlabel import generators as gen
@@ -80,19 +79,6 @@ def _check(emb) -> None:
         assert emb.leaf_block() == (leaf, *cuts.intersection(leaf.cycle))
 
 
-def _dissections(top: int):
-    for n in range(4, top + 1):
-        ring = [(i, (i + 1) % n) for i in range(n)]
-        seen: set[frozenset] = set()
-        for tri in gen.enumerate_triangulations(n):
-            diagonals = [e for e in tri.edges if (e[1] - e[0]) % n not in (1, n - 1)]
-            for r in range(len(diagonals) + 1):
-                for kept in combinations(diagonals, r):
-                    if frozenset(kept) not in seen:
-                        seen.add(frozenset(kept))
-                        yield Graph(range(n), ring + list(kept))
-
-
 def test_carried_state_equals_scans(monkeypatch):
     popped = []
 
@@ -105,10 +91,12 @@ def test_carried_state_equals_scans(monkeypatch):
 
     monkeypatch.setattr(delta3, "_step5", checked(delta3._step5))
     monkeypatch.setattr(delta4, "_step6", checked(delta4._step6))
-    hosts = [_capped_polygon(96, 4, "carried"), _strip(120), _bridged(16)]
+    hosts = [_capped_polygon(96, 4, "carried"), gen.gen_strip(120),
+             gen.gen_bridged_hexagons(16)]
     hosts += [gen.gen_glued_outerplanar(10 + s % 40, s, {"max_degree": 3 + s % 2})
               for s in range(200)]
-    hosts += [g for g in _dissections(7) if g.max_degree() in (3, 4)]
+    hosts += [g for n in range(4, 8) for g in gen.enumerate_dissections(n)
+              if g.max_degree() in (3, 4)]
     for g in hosts:
         f = label_outerplanar(g)
         assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
@@ -124,7 +112,8 @@ def _inside_remove() -> bool:
     return False
 
 
-@pytest.mark.parametrize("g", [_strip(480), _capped_polygon(960, 4, "work"), _bridged(160)],
+@pytest.mark.parametrize("g", [gen.gen_strip(480), _capped_polygon(960, 4, "work"),
+                               gen.gen_bridged_hexagons(160)],
                          ids=["strip480", "capped960", "bridged160"])
 def test_reduction_work_is_linear(monkeypatch, g):
     # a removal traces no faces (the blocks it leaves trace theirs when

@@ -88,6 +88,18 @@ def test_label_labeler_fault_exit_code(tmp_path, capsys, monkeypatch):
     assert "labeler fault" in err and "past its budget of 1" in err
 
 
+def test_label_invalid_dispatcher_output_exit_code(tmp_path, capsys, monkeypatch):
+    # an invalid labeling from the Δ <= 2 labeler is a labeler fault as well
+    from outerlabel import pipeline
+    from outerlabel.labeling import TotalLabeling
+
+    monkeypatch.setattr(pipeline, "label_cycle_or_path",
+                        lambda g, k: TotalLabeling(g, k, {z: 0 for z in g.elements()}))
+    code, out, err = run(capsys, "label", write_graph(tmp_path, gen.gen_cycle(6)))
+    assert (code, out) == (5, "")
+    assert "labeler fault" in err
+
+
 def test_label_dot_output(tmp_path, capsys):
     path = write_graph(tmp_path, gen.gen_cycle(4))
     dot = tmp_path / "out.dot"

@@ -200,22 +200,6 @@ def test_extend_lemma_fallback_candidate():
     ]
 
 
-def _pentagon_leaves(k: int) -> Graph:
-    """A k-cycle with a pentagon bridged to each of its vertices.
-
-    Pentagon i is ``k + 5i .. k + 5i + 4`` with the chord between its
-    vertices 0 and 2, and its vertex 1 is bridged to cycle vertex i.  So
-    Δ = 3, and each leaf's cut vertex sits alone between two chord ends:
-    every leaf is reattached across its chord.
-    """
-    edges = [(i, (i + 1) % k) for i in range(k)]
-    for i in range(k):
-        p = [k + 5 * i + j for j in range(5)]
-        edges += [(p[j], p[(j + 1) % 5]) for j in range(5)]
-        edges += [(p[0], p[2]), (i, p[1])]
-    return Graph.from_edges(edges)
-
-
 def test_reattachment_builds_only_local_graphs(monkeypatch):
     # each reattachment builds a closed-up copy of its far side and nothing
     # host-sized, so the vertices of all graphs built stay linear in n
@@ -230,7 +214,7 @@ def test_reattachment_builds_only_local_graphs(monkeypatch):
         built.append(len(adj))
         return of(cls, adj, m, degrees)
 
-    g = _pentagon_leaves(200)
+    g = gen.gen_pentagon_leaves(200)
     monkeypatch.setattr(Graph, "__init__", counting_init)
     monkeypatch.setattr(Graph, "_of", classmethod(counting_of))
     f = label_delta3(g)

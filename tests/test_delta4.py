@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outerlabel import delta3, delta4, embedding
+from outerlabel import delta3, delta4, embedding, structure
 from outerlabel import generators as gen
 from outerlabel.delta3 import Diagnostics, InfeasibleTrace, NotDelta
 from outerlabel.delta4 import (
@@ -227,6 +227,33 @@ def test_c1_reduction_branch():
     assert verify(f, 2) == [] and span(f) <= 6
 
 
+def test_stars_label_through_the_pendant_rule():
+    # K1,3 and K1,4 are the smallest hosts of maximum degree 3 and 4
+    k13 = Graph.from_edges([(0, i) for i in range(1, 4)])
+    k14 = Graph.from_edges([(0, i) for i in range(1, 5)])
+    both = Graph.from_edges(list(k13.edges) + [(u + 4, v + 4) for u, v in k14.edges])
+    for g in (k13, k14, both):
+        f = label_outerplanar(g)
+        assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
+
+
+def test_chain_steps_run_no_c3_pass_and_no_check_chain(monkeypatch):
+    # the labeler reads C1 and C2 off the worklists and a closed chain off
+    # its block's chords: neither the C3 pairing nor the host-wide
+    # chain validator is on its path
+    def refuse(*args):
+        raise AssertionError("called while labeling")
+
+    monkeypatch.setattr(delta4, "find_configuration", refuse)
+    monkeypatch.setattr(structure, "check_chain", refuse)
+    chains = [gen.gen_closed_chain(t, "merged") for t in range(2, 7)]
+    for g in (gen.gen_sun_necklace(6), *chains):
+        d = Diagnostics()
+        f = label_outerplanar(g, diag=d)
+        assert verify(f, 2) == []
+        assert any(line.startswith("degree-4 dispatch: closed chain") for line in d.trace)
+
+
 def test_disconnected_components():
     left = gen.gen_closed_chain(2, "merged")
     shift = 20
@@ -320,23 +347,6 @@ def _capped_polygon(n: int, cap: int, seed: str) -> Graph:
     return Graph.from_edges(families.capped_polygon(n, cap, seed))
 
 
-def _strip(n: int) -> Graph:
-    return Graph.from_edges(
-        [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
-    )
-
-
-def _bridged(k: int) -> Graph:
-    # k hexagons with chord (1, 4), vertex 3 of each bridged to vertex 0 of the next
-    edges = []
-    for j in range(k):
-        b = 6 * j
-        edges += [(b + i, b + (i + 1) % 6) for i in range(6)] + [(b + 1, b + 4)]
-        if j + 1 < k:
-            edges.append((b + 3, b + 6))
-    return Graph.from_edges(edges)
-
-
 def test_one_full_verify_per_output(monkeypatch):
     # finish rules check only around what they change: the whole input is
     # verified once, and any other full check is extend_lemma1's check of a
@@ -349,7 +359,8 @@ def test_one_full_verify_per_output(monkeypatch):
 
     monkeypatch.setattr(delta3, "verify", counting)
     monkeypatch.setattr(delta4, "verify", counting)
-    for g in (_capped_polygon(96, 4, "one-verify"), _strip(120), _bridged(16)):
+    for g in (_capped_polygon(96, 4, "one-verify"), gen.gen_strip(120),
+              gen.gen_bridged_hexagons(16)):
         calls.clear()
         f = label_outerplanar(g)
         assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
@@ -371,7 +382,8 @@ def test_one_recognition_per_component(monkeypatch):
 
     monkeypatch.setattr(delta3, "recognize_embed", counting)
     monkeypatch.setattr(delta4, "recognize_embed", counting)
-    for g in (_capped_polygon(96, 4, "one-recognition"), _strip(120), _bridged(16)):
+    for g in (_capped_polygon(96, 4, "one-recognition"), gen.gen_strip(120),
+              gen.gen_bridged_hexagons(16)):
         calls.clear()
         f = label_outerplanar(g)
         assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
@@ -381,7 +393,7 @@ def test_one_recognition_per_component(monkeypatch):
                    for piece, caller in calls if piece is not g)
     # a disconnected input is recognized once per component
     calls.clear()
-    left = _strip(30)
+    left = gen.gen_strip(30)
     two = Graph.from_edges(list(left.edges) + [(u + 40, v + 40) for u, v in left.edges])
     label_outerplanar(two)
     assert [piece.vertices for piece, _ in calls] == [
@@ -403,7 +415,8 @@ def test_driver_never_redecomposes(monkeypatch):
     monkeypatch.setattr(embedding, "embed_block", counting(embedding.embed_block))
     monkeypatch.setattr(Graph, "biconnected_components",
                         counting(Graph.biconnected_components))
-    for g in (_capped_polygon(96, 4, "one-recognition"), _strip(120), _bridged(16)):
+    for g in (_capped_polygon(96, 4, "one-recognition"), gen.gen_strip(120),
+              gen.gen_bridged_hexagons(16)):
         calls.clear()
         f = label_outerplanar(g)
         assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2

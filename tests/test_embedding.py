@@ -1,14 +1,12 @@
 from __future__ import annotations
 
-import importlib.util
-import itertools
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_delta4 import _capped_polygon
 
 from outerlabel import embedding
 from outerlabel import generators as gen
@@ -159,25 +157,20 @@ def test_every_dissection_recognized(n):
     random.Random(n).shuffle(perm)
     ring = [(i, (i + 1) % n) for i in range(n)]
     boundary = _canonical([perm[i] for i in range(n)])
-    seen: set[frozenset] = set()
-    for tri in gen.enumerate_triangulations(n):
-        diagonals = [e for e in tri.edges if (e[1] - e[0]) % n not in (1, n - 1)]
-        for r in range(len(diagonals) + 1):
-            for kept in itertools.combinations(diagonals, r):
-                if frozenset(kept) in seen:
-                    continue
-                seen.add(frozenset(kept))
-                edges = [norm_edge(perm[a], perm[b]) for a, b in ring + list(kept)]
-                emb = recognize_embed(Graph(range(n), edges))
-                assert emb.boundary == boundary
-                assert emb.inner_edges == set(edges[n:])
-                _assert_faces(emb.blocks[0])
-                _assert_faces(emb.reversed().blocks[0])
-                for a, b in kept:  # a < b, so (a+1, b+1) crosses (a, b)
-                    cross = norm_edge(perm[a + 1], perm[(b + 1) % n])
-                    with pytest.raises(NotOuterplanar):
-                        recognize_embed(Graph(range(n), edges + [cross]))
-    assert len(seen) == {4: 3, 5: 11, 6: 45, 7: 197, 8: 903}[n]
+    dissections = list(gen.enumerate_dissections(n))
+    for d in dissections:
+        kept = [e for e in d.edges if (e[1] - e[0]) % n not in (1, n - 1)]
+        edges = [norm_edge(perm[a], perm[b]) for a, b in ring + kept]
+        emb = recognize_embed(Graph(range(n), edges))
+        assert emb.boundary == boundary
+        assert emb.inner_edges == set(edges[n:])
+        _assert_faces(emb.blocks[0])
+        _assert_faces(emb.reversed().blocks[0])
+        for a, b in kept:  # a < b, so (a+1, b+1) crosses (a, b)
+            cross = norm_edge(perm[a + 1], perm[(b + 1) % n])
+            with pytest.raises(NotOuterplanar):
+                recognize_embed(Graph(range(n), edges + [cross]))
+    assert len(dissections) == {4: 3, 5: 11, 6: 45, 7: 197, 8: 903}[n]
 
 
 def test_boundary_decompose_examples():
@@ -228,14 +221,6 @@ def test_blocks_sorted_by_cycle():
         [(0, 3), (3, 1), (1, 4), (4, 0), (0, 1), (0, 2), (2, 5), (5, 0)]
     )
     assert [b.cycle for b in recognize_embed(g).blocks] == [(0, 2, 5), (0, 3, 1, 4)]
-
-
-def _capped_polygon(n: int, cap: int, seed: str) -> Graph:
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "families.py"
-    spec = importlib.util.spec_from_file_location("perfbench_families", path)
-    families = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(families)
-    return Graph.from_edges(families.capped_polygon(n, cap, seed))
 
 
 def _removal_hosts() -> list[Graph]:

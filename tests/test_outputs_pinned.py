@@ -11,9 +11,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from test_delta3 import _pentagon_leaves
-from test_delta4 import _bridged, _capped_polygon, _strip
-from test_structure import _sun, _sun_necklace
+from test_delta4 import _capped_polygon
 
 from outerlabel import generators as gen
 from outerlabel.delta3 import Diagnostics
@@ -28,11 +26,11 @@ def _inputs():
         for entry in gen.load_manifest(ROOT / "corpus" / f"delta{delta}_manifest.json"):
             yield gen.corpus_graph(entry)
     yield _capped_polygon(96, 4, "one-recognition")
-    yield _strip(120)
-    yield _bridged(16)
-    yield _pentagon_leaves(24)  # every leaf reattached across a chord
-    yield _sun(12)  # one ring of ears
-    yield _sun_necklace(6)  # one closed chain per copy
+    yield gen.gen_strip(120)
+    yield gen.gen_bridged_hexagons(16)
+    yield gen.gen_pentagon_leaves(24)  # every leaf reattached across a chord
+    yield gen.gen_sun(12)  # one ring of ears
+    yield gen.gen_sun_necklace(6)  # one closed chain per copy
 
 
 def test_outputs_match_pinned_digest():

@@ -111,15 +111,12 @@ def test_find_closed_chain_on_merged_instances():
 
 
 def test_find_closed_chain_preconditions():
-    # adjacent 2-vertices present: precondition check trips
+    # the search checks no preconditions: beside adjacent 2-vertices (a C1)
+    # the chain is still found structurally
     g = Graph.from_edges(
         [(i, (i + 1) % 7) for i in range(7)] + [(0, 2), (2, 4), (0, 4)]
     )
-    emb = recognize_embed(g)
-    with pytest.raises(ValueError):
-        find_closed_chain(emb)
-    # with checks off the chain is still found structurally
-    ch = find_closed_chain(emb, check_preconditions=False)
+    ch = find_closed_chain(recognize_embed(g))
     assert ch.t == 2 and ch.closing_inner_edge == (0, 4)
 
 
@@ -128,7 +125,7 @@ def test_find_closed_chain_fig_style_t3():
         [(i, (i + 1) % 9) for i in range(9)]
         + [(0, 2), (2, 4), (4, 6), (0, 6)]
     )
-    ch = find_closed_chain(recognize_embed(g), check_preconditions=False)
+    ch = find_closed_chain(recognize_embed(g))
     assert ch.t == 3
     assert ch.spine == (0, 1, 2, 3, 4, 5, 6)
     assert ch.closing_inner_edge == (0, 6)
@@ -136,8 +133,8 @@ def test_find_closed_chain_fig_style_t3():
 
 def test_closed_chain_absent():
     g = bowtie_fan()  # open fan: the end-to-end edge is on the boundary
-    with pytest.raises((ChainNotFound, ValueError)):
-        find_closed_chain(recognize_embed(g), check_preconditions=False)
+    with pytest.raises(ChainNotFound):
+        find_closed_chain(recognize_embed(g))
 
 
 @settings(max_examples=80, deadline=None)
@@ -177,28 +174,6 @@ def test_chains_revalidate(seed):
             assert g.degree(b) == 2
 
 
-def _sun(t: int, chords=()) -> Graph:
-    """t ears (2i, 2i + 1, 2i + 2 mod 2t) around the inner t-gon, plus ``chords``."""
-    n = 2 * t
-    ring = [(i, (i + 1) % n) for i in range(n)]
-    gon = [(2 * i, (2 * i + 2) % n) for i in range(t)]
-    return Graph.from_edges(ring + gon + list(chords))
-
-
-def _sun_necklace(k: int) -> Graph:
-    """k copies of sun(4), tip 1 of copy j bridged to tip 5 of copy j + 1.
-
-    Each end copy has three ears in a row, a closed chain, and reducing a
-    copy leaves its neighbour one, so labeling takes k chain steps.
-    """
-    edges = []
-    for j in range(k):
-        edges += [(8 * j + u, 8 * j + v) for u, v in _sun(4).edges]
-        if j + 1 < k:
-            edges.append((8 * j + 1, 8 * j + 13))
-    return Graph.from_edges(edges)
-
-
 def _polygon_subsets():
     """Every connected graph on n = 4..7 vertices whose edges lie in a triangulated n-gon."""
     for n in range(4, 8):
@@ -218,13 +193,13 @@ def _polygon_subsets():
 def _suns():
     """Suns whose ears form a ring, paths cut by inner chords, and a ring closed on a pendant."""
     for t in range(3, 11):
-        yield _sun(t)
-        yield _sun(t, [(0, 2 * t)])  # vertex 0 carries a pendant: a path closes on itself
+        yield gen.gen_sun(t)
+        yield gen.gen_sun(t, [(0, 2 * t)])  # vertex 0 carries a pendant: a path closes on itself
         for j in range(2, t - 1):
-            yield _sun(t, [(0, 2 * j)])
+            yield gen.gen_sun(t, [(0, 2 * j)])
             for k in range(1, t):
                 if abs(k - j) >= 2:
-                    yield _sun(t, [(0, 2 * j), (2 * j, 2 * k)])
+                    yield gen.gen_sun(t, [(0, 2 * j), (2 * j, 2 * k)])
 
 
 STRUCTURE_DIGEST = "8c71ca277104098f045fd0ffc0cbc59ca935864edd66d5bf3318f1f789cd38aa"
@@ -240,7 +215,7 @@ def test_structure_outputs_match_pinned_digest():
         if g.min_degree() == 2:
             out.append(find_configuration(emb))
         try:
-            out.append(find_closed_chain(emb, check_preconditions=False))
+            out.append(find_closed_chain(emb))
         except ChainNotFound:
             out.append(None)
         h.update(repr(out).encode())

@@ -4,26 +4,30 @@
 
 Each ``SRC`` holds an ``outerlabel`` package; it is imported in a fresh
 process, which labels every input with ``label_outerplanar`` and a
-``Diagnostics`` and reports, per input, a digest of the assignment as
-sorted items, of the ``(event, where)`` records and of the step trace
-lines (or the exception raised).  Insertion order is left out on purpose:
-the inputs must get equal labels, not equal dict histories.  The inputs:
+``Diagnostics`` and reports, per input, three digests: of the labels (the
+assignment as sorted items, or the exception raised), of the ``(event,
+where)`` records and of the step trace lines.  Insertion order is left out
+on purpose: the inputs must get equal labels, not equal dict histories.
+The inputs:
 
 * both corpus manifests (``corpus/delta{3,4}_manifest.json``);
 * the seed-0 ``block`` and ``reduce`` inputs of the benchmark, built as
   ``perfbench/workloads.py`` builds them (read, not changed);
-* every dissection of a 4- to 9-gon with maximum degree 3 or 4 (2,302);
+* every dissection of a 4- to 9-gon with maximum degree 3 or 4 (2,302),
+  from this tree's ``generators.py``;
 * ``--glued`` glued hosts, Δ = 3 and 4 in turn, and a disjoint union of
   two of them for every tenth;
 * the glued Δ = 3 hosts whose reattachment keeps ``extend_lemma1``'s
   fallback candidate (``LEMMA1_SEEDS``), which ``--glued 2000`` misses;
 * bridged, capped(·, 4), strip, pentagon-leaf, sun and sun-necklace hosts
-  on about 100 to 1,600 vertices, the last four as
-  ``tools/scaling_sweep.py`` builds them.
+  on about 100 to 1,600 vertices, the last four from this tree's
+  ``generators.py``.
 
-Prints the count of inputs per group and every mismatch, and exits 1 if
-there is one.  This is an opt-in check for changes that must keep outputs,
-not part of the test suite.
+Both trees label the same hosts: those from this tree's ``generators.py``
+are built by it whichever tree is imported.  Prints the count of inputs
+per group, with the mismatches of each part, then every mismatching input
+and its parts, and exits 1 if there is one.  This is an opt-in check for
+changes that must keep outputs, not part of the test suite.
 """
 
 from __future__ import annotations
@@ -35,26 +39,11 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LEMMA1_SEEDS = (3442, 3992, 4224, 6402, 6718)  # glued seeds, Δ = 3
-
-
-def _dissections(gen, Graph):
-    for n in range(4, 10):
-        ring = [(i, (i + 1) % n) for i in range(n)]
-        seen: set[frozenset] = set()
-        for tri in gen.enumerate_triangulations(n):
-            diagonals = [e for e in tri.edges if (e[1] - e[0]) % n not in (1, n - 1)]
-            for r in range(len(diagonals) + 1):
-                for kept in combinations(diagonals, r):
-                    if frozenset(kept) not in seen:
-                        seen.add(frozenset(kept))
-                        g = Graph(range(n), ring + list(kept))
-                        if g.max_degree() in (3, 4):
-                            yield f"n{n}:{sorted(kept)}", g
+PARTS = ("labels", "records", "trace")
 
 
 def inputs(glued: int):
@@ -69,6 +58,7 @@ def inputs(glued: int):
     import families
     import scaling_sweep  # beside this file
     import workloads
+    here = scaling_sweep.local_generators()
     ol = types.SimpleNamespace(graphs=types.SimpleNamespace(Graph=Graph), generators=gen,
                                io=io)
     for delta in (3, 4):
@@ -79,8 +69,11 @@ def inputs(glued: int):
         with tempfile.TemporaryDirectory() as tmp:  # they also write edge lists
             for op in make(ol, 0, Path(tmp)):
                 yield group, op.name, op.graph
-    for name, g in _dissections(gen, Graph):
-        yield "dissections", name, g
+    for n in range(4, 10):
+        for d in here.enumerate_dissections(n):
+            if d.max_degree() in (3, 4):
+                kept = [e for e in d.edges if (e[1] - e[0]) % n not in (1, n - 1)]
+                yield "dissections", f"n{n}:{kept}", Graph.from_edges(d.edges)
     for s in range(glued):
         g = gen.gen_glued_outerplanar(20 + s % 60, s, {"max_degree": 3 + s % 2})
         yield "glued", f"glued{s}", g
@@ -97,12 +90,12 @@ def inputs(glued: int):
             families.bridged(max(1, round(n / 6)), f"sweep:bridged:{n}"))
         yield "families", f"capped4-{n}", Graph.from_edges(
             families.capped_polygon(n, 4, f"sweep:capped4:{n}"))
-        yield "families", f"strip{n}", Graph.from_edges(scaling_sweep.strip(n))
+        yield "families", f"strip{n}", Graph.from_edges(here.gen_strip(n).edges)
         yield "families", f"pentagon_leaves{n}", Graph.from_edges(
-            scaling_sweep.pentagon_leaves(round(n / 6)))
-        yield "families", f"sun{n}", Graph.from_edges(scaling_sweep.sun(n // 2))
+            here.gen_pentagon_leaves(round(n / 6)).edges)
+        yield "families", f"sun{n}", Graph.from_edges(here.gen_sun(n // 2).edges)
         yield "families", f"sun_necklace{n}", Graph.from_edges(
-            scaling_sweep.sun_necklace(n // 8))
+            here.gen_sun_necklace(n // 8).edges)
 
 
 def child(glued: int) -> None:
@@ -117,8 +110,9 @@ def child(glued: int) -> None:
         except Exception as exc:  # a raise must be the same on both sides
             out = f"{type(exc).__name__}: {exc}"
         records = repr([(r.get("event"), r.get("where")) for r in diag.records])
-        digest = hashlib.sha256("\n".join((out, records, *diag.trace)).encode())
-        print(json.dumps([group, name, digest.hexdigest()]))
+        digests = [hashlib.sha256(part.encode()).hexdigest()
+                   for part in (out, records, "\n".join(diag.trace))]
+        print(json.dumps([group, name, *digests]))
 
 
 def run(src: str, glued: int) -> list[list[str]]:
@@ -146,13 +140,18 @@ def main() -> int:
         print("the two trees built different inputs", file=sys.stderr)
         return 1
     counts = Counter(row[0] for row in parent)
-    bad = [(p[0], p[1]) for p, c in zip(parent, change) if p[2] != c[2]]
+    counts["total"] = len(parent)
+    bad = []  # (group, name, the parts that differ)
+    for p, c in zip(parent, change):
+        parts = [part for part, a, b in zip(PARTS, p[2:], c[2:]) if a != b]
+        if parts:
+            bad.append((p[0], p[1], parts))
     for group, n in counts.items():
-        wrong = sum(1 for b in bad if b[0] == group)
-        print(f"{group:12s} {n:6d} inputs {wrong:4d} mismatches")
-    print(f"{'total':12s} {len(parent):6d} inputs {len(bad):4d} mismatches")
-    for group, name in bad:
-        print(f"mismatch: {group} {name}")
+        wrong = [b[2] for b in bad if group in ("total", b[0])]
+        each = "  ".join(f"{part} {sum(part in w for w in wrong):4d}" for part in PARTS)
+        print(f"{group:12s} {n:6d} inputs {len(wrong):4d} mismatches: {each}")
+    for group, name, parts in bad:
+        print(f"mismatch: {group} {name} ({', '.join(parts)})")
     return 1 if bad else 0
 
 

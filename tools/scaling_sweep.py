@@ -5,10 +5,11 @@
 Each ``--run LABEL=SRC`` imports ``outerlabel`` from ``SRC``, in a fresh
 process per family, and labels five families with fixed seeds, from about
 10^2 to 10^4 vertices: bridged(k) and capped(n, 4) from ``perfbench/families.py`` (read,
-not changed), and three defined here: strip(n), the path 0..n-1 plus the
-chords (i, i + 2); pentagon_leaves(k), a k-cycle with a chorded pentagon
-bridged to each vertex, whose every leaf is reattached across a chord;
-and sun_necklace(k), k suns of four ears in a row, reduced by one closed
+not changed), and three from this tree's ``generators.py``, whichever
+tree ``SRC`` is: strip(n), the path 0..n-1 plus the chords (i, i + 2);
+pentagon_leaves(k), a k-cycle with a chorded pentagon bridged to each
+vertex, whose every leaf is reattached across a chord; and
+sun_necklace(k), k suns of four ears in a row, reduced by one closed
 chain each.  Every labeling is checked with ``verify`` and span <= Δ + 2.
 A size is timed as the best of up to three runs (one run once a run takes
 a second).  A family stops growing after a size whose run took longer
@@ -34,6 +35,7 @@ import resource
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,44 +44,16 @@ CAP_SECONDS = 20.0  # a family stops after a size that took longer
 MAX_MB = 400.0  # or after a size that took the process past this peak
 
 
-def strip(n: int) -> list[tuple[int, int]]:
-    """The path 0..n-1 plus the chords (i, i + 2): one block of maximum degree 4."""
-    return [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
+def local_generators():
+    """This tree's ``outerlabel.generators``, importable beside another tree's package.
 
-
-def pentagon_leaves(k: int) -> list[tuple[int, int]]:
-    """A k-cycle with a pentagon bridged to each vertex: Δ = 3, 6k vertices.
-
-    Pentagon i is k + 5i .. k + 5i + 4 with the chord between its vertices
-    0 and 2; its vertex 1, alone between the chord's ends, is bridged to
-    cycle vertex i.
+    It needs only ``graphs`` from its package, so a bare package module is
+    enough; callers pass the hosts it builds on as edge lists.
     """
-    edges = [(i, (i + 1) % k) for i in range(k)]
-    for i in range(k):
-        p = [k + 5 * i + j for j in range(5)]
-        edges += [(p[j], p[(j + 1) % 5]) for j in range(5)]
-        edges += [(p[0], p[2]), (i, p[1])]
-    return edges
-
-
-def sun(t: int) -> list[tuple[int, int]]:
-    """t ears (2i, 2i + 1, 2i + 2 mod 2t) around the inner t-gon: Δ = 4, 2t vertices."""
-    n = 2 * t
-    return [(i, (i + 1) % n) for i in range(n)] + [(2 * i, (2 * i + 2) % n) for i in range(t)]
-
-
-def sun_necklace(k: int) -> list[tuple[int, int]]:
-    """k copies of sun(4), tip 1 of copy j bridged to tip 5 of copy j + 1: 8k vertices.
-
-    Each end copy has three ears in a row, a closed chain, and reducing a
-    copy leaves its neighbour one, so labeling takes k chain steps.
-    """
-    edges = []
-    for j in range(k):
-        edges += [(8 * j + u, 8 * j + v) for u, v in sun(4)]
-        if j + 1 < k:
-            edges.append((8 * j + 1, 8 * j + 13))
-    return edges
+    package = types.ModuleType("_this_tree")
+    package.__path__ = [str(ROOT / "src" / "outerlabel")]
+    sys.modules["_this_tree"] = package
+    return importlib.import_module("_this_tree.generators")
 
 
 def _families():
@@ -87,12 +61,13 @@ def _families():
         "perfbench_families", ROOT / "perfbench" / "families.py")
     families = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(families)
+    gen = local_generators()
     return {
         "bridged": lambda n: families.bridged(max(1, round(n / 6)), f"sweep:bridged:{n}"),
         "capped4": lambda n: families.capped_polygon(n, 4, f"sweep:capped4:{n}"),
-        "strip": strip,
-        "pentagon_leaves": lambda n: pentagon_leaves(round(n / 6)),
-        "sun_necklace": lambda n: sun_necklace(round(n / 8)),
+        "strip": lambda n: gen.gen_strip(n).edges,
+        "pentagon_leaves": lambda n: gen.gen_pentagon_leaves(round(n / 6)).edges,
+        "sun_necklace": lambda n: gen.gen_sun_necklace(round(n / 8)).edges,
     }
 
 
