@@ -3,9 +3,11 @@
 A connected outerplanar graph is handled block by block: every biconnected
 block with three or more vertices has a unique Hamiltonian boundary cycle,
 and all remaining block edges must be pairwise non-crossing chords of that
-cycle.  Both are checked in near-linear time: the cycle by degree-2
-reduction, the chords by one stack pass over the boundary positions in which
-they must nest like parentheses.  The same pass traces the inner faces.
+cycle.  Both are checked in near-linear time, block by block off the edge
+lists of one depth-first search: the cycle by degree-2 reduction on the
+block's adjacency sets, the chords by one stack pass over the boundary
+positions in which they must nest like parentheses.  A block traces its
+inner faces, by the same kind of pass, only when they are first read.
 "Clockwise" means the stored orientation of each cycle; there are no
 coordinates.
 
@@ -25,7 +27,7 @@ touches.  Recognition builds none of this state.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, count
 from operator import attrgetter, itemgetter
@@ -56,21 +58,21 @@ class Face:
 class BlockEmbedding:
     """One biconnected block: boundary cycle, chords, inner faces.
 
-    A recognized block never changes: a removal replaces it by a linked
-    block, which keeps ``_next`` (each vertex's boundary successor) and
-    ``_spot`` (the positions of the recognized block it descends from;
-    removals keep the cyclic order, so descendants share it).  A linked
-    block lists its ``cycle``, traces its ``faces`` and sorts its
-    ``chords`` as recognition does only when first read after a change.
+    A block traces its ``faces`` when they are first read.  A recognized
+    block never changes: a removal replaces it by a linked block, which
+    keeps ``_next`` (each vertex's boundary successor) and ``_spot`` (the
+    positions of the recognized block it descends from; removals keep the
+    cyclic order, so descendants share it).  A linked block lists its
+    ``cycle``, traces its ``faces`` and sorts its ``chords`` as recognition
+    does only when first read after a change.
     """
 
     __slots__ = ("_cycle", "_chords", "_frozen", "_faces", "_spot", "_next")
 
-    def __init__(self, cycle: tuple[int, ...], chords: frozenset[Edge],
-                 faces: tuple[Face, ...] | None = None):
+    def __init__(self, cycle: tuple[int, ...], chords: frozenset[Edge]):
         self._cycle = cycle
         self._chords = self._frozen = chords
-        self._faces = faces
+        self._faces: tuple[Face, ...] | None = None
         self._next: dict[int, int] | None = None
 
     @classmethod
@@ -619,37 +621,45 @@ def _small_components(g: Graph, seeds: set[int]) -> list[list[int]]:
     return [sorted(c) for c in comps.values()]
 
 
-def _boundary_cycle(block: Graph) -> tuple[int, ...]:
+def _boundary_cycle(adj: dict[int, set[int]], m: int) -> tuple[int, ...]:
     """The Hamiltonian boundary cycle of a 2-connected outerplanar block.
 
-    Repeatedly deletes the smallest-id degree-2 vertex, splicing its
-    neighbors together, then reinserts the vertices in reverse order.  A
-    2-connected graph of minimum degree 3 has no outerplane drawing, so
-    getting stuck is a sound rejection.  Degrees never grow, so a heap with
-    lazy deletion finds the vertex a full scan would.  The output does not
-    depend on the removal order: a 2-connected outerplanar graph has exactly
-    one Hamiltonian cycle, and ``_canonical_cycle`` fixes its rotation and
-    direction.
+    ``adj`` holds the block's adjacency sets, which this uses up, and ``m``
+    its edge count.  Repeatedly deletes the smallest-id degree-2 vertex,
+    splicing its neighbors together, then reinserts the vertices in reverse
+    order.  A 2-connected graph of minimum degree 3 has no outerplane
+    drawing, so getting stuck is a sound rejection.  Degrees never grow, so
+    a heap with lazy deletion finds the vertex a full scan would.  The
+    output does not depend on the removal order: a 2-connected outerplanar
+    graph has exactly one Hamiltonian cycle, and ``_canonical_cycle`` fixes
+    its rotation and direction.
     """
-    n = block.n
-    if block.m > 2 * n - 3:
+    n = len(adj)
+    if m > 2 * n - 3:
         raise NotOuterplanar("too many edges for an outerplane drawing")
-    adj: dict[int, set[int]] = {v: set(block.neighbors(v)) for v in block.vertices}
-    ready = [v for v in block.vertices if len(adj[v]) == 2]  # sorted: a heap
+    ready = [v for v, ns in adj.items() if len(ns) == 2]
+    heapq.heapify(ready)
     removed: list[tuple[int, int, int]] = []  # (vertex, left, right)
-    while len(adj) > 3:
+    pop, push = heapq.heappop, heapq.heappush
+    for _ in range(n - 3):
         while ready and len(adj.get(ready[0], ())) != 2:
-            heapq.heappop(ready)
+            pop(ready)
         if not ready:
             raise NotOuterplanar("a block has minimum degree 3")
-        v2 = heapq.heappop(ready)
-        a, b = sorted(adj.pop(v2))
+        v2 = pop(ready)
+        a, b = adj.pop(v2)
+        if a > b:
+            a, b = b, a
         removed.append((v2, a, b))
-        for x, y in ((a, b), (b, a)):
-            adj[x].discard(v2)
-            adj[x].add(y)
-            if len(adj[x]) == 2:
-                heapq.heappush(ready, x)
+        na, nb = adj[a], adj[b]
+        na.discard(v2)
+        na.add(b)
+        if len(na) == 2:
+            push(ready, a)
+        nb.discard(v2)
+        nb.add(a)
+        if len(nb) == 2:
+            push(ready, b)
     if any(len(ns) != 2 for ns in adj.values()):
         raise NotOuterplanar("block does not reduce to a triangle")
     # reinsert in reverse removal order; neighbors must sit side by side
@@ -684,7 +694,8 @@ def _positions(cycle: tuple[int, ...]) -> dict[int, int]:
 def _finish_block(cycle: Sequence[int], edges: Iterable[Edge]) -> BlockEmbedding:
     """The block on boundary ``cycle``; its ``edges`` off the cycle are its chords.
 
-    Its faces come from ``_face_pass`` at once, which also checks the chords.
+    The chords must nest like parentheses; the block traces its faces when
+    they are first read.
     """
     cycle = tuple(cycle)
     k = len(cycle)
@@ -693,7 +704,42 @@ def _finish_block(cycle: Sequence[int], edges: Iterable[Edge]) -> BlockEmbedding
     for u, v in edges:
         if 1 < abs(pos[u] - pos[v]) < k - 1:
             chords.append((u, v))
-    return BlockEmbedding(cycle, frozenset(chords), _face_pass(cycle, pos, chords))
+    _check_nesting(cycle, pos, chords)
+    chords.sort()  # a frozenset's order depends on how it was filled
+    return BlockEmbedding(cycle, frozenset(chords))
+
+
+def _closing(k: int, pos: dict[int, int], chords: Iterable[Edge]) -> list[list[int]]:
+    """For each boundary position ``j``, the other ends of the chords that
+    close there (at their larger position)."""
+    closing: list[list[int]] = [[] for _ in range(k)]
+    for u, v in chords:
+        i, j = pos[u], pos[v]
+        if i < j:
+            closing[j].append(i)
+        else:
+            closing[i].append(j)
+    return closing
+
+
+def _check_nesting(cycle: tuple[int, ...], pos: dict[int, int],
+                   chords: Iterable[Edge]) -> None:
+    """Raise NotOuterplanar unless the chords nest like parentheses.
+
+    The stack holds the boundary positions still open, increasing.  At
+    position ``j`` each chord ``(i, j)``, innermost first, pops the
+    positions above ``i``; if ``i`` was already popped, the chord
+    interleaves with the one that popped it.
+    """
+    stack: list[int] = []
+    for j, ends in enumerate(_closing(len(cycle), pos, chords)):
+        for i in sorted(ends, reverse=True):
+            while stack[-1] > i:
+                stack.pop()
+            if stack[-1] != i:
+                raise NotOuterplanar(
+                    f"chord {norm_edge(cycle[i], cycle[j])} interleaves another")
+        stack.append(j)
 
 
 def _face_pass(
@@ -701,22 +747,17 @@ def _face_pass(
 ) -> tuple[Face, ...]:
     """The inner faces of the block on ``cycle`` with ``chords``, sorted by key.
 
-    One stack pass over the boundary positions checks the chords and traces
-    the inner faces.  The stack holds the positions still open, increasing,
-    and consecutive entries are joined by an edge.  At position ``j`` each
-    chord ``(i, j)``, innermost first, pops the positions above ``i``; they
-    close a face with ``i`` and ``j``.  If ``i`` was already popped, the
-    chord interleaves with the one that popped it.  The positions left at
-    the end close the last face along the boundary edge back to position 0.
-    A face lists its smallest-position vertex first, then the others in
-    decreasing position.
+    The chords nest (``_check_nesting`` ran on the block or its ancestor).
+    One stack pass over the boundary positions traces the inner faces.  The
+    stack holds the positions still open, increasing, and consecutive
+    entries are joined by an edge.  At position ``j`` each chord ``(i, j)``,
+    innermost first, pops the positions above ``i``; they close a face with
+    ``i`` and ``j``.  The positions left at the end close the last face
+    along the boundary edge back to position 0.  A face lists its
+    smallest-position vertex first, then the others in decreasing position.
     """
     k = len(cycle)
-    closing: list[list[int]] = [[] for _ in range(k)]
-    for u, v in chords:
-        i, j = pos[u], pos[v]
-        closing[max(i, j)].append(min(i, j))
-
+    closing = _closing(k, pos, chords)
     faces: list[Face] = []
 
     def close(run: list[int]) -> None:
@@ -730,9 +771,6 @@ def _face_pass(
             top = len(stack) - 1
             while stack[top] > i:
                 top -= 1
-            if stack[top] != i:
-                raise NotOuterplanar(
-                    f"chord {norm_edge(cycle[i], cycle[j])} interleaves another")
             close(stack[top:] + [j])
             del stack[top + 1:]
         stack.append(j)
@@ -741,25 +779,41 @@ def _face_pass(
     return tuple(faces)
 
 
-def embed_block(block: Graph) -> BlockEmbedding:
-    return _finish_block(_boundary_cycle(block), block.edges)
+def embed_block(edges: list[Edge], adj: dict[int, set[int]]) -> BlockEmbedding:
+    """The block on ``edges``, which are its DFS edge list; the degree-2
+    reduction uses up its adjacency sets ``adj``."""
+    return _finish_block(_boundary_cycle(adj, len(edges)), edges)
 
 
 def recognize_embed(g: Graph) -> OuterplanarEmbedding:
-    """Recognize outerplanarity and build the embedding, or raise NotOuterplanar."""
+    """Recognize outerplanarity and build the embedding, or raise NotOuterplanar.
+
+    The blocks come off one depth-first search: a one-edge block is a
+    bridge, and any other gets its adjacency sets built once.  The blocks'
+    vertex counts, less one each, add up to ``g.n - 1`` exactly when ``g``
+    is connected (its block-cut tree is then a tree; with c components they
+    add up to ``g.n - c``).
+    """
     if g.n == 0:
         raise ValueError("empty graph")
-    if not g.is_connected():
-        raise ValueError("recognition expects a connected graph")
-    blocks: list[BlockEmbedding] = []
     bridges: set[Edge] = set()
-    for blk in g.biconnected_components():
-        if blk.n == 2:
-            bridges.add(blk.edges[0])
-        else:
-            blocks.append(embed_block(blk))
-    blocks.sort(key=lambda b: b.cycle)
-    return OuterplanarEmbedding(g, tuple(blocks), frozenset(bridges))
+    cyclic: list[tuple[list[Edge], dict[int, set[int]]]] = []
+    spanned = 1  # one plus each block's vertex count less one
+    for edges in g._block_decomposition()[0]:
+        if len(edges) == 1:
+            bridges.add(edges[0])
+            spanned += 1
+            continue
+        adj: dict[int, set[int]] = defaultdict(set)
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        cyclic.append((edges, adj))
+        spanned += len(adj) - 1
+    if spanned != g.n:  # checked before any block can raise NotOuterplanar
+        raise ValueError("recognition expects a connected graph")
+    blocks = sorted((embed_block(*block) for block in cyclic), key=_cycle)
+    return OuterplanarEmbedding(g, blocks, bridges)
 
 
 def endfaces(emb: OuterplanarEmbedding) -> list[Face]:

@@ -6,9 +6,9 @@ a working copy (``working_copy``), which ``cut`` changes in place and
 ``put_back`` restores from the record ``cut`` returned; the reduction driver
 keeps one.  A working copy counts its degrees into a histogram once, and a
 cut patches it at the vertices it touches, so its extreme degrees cost O(Δ);
-any other graph finds them by a scan.  A working copy or an induced
-subgraph lists its sorted vertex and edge tuples only when they are first
-read.
+any other graph finds them by a scan.  A working copy, an induced subgraph
+or a graph built by ``from_edges`` lists its sorted vertex and edge tuples
+only when they are first read.
 """
 
 from __future__ import annotations
@@ -69,15 +69,24 @@ class Graph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[Edge], n: int | None = None) -> "Graph":
-        """Build from an edge list; vertices are the endpoints plus 0..n-1."""
-        edges = [norm_edge(u, v) for u, v in edges]
-        vs: set[int] = set()
+        """Build from an edge list; vertices are the endpoints plus 0..n-1.
+
+        Each edge is read once, into adjacency sets that are then sorted;
+        a self-loop raises ValueError."""
+        adj: dict[int, set[int]] = {v: set() for v in range(n or 0)}
         for u, v in edges:
-            vs.add(u)
-            vs.add(v)
-        if n is not None:
-            vs.update(range(n))
-        return cls(vs, edges)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if u in adj:
+                adj[u].add(v)
+            else:
+                adj[u] = {v}
+            if v in adj:
+                adj[v].add(u)
+            else:
+                adj[v] = {u}
+        out = {v: tuple(sorted(adj[v])) for v in sorted(adj)}
+        return cls._of(out, sum(map(len, out.values())) // 2, None)
 
     # -- accessors ---------------------------------------------------------
 
@@ -215,13 +224,14 @@ class Graph:
         blocks: list[list[Edge]] = []
         estack: list[Edge] = []
         timer = 0
+        adj = self._adj
         for root in self.vertices:
             if root in disc:
                 continue
             parent[root] = None
             root_children = 0
             # stack holds (vertex, iterator over neighbors)
-            stack: list[tuple[int, Iterator[int]]] = [(root, iter(self._adj[root]))]
+            stack: list[tuple[int, Iterator[int]]] = [(root, iter(adj[root]))]
             disc[root] = low[root] = timer
             timer += 1
             while stack:
@@ -232,25 +242,28 @@ class Graph:
                         parent[w] = u
                         if u == root:
                             root_children += 1
-                        estack.append(norm_edge(u, w))
+                        estack.append((u, w) if u < w else (w, u))
                         disc[w] = low[w] = timer
                         timer += 1
-                        stack.append((w, iter(self._adj[w])))
+                        stack.append((w, iter(adj[w])))
                         advanced = True
                         break
-                    elif w != parent[u] and disc[w] < disc[u]:
-                        estack.append(norm_edge(u, w))
-                        low[u] = min(low[u], disc[w])
+                    dw = disc[w]
+                    if dw < disc[u] and w != parent[u]:
+                        estack.append((u, w) if u < w else (w, u))
+                        if dw < low[u]:
+                            low[u] = dw
                 if advanced:
                     continue
                 stack.pop()
                 if stack:
                     p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
+                    if low[u] < low[p]:
+                        low[p] = low[u]
                     if low[u] >= disc[p]:
                         # p separates u's subtree: pop one block
                         block: list[Edge] = []
-                        pe = norm_edge(p, u)
+                        pe = (p, u) if p < u else (u, p)
                         while estack:
                             e = estack.pop()
                             block.append(e)

@@ -79,42 +79,58 @@ def verify(f: TotalLabeling, p: int = 2) -> list[Violation]:
     """All constraint violations of ``f`` at vertex-edge separation ``p``.
 
     An empty list means the labeling is a valid (p,1)-total labeling.
-    The scan is deterministic and exhaustive.
+    The scan is deterministic and exhaustive.  The violations come in four
+    runs: unlabeled or out-of-range elements (vertices, then edges), equal
+    adjacent vertices, vertex-edge pairs closer than ``p`` (by edge, then
+    end), and equal edges at a vertex (by vertex, then pairs of its edges in
+    adjacency order).  One pass over the edges reads each edge's labels
+    once for the first three; a vertex whose present edge labels are all
+    distinct (labels are integers) has no pair to report.
     """
     g = f.graph
-    a = f.assignment
+    get = f.assignment.get
+    k = f.k
     out: list[Violation] = []
-
-    for el in g.elements():
-        lab = a.get(el)
-        if lab is None:
-            out.append(Violation("unlabeled-element", (el,)))
-        elif not (0 <= lab <= f.k):
-            out.append(Violation("label-out-of-range", (el,)))
-
-    for u, v in g.edges:
-        lu, lv = a.get(u), a.get(v)
-        if lu is not None and lv is not None and abs(lu - lv) < 1:
-            out.append(Violation("adjacent-vertices-equalish", (u, v)))
-
-    for e in g.edges:
-        le = a.get(e)
-        if le is None:
-            continue
-        for v in e:
-            lv = a.get(v)
-            if lv is not None and abs(lv - le) < p:
-                out.append(Violation("vertex-edge-too-close", (v, e)))
-
     for v in g.vertices:
-        inc = g.incident_edges(v)
+        lab = get(v)
+        if lab is None:
+            out.append(Violation("unlabeled-element", (v,)))
+        elif not (0 <= lab <= k):
+            out.append(Violation("label-out-of-range", (v,)))
+
+    equal: list[Violation] = []
+    close: list[Violation] = []
+    for e in g.edges:
+        u, v = e
+        le, lu, lv = get(e), get(u), get(v)
+        if lu is not None and lv is not None and abs(lu - lv) < 1:
+            equal.append(Violation("adjacent-vertices-equalish", e))
+        if le is None:
+            out.append(Violation("unlabeled-element", (e,)))
+            continue
+        if not (0 <= le <= k):
+            out.append(Violation("label-out-of-range", (e,)))
+        if lu is not None and abs(lu - le) < p:
+            close.append(Violation("vertex-edge-too-close", (u, e)))
+        if lv is not None and abs(lv - le) < p:
+            close.append(Violation("vertex-edge-too-close", (v, e)))
+    out += equal
+    out += close
+
+    nbrs = g.neighbors
+    for v in g.vertices:
+        inc = [(v, w) if v < w else (w, v) for w in nbrs(v)]
+        labs = [get(e) for e in inc]
+        if len(set(labs)) == len(labs):
+            continue
         for i in range(len(inc)):
+            le = labs[i]
+            if le is None:
+                continue
             for j in range(i + 1, len(inc)):
-                le, lf = a.get(inc[i]), a.get(inc[j])
-                if le is not None and lf is not None and abs(le - lf) < 1:
-                    out.append(
-                        Violation("adjacent-edges-equalish", (inc[i], inc[j]))
-                    )
+                lf = labs[j]
+                if lf is not None and abs(le - lf) < 1:
+                    out.append(Violation("adjacent-edges-equalish", (inc[i], inc[j])))
     return out
 
 

@@ -257,6 +257,11 @@ def test_parse_errors(tmp_path, capsys):
     code, _, err = run(capsys, "verify", gpath, str(lpath))
     assert code == 2
     assert "input error" in err
+    loop = tmp_path / "loop.txt"
+    loop.write_text("0 1\n1 2\n2 2\n2 0\n")
+    code, out, err = run(capsys, "label", str(loop))
+    assert (code, out) == (2, "")
+    assert "self-loop at vertex 2" in err
     jpath = tmp_path / "bad.json"
     jpath.write_text('{"n": 2.9, "edges": [[0, 1.7], [0, -1]]}')
     code, _, err = run(capsys, "label", str(jpath), "--format", "json")

@@ -413,8 +413,8 @@ def test_driver_never_redecomposes(monkeypatch):
         return inner
 
     monkeypatch.setattr(embedding, "embed_block", counting(embedding.embed_block))
-    monkeypatch.setattr(Graph, "biconnected_components",
-                        counting(Graph.biconnected_components))
+    monkeypatch.setattr(Graph, "_block_decomposition",
+                        counting(Graph._block_decomposition))
     for g in (_capped_polygon(96, 4, "one-recognition"), gen.gen_strip(120),
               gen.gen_bridged_hexagons(16)):
         calls.clear()

@@ -53,6 +53,23 @@ def test_reject_k4_and_k23():
         recognize_embed(k23)
 
 
+def test_reject_disconnected_before_any_block():
+    # connectivity is read off the block decomposition's search, and a
+    # disconnected graph is refused before any block is embedded
+    two = Graph.from_edges([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    k4_and_one = Graph.from_edges(
+        [(a, b) for a in range(4) for b in range(a + 1, 4)], 5)
+    for g in (two, k4_and_one, Graph.from_edges([], 2),
+              Graph.from_edges([(0, 1), (2, 3)])):
+        with pytest.raises(ValueError, match="connected") as exc:
+            recognize_embed(g)
+        assert not isinstance(exc.value, NotOuterplanar)
+    with pytest.raises(ValueError, match="empty"):
+        recognize_embed(Graph([], []))
+    one = recognize_embed(Graph.from_edges([], 1))
+    assert one.blocks == () and one.bridge_edges == frozenset()
+
+
 def test_reject_crossing_chords():
     g = Graph.from_edges(
         [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4)]
@@ -214,6 +231,61 @@ def test_decompose_rejects_wrong_degree():
         boundary_decompose(recognize_embed(gen.gen_closed_chain(2, "merged")))
 
 
+@pytest.mark.parametrize("n", range(4, 10))
+def test_faces_traced_on_first_read(n):
+    # recognition leaves a block's faces untraced; when first read they are
+    # one face pass over its cycle and chords, and they check out against
+    # the cycle and chords alone, on every dissection of the n-gon
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    for d in gen.enumerate_dissections(n):
+        (blk,) = recognize_embed(
+            Graph.from_edges([(perm[a], perm[b]) for a, b in d.edges])).blocks
+        assert blk._faces is None
+        pos = {v: i for i, v in enumerate(blk.cycle)}
+        assert blk.faces == embedding._face_pass(blk.cycle, pos, sorted(blk.chords))
+        _assert_faces(blk)
+
+
+def test_recognized_chords_iterate_in_sorted_fill_order():
+    # the labelers iterate chord sets, and a frozenset's order depends on the
+    # order it was filled in: recognition fills it sorted, as a linked block
+    # does, whatever order the depth-first search lists the edges in
+    hosts = [gen.gen_strip(60), gen.gen_sun_necklace(4)]
+    hosts += [_capped_polygon(n, 4, f"chords:{n}") for n in (40, 90)]
+    hosts += [gen.gen_glued_outerplanar(30, seed, {"max_degree": 4})
+              for seed in range(20)]
+    chords = 0
+    for g in hosts:
+        for b in recognize_embed(g).blocks:
+            assert list(b.chords) == list(frozenset(sorted(b.chords)))
+            chords += len(b.chords)
+    assert chords > 150
+
+
+def test_recognition_builds_no_graph(monkeypatch):
+    # blocks are embedded straight off the depth-first search's edge lists
+    hosts = [gen.gen_strip(40), gen.gen_bridged_hexagons(6), gen.gen_path(5),
+             _capped_polygon(30, 4, "no-graph"), Graph.from_edges([], 1)]
+    k4 = Graph.from_edges([(a, b) for a in range(4) for b in range(a + 1, 4)])
+    builds = 0
+    real = Graph.__init__
+
+    def counting(self, *args):
+        nonlocal builds
+        builds += 1
+        real(self, *args)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    for g in hosts:
+        recognize_embed(g)
+    with pytest.raises(NotOuterplanar):
+        recognize_embed(k4)
+    assert builds == 0
+    Graph([0], [])
+    assert builds == 1  # the hook counts
+
+
 def test_blocks_sorted_by_cycle():
     # both blocks have smallest vertex 0; the depth-first search meets the
     # square first, through its chord (0, 1), but its cycle sorts second
@@ -279,13 +351,15 @@ def test_without_equals_fresh_recognition(monkeypatch):
     embedded = []
     real = embedding.embed_block
 
-    def counting(blk):
-        embedded.append(blk)
-        return real(blk)
+    def counting(*args):
+        embedded.append(args)
+        return real(*args)
 
     monkeypatch.setattr(embedding, "embed_block", counting)
     for g in _removal_hosts():
+        embedded.clear()
         emb = recognize_embed(g)
+        assert len(embedded) == len(emb.blocks)  # the hook sees recognition
         assert emb.cut_vertices() == g.cut_vertices()
         for vertices, edges in _removals(emb, rng):
             embedded.clear()

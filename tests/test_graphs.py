@@ -185,6 +185,30 @@ def test_rejects_malformed():
         Graph([0, 1], [(0, 0)])
     with pytest.raises(ValueError):
         Graph([0, 1], [(0, 2)])
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        Graph.from_edges([(0, 1), (2, 2), (3, 3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12))
+                .filter(lambda e: e[0] != e[1]), max_size=30),
+       st.one_of(st.none(), st.integers(0, 16)), st.integers(0, 2**32 - 1))
+def test_from_edges_equals_graph(edges, n, pick):
+    # duplicates, reversed pairs and padding vertices 0..n-1 build the same
+    # graph as the constructor, down to adjacency order and degrees
+    rng = random.Random(pick)
+    edges = edges + [(v, u) for u, v in edges if rng.random() < 0.3]
+    rng.shuffle(edges)
+    g = Graph.from_edges(edges, n)
+    ref = Graph({x for e in edges for x in e} | set(range(n or 0)), edges)
+    assert g.vertices == ref.vertices and g.edges == ref.edges
+    assert g.m == ref.m and g.n == ref.n
+    assert [g.neighbors(v) for v in g.vertices] == [
+        ref.neighbors(v) for v in ref.vertices]
+    if ref.n:
+        assert g.min_degree() == ref.min_degree()
+        assert g.max_degree() == ref.max_degree()
+    assert g == ref and hash(g) == hash(ref)
 
 
 @settings(max_examples=40, deadline=None)

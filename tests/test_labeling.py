@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from outerlabel import generators as gen
 from outerlabel.exact import lambda_exact
 from outerlabel.graphs import Graph, norm_edge
+from outerlabel.pipeline import label_outerplanar
 from outerlabel.labeling import (
     TotalLabeling,
+    Violation,
     complement,
     degree_lower_bound,
     incidence_graph,
@@ -202,6 +205,93 @@ def test_verify_around_is_verify_restricted(seed, pick):
     got = verify_around(f, subset)
     assert (got == []) == (near == [])
     assert len(got) == len(set(got)) and set(got) == set(near)
+
+
+def reference_verify(f: TotalLabeling, p: int = 2) -> list[Violation]:
+    """``verify`` as four plain loops, one per run of its output."""
+    g = f.graph
+    a = f.assignment
+    out: list[Violation] = []
+
+    for el in g.elements():
+        lab = a.get(el)
+        if lab is None:
+            out.append(Violation("unlabeled-element", (el,)))
+        elif not (0 <= lab <= f.k):
+            out.append(Violation("label-out-of-range", (el,)))
+
+    for u, v in g.edges:
+        lu, lv = a.get(u), a.get(v)
+        if lu is not None and lv is not None and abs(lu - lv) < 1:
+            out.append(Violation("adjacent-vertices-equalish", (u, v)))
+
+    for e in g.edges:
+        le = a.get(e)
+        if le is None:
+            continue
+        for v in e:
+            lv = a.get(v)
+            if lv is not None and abs(lv - le) < p:
+                out.append(Violation("vertex-edge-too-close", (v, e)))
+
+    for v in g.vertices:
+        inc = g.incident_edges(v)
+        for i in range(len(inc)):
+            for j in range(i + 1, len(inc)):
+                le, lf = a.get(inc[i]), a.get(inc[j])
+                if le is not None and lf is not None and abs(le - lf) < 1:
+                    out.append(
+                        Violation("adjacent-edges-equalish", (inc[i], inc[j]))
+                    )
+    return out
+
+
+@functools.cache
+def _dissections(n: int) -> list[Graph]:
+    return list(gen.enumerate_dissections(n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
+def test_verify_equals_reference_in_order(seed, pick, p):
+    # partial labelings, with labels out of range and repeated at a vertex,
+    # of glued hosts and dissections: verify lists what the four loops do,
+    # in their order
+    rng = random.Random(pick)
+    if seed % 2:
+        g = gen.gen_glued_outerplanar(6 + seed % 12, seed=seed, constraints={},
+                                      retries=10)
+    else:
+        g = rng.choice(_dissections(4 + seed % 5))
+    k = rng.randint(2, 7)
+    top = rng.choice([k, 3 * k])  # a wide range repeats fewer labels
+    f = TotalLabeling(g, k, {
+        el: rng.randint(-1, top + 1) for el in g.elements() if rng.random() < 0.9
+    })
+    for v in rng.sample(g.vertices, min(3, g.n)):
+        inc = g.incident_edges(v)
+        if len(inc) > 1 and rng.random() < 0.7:  # repeat an edge label at v
+            e, e2 = rng.sample(inc, 2)
+            f.assignment[e2] = f.assignment.get(e, rng.randint(0, k))
+    assert verify(f, p) == reference_verify(f, p)
+
+
+def test_verify_equals_reference_on_valid_and_mutated():
+    # a valid labeling, then one element changed at a time
+    g = gen.gen_glued_outerplanar(14, seed=3, constraints={"max_degree": 4})
+    f = label_outerplanar(g)
+    assert verify(f) == reference_verify(f) == []
+    rng = random.Random(0)
+    for el in list(g.elements()):
+        old = f.assignment[el]
+        for lab in (None, -1, f.k + 1, rng.randint(0, f.k)):
+            if lab is None:
+                del f.assignment[el]
+            else:
+                f.assignment[el] = lab
+            for p in (1, 2, 3):
+                assert verify(f, p) == reference_verify(f, p)
+        f.assignment[el] = old
 
 
 def test_verify_around_normalizes_and_rejects_unknown():
