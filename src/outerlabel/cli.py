@@ -4,8 +4,9 @@ JSON results go to stdout, human-readable summaries to stderr.  Exit codes:
 0 success, 1 failed verification, 2 input/parse error, 3 not outerplanar,
 4 unsupported input: a maximum degree no labeler serves, or (``exact``) more
 elements than the exhaustive search's element cap, 5 labeler fault: a
-labeler found no verified labeling or spent a completion search's node
-budget (``delta3.InfeasibleTrace``), with its message on stderr.
+case table failed its check, or a labeler found no verified labeling or
+spent a completion search's node budget (``delta3.InfeasibleTrace``), with
+its message on stderr.
 """
 
 from __future__ import annotations

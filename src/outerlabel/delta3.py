@@ -21,13 +21,13 @@ record with the finish rule that extends the smaller host's labeling back
 before its rule runs.
 
 Every finish rule extends its component's labeling in place and checks
-what it changed: ``complete`` is the one place that extends, checks and
-widens.  It runs ``verify_around`` on the elements the rule touched or
-freed, which is exact because the smaller host's labeling was valid and
-the rest of it is kept (or complemented as a whole).  If a case table
-ever disagrees with that check, the touched elements are relabeled by
-bounded exhaustive search, tier by tier, and a discrepancy record is
-emitted.  ``label_delta3`` runs the one full ``verify`` on the finished
+what it changed with ``verify_around``, which is exact because the smaller
+host's labeling was valid and the rest of it is kept (or complemented as a
+whole).  A case table writes its labels and is only checked (``check``):
+a miss raises InfeasibleTrace naming the rule.  ``complete`` is the one
+place that searches: it relabels freed elements by bounded search, checks
+and puts back, and frees a wider set only after a miss, logging each
+widening.  ``label_delta3`` runs the one full ``verify`` on the finished
 labeling, so the verifier has the last word on every output.
 """
 
@@ -69,7 +69,8 @@ class NotDelta(ValueError):
 
 @dataclass
 class Diagnostics:
-    """Collects fallback/discrepancy records and optional step traces."""
+    """Collects repair records (widened completions, junction patches) and
+    optional step traces."""
 
     records: list[dict] = field(default_factory=list)
     trace: list[str] = field(default_factory=list)
@@ -79,10 +80,6 @@ class Diagnostics:
 
     def step(self, msg: str) -> None:
         self.trace.append(msg)
-
-    @property
-    def fallbacks(self) -> int:
-        return sum(1 for r in self.records if r.get("event") == "fallback")
 
 
 @dataclass
@@ -421,27 +418,37 @@ def reduce_and_extend(host: OuterplanarEmbedding, k: int,
     return f if f.graph is graph else TotalLabeling(graph, k, f.assignment)
 
 
-def complete(f: TotalLabeling, first: list[Element], tiers: list[list[Element]],
-             where: str, diag: Diagnostics | None, event: str = "fallback", *,
-             touched: Collection[Element]) -> TotalLabeling:
-    """The first checked completion of ``f``, freeing ``first``, then each tier.
+def check(f: TotalLabeling, touched: Collection[Element], where: str) -> TotalLabeling:
+    """``f``, once ``verify_around`` finds nothing around ``touched``.
 
-    ``f`` labels the host as the smaller host's valid labeling does, or as
-    its complement does, except at ``touched``: every element whose label
-    may differ, and every element of the host the smaller one lacks.  So a
-    completion is valid exactly when ``verify_around`` finds nothing around
-    ``touched`` and the freed elements; no full ``verify`` runs here.  With
-    ``first`` empty, ``f`` is only checked.  Else ``extend_bounded``
-    relabels the ``first`` elements (normalized), in place, within
-    ``COMPLETION_BUDGET`` nodes; a completion that does not check clean is
-    put back, and each non-empty tier is freed in turn and logged as
-    ``event`` at ``where``.  Returns ``f``; raises InfeasibleTrace when no
-    tier gives a valid labeling or a search spends its budget.
+    ``touched`` holds every element whose label may differ from the smaller
+    host's valid labeling (or its complement) and every element that host
+    lacks.  Raises InfeasibleTrace naming ``where`` and the violations.
+    """
+    bad = verify_around(f, touched)
+    if bad:
+        raise InfeasibleTrace(f"{where}: labels fail their check: {bad[:3]}")
+    return f
+
+
+def complete(f: TotalLabeling, frees: Iterable[list[Element]], where: str,
+             diag: Diagnostics | None, event: str | None = None, *,
+             touched: Collection[Element] = ()) -> TotalLabeling:
+    """The first checked completion of ``f``, freeing each of ``frees`` in turn.
+
+    ``f`` is as ``check`` needs it around ``touched`` and the freed
+    elements, so a completion is valid exactly when ``verify_around`` finds
+    nothing there; no full ``verify`` runs here.  ``extend_bounded``
+    relabels each freed set (normalized), in place, within
+    ``COMPLETION_BUDGET`` nodes; an empty set is only checked.  A completion
+    that does not check clean is put back.  ``frees`` is read one set at a
+    time, so a wider set is built only after a miss; each set after the
+    first is logged as ``event`` at ``where``.  Returns ``f``; raises
+    InfeasibleTrace when no set gives a valid labeling or a search spends
+    its budget.
     """
     a = f.assignment
-    for i, free in enumerate([first, *tiers]):
-        if i and not free:
-            continue
+    for i, free in enumerate(frees):
         if i and diag is not None:
             diag.note(event=event, where=where, freed=len(free))
         old = [(el, a[el]) for el in free if el in a]
@@ -470,20 +477,10 @@ def _pendant_step(host: OuterplanarEmbedding, diag: Diagnostics | None):
 
 def _restore_pendant(u1: int, u2: int, diag: Diagnostics | None,
                      fh: TotalLabeling) -> TotalLabeling:
-    return complete(fh, [u1, _E(u1, u2)], [], f"pendant at vertex {u1}", diag,
-                    touched=[])
+    return complete(fh, [[u1, _E(u1, u2)]], f"pendant at vertex {u1}", diag)
 
 
 # -- leaf-block surgery ------------------------------------------------------
-
-def _incident_elements(g: Graph, vs: Iterable[int]) -> list[Element]:
-    out: list[Element] = []
-    for v in vs:
-        if g.has_vertex(v):
-            out.append(v)
-            out.extend(g.incident_edges(v))
-    return sorted(set(out), key=repr)
-
 
 def extend_lemma1(
     f: TotalLabeling,
@@ -544,7 +541,7 @@ def extend_lemma1(
     g3 = Graph([*far, *hidden], far_edges + path)
     if g3.max_degree() <= 2:
         # the far side is a single edge; complete it in place
-        complete(f, [*far_edges, *far[1:-1]], [], "tiny reattachment", diag,
+        complete(f, [[*far_edges, *far[1:-1]]], "tiny reattachment", diag,
                  touched=around)
         if flipped:
             f.flip = 5 - f.flip
@@ -573,9 +570,8 @@ def extend_lemma1(
                 )
             )
 
-    # each candidate is written into ``f`` and taken out again on a miss
-    a = f.assignment
-    added = keep.difference((u_prime, v_prime))
+    # every candidate labels exactly ``keep``, so each one written into
+    # ``f`` replaces the one before
     fallback: dict[Element, int] | None = None
     for opts in option_sets:
         try:
@@ -595,8 +591,6 @@ def extend_lemma1(
             f.update(part)
             if not verify_around(f, around):
                 break
-            for z in added:
-                del a[z]
         if fallback is None:
             # keep a candidate needing only an endpoint repair
             part[u_prime] = vu
@@ -606,23 +600,10 @@ def extend_lemma1(
         if fallback is None:
             raise InfeasibleTrace("no boundary-walk run matched the stub labels")
         f.update(fallback)
-
-    # re-choosing a junction vertex label is the construction's own final
-    # move, so it is logged as a patch; widening beyond that would be a
-    # genuine disagreement with the tables
-    try:
-        complete(
-            f,
-            [],
-            [[u_prime], [v_prime], [u_prime, v_prime]],
-            "reattachment junction",
-            diag,
-            event="junction-patch",
-            touched=around,
-        )
-    except InfeasibleTrace:
-        tips = [z for z in _incident_elements(g3, [u_prime, v_prime]) if z in keep]
-        complete(f, [], [tips], "extend_lemma1", diag, touched=around)
+        # re-choosing a junction vertex label is the construction's own
+        # final move, logged as a patch
+        complete(f, ([], [u_prime], [v_prime]), "reattachment junction", diag,
+                 "junction-patch", touched=around)
     # ``f`` is valid, and its mirror image is valid exactly when it is
     if flipped:
         f.flip = 5 - f.flip
@@ -699,7 +680,7 @@ def _attach_leaf_block(g: Graph, blk: BlockEmbedding, v_c: int, w: int,
             f"bridge-label={base.edge(v_c, w)}"
         )
     if not emb1.inner_edges:
-        return _attach_cycle_block(base, g, emb1, v_c, w, diag)
+        return _attach_cycle_block(base, emb1, v_c, w)
     return _attach_chorded_block(base, g, leaf, emb1, v_c, w, diag)
 
 
@@ -708,8 +689,7 @@ def _rotate_to(seq: Sequence[int], first: int) -> list[int]:
     return [seq[(i + j) % len(seq)] for j in range(len(seq))]
 
 
-def _attach_cycle_block(base: TotalLabeling, g: Graph, emb1, v_c: int, w: int,
-                        diag: Diagnostics | None) -> TotalLabeling:
+def _attach_cycle_block(base: TotalLabeling, emb1, v_c: int, w: int) -> TotalLabeling:
     """Label a chordless leaf cycle against the already-labeled bridge."""
     few = base.edge(v_c, w)
     fw = base.vertex(w)
@@ -746,9 +726,7 @@ def _attach_cycle_block(base: TotalLabeling, g: Graph, emb1, v_c: int, w: int,
         elif few == 3 and r % 2 == 1:
             ext[_E(order[2], order[1])] = 3
             ext[_E(order[1], v_c)] = 4
-    base.update(ext)
-    tiers = [[v_c], _incident_elements(g, [v_c, order[1], order[-1]])]
-    return complete(base, [], tiers, "cycle-block attach", diag, touched=ext)
+    return _finish_direct(base, ext, "cycle-block attach")
 
 
 def _attach_chorded_block(
@@ -766,13 +744,12 @@ def _attach_chorded_block(
     if diag is not None:
         diag.step(f"cut vertex run length {qs[0]}")
     if qs[0] > 1:
-        return _attach_wide_gap(base, g, leaf, emb1, xs, ys, v_c, w, diag)
+        return _attach_wide_gap(base, leaf, emb1, xs, ys, v_c, w)
     return _attach_tight_gap(base, g, leaf, emb1, xs, ys, v_c, w, diag)
 
 
-def _attach_wide_gap(base: TotalLabeling, g: Graph, leaf: Graph, emb1,
-                     xs: list[int], ys: list[list[int]], v_c: int, w: int,
-                     diag: Diagnostics | None) -> TotalLabeling:
+def _attach_wide_gap(base: TotalLabeling, leaf: Graph, emb1, xs: list[int],
+                     ys: list[list[int]], v_c: int, w: int) -> TotalLabeling:
     """The cut vertex has a 2-vertex neighbor inside its run."""
     few = base.edge(v_c, w)
     fw = base.vertex(w)
@@ -807,9 +784,7 @@ def _attach_wide_gap(base: TotalLabeling, g: Graph, leaf: Graph, emb1,
     ext = dict(f1.assignment)
     if few in (4, 5):
         ext[_E(ystar, v_c)] = 3
-    base.update(ext)
-    tiers = [[v_c], _incident_elements(g, [v_c] + ([ystar] if ystar else []))]
-    return complete(base, [], tiers, "wide-gap attach", diag, touched=ext)
+    return _finish_direct(base, ext, "wide-gap attach")
 
 
 def _plain_run(
@@ -860,9 +835,7 @@ def _attach_tight_gap(
         )
         f1, _ = label_k2(emb1, opts)
         ext = {z: 5 - l for z, l in f1.assignment.items()}
-        base.update(ext)
-        tiers = [[v_c], _incident_elements(g, [v_c])]
-        return complete(base, [], tiers, "tight-gap flip attach", diag, touched=ext)
+        return _finish_direct(base, ext, "tight-gap flip attach")
 
     if pprime == 2:
         return _tight_gap_short_chord(
@@ -921,7 +894,7 @@ def _attach_tight_gap(
             if same:
                 ext[uprime] = 3
                 ext[_E(uprime, x1)] = ({0, 1} - {ext[_E(xp, uprime)]}).pop()
-                return _finish_direct(base, ext, g, diag, "tight-gap fan")
+                return _finish_direct(base, ext, "tight-gap fan")
             ext[uprime] = 4
             ext[vprime] = 5
             ext[_E(uprime, x1)] = 1
@@ -950,7 +923,7 @@ def _attach_tight_gap(
                 _E(x1, xp): 0, _E(xs[pprime - 2], xp): 4, _E(x1, v_c): 3,
                 _E(x1, uprime): 2, _E(xp, uprime): 5,
             })
-        return _finish_direct(base, ext, g, diag, "tight-gap fan ends")
+        return _finish_direct(base, ext, "tight-gap fan ends")
 
     if few == 4 and fw == 0:
         last = trace(5, idx_z)
@@ -992,7 +965,7 @@ def _attach_tight_gap(
                 _E(x1, uprime): 2, _E(xp, uprime): 1,
             })
             _plain_run(ext, last_run, 0, 1)
-        return _finish_direct(base, ext, g, diag, "tight-gap low-bridge ends")
+        return _finish_direct(base, ext, "tight-gap low-bridge ends")
 
     # bridge edge labeled 3: two flavors keyed by the neighbor's label
     m_out = idx_z + 1
@@ -1015,7 +988,7 @@ def _attach_tight_gap(
             _E(x1, v_c): 2, _E(x1, xp): 0,
             _E(x1, uprime): 3, _E(xp, uprime): 4,
         })
-        return _finish_direct(base, ext, g, diag, "tight-gap mid-bridge ends")
+        return _finish_direct(base, ext, "tight-gap mid-bridge ends")
 
     ext[v_c] = 5
     for j, xv in enumerate(mid_xs):
@@ -1044,7 +1017,7 @@ def _attach_tight_gap(
         _E(x1, v_c): 2, _E(x1, xp): 4,
         _E(x1, uprime): 3, _E(xp, uprime): 5,
     })
-    return _finish_direct(base, ext, g, diag, "tight-gap flipped ends")
+    return _finish_direct(base, ext, "tight-gap flipped ends")
 
 
 def _tight_gap_short_chord(
@@ -1108,19 +1081,15 @@ def _tight_gap_short_chord(
                  _E(x1, v_c): 5, _E(v_c, x2): 2, _E(x1, x2): 0,
                  _E(x2, vprime): 1, _E(uprime, x1): 1}
     if same:
-        return _finish_direct(base, T, g, diag, "short-chord ends")
+        return _finish_direct(base, T, "short-chord ends")
     return _finish_reattach(base, T, g, x1, x2, far, diag)
 
 
-def _finish_direct(base: TotalLabeling, ext: dict[Element, int], g: Graph,
-                   diag: Diagnostics | None, where: str) -> TotalLabeling:
+def _finish_direct(base: TotalLabeling, ext: dict[Element, int],
+                   where: str) -> TotalLabeling:
+    """Write the table rule ``where``'s labels ``ext`` and check them."""
     base.update(ext)
-    small = sorted(ext, key=repr) if len(ext) <= 24 else []
-    tiers: list[list[Element]] = [
-        [z for z in ext if isinstance(z, int)][:4],
-        small,
-    ]
-    return complete(base, [], tiers, where, diag, touched=ext)
+    return check(base, ext, where)
 
 
 def _finish_reattach(base: TotalLabeling, ext: dict[Element, int], g: Graph,
@@ -1137,6 +1106,6 @@ def _finish_reattach(base: TotalLabeling, ext: dict[Element, int], g: Graph,
     # the far side's ends keep only their stub edges
     ties = [e for e in ((uprime, xp), (x1, vprime), (uprime, vprime)) if g.has_edge(*e)]
     undo = g.cut(far[1:-1], ties)
-    complete(base, [], [[uprime, vprime]], "reattachment stub", diag, touched=ext)
+    check(base, ext, "reattachment stub")
     g.put_back(undo)
     return extend_lemma1(base, x1, xp, far, diag)

@@ -8,7 +8,8 @@ of maximum degree 3 are labeled by the span-5 labeler inside the span-6
 range, on the same embedding.  Hosts of minimum degree 1 lose a pendant;
 hosts containing two adjacent 2-vertices or a triangle with a 2-vertex and
 a 3-vertex lose one 2-vertex, and the C1/C2 finish rule
-relabels the freed elements by bounded search.  The remaining hosts contain
+relabels the freed elements by bounded search, widened to the neighbours'
+elements (and logged) only when that misses.  The remaining hosts contain
 a closed fan of triangles whose interior is cut out; the chain-template
 finish rule labels it by one of eight per-parity label templates and
 splices it back.  Which template applies is decided by which pair of
@@ -17,10 +18,12 @@ label flip z -> 6 - z reduce the fourteen possible pairs to four canonical
 cases.
 
 All templates and their subcase patches are data tables keyed by spine
-index patterns, so they can be audited entry by entry.  Each finish rule
-checks the elements it changed (``delta3.complete``), any disagreement is
-logged and repaired by bounded search, and ``label_delta4`` runs the one
-full ``verify`` on the output, so the verifier has the final word.
+index patterns, so they can be audited entry by entry.  The chain finish
+rule writes its template and checks the elements it changed
+(``delta3.check``), with no search: a template that fails its check raises
+InfeasibleTrace, and one left with an empty choice CaseFault.
+``label_delta4`` runs the one full ``verify`` on the output, so the
+verifier has the final word.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .delta3 import (
     NotDelta,
     _label_span5,
     _pendant_step,
+    check,
     complete,
     label_cycle_or_path,
     recognize_components,
@@ -652,7 +656,7 @@ def _idx(expr: str | int, t: int, i: int | None = None) -> int:
     return val
 
 
-class CaseFault(RuntimeError):
+class CaseFault(InfeasibleTrace):
     """A template produced an empty choice set or an invalid labeling."""
 
 
@@ -838,28 +842,23 @@ def _step6(emb: OuterplanarEmbedding, diag: Diagnostics | None):
 
 def _fill_c1c2(g: Graph, cfg: Configuration, freed: list[Element],
                diag: Diagnostics | None, fh: TotalLabeling) -> TotalLabeling:
-    # Freeing only the dropped vertex's own elements is not always
-    # completable (the host can force both freed edges into {3,6}, say,
-    # leaving no vertex label).  Widening the search to the neighbors'
-    # elements relabels a slightly larger patch instead.
-    wider = set(freed)
-    for nb in g.neighbors(cfg.witnesses[0]):
-        wider.add(nb)
-        wider.update(g.incident_edges(nb))
-    return complete(
-        fh,
-        freed,
-        [sorted(wider, key=repr)],
-        f"{cfg.kind} completion",
-        diag,
-        event="widened-completion",
-        touched=[],
-    )
+    def frees():
+        yield freed
+        # Freeing only the dropped vertex's own elements is not always
+        # completable (the host can force both freed edges into {3,6}, say,
+        # leaving no vertex label).  Widening the search to the neighbors'
+        # elements relabels a slightly larger patch instead.
+        wider = set(freed)
+        for nb in g.neighbors(cfg.witnesses[0]):
+            wider.add(nb)
+            wider.update(g.incident_edges(nb))
+        yield sorted(wider, key=repr)
+
+    return complete(fh, frees(), f"{cfg.kind} completion", diag, "widened-completion")
 
 
 def _chain_surgery(chain, diag: Diagnostics | None, fh: TotalLabeling) -> TotalLabeling:
     spine = chain.spine
-    closing = chain.closing_inner_edge
     w1, w2 = chain.attachments
 
     l1 = availability(fh, spine[0], w1)
@@ -884,28 +883,11 @@ def _chain_surgery(chain, diag: Diagnostics | None, fh: TotalLabeling) -> TotalL
         )
     # the template is written in the canonical frame: only its own labels
     # are complemented back, the rest of the host keeps fh's
-    try:
-        ext = apply_template(chain_template(cc.case_id, chain.t, ctx), sp)
-        fh.assignment.pop(sp[0], None)
-        fh.assignment.pop(sp[-1], None)
-        fh.update({z: 6 - lab for z, lab in ext.items()} if cc.complement else ext)
-    except CaseFault:
-        ext = {}
-    free: list[Element] = list(spine)
-    free.append(closing)
-    for i in range(len(spine) - 1):
-        free.append(norm_edge(spine[i], spine[i + 1]))
-    for i in range(0, len(spine) - 2, 2):
-        free.append(norm_edge(spine[i], spine[i + 2]))
-    # the fallback search is exhaustive, so a long chain gets none
-    tiers = [free] if len(free) <= 30 else []
-    # outside ``free`` (which holds everything cut out with the chain) and
-    # the template's keys, the labeling is fh
-    return complete(
-        fh,
-        [],
-        tiers,
-        f"chain template case {cc.case_id} t={chain.t}",
-        diag,
-        touched=[*free, *ext],
-    )
+    ext = apply_template(chain_template(cc.case_id, chain.t, ctx), sp)
+    fh.assignment.pop(sp[0], None)
+    fh.assignment.pop(sp[-1], None)
+    fh.update({z: 6 - lab for z, lab in ext.items()} if cc.complement else ext)
+    # the template labels exactly what was cut out with the chain (the
+    # acceptance test's template sweep checks it), so outside its keys the
+    # labeling is fh
+    return check(fh, ext, f"chain template case {cc.case_id} t={chain.t}")

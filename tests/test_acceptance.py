@@ -55,7 +55,7 @@ def test_criterion_1_delta3_bound():
     _report(
         "criterion 1 (span <= 5 for max degree 3)",
         ok,
-        f"{good}/{len(graphs)} verified, fallbacks={diag.fallbacks}, {dt:.1f}s",
+        f"{good}/{len(graphs)} verified, records={len(diag.records)}, {dt:.1f}s",
     )
 
 
@@ -75,7 +75,7 @@ def test_criterion_2_delta4_bound():
     _report(
         "criterion 2 (span <= 6 for max degree 4)",
         ok,
-        f"{good}/{len(graphs)} verified, fallbacks={diag.fallbacks}, {dt:.1f}s",
+        f"{good}/{len(graphs)} verified, records={len(diag.records)}, {dt:.1f}s",
     )
 
 

@@ -88,6 +88,19 @@ def test_label_labeler_fault_exit_code(tmp_path, capsys, monkeypatch):
     assert "labeler fault" in err and "past its budget of 1" in err
 
 
+def test_label_template_fault_exit_code(tmp_path, capsys, monkeypatch):
+    # a chain template fault is a labeler fault too: exit 5, no traceback
+    from outerlabel import delta4
+
+    def fault(*args):
+        raise delta4.CaseFault("empty choice")
+
+    monkeypatch.setattr(delta4, "chain_template", fault)
+    code, out, err = run(capsys, "label", write_graph(tmp_path, gen.gen_sun_necklace(2)))
+    assert (code, out) == (5, "")
+    assert "labeler fault" in err and "empty choice" in err
+
+
 def test_label_invalid_dispatcher_output_exit_code(tmp_path, capsys, monkeypatch):
     # an invalid labeling from the Δ <= 2 labeler is a labeler fault as well
     from outerlabel import pipeline

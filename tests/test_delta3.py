@@ -20,6 +20,7 @@ from outerlabel.embedding import recognize_embed
 from outerlabel.exact import extend_bounded, lambda_exact
 from outerlabel.graphs import Graph, norm_edge
 from outerlabel.labeling import TotalLabeling, span, verify
+from outerlabel.pipeline import label_outerplanar
 
 
 def c6_chord():
@@ -200,6 +201,18 @@ def test_extend_lemma_fallback_candidate():
     ]
 
 
+def test_extend_lemma_junction_second_free_set():
+    # the fallback candidate of one reattachment here fails its check, and
+    # so does freeing its junction vertex u'; freeing v' completes it
+    g = gen.gen_glued_outerplanar(76, 476, {"max_degree": 4})
+    diag = Diagnostics()
+    f = label_outerplanar(g, diag=diag)
+    assert verify(f, 2) == [] and span(f) <= 6
+    assert [(r.get("event"), r.get("where")) for r in diag.records] == [
+        ("junction-patch", "reattachment junction")
+    ] * 2
+
+
 def test_reattachment_builds_only_local_graphs(monkeypatch):
     # each reattachment builds a closed-up copy of its far side and nothing
     # host-sized, so the vertices of all graphs built stay linear in n
@@ -296,7 +309,8 @@ def test_driver_over_random_corpus(seed):
     d = Diagnostics()
     f = label_delta3(g, d)
     assert verify(f, 2) == [] and span(f) <= 5
-    assert d.fallbacks == 0
+    assert all((r["event"], r["where"]) == ("junction-patch", "reattachment junction")
+               for r in d.records)
 
 
 def test_span_never_below_optimum():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_structure import _polygon_subsets
 
 from outerlabel import delta3, delta4, embedding, structure
 from outerlabel import generators as gen
@@ -30,7 +31,7 @@ from outerlabel.embedding import recognize_embed
 from outerlabel.exact import lambda_exact
 from outerlabel.graphs import Graph, norm_edge
 from outerlabel.labeling import TotalLabeling, span, verify
-from outerlabel.pipeline import label_outerplanar
+from outerlabel.pipeline import UnsupportedDegree, label_outerplanar
 from outerlabel.structure import Configuration, find_configuration
 
 
@@ -198,7 +199,7 @@ def test_closed_chain_instances(t):
     d = Diagnostics()
     f = label_delta4(gen.gen_closed_chain(t, "merged"), d)
     assert verify(f, 2) == [] and span(f) <= 6
-    assert d.fallbacks == 0
+    assert d.records == []
     assert any("chain" in s for s in d.trace)
 
 
@@ -227,6 +228,38 @@ def test_c1_reduction_branch():
     assert verify(f, 2) == [] and span(f) <= 6
 
 
+def test_c1_completion_widens_after_a_miss():
+    # one C1 step on this host leaves no completion over the dropped
+    # vertex's own elements; the neighbours' elements are freed as well
+    g = gen.gen_glued_outerplanar(74, 954, {"max_degree": 4})
+    d = Diagnostics()
+    f = label_delta4(g, d)
+    assert verify(f, 2) == [] and span(f) <= 6
+    assert [(r.get("event"), r.get("where")) for r in d.records] == [
+        ("widened-completion", "C1 completion")
+    ]
+
+
+def test_every_small_polygon_subgraph():
+    # every connected graph on n <= 7 vertices whose edges lie in a
+    # triangulated n-gon: Δ <= 4 labels clean within Δ+2, Δ >= 5 is refused
+    labeled = refused = 0
+    records = []
+    for g in _polygon_subsets():
+        d = Diagnostics()
+        try:
+            f = label_outerplanar(g, diag=d)
+        except UnsupportedDegree:
+            assert g.max_degree() >= 5
+            refused += 1
+            continue
+        assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
+        labeled += 1
+        records += [(r.get("event"), r.get("where")) for r in d.records]
+    assert (labeled, refused) == (8645, 1888)
+    assert records == [("widened-completion", "C2 completion")] * 14
+
+
 def test_stars_label_through_the_pendant_rule():
     # K1,3 and K1,4 are the smallest hosts of maximum degree 3 and 4
     k13 = Graph.from_edges([(0, i) for i in range(1, 4)])
@@ -235,6 +268,24 @@ def test_stars_label_through_the_pendant_rule():
     for g in (k13, k14, both):
         f = label_outerplanar(g)
         assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
+
+
+def test_template_miss_raises_without_search(monkeypatch):
+    # a template is checked, not repaired: one wrong label ends the run
+    # with the rule's name and the violations, and nothing is searched
+    def wrong(*args):
+        tmpl = chain_template(*args)
+        tmpl[("v", 2)] = tmpl[("v", 3)]
+        return tmpl
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(delta4, "chain_template", wrong)
+    monkeypatch.setattr(delta3, "extend_bounded", refuse)
+    with pytest.raises(InfeasibleTrace, match=(
+        r"^chain template case \d t=2: labels fail their check: .*adjacent-vertices")):
+        label_delta4(gen.gen_closed_chain(2, "merged"))
 
 
 def test_chain_steps_run_no_c3_pass_and_no_check_chain(monkeypatch):
@@ -313,7 +364,11 @@ def test_driver_over_random_corpus(seed):
     d = Diagnostics()
     f = label_delta4(g, d)
     assert verify(f, 2) == [] and span(f) <= 6
-    assert d.fallbacks == 0
+    assert all((r["event"], r["where"]) in {
+        ("widened-completion", "C1 completion"),
+        ("widened-completion", "C2 completion"),
+        ("junction-patch", "reattachment junction"),
+    } for r in d.records)
 
 
 def test_span_never_below_optimum():

@@ -18,7 +18,9 @@ The inputs:
 * ``--glued`` glued hosts, Δ = 3 and 4 in turn, and a disjoint union of
   two of them for every tenth;
 * the glued Δ = 3 hosts whose reattachment keeps ``extend_lemma1``'s
-  fallback candidate (``LEMMA1_SEEDS``), which ``--glued 2000`` misses;
+  fallback candidate (``LEMMA1_SEEDS``), and the glued Δ = 4 hosts with a
+  widened C1 completion or a junction patch on its second free set
+  (``REPAIR_SEEDS``), which ``--glued 2000`` misses;
 * bridged, capped(·, 4), strip, pentagon-leaf, sun and sun-necklace hosts
   on about 100 to 1,600 vertices, the last four from this tree's
   ``generators.py``.
@@ -43,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LEMMA1_SEEDS = (3442, 3992, 4224, 6402, 6718)  # glued seeds, Δ = 3
+REPAIR_SEEDS = ((954, 4), (476, 4))  # glued (seed, Δ)
 PARTS = ("labels", "records", "trace")
 
 
@@ -85,6 +88,9 @@ def inputs(glued: int):
     for s in LEMMA1_SEEDS:
         yield "lemma1", f"glued{s}", gen.gen_glued_outerplanar(
             20 + s % 60, s, {"max_degree": 3})
+    for s, d in REPAIR_SEEDS:
+        yield "repairs", f"glued{s}", gen.gen_glued_outerplanar(
+            20 + s % 60, s, {"max_degree": d})
     for n in (100, 400, 1600):
         yield "families", f"bridged{n}", Graph.from_edges(
             families.bridged(max(1, round(n / 6)), f"sweep:bridged:{n}"))
