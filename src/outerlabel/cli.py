@@ -18,10 +18,8 @@ import time
 from pathlib import Path
 
 from . import generators, io
-from .delta3 import Diagnostics, InfeasibleTrace, recognize_components
-from .embedding import NotOuterplanar
-# recognize_embed is unused here; perfbench/tracing.py patches this binding
-from .embedding import recognize_embed  # noqa: F401
+from .delta3 import Diagnostics, InfeasibleTrace
+from .embedding import NotOuterplanar, recognize_embed
 from .exact import SearchCapExceeded, SearchStats, lambda_exact
 from .graphs import Graph
 from .labeling import span, verify
@@ -104,7 +102,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 def cmd_structure(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, args.format)
-    emb = recognize_components(g)
+    emb = recognize_embed(g)
     out = {"embedding": io.embedding_to_json(emb)}
     if g.n and g.min_degree() == 2:
         cfg = find_configuration(emb)

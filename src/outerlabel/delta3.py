@@ -12,7 +12,7 @@ copy built from that far side only.
 
 Both this labeler and the degree-4 one run on one iterative driver,
 ``reduce_and_extend``, in place: one working copy of the input graph and of
-its embedding (each component recognized once), and one labeling per
+its embedding (the input recognized once, whole), and one labeling per
 component.  A per-degree step function either labels a connected host
 directly (path or cycle, boundary walk) or removes what its reduction
 drops (``OuterplanarEmbedding.remove``) and returns the graph's undo
@@ -98,7 +98,6 @@ class LabelK2Options:
     start_parity: int = 0
     avoid2_hard: frozenset[int] = frozenset()
     avoid2_soft: frozenset[int] = frozenset()
-    prefer2: frozenset[int] = frozenset()
     outer_edge_seed: tuple[Edge, int] | None = None
     endface_avoid: frozenset[int] = frozenset()
 
@@ -128,7 +127,6 @@ def _fill_run(
         order = sorted(
             range(q),
             key=lambda i: (
-                run[i] not in opts.prefer2,
                 run[i] in opts.avoid2_hard,
                 run[i] in opts.avoid2_soft,
                 abs(i - mid),
@@ -199,8 +197,8 @@ def label_k2(
     Produces a labeling with vertex labels in {0,1,2}, chords at 3, and
     outer edges alternating 4/5 (up to the odd-boundary seam repair); the
     span never exceeds 5.  The result is not verified here: callers check
-    it where they use it (``extend_lemma1`` per walk option, ``complete``
-    around an attached leaf block, ``label_delta3`` on the whole output).
+    it where they use it (``complete`` around an attached leaf block or a
+    reattached far side, ``label_delta3`` on the whole output).
     """
     opts = opts or LabelK2Options()
     g = emb.graph
@@ -353,19 +351,6 @@ def _cycle_labels(m: int) -> list[int]:
 # -- the reduction driver ----------------------------------------------------
 
 
-def recognize_components(g: Graph) -> OuterplanarEmbedding:
-    """The embedding of ``g``, recognizing each component once (raises
-    NotOuterplanar if one is not outerplanar); a disconnected ``g``'s
-    embedding has a seed in each, so ``reduce_and_extend`` splits it."""
-    comps = g.components()
-    if len(comps) <= 1:
-        return recognize_embed(g)
-    parts = [recognize_embed(g.induced(c)) for c in comps]
-    blocks = sorted((b for p in parts for b in p.blocks), key=lambda b: b.cycle)
-    bridges = frozenset(e for p in parts for e in p.bridge_edges)
-    return OuterplanarEmbedding(g, blocks, bridges, {c[0] for c in comps})
-
-
 def reduce_and_extend(host: OuterplanarEmbedding, k: int,
                       step: Callable) -> TotalLabeling:
     """Label ``host.graph`` within ``{0..k}`` by reducing it, then extending back.
@@ -496,12 +481,19 @@ def extend_lemma1(
     but these two has a neighbour off it.  ``f`` is a valid labeling of
     the host in which the far side is replaced by the two pendant stubs
     ``(u, u_prime)`` and ``(v, v_prime)``, so it labels no element of the
-    far side but ``u_prime`` and ``v_prime``.  Requires the stub labels to sit at opposite extremes:
-    stub vertices in {0,1} with stub edges in {4,5}, or the mirrored form.
-    Labels the far side from a boundary walk of a closed-up copy of it,
-    built from the far side only, and returns ``f``, checked around the
-    stubs and the far side, the only elements where it can differ from the
-    stub host's labeling or its mirror image.
+    far side but ``u_prime`` and ``v_prime``.  Requires the stub labels to
+    sit at opposite extremes: stub vertices in {0,1} with stub edges in
+    {4,5}, or the mirrored form.
+
+    Labels the far side from one boundary walk of a closed-up copy of it,
+    built from the far side only.  The walk opens at whichever tip is a
+    chord end of the copy, ``u_prime`` (the stub vertex labeled 0) with 0,
+    else ``v_prime`` with 1, so when both are chord ends their alternating
+    labels meet the stub labels.  The tips keep the stub host's labels; if
+    the walk's labels around them then fail the check, one junction vertex
+    label is re-chosen (``complete``, logged as a junction patch).  Returns
+    ``f``, checked around the stubs and the far side, the only elements
+    where it can differ from the stub host's labeling or its mirror image.
     """
     g = f.graph
     u_prime, v_prime = far[-1], far[0]
@@ -548,62 +540,26 @@ def extend_lemma1(
         return f
 
     emb3 = recognize_embed(g3)
-
-    soft = {x, u_prime, v_prime} | set(g3.neighbors(v_prime)) | set(
-        g3.neighbors(u_prime)
-    )
+    start, parity = (u_prime, 0) if g3.degree(u_prime) == 3 else (v_prime, 1)
+    if g3.degree(start) != 3:
+        raise InfeasibleTrace("neither far-side tip is a chord end of the closed-up copy")
+    soft = {x, u_prime, v_prime, *g3.neighbors(v_prime), *g3.neighbors(u_prime)}
     if y is not None:
         soft.add(y)
-    option_sets: list[LabelK2Options] = []
-    for start, parity in ((u_prime, 0), (v_prime, 1)):
-        if g3.degree(start) != 3:
-            continue
-        for prefer in (frozenset(), frozenset({x})):
-            option_sets.append(
-                LabelK2Options(
-                    start_vertex=start,
-                    start_parity=parity,
-                    avoid2_soft=frozenset(soft),
-                    prefer2=prefer,
-                    outer_edge_seed=(norm_edge(u_prime, x), eu),
-                    endface_avoid=frozenset(hidden),
-                )
-            )
-
-    # every candidate labels exactly ``keep``, so each one written into
-    # ``f`` replaces the one before
-    fallback: dict[Element, int] | None = None
-    for opts in option_sets:
-        try:
-            f1, _ = label_k2(emb3, opts)
-        except (InfeasibleTrace, ValueError):
-            continue
-        if f1.edge(u_prime, x) != eu:
-            continue
-        if y is not None and f1.edge(y, v_prime) != ev:
-            continue
-        if y is None and f1.edge(x, v_prime) != ev:
-            continue
-        if verify(f1, 2):
-            continue
-        part = {z: l for z, l in f1.assignment.items() if z in keep}
-        if f1.vertex(u_prime) == vu and f1.vertex(v_prime) == vv:
-            f.update(part)
-            if not verify_around(f, around):
-                break
-        if fallback is None:
-            # keep a candidate needing only an endpoint repair
-            part[u_prime] = vu
-            part[v_prime] = vv
-            fallback = part
-    else:
-        if fallback is None:
-            raise InfeasibleTrace("no boundary-walk run matched the stub labels")
-        f.update(fallback)
-        # re-choosing a junction vertex label is the construction's own
-        # final move, logged as a patch
-        complete(f, ([], [u_prime], [v_prime]), "reattachment junction", diag,
-                 "junction-patch", touched=around)
+    f1, _ = label_k2(emb3, LabelK2Options(
+        start_vertex=start,
+        start_parity=parity,
+        avoid2_soft=frozenset(soft),
+        outer_edge_seed=(norm_edge(u_prime, x), eu),
+        endface_avoid=frozenset(hidden),
+    ))
+    part = {z: l for z, l in f1.assignment.items() if z in keep}
+    part[u_prime], part[v_prime] = vu, vv  # the tips keep the stub host's labels
+    f.update(part)
+    # re-choosing a junction vertex label is the construction's own final
+    # move, logged as a patch; a walk whose tips already fit is only checked
+    complete(f, ([], [u_prime], [v_prime]), "reattachment junction", diag,
+             "junction-patch", touched=around)
     # ``f`` is valid, and its mirror image is valid exactly when it is
     if flipped:
         f.flip = 5 - f.flip
@@ -626,7 +582,7 @@ def label_delta3(g: Graph, diag: Diagnostics | None = None) -> TotalLabeling:
         raise ValueError("empty graph")
     if g.max_degree() != 3:
         raise NotDelta(3, g.max_degree())
-    out = _label_span5(recognize_components(g), diag)
+    out = _label_span5(recognize_embed(g), diag)
     bad = verify(out, 2)
     if bad:
         raise InfeasibleTrace(f"driver produced an invalid labeling: {bad[:3]}")
@@ -681,7 +637,7 @@ def _attach_leaf_block(g: Graph, blk: BlockEmbedding, v_c: int, w: int,
         )
     if not emb1.inner_edges:
         return _attach_cycle_block(base, emb1, v_c, w)
-    return _attach_chorded_block(base, g, leaf, emb1, v_c, w, diag)
+    return _attach_chorded_block(base, leaf, emb1, v_c, w, diag)
 
 
 def _rotate_to(seq: Sequence[int], first: int) -> list[int]:
@@ -731,7 +687,6 @@ def _attach_cycle_block(base: TotalLabeling, emb1, v_c: int, w: int) -> TotalLab
 
 def _attach_chorded_block(
     base: TotalLabeling,
-    g: Graph,
     leaf: Graph,
     emb1,
     v_c: int,
@@ -745,7 +700,7 @@ def _attach_chorded_block(
         diag.step(f"cut vertex run length {qs[0]}")
     if qs[0] > 1:
         return _attach_wide_gap(base, leaf, emb1, xs, ys, v_c, w)
-    return _attach_tight_gap(base, g, leaf, emb1, xs, ys, v_c, w, diag)
+    return _attach_tight_gap(base, leaf, emb1, xs, ys, v_c, w, diag)
 
 
 def _attach_wide_gap(base: TotalLabeling, leaf: Graph, emb1, xs: list[int],
@@ -796,7 +751,6 @@ def _plain_run(
 
 def _attach_tight_gap(
     base: TotalLabeling,
-    g: Graph,
     leaf: Graph,
     emb1,
     xs: list[int],
@@ -838,9 +792,7 @@ def _attach_tight_gap(
         return _finish_direct(base, ext, "tight-gap flip attach")
 
     if pprime == 2:
-        return _tight_gap_short_chord(
-            base, g, leaf, few, fw, x1, xp, v_c, far, diag
-        )
+        return _tight_gap_short_chord(base, few, fw, x1, xp, v_c, far, diag)
 
     ext: dict[Element, int] = {}
     g2_vertices = order[: idx_z + 1]
@@ -898,7 +850,7 @@ def _attach_tight_gap(
             ext[uprime] = 4
             ext[vprime] = 5
             ext[_E(uprime, x1)] = 1
-            return _finish_reattach(base, ext, g, x1, xp, far, diag)
+            return _finish_reattach(base, ext, x1, xp, far, diag)
         last = ext[_E(order[m1 - 1], order[m1])]
         if not same:
             ext[x1] = 4
@@ -910,7 +862,7 @@ def _attach_tight_gap(
             ext[_E(x1, v_c)] = 2
             ext[_E(x1, uprime)] = 1
             ext[_E(xp, vprime)] = 1
-            return _finish_reattach(base, ext, g, x1, xp, far, diag)
+            return _finish_reattach(base, ext, x1, xp, far, diag)
         if last == 4:
             ext.update({
                 x1: 5, xp: 3, uprime: 4,
@@ -946,7 +898,7 @@ def _attach_tight_gap(
                     _E(x1, uprime): 1, _E(xp, vprime): 1,
                 })
                 _plain_run(ext, last_run, 0, 1)
-            return _finish_reattach(base, ext, g, x1, xp, far, diag)
+            return _finish_reattach(base, ext, x1, xp, far, diag)
         if last == 4:
             ext[v_c] = 2
             fill_mid(1)
@@ -982,7 +934,7 @@ def _attach_tight_gap(
                 _E(x1, v_c): 2, _E(x1, xp): 0,
                 _E(x1, uprime): 1, _E(xp, vprime): 1,
             })
-            return _finish_reattach(base, ext, g, x1, xp, far, diag)
+            return _finish_reattach(base, ext, x1, xp, far, diag)
         ext.update({
             x1: 5, xp: 2, uprime: 0,
             _E(x1, v_c): 2, _E(x1, xp): 0,
@@ -1011,7 +963,7 @@ def _attach_tight_gap(
             _E(x1, v_c): 2, _E(x1, xp): 4,
             _E(x1, uprime): 5, _E(xp, vprime): 5,
         })
-        return _finish_reattach(base, ext, g, x1, xp, far, diag)
+        return _finish_reattach(base, ext, x1, xp, far, diag)
     ext.update({
         x1: 0, xp: 2, uprime: 1,
         _E(x1, v_c): 2, _E(x1, xp): 4,
@@ -1022,8 +974,6 @@ def _attach_tight_gap(
 
 def _tight_gap_short_chord(
     base: TotalLabeling,
-    g: Graph,
-    leaf: Graph,
     few: int,
     fw: int,
     x1: int,
@@ -1082,7 +1032,7 @@ def _tight_gap_short_chord(
                  _E(x2, vprime): 1, _E(uprime, x1): 1}
     if same:
         return _finish_direct(base, T, "short-chord ends")
-    return _finish_reattach(base, T, g, x1, x2, far, diag)
+    return _finish_reattach(base, T, x1, x2, far, diag)
 
 
 def _finish_direct(base: TotalLabeling, ext: dict[Element, int],
@@ -1092,20 +1042,18 @@ def _finish_direct(base: TotalLabeling, ext: dict[Element, int],
     return check(base, ext, where)
 
 
-def _finish_reattach(base: TotalLabeling, ext: dict[Element, int], g: Graph,
-                     x1: int, xp: int, far: Sequence[int],
+def _finish_reattach(base: TotalLabeling, ext: dict[Element, int], x1: int,
+                     xp: int, far: Sequence[int],
                      diag: Diagnostics | None) -> TotalLabeling:
     """Label the near side of the chord ``(x1, xp)`` by ``ext``, then the far side.
 
     ``far`` is the leaf block's boundary arc beyond the chord, from ``xp``'s
-    neighbour to ``x1``'s.  The near side is checked on the stub host: the
-    host cut to the far side's two ends, each a pendant on its chord end.
+    neighbour to ``x1``'s.  The near side is checked in place, before the
+    far side is labeled: the far side's interior and the edges tying its
+    ends to the other chord end carry no label yet, and ``verify_around``
+    skips every pair with an unlabeled element, so the check reads exactly
+    the stub host, in which each end is a pendant on its chord end.
     """
-    uprime, vprime = far[-1], far[0]
     base.update(ext)
-    # the far side's ends keep only their stub edges
-    ties = [e for e in ((uprime, xp), (x1, vprime), (uprime, vprime)) if g.has_edge(*e)]
-    undo = g.cut(far[1:-1], ties)
     check(base, ext, "reattachment stub")
-    g.put_back(undo)
     return extend_lemma1(base, x1, xp, far, diag)

@@ -41,12 +41,9 @@ from .delta3 import (
     check,
     complete,
     label_cycle_or_path,
-    recognize_components,
     reduce_and_extend,
 )
-from .embedding import OuterplanarEmbedding
-# recognize_embed is unused here; perfbench/tracing.py patches this binding
-from .embedding import recognize_embed  # noqa: F401
+from .embedding import OuterplanarEmbedding, recognize_embed
 # extend_bounded and find_labeling_bounded are unused here; perfbench/tracing.py
 # patches these bindings
 from .exact import extend_bounded, find_labeling_bounded  # noqa: F401
@@ -807,7 +804,7 @@ def label_delta4(g: Graph, diag: Diagnostics | None = None) -> TotalLabeling:
         raise ValueError("empty graph")
     if g.max_degree() != 4:
         raise NotDelta(4, g.max_degree())
-    out = reduce_and_extend(recognize_components(g), 6, partial(_step6, diag=diag))
+    out = reduce_and_extend(recognize_embed(g), 6, partial(_step6, diag=diag))
     bad = verify(out, 2)
     if bad:
         raise InfeasibleTrace(f"driver produced an invalid labeling: {bad[:3]}")

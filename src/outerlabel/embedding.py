@@ -792,7 +792,9 @@ def recognize_embed(g: Graph) -> OuterplanarEmbedding:
     bridge, and any other gets its adjacency sets built once.  The blocks'
     vertex counts, less one each, add up to ``g.n - 1`` exactly when ``g``
     is connected (its block-cut tree is then a tree; with c components they
-    add up to ``g.n - c``).
+    add up to ``g.n - c``).  A disconnected ``g`` gets one embedding with a
+    seed in each component (``may_split``), so the reduction driver splits
+    it; only then does a second search name the components.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -810,10 +812,9 @@ def recognize_embed(g: Graph) -> OuterplanarEmbedding:
             adj[v].add(u)
         cyclic.append((edges, adj))
         spanned += len(adj) - 1
-    if spanned != g.n:  # checked before any block can raise NotOuterplanar
-        raise ValueError("recognition expects a connected graph")
+    seeds = [c[0] for c in g.components()] if spanned != g.n else ()
     blocks = sorted((embed_block(*block) for block in cyclic), key=_cycle)
-    return OuterplanarEmbedding(g, blocks, bridges)
+    return OuterplanarEmbedding(g, blocks, bridges, seeds)
 
 
 def endfaces(emb: OuterplanarEmbedding) -> list[Face]:

@@ -7,10 +7,10 @@ from .delta3 import (
     InfeasibleTrace,
     label_cycle_or_path,
     label_delta3,
-    recognize_components,
     reduce_and_extend,
 )
 from .delta4 import label_delta4
+from .embedding import recognize_embed
 from .exact import find_labeling_bounded
 from .graphs import Graph
 from .labeling import TotalLabeling, verify
@@ -35,7 +35,7 @@ def label_outerplanar(
     Dispatches on the maximum degree; degrees above 4 are only served by the
     exhaustive bounded search (experimental), and only when requested.
     Raises NotOuterplanar on a non-outerplanar host before any labeling:
-    every path recognizes each component of ``g`` once, and the reduction
+    every path recognizes ``g`` once, whole, and the reduction
     driver carries that embedding through every reduction.  The Δ=3 and
     Δ=4 labelers verify their own output, so only the other results are
     verified here; like theirs, an invalid one raises InfeasibleTrace.
@@ -47,7 +47,7 @@ def label_outerplanar(
         return label_delta3(g, diag)
     if delta == 4:
         return label_delta4(g, diag)
-    emb = recognize_components(g)  # raises NotOuterplanar before any search
+    emb = recognize_embed(g)  # raises NotOuterplanar before any search
     if delta <= 2:
         f = reduce_and_extend(
             emb, delta + 2, lambda host: label_cycle_or_path(host.graph, k=delta + 2))

@@ -187,9 +187,9 @@ def test_extend_lemma_rejects_bad_labels():
 
 
 def test_extend_lemma_fallback_candidate():
-    # no boundary-walk run of this host's one reattachment matches both stub
-    # vertex labels, so the first run that matches the stub edges is kept
-    # and its junction vertices are re-chosen
+    # the one boundary walk of this host's reattachment misses a stub
+    # vertex label at a tip, so the tips keep the stub labels and a
+    # junction vertex is re-chosen
     g = gen.gen_glued_outerplanar(78, 6718, {"max_degree": 3})
     assert g.n == 20
     diag = Diagnostics()
@@ -202,8 +202,8 @@ def test_extend_lemma_fallback_candidate():
 
 
 def test_extend_lemma_junction_second_free_set():
-    # the fallback candidate of one reattachment here fails its check, and
-    # so does freeing its junction vertex u'; freeing v' completes it
+    # the boundary walk of one reattachment here fails its check, and so
+    # does freeing its junction vertex u'; freeing v' completes it
     g = gen.gen_glued_outerplanar(76, 476, {"max_degree": 4})
     diag = Diagnostics()
     f = label_outerplanar(g, diag=diag)

@@ -63,9 +63,7 @@ def attach_case(pprime, q2, q3, q_last, few, fw):
     assert base_h is not None, "remainder must be labelable with pinned stubs"
     base = TotalLabeling(g, 5, dict(base_h.assignment))
     diag = Diagnostics()
-    out = _attach_chorded_block(
-        base, g, leaf, recognize_embed(leaf), v_c, w, diag
-    )
+    out = _attach_chorded_block(base, leaf, recognize_embed(leaf), v_c, w, diag)
     return g, out, diag
 
 
@@ -121,8 +119,7 @@ def test_six_endpoint_block(few, fw):
         pytest.skip("pinned remainder unlabelable")
     base = TotalLabeling(g, 5, dict(base_h.assignment))
     out = _attach_chorded_block(
-        base, g, leaf, recognize_embed(leaf), v_c, w, Diagnostics()
-    )
+        base, leaf, recognize_embed(leaf), v_c, w, Diagnostics())
     assert verify(out, 2) == [] and span(out) <= 5
 
 

@@ -403,9 +403,9 @@ def _capped_polygon(n: int, cap: int, seed: str) -> Graph:
 
 
 def test_one_full_verify_per_output(monkeypatch):
-    # finish rules check only around what they change: the whole input is
-    # verified once, and any other full check is extend_lemma1's check of a
-    # boundary walk on its smaller closed-off piece
+    # finish rules check only around what they change, a reattached far side
+    # included: the whole input is verified once, by its labeler, and
+    # nothing else is verified in full
     calls = []
 
     def counting(f, p=2):
@@ -415,19 +415,18 @@ def test_one_full_verify_per_output(monkeypatch):
     monkeypatch.setattr(delta3, "verify", counting)
     monkeypatch.setattr(delta4, "verify", counting)
     for g in (_capped_polygon(96, 4, "one-verify"), gen.gen_strip(120),
-              gen.gen_bridged_hexagons(16)):
+              gen.gen_bridged_hexagons(16),
+              gen.gen_glued_outerplanar(78, 6718, {"max_degree": 3})):
         calls.clear()
         f = label_outerplanar(g)
         assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
-        assert sum(1 for piece, _ in calls if piece is g) == 1
-        for piece, caller in calls:
-            if piece is not g:
-                assert caller == "extend_lemma1" and piece.n < g.n
+        assert calls == [
+            (g, "label_delta3" if g.max_degree() == 3 else "label_delta4")]
 
 
 def test_one_recognition_per_component(monkeypatch):
     # the driver carries the input's embedding through every reduction: the
-    # only recognitions are one per input component and extend_lemma1's of
+    # only recognitions are one of the whole input and extend_lemma1's of
     # its auxiliary closed-off piece
     calls = []
 
@@ -443,16 +442,15 @@ def test_one_recognition_per_component(monkeypatch):
         f = label_outerplanar(g)
         assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
         assert [caller for piece, caller in calls if piece is g] == [
-            "recognize_components"]
+            "label_delta3" if g.max_degree() == 3 else "label_delta4"]
         assert all(caller == "extend_lemma1"
                    for piece, caller in calls if piece is not g)
-    # a disconnected input is recognized once per component
+    # a disconnected input is recognized once, whole
     calls.clear()
     left = gen.gen_strip(30)
     two = Graph.from_edges(list(left.edges) + [(u + 40, v + 40) for u, v in left.edges])
     label_outerplanar(two)
-    assert [piece.vertices for piece, _ in calls] == [
-        tuple(range(30)), tuple(range(40, 70))]
+    assert calls == [(two, "label_delta4")]
 
 
 def test_driver_never_redecomposes(monkeypatch):

@@ -54,16 +54,24 @@ def test_reject_k4_and_k23():
 
 
 def test_reject_disconnected_before_any_block():
-    # connectivity is read off the block decomposition's search, and a
-    # disconnected graph is refused before any block is embedded
+    # connectivity is read off the block decomposition's search: a
+    # disconnected graph gets one embedding, with a seed in each component
+    # so that the driver splits it, and its blocks and bridges are those of
+    # its components' own recognitions
     two = Graph.from_edges([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    for g in (two, Graph.from_edges([], 2), Graph.from_edges([(0, 1), (2, 3)]),
+              Graph.from_edges(list(c6_chord().edges) + [(5, 6), (7, 8), (8, 9)])):
+        emb = recognize_embed(g)
+        assert emb.may_split and emb.graph is g
+        parts = [recognize_embed(g.induced(c)) for c in g.components()]
+        assert emb.blocks == tuple(sorted((b for p in parts for b in p.blocks),
+                                          key=lambda b: b.cycle))
+        assert emb.bridge_edges == {e for p in parts for e in p.bridge_edges}
+    assert not recognize_embed(c6_chord()).may_split
     k4_and_one = Graph.from_edges(
         [(a, b) for a in range(4) for b in range(a + 1, 4)], 5)
-    for g in (two, k4_and_one, Graph.from_edges([], 2),
-              Graph.from_edges([(0, 1), (2, 3)])):
-        with pytest.raises(ValueError, match="connected") as exc:
-            recognize_embed(g)
-        assert not isinstance(exc.value, NotOuterplanar)
+    with pytest.raises(NotOuterplanar):
+        recognize_embed(k4_and_one)
     with pytest.raises(ValueError, match="empty"):
         recognize_embed(Graph([], []))
     one = recognize_embed(Graph.from_edges([], 1))

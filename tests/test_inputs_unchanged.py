@@ -14,7 +14,8 @@ from test_delta4 import _capped_polygon
 
 from outerlabel import delta3, delta4
 from outerlabel import generators as gen
-from outerlabel.delta3 import InfeasibleTrace, recognize_components, reduce_and_extend
+from outerlabel.delta3 import InfeasibleTrace, reduce_and_extend
+from outerlabel.embedding import recognize_embed
 from outerlabel.graphs import Graph
 from outerlabel.labeling import verify
 from outerlabel.pipeline import label_outerplanar
@@ -55,7 +56,7 @@ def test_labeling_leaves_the_input_alone(name):
 
 def test_the_driver_leaves_a_passed_embedding_alone():
     g = HOSTS["union"]
-    emb = recognize_components(g)
+    emb = recognize_embed(g)
     blocks, bridges, before = emb.blocks, emb.bridge_edges, _state(g)
     cycles = [(b.cycle, b.chords, b.faces) for b in blocks]
     f = reduce_and_extend(emb, 6, partial(delta4._step6, diag=None))

@@ -18,7 +18,7 @@ from outerlabel.delta3 import Diagnostics
 from outerlabel.pipeline import label_outerplanar
 
 ROOT = Path(__file__).resolve().parents[1]
-DIGEST = "66aac58857c2a5805ff394c649b23671c741de60b6cc30c2999c94cb591638ff"
+DIGEST = "b749f264493a4ff2fc712f5d69ddb607d58d07c9b4959fd370d4deae778f9ad4"
 
 
 def _inputs():
@@ -31,6 +31,9 @@ def _inputs():
     yield gen.gen_pentagon_leaves(24)  # every leaf reattached across a chord
     yield gen.gen_sun(12)  # one ring of ears
     yield gen.gen_sun_necklace(6)  # one closed chain per copy
+    # a far side reattached by its boundary walk, then one by a junction patch
+    yield gen.gen_glued_outerplanar(32, 12, {"max_degree": 3})
+    yield gen.gen_glued_outerplanar(78, 6718, {"max_degree": 3})
 
 
 def test_outputs_match_pinned_digest():

@@ -17,8 +17,8 @@ The inputs:
   from this tree's ``generators.py``;
 * ``--glued`` glued hosts, Δ = 3 and 4 in turn, and a disjoint union of
   two of them for every tenth;
-* the glued Δ = 3 hosts whose reattachment keeps ``extend_lemma1``'s
-  fallback candidate (``LEMMA1_SEEDS``), and the glued Δ = 4 hosts with a
+* the glued Δ = 3 hosts whose reattachment re-chooses a junction vertex
+  (``LEMMA1_SEEDS``), and the glued Δ = 4 hosts with a
   widened C1 completion or a junction patch on its second free set
   (``REPAIR_SEEDS``), which ``--glued 2000`` misses;
 * bridged, capped(·, 4), strip, pentagon-leaf, sun and sun-necklace hosts
@@ -27,8 +27,9 @@ The inputs:
 
 Both trees label the same hosts: those from this tree's ``generators.py``
 are built by it whichever tree is imported.  Prints the count of inputs
-per group, with the mismatches of each part, then every mismatching input
-and its parts, and exits 1 if there is one.  This is an opt-in check for
+per group, with the mismatches of each part, then for each tree how many
+inputs logged each repair event (its fallback rate), then every
+mismatching input and its parts, and exits 1 if there is one.  This is an opt-in check for
 changes that must keep outputs, not part of the test suite.
 """
 
@@ -118,7 +119,8 @@ def child(glued: int) -> None:
         records = repr([(r.get("event"), r.get("where")) for r in diag.records])
         digests = [hashlib.sha256(part.encode()).hexdigest()
                    for part in (out, records, "\n".join(diag.trace))]
-        print(json.dumps([group, name, *digests]))
+        events = sorted({str(r.get("event")) for r in diag.records})
+        print(json.dumps([group, name, *digests, events]))
 
 
 def run(src: str, glued: int) -> list[list[str]]:
@@ -149,13 +151,17 @@ def main() -> int:
     counts["total"] = len(parent)
     bad = []  # (group, name, the parts that differ)
     for p, c in zip(parent, change):
-        parts = [part for part, a, b in zip(PARTS, p[2:], c[2:]) if a != b]
+        parts = [part for part, a, b in zip(PARTS, p[2:5], c[2:5]) if a != b]
         if parts:
             bad.append((p[0], p[1], parts))
     for group, n in counts.items():
         wrong = [b[2] for b in bad if group in ("total", b[0])]
         each = "  ".join(f"{part} {sum(part in w for w in wrong):4d}" for part in PARTS)
         print(f"{group:12s} {n:6d} inputs {len(wrong):4d} mismatches: {each}")
+    for side, rows in (("parent", parent), ("change", change)):
+        logged = Counter(event for row in rows for event in row[5])
+        each = "  ".join(f"{event} {n}" for event, n in sorted(logged.items()))
+        print(f"{side} inputs logging each event: {each or 'none'}")
     for group, name, parts in bad:
         print(f"mismatch: {group} {name} ({', '.join(parts)})")
     return 1 if bad else 0
