@@ -50,8 +50,15 @@ def tight_block(pprime: int, q2: int, q3: int, q_last: int):
     return Graph.from_edges(edges), v_c
 
 
-def attach_case(pprime, q2, q3, q_last, few, fw):
-    leaf, v_c = tight_block(pprime, q2, q3, q_last)
+def join_leaf(leaf: Graph, v_c: int, host: Graph, at: int) -> Graph:
+    """``leaf`` with ``v_c`` bridged to vertex ``at`` of ``host``, whose ids
+    are shifted past the leaf's."""
+    shift = max(leaf.vertices) + 1
+    return Graph.from_edges(list(leaf.edges) + [(v_c, at + shift)]
+                            + [(u + shift, v + shift) for u, v in host.edges])
+
+
+def attach_case(leaf, v_c, few, fw):
     w = max(leaf.vertices) + 1
     tail = w + 1
     g = leaf.add_edges([(v_c, w), (w, tail)])
@@ -75,7 +82,7 @@ CONTEXTS = [(5, 3), (5, 0), (5, 1), (5, 2), (4, 0), (4, 1), (4, 2),
 @pytest.mark.parametrize("few,fw", CONTEXTS)
 @pytest.mark.parametrize("q_last", [1, 2, 3])
 def test_short_chord_tables(few, fw, q_last):
-    g, out, diag = attach_case(2, 0, 0, q_last, few, fw)
+    g, out, diag = attach_case(*tight_block(2, 0, 0, q_last), few, fw)
     assert verify(out, 2) == [] and span(out) <= 5
     assert diag.records == []
 
@@ -87,39 +94,46 @@ def test_short_chord_tables(few, fw, q_last):
     (2, 2, 2), (1, 3, 1),
 ])
 def test_far_chord_verses(few, fw, q2, q3, q_last):
-    g, out, diag = attach_case(4, q2, q3, q_last, few, fw)
+    g, out, diag = attach_case(*tight_block(4, q2, q3, q_last), few, fw)
     assert verify(out, 2) == [] and span(out) <= 5
     assert diag.records == []
 
 
-@pytest.mark.parametrize("few,fw", [(5, 3), (4, 1), (4, 0), (3, 1), (3, 0)])
-def test_six_endpoint_block(few, fw):
-    # chord mate three endpoints away, chords nested two deep
-    seq = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-    edges = [(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))]
-    edges += [(0, 7), (2, 5), (3, 4)]
-    # boundary: x1=0, v_c=1, x2=2, g2=(3?) ... build: runs shaped by chords
-    leaf = Graph.from_edges(edges)
-    # adjust: make (3,4) a proper chord by inserting a run vertex between
-    leaf = Graph.from_edges(
-        [(i, i + 1) for i in range(11)] + [(11, 0)]
-        + [(0, 7), (2, 5), (3, 4)]
-    )
-    if leaf.max_degree() != 3:
-        pytest.skip("construction drifted")
-    v_c = 1
-    w = 12
-    g = leaf.add_edges([(v_c, w), (w, 13)])
-    h = g.induced(v for v in g.vertices if v == v_c or not leaf.has_vertex(v))
-    pinned = TotalLabeling(h, 5, {norm_edge(v_c, w): few, w: fw})
-    base_h = extend_bounded(
-        pinned, [el for el in h.elements() if el not in pinned.assignment], k=5
-    )
-    if base_h is None:
-        pytest.skip("pinned remainder unlabelable")
-    base = TotalLabeling(g, 5, dict(base_h.assignment))
-    out = _attach_chorded_block(
-        base, leaf, recognize_embed(leaf), v_c, w, Diagnostics())
+def six_endpoint_block(r1: int, r2: int, r3: int, r4: int, far: int):
+    """Leaf block ``x1, v_c, x2, r1, x3, r2, x4, r3, x5, r4, x6, far`` with
+    chords (x1, x6), (x2, x5) and (x3, x4): the chord mate of the run's
+    start sits five endpoints away, with two chords nested inside its
+    chord.  The r values and ``far`` size the runs of 2-vertices."""
+    seq = [1]  # boundary after x1, from v_c
+
+    def fresh(k):
+        start = len(seq) + 1
+        seq.extend(range(start, start + k))
+        return list(range(start, start + k))
+
+    xs = [0]
+    for run in (r1, r2, r3, r4):
+        xs += fresh(1)
+        fresh(run)
+    xs += fresh(1)
+    fresh(far)
+    boundary = [0] + seq
+    n = len(boundary)
+    edges = [(boundary[i], boundary[(i + 1) % n]) for i in range(n)]
+    edges += [(xs[0], xs[5]), (xs[1], xs[4]), (xs[2], xs[3])]
+    return Graph.from_edges(edges), 1
+
+
+SIX_RUNS = [(1, 1, 1, 1), (1, 3, 1, 1), (2, 1, 2, 1), (1, 1, 1, 3), (3, 2, 3, 2)]
+
+
+@pytest.mark.parametrize("few,fw", CONTEXTS)
+@pytest.mark.parametrize("runs", SIX_RUNS)
+@pytest.mark.parametrize("far", [1, 2, 3])
+def test_six_endpoint_block(few, fw, runs, far):
+    leaf, v_c = six_endpoint_block(*runs, far)
+    assert leaf.max_degree() == 3
+    g, out, diag = attach_case(leaf, v_c, few, fw)
     assert verify(out, 2) == [] and span(out) <= 5
 
 

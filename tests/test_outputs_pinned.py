@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+from test_delta3_surgery import join_leaf, tight_block
 from test_delta4 import _capped_polygon
 
 from outerlabel import generators as gen
@@ -18,7 +19,7 @@ from outerlabel.delta3 import Diagnostics
 from outerlabel.pipeline import label_outerplanar
 
 ROOT = Path(__file__).resolve().parents[1]
-DIGEST = "b749f264493a4ff2fc712f5d69ddb607d58d07c9b4959fd370d4deae778f9ad4"
+DIGEST = "48b4fdda2d2b3c1e910ac156e2d130b6028d0acaa404fd882407429b22e17909"
 
 
 def _inputs():
@@ -34,6 +35,11 @@ def _inputs():
     # a far side reattached by its boundary walk, then one by a junction patch
     yield gen.gen_glued_outerplanar(32, 12, {"max_degree": 3})
     yield gen.gen_glued_outerplanar(78, 6718, {"max_degree": 3})
+    # one tight-gap leaf whose far ends merge, attached by the "tight-gap fan"
+    # row, then by the "tight-gap low-bridge ends" row
+    leaf, v_c = tight_block(4, 1, 1, 1)
+    yield join_leaf(leaf, v_c, gen.gen_glued_outerplanar(9, 1, {"max_degree": 3}), 2)
+    yield join_leaf(leaf, v_c, gen.gen_glued_outerplanar(12, 4, {"max_degree": 3}), 4)
 
 
 def test_outputs_match_pinned_digest():

@@ -23,10 +23,16 @@ The inputs:
   (``REPAIR_SEEDS``), which ``--glued 2000`` misses;
 * bridged, capped(·, 4), strip, pentagon-leaf, sun and sun-necklace hosts
   on about 100 to 1,600 vertices, the last four from this tree's
-  ``generators.py``.
+  ``generators.py``;
+* the ``tight`` group: 21 tight-gap leaf shapes
+  (``tests/test_delta3_surgery.py::tight_block``), each with its cut vertex
+  bridged to the smallest vertex of degree at most 2 of 60 small glued
+  Δ = 3 hosts, keeping those of maximum degree 3 (1,260 hosts); they reach
+  every row of the tight-gap attach table.
 
 Both trees label the same hosts: those from this tree's ``generators.py``
-are built by it whichever tree is imported.  Prints the count of inputs
+are built by it whichever tree is imported, and the tight-gap leaves by
+this tree's test module.  Prints the count of inputs
 per group, with the mismatches of each part, then for each tree how many
 inputs logged each repair event (its fallback rate), then every
 mismatching input and its parts, and exits 1 if there is one.  This is an opt-in check for
@@ -103,6 +109,17 @@ def inputs(glued: int):
         yield "families", f"sun{n}", Graph.from_edges(here.gen_sun(n // 2).edges)
         yield "families", f"sun_necklace{n}", Graph.from_edges(
             here.gen_sun_necklace(n // 8).edges)
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_delta3_surgery import join_leaf, tight_block
+    shapes = [(2, 0, 0, f) for f in (1, 2, 3)] + [
+        (4, q2, q3, f) for q2 in (1, 2) for q3 in (0, 1, 2) for f in (1, 2, 3)]
+    for s in range(60):
+        host = gen.gen_glued_outerplanar(8 + s % 10, s, {"max_degree": 3})
+        at = min(v for v in host.vertices if host.degree(v) <= 2)
+        for shape in shapes:
+            g = join_leaf(*tight_block(*shape), host, at)
+            if g.max_degree() == 3:
+                yield "tight", f"tight{shape}@glued{s}", g
 
 
 def child(glued: int) -> None:
