@@ -5,10 +5,15 @@ alternately, runs of 2-vertices are filled with 0/1 plus a single 2 in
 odd-length runs, chords get 3, and outer edges alternate 4/5 with a local
 seam repair when the boundary is odd.  Graphs with cut vertices are peeled
 one leaf block at a time; the labeling of the remainder is extended onto
-the block by a case table on the bridge's edge label.  When the cut vertex
-sits alone between two chord ends, the part of the block beyond the chord
-is labeled last (``extend_lemma1``), from a boundary walk of a closed-up
-copy built from that far side only.
+the block by a case analysis on the bridge's edge label.  When the cut
+vertex sits alone between two chord ends, one row of ``TIGHT_GAP_ROWS``
+labels the near side of the chord from the run's start: keyed by the
+bridge's labels, the chord's span, the last run, whether the far ends
+merge and the near side's parity, it fills the runs and writes its fixed
+labels as ops of the degree-4 chain templates' language, which
+``run_ops`` interprets for both degrees.  The part of the block beyond
+the chord is labeled last (``extend_lemma1``), from a boundary walk of a
+closed-up copy built from that far side only.
 
 Both this labeler and the degree-4 one run on one iterative driver,
 ``reduce_and_extend``, in place: one working copy of the input graph and of
@@ -24,10 +29,10 @@ Every finish rule extends its component's labeling in place and checks
 what it changed with ``verify_around``, which is exact because the smaller
 host's labeling was valid and the rest of it is kept (or complemented as a
 whole).  A case table writes its labels and is only checked (``check``):
-a miss raises InfeasibleTrace naming the rule.  ``complete`` is the one
-place that searches: it relabels freed elements by bounded search, checks
-and puts back, and frees a wider set only after a miss, logging each
-widening.  ``label_delta3`` runs the one full ``verify`` on the finished
+a miss raises InfeasibleTrace naming the rule or row.  ``complete`` is
+the one place that searches: it relabels freed elements by bounded
+search, checks and puts back, and frees a wider set only after a miss,
+logging each widening.  ``label_delta3`` runs the one full ``verify`` on the finished
 labeling, so the verifier has the last word on every output.
 """
 
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .embedding import (
     BlockEmbedding,
@@ -60,6 +65,10 @@ COMPLETION_BUDGET = 10_000
 
 class InfeasibleTrace(RuntimeError):
     """A case table produced an empty choice set or an invalid labeling."""
+
+
+class CaseFault(InfeasibleTrace):
+    """A case table left a choice empty or has no entry for its case."""
 
 
 class NotDelta(ValueError):
@@ -742,11 +751,173 @@ def _attach_wide_gap(base: TotalLabeling, leaf: Graph, emb1, xs: list[int],
     return _finish_direct(base, ext, "wide-gap attach")
 
 
-def _plain_run(
-    ext: dict[Element, int], run: Sequence[int], v0: int, v1: int
-) -> None:
-    for i, z in enumerate(run):
-        ext[z] = v0 if i % 2 == 0 else v1
+# -- the tight-gap table -----------------------------------------------------
+
+
+def run_ops(ops: Sequence[tuple], lab: dict, key: Callable[..., object],
+            known: Mapping[str, int]) -> None:
+    """Apply the case-table ops ``ops`` to ``lab``, in order.
+
+    Ops name elements by the table's own names, which ``key`` maps to keys
+    of ``lab``: ``key(a)`` for a vertex, ``key(a, b)`` for an edge.
+
+      ("set_v", a, label)              ("set_e", a, b, label)
+      ("choose_e", a, b, cands, excl)  the first of ``cands`` not excluded;
+                                       an ``excl`` token is a name in
+                                       ``known`` or ("e", a, b), that
+                                       edge's label
+      ("if_e", a, b, values, ops)      run ``ops`` when edge (a, b) took
+                                       one of ``values``
+
+    Raises CaseFault when a choice is left empty.
+    """
+    for op in ops:
+        if op[0] == "set_v":
+            lab[key(op[1])] = op[2]
+        elif op[0] == "set_e":
+            lab[key(op[1], op[2])] = op[3]
+        elif op[0] == "choose_e":
+            _, a, b, cands, excl = op
+            banned = {known[tok] if tok in known else lab[key(*tok[1:])]
+                      for tok in excl}
+            pick = next((c for c in cands if c not in banned), None)
+            if pick is None:
+                raise CaseFault(f"empty choice for edge ({a},{b})")
+            lab[key(a, b)] = pick
+        elif op[0] == "if_e":
+            if lab[key(op[1], op[2])] in op[3]:
+                run_ops(op[4], lab, key, known)
+        else:
+            raise ValueError(f"unknown op {op[0]}")
+
+
+class _Row(NamedTuple):
+    """One row of ``TIGHT_GAP_ROWS``; see there."""
+
+    name: str
+    when: tuple  # (bridges, short chord, last run empty, ends merge, odd)
+    vc: int
+    ops: tuple
+    trace: int | None = None
+    mid: tuple[int, bool] = (1, False)
+    chord: int = 3
+    last: int | None = None
+    run01: bool = False
+
+
+_FAN, _LOW, _MID = ((5, 3), (4, 1), (4, 2)), ((4, 0),), ((3, 1), (3, 5))
+
+# Rows of the tight-gap attach.  The near side of the chord (x1, xp) at the
+# start x1 of the cut vertex's run is the boundary path x1, v_c, x2, ...,
+# xm, [last run], xp: xm is the chord endpoint before xp (x1 when xp = x2)
+# and y1 the vertex after xm.  The far side runs from v' (after xp) to u'
+# (before x1).  The first row whose ``when`` matches the facts is written,
+# None matching either value: bridge (few, fw), the labels of the bridge edge
+# and of its far end; short chord, xp = x2; last run empty; ends merge,
+# u' = v'; odd, the path has an odd number of edges.  Its fields fill runs:
+#   chord  every near-side chord;
+#   vc     v_c;
+#   mid    (first, flip5): x2 .. xm alternate 0/1 from ``first``, the runs
+#          between them are filled as a boundary walk fills them, and all
+#          of it is complemented (z -> 5 - z) when ``flip5``;
+#   trace  the path's edges from v_c to xp alternate within one pair (0/1
+#          or 4/5) and end on ``trace``, or, when None, start on the bridge
+#          label's partner (few ^ 1);
+#   last   the last run alternates likewise and ends on ``last``, or, when
+#          None, goes on from xm's label;
+#   run01  the edges from y1 to v' alternate 0/1 from 0;
+# then ``ops`` writes the fixed labels over the names x1, v_c, xm, y1, xp,
+# v' and u' (``run_ops``).  The low-bridge rows split on the path's parity:
+# the label their trace ends on changes their fills, not only fixed labels.
+TIGHT_GAP_ROWS = (
+    _Row("tight-gap fan", (_FAN, False, False, True, None), 0, (
+        ("set_v", "x1", 5), ("set_v", "xp", 4), ("set_v", "u'", 3),
+        ("set_e", "x1", "v_c", 3), ("set_e", "x1", "xp", 2), ("set_e", "xm", "y1", 2),
+        ("if_e", "xp", "u'", (0,), [("set_e", "x1", "u'", 1)]),
+        ("if_e", "xp", "u'", (1,), [("set_e", "x1", "u'", 0)])), last=5, run01=True),
+    _Row("tight-gap fan stub", (_FAN, False, False, False, None), 0, (
+        ("set_v", "x1", 5), ("set_v", "xp", 4), ("set_v", "u'", 4), ("set_v", "v'", 5),
+        ("set_e", "x1", "v_c", 3), ("set_e", "x1", "xp", 2), ("set_e", "xm", "y1", 2),
+        ("set_e", "x1", "u'", 1)), last=5, run01=True),
+    _Row("tight-gap fan ends", (_FAN, False, True, True, None), 0, (
+        ("set_v", "x1", 5), ("set_e", "x1", "v_c", 3), ("set_e", "x1", "u'", 2),
+        ("if_e", "xm", "xp", (5,), [("set_v", "xp", 3), ("set_v", "u'", 4),
+                                    ("set_e", "x1", "xp", 1), ("set_e", "xp", "u'", 0)]),
+        ("if_e", "xm", "xp", (4,), [("set_v", "xp", 2), ("set_v", "u'", 0),
+                                    ("set_e", "x1", "xp", 0), ("set_e", "xp", "u'", 5)]))),
+    _Row("tight-gap fan-ends stub", (_FAN, False, True, False, None), 0, (
+        ("set_v", "x1", 4), ("set_v", "xp", 5), ("set_v", "u'", 5), ("set_v", "v'", 4),
+        ("set_e", "x1", "v_c", 2), ("set_e", "x1", "xp", 0), ("set_e", "xm", "xp", 2),
+        ("set_e", "x1", "u'", 1), ("set_e", "xp", "v'", 1))),
+    _Row("short-chord ends", (_FAN, True, None, True, None), 0, (
+        ("set_v", "x1", 5), ("set_v", "xp", 2), ("set_v", "u'", 0),
+        ("set_e", "x1", "v_c", 3), ("set_e", "x1", "xp", 0), ("set_e", "x1", "u'", 2),
+        ("if_e", "v_c", "xp", (4,), [("set_e", "xp", "u'", 5)]),
+        ("if_e", "v_c", "xp", (5,), [("set_e", "xp", "u'", 4)]))),
+    _Row("short-chord stub", (_FAN, True, None, False, None), 0, (
+        ("set_v", "x1", 5), ("set_v", "xp", 4), ("set_v", "u'", 4), ("set_v", "v'", 5),
+        ("set_e", "x1", "v_c", 3), ("set_e", "x1", "xp", 0), ("set_e", "x1", "u'", 1),
+        ("set_e", "xp", "v'", 1)), trace=2),
+    # the trace (5, 4, ...) ends on 4 exactly when the path is odd
+    _Row("tight-gap low-bridge ends, odd path", (_LOW, None, None, True, True), 2, (
+        ("set_v", "x1", 3), ("set_v", "xp", 2), ("set_v", "u'", 5),
+        ("set_e", "x1", "v_c", 0), ("set_e", "x1", "xp", 5), ("set_e", "x1", "u'", 1),
+        ("set_e", "xp", "u'", 0))),
+    _Row("tight-gap low-bridge stub, odd path", (_LOW, None, None, False, True), 2, (
+        ("set_v", "x1", 3), ("set_v", "xp", 2), ("set_v", "u'", 4), ("set_v", "v'", 5),
+        ("set_e", "x1", "v_c", 0), ("set_e", "x1", "xp", 5), ("set_e", "x1", "u'", 1),
+        ("set_e", "xp", "v'", 0))),
+    _Row("tight-gap low-bridge ends, even path", (_LOW, None, None, True, False), 1, (
+        ("set_v", "x1", 5), ("set_v", "xp", 3), ("set_v", "u'", 4),
+        ("set_e", "x1", "v_c", 3), ("set_e", "x1", "xp", 0), ("set_e", "x1", "u'", 2),
+        ("set_e", "xp", "u'", 1)), mid=(0, False)),
+    _Row("tight-gap low-bridge stub, even path", (_LOW, None, None, False, False), 1, (
+        ("set_v", "x1", 5), ("set_v", "xp", 3), ("set_v", "u'", 4), ("set_v", "v'", 5),
+        ("set_e", "x1", "v_c", 3), ("set_e", "x1", "xp", 0), ("set_e", "x1", "u'", 1),
+        ("set_e", "xp", "v'", 1)), mid=(0, False)),
+    _Row("tight-gap mid-bridge ends", (_MID, False, None, True, None), 0, (
+        ("set_v", "x1", 5), ("set_v", "xp", 2), ("set_v", "u'", 0),
+        ("set_e", "x1", "v_c", 2), ("set_e", "x1", "xp", 0), ("set_e", "x1", "u'", 3),
+        ("set_e", "xp", "u'", 4)), trace=5),
+    _Row("tight-gap mid-bridge stub", (_MID, False, None, False, None), 0, (
+        ("set_v", "x1", 5), ("set_v", "xp", 3), ("set_v", "u'", 4), ("set_v", "v'", 5),
+        ("set_e", "x1", "v_c", 2), ("set_e", "x1", "xp", 0), ("set_e", "x1", "u'", 1),
+        ("set_e", "xp", "v'", 1)), trace=5),
+    _Row("tight-gap flipped ends", (((3, 0),), False, None, True, None), 5, (
+        ("set_v", "x1", 0), ("set_v", "xp", 2), ("set_v", "u'", 1),
+        ("set_e", "x1", "v_c", 2), ("set_e", "x1", "xp", 4), ("set_e", "x1", "u'", 3),
+        ("set_e", "xp", "u'", 5)), trace=0, mid=(1, True), chord=2),
+    _Row("tight-gap flipped stub", (((3, 0),), False, None, False, None), 5, (
+        ("set_v", "x1", 0), ("set_v", "xp", 2), ("set_v", "u'", 1), ("set_v", "v'", 0),
+        ("set_e", "x1", "v_c", 2), ("set_e", "x1", "xp", 4), ("set_e", "x1", "u'", 5),
+        ("set_e", "xp", "v'", 5)), trace=0, mid=(1, True), chord=2),
+    _Row("short-chord ends, bridge 3", (((3, 0), (3, 1)), True, None, True, None), 5, (
+        ("set_v", "x1", 0), ("set_v", "xp", 2), ("set_v", "u'", 1),
+        ("set_e", "x1", "v_c", 2), ("set_e", "x1", "xp", 5), ("set_e", "x1", "u'", 3),
+        ("set_e", "xp", "u'", 4)), trace=0),
+    _Row("short-chord stub, bridge 3", (((3, 0), (3, 1)), True, None, False, None), 5, (
+        ("set_v", "x1", 0), ("set_v", "xp", 2), ("set_v", "u'", 1), ("set_v", "v'", 0),
+        ("set_e", "x1", "v_c", 2), ("set_e", "x1", "xp", 5), ("set_e", "x1", "u'", 4),
+        ("set_e", "xp", "v'", 4)), trace=0),
+    _Row("short-chord ends, bridge 3 at 5", (((3, 5),), True, None, True, None), 0, (
+        ("set_v", "x1", 4), ("set_v", "xp", 2), ("set_v", "u'", 3),
+        ("set_e", "x1", "v_c", 2), ("set_e", "x1", "xp", 0), ("set_e", "x1", "u'", 1),
+        ("set_e", "xp", "u'", 5)), trace=4),
+    _Row("short-chord stub, bridge 3 at 5", (((3, 5),), True, None, False, None), 0, (
+        ("set_v", "x1", 3), ("set_v", "xp", 5), ("set_v", "u'", 5), ("set_v", "v'", 4),
+        ("set_e", "x1", "v_c", 5), ("set_e", "x1", "xp", 0), ("set_e", "x1", "u'", 1),
+        ("set_e", "xp", "v'", 1)), trace=2),
+)
+
+
+def _alternate_run(ext: dict[Element, int], seq: Sequence[Element], first: int,
+                   last: int | None = None) -> None:
+    """Label ``seq`` by one label pair in turn (0/1 or 4/5): from ``first``,
+    or so that it ends on ``last`` when that is given."""
+    if last is not None:
+        first = last ^ ((len(seq) - 1) % 2)
+    for i, z in enumerate(seq):
+        ext[z] = first ^ (i % 2)
 
 
 def _attach_tight_gap(
@@ -759,21 +930,22 @@ def _attach_tight_gap(
     w: int,
     diag: Diagnostics | None,
 ) -> TotalLabeling:
-    """The cut vertex sits alone between two chord endpoints."""
+    """The cut vertex sits alone between two chord endpoints.
+
+    A bridge labeled 5 whose neighbor is not labeled 3 takes the block's
+    boundary walk, complemented; every other context writes the first
+    ``TIGHT_GAP_ROWS`` row its facts match, then labels the far side
+    beyond the chord ``(x1, xp)`` unless its ends merge.
+    """
     few = base.edge(v_c, w)
     fw = base.vertex(w)
     x1 = xs[0]
-    chord_mate = next(
-        z for z in leaf.neighbors(x1) if _E(x1, z) in emb1.inner_edges
-    )
-    pprime = xs.index(chord_mate) + 1
-    xp = chord_mate
+    xp = next(z for z in leaf.neighbors(x1) if _E(x1, z) in emb1.inner_edges)
+    pprime = xs.index(xp) + 1
     order = _rotate_to(emb1.boundary, x1)
-    n1 = len(order)
     idx_z = order.index(xp)
     far = order[idx_z + 1:]  # the boundary beyond the chord (x1, xp)
-    uprime, vprime = far[-1], far[0]
-    same = uprime == vprime
+    same = far[0] == far[-1]
     if diag is not None:
         diag.step(
             f"tight gap: bridge={few} attach={fw} span-to-mate={pprime} "
@@ -791,248 +963,39 @@ def _attach_tight_gap(
         ext = {z: 5 - l for z, l in f1.assignment.items()}
         return _finish_direct(base, ext, "tight-gap flip attach")
 
-    if pprime == 2:
-        return _tight_gap_short_chord(base, few, fw, x1, xp, v_c, far, diag)
+    m1 = order.index(xs[pprime - 2])  # xm; x1 for a short chord
+    last_run = order[m1 + 1:idx_z] if pprime > 2 else []
+    facts = ((few, fw), pprime == 2, not last_run, same, idx_z % 2 == 1)
+    row = next(r for r in TIGHT_GAP_ROWS if facts[0] in r.when[0] and all(
+        want is None or want == fact for want, fact in zip(r.when[1:], facts[1:])))
 
-    ext: dict[Element, int] = {}
-    g2_vertices = order[: idx_z + 1]
-    g2set = set(g2_vertices)
-    for e in emb1.inner_edges:
-        if e[0] in g2set and e[1] in g2set:
-            ext[e] = 3 if few != 3 or fw != 0 else 2
-    mid_xs = xs[1 : pprime - 1]  # between the run and the chord mate
-    gap_runs = ys[1 : pprime - 2]  # runs strictly inside
-    last_run = ys[pprime - 2]
-    m1 = order.index(xs[pprime - 2])
-
-    def fill_mid(first: int, flip5: bool = False) -> None:
-        for j, xv in enumerate(mid_xs):
-            lab = first if j % 2 == 0 else 1 - first
-            ext[xv] = (5 - lab) if flip5 else lab
-        for j, run in enumerate(gap_runs):
-            a = ext[mid_xs[j]]
-            a01 = (5 - a) if flip5 else a
-            _fill_run(ext, a01, run, LabelK2Options(), flip5=flip5)
-
-    def trace(start_lab: int, upto: int) -> int:
-        lab = start_lab
-        last = -1
-        for j in range(1, upto):
-            ext[_E(order[j], order[j + 1])] = lab
-            last = lab
-            lab = 9 - lab
-        return last
-
-    if few in (4, 5) and not (few == 4 and fw == 0):
-        # run of chords traced away from the bridge; start depends on the
-        # bridge's edge label so the labels at the cut vertex stay apart
-        start_lab = 4 if few == 5 else 5
-        ext[v_c] = 0
-        fill_mid(1)
-        trace(start_lab, m1)
-        q_last = len(last_run)
-        if q_last > 0:
-            ext[x1] = 5
-            ext[xp] = 4
-            ext[_E(x1, v_c)] = 3
-            ext[_E(x1, xp)] = 2
-            ext[_E(xs[pprime - 2], last_run[0])] = 2
-            seq = [_E(order[j], order[j + 1]) for j in range(m1 + 1, idx_z + 1)]
-            lab = 0
-            for e in seq:
-                ext[e] = lab
-                lab = 1 - lab
-            _plain_run(ext, last_run, 4 if q_last % 2 == 0 else 5, 5 if q_last % 2 == 0 else 4)
-            if same:
-                ext[uprime] = 3
-                ext[_E(uprime, x1)] = ({0, 1} - {ext[_E(xp, uprime)]}).pop()
-                return _finish_direct(base, ext, "tight-gap fan")
-            ext[uprime] = 4
-            ext[vprime] = 5
-            ext[_E(uprime, x1)] = 1
-            return _finish_reattach(base, ext, x1, xp, far, diag)
-        last = ext[_E(order[m1 - 1], order[m1])]
-        if not same:
-            ext[x1] = 4
-            ext[vprime] = 4
-            ext[xp] = 5
-            ext[uprime] = 5
-            ext[_E(x1, xp)] = 0
-            ext[_E(xs[pprime - 2], xp)] = 2
-            ext[_E(x1, v_c)] = 2
-            ext[_E(x1, uprime)] = 1
-            ext[_E(xp, vprime)] = 1
-            return _finish_reattach(base, ext, x1, xp, far, diag)
-        if last == 4:
-            ext.update({
-                x1: 5, xp: 3, uprime: 4,
-                _E(x1, xp): 1, _E(xs[pprime - 2], xp): 5, _E(x1, v_c): 3,
-                _E(x1, uprime): 2, _E(xp, uprime): 0,
-            })
-        else:
-            ext.update({
-                x1: 5, xp: 2, uprime: 0,
-                _E(x1, xp): 0, _E(xs[pprime - 2], xp): 4, _E(x1, v_c): 3,
-                _E(x1, uprime): 2, _E(xp, uprime): 5,
-            })
-        return _finish_direct(base, ext, "tight-gap fan ends")
-
-    if few == 4 and fw == 0:
-        last = trace(5, idx_z)
-        if not same:
-            if last == 4:
-                ext[v_c] = 2
-                fill_mid(1)
-                ext.update({
-                    x1: 3, xp: 2, uprime: 4, vprime: 5,
-                    _E(x1, v_c): 0, _E(x1, xp): 5,
-                    _E(x1, uprime): 1, _E(xp, vprime): 0,
-                })
-                _plain_run(ext, last_run, 1, 0)
-            else:
-                ext[v_c] = 1
-                fill_mid(0)
-                ext.update({
-                    x1: 5, xp: 3, uprime: 4, vprime: 5,
-                    _E(x1, v_c): 3, _E(x1, xp): 0,
-                    _E(x1, uprime): 1, _E(xp, vprime): 1,
-                })
-                _plain_run(ext, last_run, 0, 1)
-            return _finish_reattach(base, ext, x1, xp, far, diag)
-        if last == 4:
-            ext[v_c] = 2
-            fill_mid(1)
-            ext.update({
-                x1: 3, xp: 2, uprime: 5,
-                _E(x1, v_c): 0, _E(x1, xp): 5,
-                _E(x1, uprime): 1, _E(xp, uprime): 0,
-            })
-            _plain_run(ext, last_run, 1, 0)
-        else:
-            ext[v_c] = 1
-            fill_mid(0)
-            ext.update({
-                x1: 5, xp: 3, uprime: 4,
-                _E(x1, v_c): 3, _E(x1, xp): 0,
-                _E(x1, uprime): 2, _E(xp, uprime): 1,
-            })
-            _plain_run(ext, last_run, 0, 1)
-        return _finish_direct(base, ext, "tight-gap low-bridge ends")
-
-    # bridge edge labeled 3: two flavors keyed by the neighbor's label
-    m_out = idx_z + 1
-    if fw != 0:
-        ext[v_c] = 0
-        fill_mid(1)
-        _plain_run(ext, last_run, 1, 0)
-        last = trace(4 if m_out % 2 == 0 else 5, idx_z)
-        if last != 5:
-            raise InfeasibleTrace("fan trace should end on 5")
-        if not same:
-            ext.update({
-                x1: 5, xp: 3, uprime: 4, vprime: 5,
-                _E(x1, v_c): 2, _E(x1, xp): 0,
-                _E(x1, uprime): 1, _E(xp, vprime): 1,
-            })
-            return _finish_reattach(base, ext, x1, xp, far, diag)
-        ext.update({
-            x1: 5, xp: 2, uprime: 0,
-            _E(x1, v_c): 2, _E(x1, xp): 0,
-            _E(x1, uprime): 3, _E(xp, uprime): 4,
-        })
-        return _finish_direct(base, ext, "tight-gap mid-bridge ends")
-
-    ext[v_c] = 5
+    near = set(order[:idx_z + 1])
+    ext: dict[Element, int] = {
+        e: row.chord for e in emb1.inner_edges if e[0] in near and e[1] in near}
+    ext[v_c] = row.vc
+    first, flip5 = row.mid
+    mid_xs = xs[1:pprime - 1]
     for j, xv in enumerate(mid_xs):
-        ext[xv] = 4 if j % 2 == 0 else 5
-    for j, run in enumerate(gap_runs):
-        _fill_run(ext, 5 - ext[mid_xs[j]], run, LabelK2Options(), flip5=True)
-    _plain_run(ext, last_run, 4, 5)
-    lab0 = 1 if m_out % 2 == 0 else 0
-    lab = lab0
-    last = -1
-    for j in range(1, idx_z):
-        ext[_E(order[j], order[j + 1])] = lab
-        last = lab
-        lab = 1 - lab
-    if last != 0:
-        raise InfeasibleTrace("flipped fan trace should end on 0")
-    if not same:
-        ext.update({
-            x1: 0, xp: 2, uprime: 1, vprime: 0,
-            _E(x1, v_c): 2, _E(x1, xp): 4,
-            _E(x1, uprime): 5, _E(xp, vprime): 5,
-        })
-        return _finish_reattach(base, ext, x1, xp, far, diag)
-    ext.update({
-        x1: 0, xp: 2, uprime: 1,
-        _E(x1, v_c): 2, _E(x1, xp): 4,
-        _E(x1, uprime): 3, _E(xp, uprime): 5,
-    })
-    return _finish_direct(base, ext, "tight-gap flipped ends")
+        ext[xv] = 5 - (first ^ (j % 2)) if flip5 else first ^ (j % 2)
+    for j, run in enumerate(ys[1:pprime - 2]):
+        _fill_run(ext, first ^ (j % 2), run, LabelK2Options(), flip5=flip5)
+    path = [_E(order[j], order[j + 1]) for j in range(idx_z + 1)]  # x1 to v'
+    _alternate_run(ext, path[1:idx_z], few ^ 1, row.trace)
+    if last_run:
+        _alternate_run(ext, last_run, ext[order[m1]] ^ 1, row.last)
+    if row.run01:
+        _alternate_run(ext, path[m1 + 1:], 0)
+    roles = {"x1": x1, "v_c": v_c, "xm": order[m1], "y1": order[m1 + 1], "xp": xp,
+             "v'": far[0], "u'": far[-1]}
 
+    def key(*names: str) -> Element:
+        ids = [roles[name] for name in names]
+        return ids[0] if len(ids) == 1 else _E(*ids)
 
-def _tight_gap_short_chord(
-    base: TotalLabeling,
-    few: int,
-    fw: int,
-    x1: int,
-    x2: int,
-    v_c: int,
-    far: Sequence[int],
-    diag: Diagnostics | None,
-) -> TotalLabeling:
-    """The chord from the run's start jumps to the very next chord endpoint."""
-    uprime, vprime = far[-1], far[0]
-    same = uprime == vprime
-    T: dict[Element, int]
-    if few == 5:  # bridge edge at the top; neighbor label 3
-        if same:
-            T = {x1: 5, v_c: 0, x2: 2, uprime: 0,
-                 _E(x1, v_c): 3, _E(v_c, x2): 4, _E(x1, x2): 0,
-                 _E(x2, uprime): 5, _E(uprime, x1): 2}
-        else:
-            T = {x1: 5, v_c: 0, x2: 4, uprime: 4, vprime: 5,
-                 _E(x1, v_c): 3, _E(v_c, x2): 2, _E(x1, x2): 0,
-                 _E(x2, vprime): 1, _E(uprime, x1): 1}
-    elif few == 4 and fw != 0:
-        if same:
-            T = {x1: 5, v_c: 0, x2: 2, uprime: 0,
-                 _E(x1, v_c): 3, _E(v_c, x2): 5, _E(x1, x2): 0,
-                 _E(x2, uprime): 4, _E(uprime, x1): 2}
-        else:
-            T = {x1: 5, v_c: 0, x2: 4, uprime: 4, vprime: 5,
-                 _E(x1, v_c): 3, _E(v_c, x2): 2, _E(x1, x2): 0,
-                 _E(x2, vprime): 1, _E(uprime, x1): 1}
-    elif few == 4:  # neighbor labeled 0
-        if same:
-            T = {v_c: 1, x1: 5, x2: 3, uprime: 4,
-                 _E(x1, v_c): 3, _E(v_c, x2): 5, _E(x1, x2): 0,
-                 _E(x1, uprime): 2, _E(x2, uprime): 1}
-        else:
-            T = {v_c: 1, x1: 5, x2: 3, uprime: 4, vprime: 5,
-                 _E(x1, v_c): 3, _E(v_c, x2): 5, _E(x1, x2): 0,
-                 _E(x1, uprime): 1, _E(x2, vprime): 1}
-    else:  # bridge edge labeled 3
-        if same and fw != 5:
-            T = {x1: 0, v_c: 5, x2: 2, uprime: 1,
-                 _E(x1, v_c): 2, _E(v_c, x2): 0, _E(x1, x2): 5,
-                 _E(x2, uprime): 4, _E(uprime, x1): 3}
-        elif same:
-            T = {x1: 4, v_c: 0, x2: 2, uprime: 3,
-                 _E(x1, v_c): 2, _E(v_c, x2): 4, _E(x1, x2): 0,
-                 _E(x2, uprime): 5, _E(uprime, x1): 1}
-        elif fw != 5:
-            T = {x1: 0, v_c: 5, x2: 2, uprime: 1, vprime: 0,
-                 _E(x1, v_c): 2, _E(v_c, x2): 0, _E(x1, x2): 5,
-                 _E(x2, vprime): 4, _E(uprime, x1): 4}
-        else:
-            T = {x1: 3, v_c: 0, x2: 5, uprime: 5, vprime: 4,
-                 _E(x1, v_c): 5, _E(v_c, x2): 2, _E(x1, x2): 0,
-                 _E(x2, vprime): 1, _E(uprime, x1): 1}
+    run_ops(row.ops, ext, key, {})
     if same:
-        return _finish_direct(base, T, "short-chord ends")
-    return _finish_reattach(base, T, x1, x2, far, diag)
+        return _finish_direct(base, ext, row.name)
+    return _finish_reattach(base, ext, x1, xp, far, diag, row.name)
 
 
 def _finish_direct(base: TotalLabeling, ext: dict[Element, int],
@@ -1043,9 +1006,10 @@ def _finish_direct(base: TotalLabeling, ext: dict[Element, int],
 
 
 def _finish_reattach(base: TotalLabeling, ext: dict[Element, int], x1: int,
-                     xp: int, far: Sequence[int],
-                     diag: Diagnostics | None) -> TotalLabeling:
-    """Label the near side of the chord ``(x1, xp)`` by ``ext``, then the far side.
+                     xp: int, far: Sequence[int], diag: Diagnostics | None,
+                     where: str) -> TotalLabeling:
+    """Label the near side of the chord ``(x1, xp)`` by the table rule
+    ``where``'s labels ``ext``, then the far side.
 
     ``far`` is the leaf block's boundary arc beyond the chord, from ``xp``'s
     neighbour to ``x1``'s.  The near side is checked in place, before the
@@ -1055,5 +1019,5 @@ def _finish_reattach(base: TotalLabeling, ext: dict[Element, int], x1: int,
     the stub host, in which each end is a pendant on its chord end.
     """
     base.update(ext)
-    check(base, ext, "reattachment stub")
+    check(base, ext, where)
     return extend_lemma1(base, x1, xp, far, diag)

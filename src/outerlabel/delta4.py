@@ -18,7 +18,9 @@ label flip z -> 6 - z reduce the fourteen possible pairs to four canonical
 cases.
 
 All templates and their subcase patches are data tables keyed by spine
-index patterns, so they can be audited entry by entry.  The chain finish
+index patterns, so they can be audited entry by entry; the subcase ops
+are run by ``delta3.run_ops``, the interpreter of the degree-3 tight-gap
+rows too.  The chain finish
 rule writes its template and checks the elements it changed
 (``delta3.check``), with no search: a template that fails its check raises
 InfeasibleTrace, and one left with an empty choice CaseFault.
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .delta3 import (
+    CaseFault,
     Diagnostics,
     InfeasibleTrace,
     NotDelta,
@@ -42,6 +45,7 @@ from .delta3 import (
     complete,
     label_cycle_or_path,
     reduce_and_extend,
+    run_ops,
 )
 from .embedding import OuterplanarEmbedding, recognize_embed
 # extend_bounded and find_labeling_bounded are unused here; perfbench/tracing.py
@@ -130,7 +134,8 @@ def canonicalize(pair: tuple[int, int]) -> ChainCase:
 #
 # Keys are spine index patterns: a vertex is "3" or "2t-1"; an edge is a
 # pair of such patterns.  Blocks repeat for i = 2..k where t = 2k (even
-# templates) or t = 2k+1 (odd templates).  Subcase instructions:
+# templates) or t = 2k+1 (odd templates).  Subcase instructions, run by
+# ``delta3.run_ops`` as the degree-3 tight-gap rows are:
 #
 #   ("set_v", idx, label)           ("set_e", i, j, label)
 #   ("choose_e", i, j, cands, excl) first label of cands not excluded;
@@ -653,10 +658,6 @@ def _idx(expr: str | int, t: int, i: int | None = None) -> int:
     return val
 
 
-class CaseFault(InfeasibleTrace):
-    """A template produced an empty choice set or an invalid labeling."""
-
-
 def _subcase_key(case_id: int, parity: str, alpha: int, beta: int) -> tuple[str, str]:
     specials = {1: 6, 2: 2, 3: 3, 4: 4}
     a = "eq" if alpha == specials[case_id] else "ne"
@@ -693,29 +694,24 @@ def chain_template(
         raise ValueError("host context does not admit the case's endpoint labels")
     parity = "even" if t % 2 == 0 else "odd"
     spec = TEMPLATES[(case_id, parity)]
-    lab: dict[tuple, int] = {}
 
-    def put_v(idx: int, value: int) -> None:
-        lab[("v", idx)] = value
+    def key(*pats: str, i: int | None = None) -> tuple:
+        ids = sorted(_idx(pat, t, i) for pat in pats)
+        return ("v" if len(ids) == 1 else "e", *ids)
 
-    def put_e(i: int, j: int, value: int) -> None:
-        lab[("e", min(i, j), max(i, j))] = value
-
-    put_v(1, a_lab)
-    put_v(2 * t + 1, b_lab)
+    lab: dict[tuple, int] = {key("1"): a_lab, key("2t+1"): b_lab}
     for pat, value in spec["base_v"].items():
-        put_v(_idx(pat, t), value)
-    for (pi, pj), value in spec["base_e"].items():
-        put_e(_idx(pi, t), _idx(pj, t), value)
+        lab[key(pat)] = value
+    for pats, value in spec["base_e"].items():
+        lab[key(*pats)] = value
     k_blocks = t // 2 if parity == "even" else (t - 1) // 2
     for i in range(2, k_blocks + 1):
         for pat, value in spec["block_v"].items():
-            put_v(_idx(pat, t, i), value)
-        for (pi, pj), value in spec["block_e"].items():
-            put_e(_idx(pi, t, i), _idx(pj, t, i), value)
+            lab[key(pat, i=i)] = value
+        for pats, value in spec["block_e"].items():
+            lab[key(*pats, i=i)] = value
 
-    key = _subcase_key(case_id, parity, alpha, beta)
-    branches = spec["subcases"][key]
+    branches = spec["subcases"][_subcase_key(case_id, parity, alpha, beta)]
     ops = None
     for guard, body in branches:
         if guard == "any":
@@ -730,40 +726,7 @@ def chain_template(
         raise CaseFault(f"no branch for case {case_id} parity {parity} t={t}")
     if isinstance(ops, str):
         ops = _SHARED_OPS[ops]
-
-    def resolve(token) -> int:
-        if token == "A":
-            return alpha
-        if token == "B":
-            return beta
-        kind, pi, pj = token
-        i, j = _idx(pi, t), _idx(pj, t)
-        return lab[("e", min(i, j), max(i, j))]
-
-    def run_ops(body) -> None:
-        for op in body:
-            if op[0] == "set_v":
-                put_v(_idx(op[1], t), op[2])
-            elif op[0] == "set_e":
-                put_e(_idx(op[1], t), _idx(op[2], t), op[3])
-            elif op[0] == "choose_e":
-                _, pi, pj, cands, excl = op
-                banned = {resolve(tok) for tok in excl}
-                pick = next((c for c in cands if c not in banned), None)
-                if pick is None:
-                    raise CaseFault(
-                        f"empty choice for edge ({pi},{pj}) in case {case_id}"
-                    )
-                put_e(_idx(pi, t), _idx(pj, t), pick)
-            elif op[0] == "if_e":
-                _, pi, pj, values, body2 = op
-                i, j = _idx(pi, t), _idx(pj, t)
-                if lab[("e", min(i, j), max(i, j))] in values:
-                    run_ops(body2)
-            else:
-                raise ValueError(f"unknown op {op[0]}")
-
-    run_ops(ops)
+    run_ops(ops, lab, key, {"A": alpha, "B": beta})
     return lab
 
 

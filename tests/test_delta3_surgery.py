@@ -1,16 +1,18 @@
 """White-box sweep of the leaf-block attachment tables.
 
-The corpora mostly produce small leaf blocks, so the deeper branches (cut
-vertex wedged between two chord endpoints whose chord-mate sits several
-endpoints away) are driven here directly: the remainder's labeling is
-pinned to every relevant bridge-edge/attachment label combination and the
-attachment must come back verified.
+The corpora mostly produce small leaf blocks, so the deeper rows of the
+tight-gap table (cut vertex wedged between two chord endpoints whose
+chord-mate sits several endpoints away) are driven here directly: the
+remainder's labeling is pinned to every relevant bridge-edge/attachment
+label combination and the attachment must come back verified, and the
+shapes together must reach every row.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from outerlabel import delta3
 from outerlabel.delta3 import Diagnostics, _attach_chorded_block, _label_span5
 from outerlabel.embedding import recognize_embed
 from outerlabel.exact import extend_bounded
@@ -79,20 +81,26 @@ CONTEXTS = [(5, 3), (5, 0), (5, 1), (5, 2), (4, 0), (4, 1), (4, 2),
             (3, 0), (3, 1), (3, 5)]
 
 
+SHORT_LASTS = [1, 2, 3]
+
+
 @pytest.mark.parametrize("few,fw", CONTEXTS)
-@pytest.mark.parametrize("q_last", [1, 2, 3])
+@pytest.mark.parametrize("q_last", SHORT_LASTS)
 def test_short_chord_tables(few, fw, q_last):
     g, out, diag = attach_case(*tight_block(2, 0, 0, q_last), few, fw)
     assert verify(out, 2) == [] and span(out) <= 5
     assert diag.records == []
 
 
-@pytest.mark.parametrize("few,fw", CONTEXTS)
-@pytest.mark.parametrize("q2,q3,q_last", [
+FAR_SHAPES = [
     (1, 0, 1), (1, 0, 2), (2, 0, 1), (2, 0, 2),
     (1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1),
     (2, 2, 2), (1, 3, 1),
-])
+]
+
+
+@pytest.mark.parametrize("few,fw", CONTEXTS)
+@pytest.mark.parametrize("q2,q3,q_last", FAR_SHAPES)
 def test_far_chord_verses(few, fw, q2, q3, q_last):
     g, out, diag = attach_case(*tight_block(4, q2, q3, q_last), few, fw)
     assert verify(out, 2) == [] and span(out) <= 5
@@ -125,16 +133,39 @@ def six_endpoint_block(r1: int, r2: int, r3: int, r4: int, far: int):
 
 
 SIX_RUNS = [(1, 1, 1, 1), (1, 3, 1, 1), (2, 1, 2, 1), (1, 1, 1, 3), (3, 2, 3, 2)]
+SIX_FARS = [1, 2, 3]
 
 
 @pytest.mark.parametrize("few,fw", CONTEXTS)
 @pytest.mark.parametrize("runs", SIX_RUNS)
-@pytest.mark.parametrize("far", [1, 2, 3])
+@pytest.mark.parametrize("far", SIX_FARS)
 def test_six_endpoint_block(few, fw, runs, far):
     leaf, v_c = six_endpoint_block(*runs, far)
     assert leaf.max_degree() == 3
     g, out, diag = attach_case(leaf, v_c, few, fw)
     assert verify(out, 2) == [] and span(out) <= 5
+
+
+def test_every_tight_gap_row_is_reached(monkeypatch):
+    # the shapes of the three sweeps above, in every context, reach every
+    # row of the tight-gap table (and the flip attach, which is no row)
+    seen = set()
+    real = delta3.check
+
+    def spy(f, touched, where):
+        seen.add(where)
+        return real(f, touched, where)
+
+    monkeypatch.setattr(delta3, "check", spy)
+    leaves = [tight_block(2, 0, 0, q_last) for q_last in SHORT_LASTS]
+    leaves += [tight_block(4, *shape) for shape in FAR_SHAPES]
+    leaves += [six_endpoint_block(*runs, far) for runs in SIX_RUNS for far in SIX_FARS]
+    for leaf, v_c in leaves:
+        for few, fw in CONTEXTS:
+            attach_case(leaf, v_c, few, fw)
+    rows = {row.name for row in delta3.TIGHT_GAP_ROWS}
+    assert len(rows) == len(delta3.TIGHT_GAP_ROWS)
+    assert seen == rows | {"tight-gap flip attach"}
 
 
 def test_whole_driver_on_far_chord_host():

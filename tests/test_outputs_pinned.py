@@ -19,7 +19,7 @@ from outerlabel.delta3 import Diagnostics
 from outerlabel.pipeline import label_outerplanar
 
 ROOT = Path(__file__).resolve().parents[1]
-DIGEST = "48b4fdda2d2b3c1e910ac156e2d130b6028d0acaa404fd882407429b22e17909"
+DIGEST = "740227ef81658ee87d4f7e8150d9809f4626001ad24f2df27952d5181ea989db"
 
 
 def _inputs():
