@@ -36,7 +36,7 @@ def _inputs():
     yield gen.gen_glued_outerplanar(32, 12, {"max_degree": 3})
     yield gen.gen_glued_outerplanar(78, 6718, {"max_degree": 3})
     # one tight-gap leaf whose far ends merge, attached by the "tight-gap fan"
-    # row, then by the "tight-gap low-bridge ends" row
+    # row, then by the "tight-gap low-bridge ends, even path" row
     leaf, v_c = tight_block(4, 1, 1, 1)
     yield join_leaf(leaf, v_c, gen.gen_glued_outerplanar(9, 1, {"max_degree": 3}), 2)
     yield join_leaf(leaf, v_c, gen.gen_glued_outerplanar(12, 4, {"max_degree": 3}), 4)
