@@ -8,7 +8,7 @@ peeled one leaf block at a time.
 """
 
 from outerlabel import Graph, label_delta3, label_k2, recognize_embed, span, verify
-from outerlabel.delta3 import Diagnostics, LabelK2Options
+from outerlabel.delta3 import Diagnostics, LabelK2Options, pin_outer_edge
 from outerlabel import generators as gen
 
 # --- the canonical walk -------------------------------------------------------
@@ -31,9 +31,9 @@ print(" verified:", not verify(f, 2), " span:", span(f))
 
 # --- steering the walk ----------------------------------------------------------
 
-opts = LabelK2Options(start_vertex=3, start_parity=1,
-                      outer_edge_seed=((1, 2), 5))
+opts = LabelK2Options(start_vertex=3, start_parity=1)
 f, _ = label_k2(recognize_embed(g), opts)
+pin_outer_edge(f, (1, 2), 5)  # exchanges 4 and 5 on every edge if needed
 print("\nsteered walk: start at 3 with label 1; edge (1,2) pinned to 5")
 print(" vertex labels:", [f.vertex(v) for v in range(6)],
       " edge (1,2):", f.edge(1, 2))

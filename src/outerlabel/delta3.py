@@ -98,16 +98,17 @@ class LabelK2Options:
     ``start_vertex`` picks which chord endpoint opens the walk and
     ``start_parity`` its label.  Odd runs place their single 2 on the vertex
     closest to the run's middle, skipping ``avoid2_hard`` when at all
-    possible and ``avoid2_soft`` when an alternative exists.  The outer-edge
-    alternation may be pinned by ``outer_edge_seed``; when the boundary is
-    odd, the repaired face is the first endface avoiding ``endface_avoid``.
+    possible and ``avoid2_soft`` when an alternative exists.  When the
+    boundary is odd, the repaired face is the first endface avoiding
+    ``endface_avoid``.  The outer-edge alternation opens on 4; a caller
+    that needs an outer edge on 4 or 5 pins it afterwards
+    (``pin_outer_edge``).
     """
 
     start_vertex: int | None = None
     start_parity: int = 0
     avoid2_hard: frozenset[int] = frozenset()
     avoid2_soft: frozenset[int] = frozenset()
-    outer_edge_seed: tuple[Edge, int] | None = None
     endface_avoid: frozenset[int] = frozenset()
 
 
@@ -157,24 +158,27 @@ def _fill_run(
         assign[v] = l
 
 
-def _alternate(
-    assign: dict[Element, int],
-    edge_seq: list[tuple[int, int]],
-    first_label: int,
-    seed: tuple[Edge, int] | None = None,
-) -> None:
-    if seed is not None:
-        target = norm_edge(*seed[0])
-        idx = next(
-            (i for i, e in enumerate(edge_seq) if norm_edge(*e) == target), None
-        )
-        if idx is None:
-            raise InfeasibleTrace(f"seed edge {target} not on the alternation walk")
-        first_label = seed[1] if idx % 2 == 0 else 9 - seed[1]
-    lab = first_label
+def _alternate(assign: dict[Element, int], edge_seq: list[tuple[int, int]]) -> None:
+    lab = 4
     for e in edge_seq:
         assign[norm_edge(*e)] = lab
         lab = 9 - lab
+
+
+def pin_outer_edge(f: TotalLabeling, edge: Edge, label: int) -> None:
+    """Give ``edge`` the label ``label`` (4 or 5) in the boundary walk ``f``.
+
+    Every 4/5 edge label of a walk follows its alternation, and nothing
+    else the walk labels depends on where the alternation starts, so
+    exchanging 4 and 5 on every edge gives the walk that starts it on the
+    other label.
+    """
+    a = f.assignment
+    e = norm_edge(*edge)
+    if a.get(e) not in (4, 5):
+        raise InfeasibleTrace(f"seed edge {e} not on the alternation walk")
+    if a[e] != label:
+        a.update({z: 9 - l for z, l in a.items() if type(z) is tuple and l in (4, 5)})
 
 
 def _endface_arc(emb: OuterplanarEmbedding, face: Face) -> tuple[int, int, list[int]]:
@@ -234,7 +238,7 @@ def label_k2(
     cyc = [(order[j], order[(j + 1) % n]) for j in range(n)]
 
     if n % 2 == 0:
-        _alternate(assign, cyc, 4, opts.outer_edge_seed)
+        _alternate(assign, cyc)
     else:
         faces = [
             f
@@ -258,7 +262,7 @@ def label_k2(
             trace.patched.add(seam)
             start = (epos[seam] + 1) % n
             path = [cyc[(start + j) % n] for j in range(n - 1)]
-            _alternate(assign, path, 4, opts.outer_edge_seed)
+            _alternate(assign, path)
             if assign[run[0]] == 2 or assign[run[1]] == 2:
                 assign[run[0]], assign[run[1]], assign[run[2]] = 1, 0, 2
                 trace.patched.update(run[:3])
@@ -269,10 +273,8 @@ def label_k2(
             assign[y1], assign[e_low], assign[e_high] = 5, 2, 3
             trace.patched.update((y1, e_low, e_high))
             start = (max(epos[e_low], epos[e_high]) + 1) % n
-            if {epos[e_low], epos[e_high]} == {0, n - 1}:
-                start = 1
             path = [cyc[(start + j) % n] for j in range(n - 2)]
-            _alternate(assign, path, 4, opts.outer_edge_seed)
+            _alternate(assign, path)
             chord = norm_edge(zero_end, one_end)
             assign[chord] = 9 - assign[norm_edge(*path[-1])]
             trace.patched.add(chord)
@@ -559,9 +561,9 @@ def extend_lemma1(
         start_vertex=start,
         start_parity=parity,
         avoid2_soft=frozenset(soft),
-        outer_edge_seed=(norm_edge(u_prime, x), eu),
         endface_avoid=frozenset(hidden),
     ))
+    pin_outer_edge(f1, (u_prime, x), eu)
     part = {z: l for z, l in f1.assignment.items() if z in keep}
     part[u_prime], part[v_prime] = vu, vv  # the tips keep the stub host's labels
     f.update(part)
@@ -702,53 +704,44 @@ def _attach_chorded_block(
     w: int,
     diag: Diagnostics | None,
 ) -> TotalLabeling:
-    xs0, ys0, _ = boundary_decompose(emb1)
-    gap_i = next(i for i, run in enumerate(ys0) if v_c in run)
-    xs, ys, qs = boundary_decompose(emb1, start=xs0[gap_i])
+    xs, ys, _ = boundary_decompose(emb1)
+    i = next(i for i, run in enumerate(ys) if v_c in run)
+    xs, ys = xs[i:] + xs[:i], ys[i:] + ys[:i]
     if diag is not None:
-        diag.step(f"cut vertex run length {qs[0]}")
-    if qs[0] > 1:
-        return _attach_wide_gap(base, leaf, emb1, xs, ys, v_c, w)
-    return _attach_tight_gap(base, leaf, emb1, xs, ys, v_c, w, diag)
+        diag.step(f"cut vertex run length {len(ys[0])}")
+    # a walk from x1 that keeps v_c off the 2 of its run and off the seam
+    away = LabelK2Options(start_vertex=xs[0], avoid2_hard=frozenset({v_c}),
+                          avoid2_soft=frozenset(leaf.neighbors(v_c)),
+                          endface_avoid=frozenset({v_c}))
+    if len(ys[0]) > 1:
+        return _attach_wide_gap(base, emb1, ys[0], v_c, w, away)
+    return _attach_tight_gap(base, leaf, emb1, xs, ys, v_c, w, away, diag)
 
 
-def _attach_wide_gap(base: TotalLabeling, leaf: Graph, emb1, xs: list[int],
-                     ys: list[list[int]], v_c: int, w: int) -> TotalLabeling:
-    """The cut vertex has a 2-vertex neighbor inside its run."""
+def _attach_wide_gap(base: TotalLabeling, emb1, run: list[int], v_c: int, w: int,
+                     away: LabelK2Options) -> TotalLabeling:
+    """The cut vertex has a 2-vertex neighbor inside its run ``run``.
+
+    One walk ``away`` from it: its start parity keeps ``v_c`` off the
+    label of ``w``, and a bridge labeled 4 or 5 is matched by pinning the
+    edge to a run neighbor of ``v_c`` not labeled 2, which then takes 3.
+    """
     few = base.edge(v_c, w)
     fw = base.vertex(w)
-    opts = dict(
-        start_vertex=xs[0],
-        avoid2_hard=frozenset({v_c}),
-        avoid2_soft=frozenset(leaf.neighbors(v_c)),
-        endface_avoid=frozenset({v_c}),
-    )
-    parity = 0
-    f1, _ = label_k2(emb1, LabelK2Options(**opts, start_parity=0))
-    if fw in (0, 1) and f1.vertex(v_c) == fw:
-        parity = 1
-        f1, _ = label_k2(emb1, LabelK2Options(**opts, start_parity=1))
-    ystar = None
+    # the seam avoids v_c, so the walk gives v_c the label its run fill does
+    lab: dict[Element, int] = {}
+    _fill_run(lab, 0, run, away)
+    away.start_parity = int(lab[v_c] == fw)
+    f1, _ = label_k2(emb1, away)
     if few in (4, 5):
-        run = ys[0]
         idx = run.index(v_c)
-        nb = [run[i] for i in (idx - 1, idx + 1) if 0 <= i < len(run)]
-        good = [z for z in nb if f1.vertex(z) != 2]
+        good = [run[i] for i in (idx - 1, idx + 1)
+                if 0 <= i < len(run) and f1.vertex(run[i]) != 2]
         if not good:
             raise InfeasibleTrace("both run neighbors of the cut vertex took 2")
-        ystar = good[0]
-        f1, _ = label_k2(
-            emb1,
-            LabelK2Options(
-                **opts,
-                start_parity=parity,
-                outer_edge_seed=(_E(ystar, v_c), few),
-            ),
-        )
-    ext = dict(f1.assignment)
-    if few in (4, 5):
-        ext[_E(ystar, v_c)] = 3
-    return _finish_direct(base, ext, "wide-gap attach")
+        pin_outer_edge(f1, (good[0], v_c), few)
+        f1.set_edge(good[0], v_c, 3)
+    return _finish_direct(base, f1.assignment, "wide-gap attach")
 
 
 # -- the tight-gap table -----------------------------------------------------
@@ -928,14 +921,15 @@ def _attach_tight_gap(
     ys: list[list[int]],
     v_c: int,
     w: int,
+    away: LabelK2Options,
     diag: Diagnostics | None,
 ) -> TotalLabeling:
     """The cut vertex sits alone between two chord endpoints.
 
     A bridge labeled 5 whose neighbor is not labeled 3 takes the block's
-    boundary walk, complemented; every other context writes the first
-    ``TIGHT_GAP_ROWS`` row its facts match, then labels the far side
-    beyond the chord ``(x1, xp)`` unless its ends merge.
+    boundary walk ``away`` from ``v_c``, complemented; every other context
+    writes the first ``TIGHT_GAP_ROWS`` row its facts match, then labels
+    the far side beyond the chord ``(x1, xp)`` unless its ends merge.
     """
     few = base.edge(v_c, w)
     fw = base.vertex(w)
@@ -953,13 +947,7 @@ def _attach_tight_gap(
         )
 
     if few == 5 and fw != 3:
-        opts = LabelK2Options(
-            start_vertex=x1,
-            avoid2_hard=frozenset({v_c}),
-            avoid2_soft=frozenset(leaf.neighbors(v_c)),
-            endface_avoid=frozenset({v_c}),
-        )
-        f1, _ = label_k2(emb1, opts)
+        f1, _ = label_k2(emb1, away)
         ext = {z: 5 - l for z, l in f1.assignment.items()}
         return _finish_direct(base, ext, "tight-gap flip attach")
 

@@ -15,6 +15,7 @@ from outerlabel.delta3 import (
     label_cycle_or_path,
     label_delta3,
     label_k2,
+    pin_outer_edge,
 )
 from outerlabel.embedding import recognize_embed
 from outerlabel.exact import extend_bounded, lambda_exact
@@ -97,12 +98,24 @@ def test_label_k2_chord_ends_differ():
 
 
 def test_label_k2_seed_freedom():
-    emb = recognize_embed(c6_chord())
-    for e in emb.outer_edges:
-        for lab in (4, 5):
-            f, _ = label_k2(emb, LabelK2Options(outer_edge_seed=(e, lab)))
-            assert verify(f, 2) == []
-            assert f.get(e) == lab
+    # every outer edge on the 4/5 alternation pins to 4 and to 5 clean; the
+    # odd boundary's seam edge, labeled 3, is not on it
+    c7_chord = Graph.from_edges([(i, (i + 1) % 7) for i in range(7)] + [(0, 3)])
+    for g, seams in ((c6_chord(), 0), (c7_chord, 1)):
+        emb = recognize_embed(g)
+        walk, _ = label_k2(emb)
+        refused = set()
+        for e in emb.outer_edges:
+            for lab in (4, 5):
+                f = TotalLabeling(g, 5, dict(walk.assignment))
+                if walk.get(e) == 3:
+                    with pytest.raises(InfeasibleTrace, match="not on the alternation walk"):
+                        pin_outer_edge(f, e, lab)
+                    refused.add(e)
+                else:
+                    pin_outer_edge(f, e, lab)
+                    assert verify(f, 2) == [] and f.get(e) == lab
+        assert len(refused) == seams
 
 
 def test_label_k2_start_options():
@@ -233,6 +246,39 @@ def test_reattachment_builds_only_local_graphs(monkeypatch):
     f = label_delta3(g)
     assert verify(f, 2) == [] and span(f) <= 5
     assert sum(built) < 10 * g.n
+
+
+def test_one_walk_per_wide_gap_attach(monkeypatch):
+    # a wide-gap attach chooses its walk's start parity before the walk and
+    # meets a bridge labeled 4 or 5 by pinning an edge after it
+    attaches, parities, pins, inside = [], [], [], []
+    wide, walk, pin = delta3._attach_wide_gap, delta3.label_k2, delta3.pin_outer_edge
+
+    def counted_attach(*args):
+        attaches.append(args)
+        inside.append(True)
+        out = wide(*args)
+        inside.pop()
+        return out
+
+    def counted_walk(emb, opts=None, diag=None):
+        if inside:
+            parities.append(opts.start_parity)
+        return walk(emb, opts, diag)
+
+    def counted_pin(*args):
+        if inside:
+            pins.append(args)
+        return pin(*args)
+
+    monkeypatch.setattr(delta3, "_attach_wide_gap", counted_attach)
+    monkeypatch.setattr(delta3, "label_k2", counted_walk)
+    monkeypatch.setattr(delta3, "pin_outer_edge", counted_pin)
+    for s in range(300):
+        g = gen.gen_glued_outerplanar(20 + s % 60, s, {"max_degree": 3})
+        assert verify(label_outerplanar(g), 2) == []
+    assert len(parities) == len(attaches)
+    assert 1 in parities and pins
 
 
 # -- whole-graph driver ------------------------------------------------------
