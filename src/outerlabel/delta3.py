@@ -22,7 +22,7 @@ component.  A per-degree step function either labels a connected host
 directly (path or cycle, boundary walk) or removes what its reduction
 drops (``OuterplanarEmbedding.remove``) and returns the graph's undo
 record with the finish rule that extends the smaller host's labeling back
-(pendant search, leaf-block attach); the driver replays each record just
+(pendant rule, leaf-block attach); the driver replays each record just
 before its rule runs.
 
 Every finish rule extends its component's labeling in place and checks
@@ -50,16 +50,23 @@ from .embedding import (
     endfaces,
     recognize_embed,
 )
-from .exact import SearchBudgetExceeded, SearchStats, extend_bounded
+from .exact import (
+    SearchBudgetExceeded,
+    SearchStats,
+    _forbid_mask,
+    _keep_masks,
+    extend_bounded,
+)
 # find_labeling_bounded is unused here; perfbench/tracing.py patches this binding
 from .exact import find_labeling_bounded  # noqa: F401
 from .graphs import Edge, Element, Graph, norm_edge
 from .labeling import TotalLabeling, verify, verify_around
 
 # Node budget of each completion search.  The largest search measured took
-# 17 nodes, over 74,465 completions: the seed-0 benchmark corpus and reduce
-# inputs, the 2,302 single-block dissections of 4- to 9-gons at Δ = 3, 4,
-# and gen_glued_outerplanar(40, s, {"max_degree": d}) for s < 2000, d = 3, 4.
+# 17 nodes, over 25,433 completion searches (pendant restores do not search):
+# the seed-0 benchmark corpus and reduce inputs, the 2,302 single-block
+# dissections of 4- to 9-gons at Δ = 3, 4, and
+# gen_glued_outerplanar(40, s, {"max_degree": d}) for s < 2000, d = 3, 4.
 COMPLETION_BUDGET = 10_000
 
 
@@ -219,8 +226,20 @@ def label_k2(
         raise ValueError("boundary-walk labeling needs a 2-connected host")
     if g.max_degree() != 3:
         raise NotDelta(3, g.max_degree())
+    xs, ys, _ = boundary_decompose(emb, start=opts.start_vertex)
+    return _walk_k2(emb, xs, ys, opts, diag)
 
-    xs, ys, qs = boundary_decompose(emb, start=opts.start_vertex)
+
+def _walk_k2(
+    emb: OuterplanarEmbedding,
+    xs: list[int],
+    ys: list[list[int]],
+    opts: LabelK2Options,
+    diag: Diagnostics | None = None,
+) -> tuple[TotalLabeling, LabelK2Trace]:
+    """``label_k2`` on the boundary decomposition ``xs, ys`` of ``emb``, as
+    ``boundary_decompose`` gives it from ``xs[0]``."""
+    g = emb.graph
     assign: dict[Element, int] = {}
     trace = LabelK2Trace()
 
@@ -283,7 +302,7 @@ def label_k2(
 
     f = TotalLabeling(g, 5, assign)
     if diag is not None:
-        diag.step(f"label_k2 xs={xs} qs={qs}")
+        diag.step(f"label_k2 xs={xs} qs={[len(run) for run in ys]}")
     return f, trace
 
 
@@ -464,16 +483,50 @@ def complete(f: TotalLabeling, frees: Iterable[list[Element]], where: str,
     raise InfeasibleTrace(f"{where}: no verified completion")
 
 
-def _pendant_step(host: OuterplanarEmbedding, diag: Diagnostics | None):
-    """Drop the smallest degree-1 vertex; search puts its vertex and edge back."""
+def _pendant_step(host: OuterplanarEmbedding):
+    """Drop the smallest degree-1 vertex; a rule puts its vertex and edge back."""
     u1 = host.worklists().first("pendant")
     u2 = host.graph.neighbors(u1)[0]
-    return host.remove([u1]), partial(_restore_pendant, u1, u2, diag)
+    return host.remove([u1]), partial(_restore_pendant, u1, u2)
 
 
-def _restore_pendant(u1: int, u2: int, diag: Diagnostics | None,
-                     fh: TotalLabeling) -> TotalLabeling:
-    return complete(fh, [[u1, _E(u1, u2)]], f"pendant at vertex {u1}", diag)
+def _restore_pendant(u1: int, u2: int, fh: TotalLabeling) -> TotalLabeling:
+    """Label the pendant ``u1`` and its edge to ``u2`` with the search's first answer.
+
+    The search would label the edge first, with the smallest label that
+    ``u2``'s label and its other edges allow and that leaves the pendant a
+    label, then the pendant with the smallest label left.  At k = Δ+2 the
+    edge loses at most Δ+2 of its k+1 labels, so some label is left and the
+    pendant keeps at least two, as the paper's pendant extension has it.
+    """
+    k = fh.k
+    get = fh.get if fh.flip else fh.assignment.get
+    near, far = _keep_masks(1, k), _keep_masks(2, k)
+    e = _E(u1, u2)
+    where = f"pendant at vertex {u1}"
+    edge_dom = vertex_dom = (1 << (k + 1)) - 1
+    lab = get(u2)
+    if lab is not None:  # as the search seeds its domains from kept labels
+        in_range = 0 <= lab <= k
+        edge_dom &= far[lab] if in_range else ~_forbid_mask(lab, 2, k)
+        vertex_dom &= near[lab] if in_range else ~_forbid_mask(lab, 1, k)
+    for x in fh.graph.neighbors(u2):
+        lab = get((u2, x) if u2 < x else (x, u2)) if x != u1 else None
+        if lab is not None:
+            edge_dom &= near[lab] if 0 <= lab <= k else ~_forbid_mask(lab, 1, k)
+    while edge_dom:
+        low = edge_dom & -edge_dom
+        edge_lab = low.bit_length() - 1
+        left = vertex_dom & far[edge_lab]
+        if left:
+            # written as the search writes its answer: the edge, then the pendant
+            fh.assignment.pop(e, None)
+            fh.assignment.pop(u1, None)
+            fh.set(e, edge_lab)
+            fh.set(u1, (left & -left).bit_length() - 1)
+            return check(fh, (u1, e), where)
+        edge_dom ^= low
+    raise InfeasibleTrace(f"{where}: no verified completion")
 
 
 # -- leaf-block surgery ------------------------------------------------------
@@ -611,7 +664,7 @@ def _step5(emb: OuterplanarEmbedding, diag: Diagnostics | None):
     if g.max_degree() <= 2:
         return label_cycle_or_path(g, k=5)
     if g.min_degree() == 1:
-        return _pendant_step(emb, diag)
+        return _pendant_step(emb)
     if emb.is_biconnected():
         f, _ = label_k2(emb, LabelK2Options(), diag)
         return f
@@ -709,30 +762,33 @@ def _attach_chorded_block(
     xs, ys = xs[i:] + xs[:i], ys[i:] + ys[:i]
     if diag is not None:
         diag.step(f"cut vertex run length {len(ys[0])}")
-    # a walk from x1 that keeps v_c off the 2 of its run and off the seam
-    away = LabelK2Options(start_vertex=xs[0], avoid2_hard=frozenset({v_c}),
+    # a walk over xs, ys (from x1) that keeps v_c off the 2 of its run and
+    # off the seam
+    away = LabelK2Options(avoid2_hard=frozenset({v_c}),
                           avoid2_soft=frozenset(leaf.neighbors(v_c)),
                           endface_avoid=frozenset({v_c}))
     if len(ys[0]) > 1:
-        return _attach_wide_gap(base, emb1, ys[0], v_c, w, away)
+        return _attach_wide_gap(base, emb1, xs, ys, v_c, w, away)
     return _attach_tight_gap(base, leaf, emb1, xs, ys, v_c, w, away, diag)
 
 
-def _attach_wide_gap(base: TotalLabeling, emb1, run: list[int], v_c: int, w: int,
-                     away: LabelK2Options) -> TotalLabeling:
-    """The cut vertex has a 2-vertex neighbor inside its run ``run``.
+def _attach_wide_gap(base: TotalLabeling, emb1, xs: list[int], ys: list[list[int]],
+                     v_c: int, w: int, away: LabelK2Options) -> TotalLabeling:
+    """The cut vertex has a 2-vertex neighbor inside its run ``ys[0]``.
 
-    One walk ``away`` from it: its start parity keeps ``v_c`` off the
+    One walk ``away`` from it, over the block's boundary decomposition
+    ``xs, ys`` from ``xs[0]``: its start parity keeps ``v_c`` off the
     label of ``w``, and a bridge labeled 4 or 5 is matched by pinning the
     edge to a run neighbor of ``v_c`` not labeled 2, which then takes 3.
     """
     few = base.edge(v_c, w)
     fw = base.vertex(w)
     # the seam avoids v_c, so the walk gives v_c the label its run fill does
+    run = ys[0]
     lab: dict[Element, int] = {}
     _fill_run(lab, 0, run, away)
     away.start_parity = int(lab[v_c] == fw)
-    f1, _ = label_k2(emb1, away)
+    f1, _ = _walk_k2(emb1, xs, ys, away)
     if few in (4, 5):
         idx = run.index(v_c)
         good = [run[i] for i in (idx - 1, idx + 1)
@@ -947,7 +1003,7 @@ def _attach_tight_gap(
         )
 
     if few == 5 and fw != 3:
-        f1, _ = label_k2(emb1, away)
+        f1, _ = _walk_k2(emb1, xs, ys, away)
         ext = {z: 5 - l for z, l in f1.assignment.items()}
         return _finish_direct(base, ext, "tight-gap flip attach")
 

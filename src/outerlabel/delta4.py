@@ -783,7 +783,7 @@ def _step6(emb: OuterplanarEmbedding, diag: Diagnostics | None):
     if delta == 3:
         return TotalLabeling(g, 6, _label_span5(emb, diag).assignment)
     if g.min_degree() == 1:
-        return _pendant_step(emb, diag)
+        return _pendant_step(emb)
     work = emb.worklists()
     for kind in ("C1", "C2"):
         witnesses = work.first(kind)

@@ -14,10 +14,11 @@ One search node costs table lookups and bit operations.  Domains are
 bitmasks over {0..k}.  ``_keep_masks(gap, k)`` holds, for each label in
 {0..k}, the mask of labels a neighbour at that gap may still take, so the
 forward check of a label is one ``&`` per later constrained element; the
-tables for gaps 1 and p are fetched once per search.  Kept labels seed the
-starting domains through the same tables, or through ``_forbid_mask`` when
-they lie outside {0..k}, where a table has no entry.  Narrowed domains go on
-one undo trail shared by the whole search.  ``SearchStats.nodes`` counts every
+tables for gaps 1 and p are fetched once per search.  The pass that plans
+the search order also seeds the starting domains from the kept labels,
+through the same tables, or through ``_forbid_mask`` when they lie outside
+{0..k}, where a table has no entry.  Narrowed domains go on one undo trail
+shared by the whole search.  ``SearchStats.nodes`` counts every
 label tried.  A call given a ``budget`` (or a ``SearchStats`` whose
 ``budget`` the caller set) raises ``SearchBudgetExceeded`` at the first
 label past it, counted from the call's own first node, so a spent budget
@@ -67,26 +68,29 @@ def _keep_masks(gap: int, k: int) -> tuple[int, ...]:
 
 
 class Plan(NamedTuple):
-    """A search order and each element's constraints, as built by ``_plan``."""
+    """A search order and each element's forward checks, as built by ``_plan``."""
 
     order: list[Element]
     ahead: list[list[tuple[int, bool]]]
-    outside: list[list[tuple[Element, int]]]
     p: int
 
 
-def _plan(g: Graph, p: int, free: list[Element]) -> Plan:
-    """The search order of ``free``, and each element's constraints split two ways.
+def _plan(
+    g: Graph, p: int, free: list[Element], k: int, get: Callable[[Element], int | None]
+) -> tuple[Plan, list[int]]:
+    """The search order of ``free``, its forward checks and its starting domains.
 
     Elements sort by decreasing constraint degree (the degree sum of an
     edge's ends, twice a vertex's degree), vertices before edges at equal
     degree, then by id.  A vertex constrains its neighbours at gap 1 and its
     edges at gap p; an edge constrains its ends at gap p and the edges next
     to it at gap 1.  ``ahead[pos]`` lists (position, whether the gap is p)
-    of each later free element that ``order[pos]`` constrains;
-    ``outside[pos]`` lists (element, gap) of each constrained element that
-    is not free.  None of it depends on the range.  Only the vertices of
-    the free elements are read, each once.
+    of each later free element that ``order[pos]`` constrains.  The plan
+    does not depend on the range.  In the same pass, each free element's
+    starting domain is the set of labels in ``{0..k}`` that the labels of
+    its constrained elements that are not free (read by ``get``; None for
+    unlabeled) leave open.  Only the vertices of the free elements are
+    read, each once.
     """
     # is_edge_element and norm_edge are inlined here and below: these loops
     # are the whole set-up cost of a search
@@ -102,67 +106,58 @@ def _plan(g: Graph, p: int, free: list[Element]) -> Plan:
     )
     order = [el if is_edge else el[0] for _, is_edge, el in keyed]
     index = {el: i for i, el in enumerate(order)}
+    full = (1 << (k + 1)) - 1
+    near = _keep_masks(1, k)
+    far = _keep_masks(p, k)
     ahead: list[list[tuple[int, bool]]] = []
-    outside: list[list[tuple[Element, int]]] = []
+    domains: list[int] = []
     for pos, el in enumerate(order):
-        if isinstance(el, tuple):
+        if isinstance(el, tuple):  # its ends at gap p, then the edges next to it
             u, v = el
-            constraints = [(u, p), (v, p)]
-            constraints += [
-                ((w, x) if w < x else (x, w), 1)
-                for w, y in ((u, v), (v, u)) for x in nbrs[w] if x != y
-            ]
-        else:
+            groups = ((el, True), ([(w, x) if w < x else (x, w) for w, y in ((u, v), (v, u))
+                                    for x in nbrs[w] if x != y], False))
+        else:  # its neighbours at gap 1, then its edges at gap p
             ns = nbrs[el]
-            constraints = [(w, 1) for w in ns]
-            constraints += [((el, w) if el < w else (w, el), p) for w in ns]
+            groups = ((ns, False), ([(el, w) if el < w else (w, el) for w in ns], True))
         later = []
-        kept = []
-        for other, gap in constraints:
-            i = index.get(other)
-            if i is None:
-                kept.append((other, gap))
-            elif i > pos:
-                later.append((i, gap != 1))
+        dom = full
+        for others, at_p in groups:
+            keep, gap = (far, p) if at_p else (near, 1)
+            for other in others:
+                i = index.get(other)
+                if i is None:
+                    lab = get(other)
+                    if lab is not None:
+                        dom &= keep[lab] if 0 <= lab <= k else ~_forbid_mask(lab, gap, k)
+                elif i > pos:
+                    later.append((i, at_p))
         ahead.append(later)
-        outside.append(kept)
-    return Plan(order, ahead, outside, p)
+        domains.append(dom)
+    return Plan(order, ahead, p), domains
 
 
 def _search(
     plan: Plan,
     k: int,
-    fixed: Callable[[Element], int | None],
+    domains: list[int],
     stats: SearchStats,
     symmetry: bool,
     limit: int | None,
 ) -> list[int] | None:
     """Depth-first search with forward checking over bitmask domains.
 
-    Only the planned free elements are searched: each starts from the labels
-    its neighbours hold (read by ``fixed``) leave open, and those labels are
-    neither checked nor read at a free element.  ``symmetry`` is for a
-    search with nothing fixed.  The result lists the labels of the free
-    elements in search order.  Past ``limit`` nodes in all (counted by
-    ``stats``) the search raises ``SearchBudgetExceeded``.
+    Only the planned free elements are searched, each from its starting
+    domain in ``domains`` (narrowed in place); labels outside the plan are
+    neither checked nor read.  ``symmetry`` is for a search with nothing
+    fixed.  The result lists the labels of the free elements in search
+    order.  Past ``limit`` nodes in all (counted by ``stats``) the search
+    raises ``SearchBudgetExceeded``.
     """
-    order, ahead, outside, p = plan
+    order, ahead, p = plan
     if not order:
         return []
-    full = (1 << (k + 1)) - 1
     near = _keep_masks(1, k)
     far = _keep_masks(p, k)
-    domains = []
-    for kept in outside:
-        dom = full
-        for other, gap in kept:
-            lab = fixed(other)
-            if lab is not None:
-                if 0 <= lab <= k:
-                    dom &= near[lab] if gap == 1 else far[lab]
-                else:
-                    dom &= ~_forbid_mask(lab, gap, k)
-        domains.append(dom)
     if not all(domains):
         return None
 
@@ -229,14 +224,16 @@ def _whole_plan(g: Graph, p: int, cap: int) -> Plan:
         raise SearchCapExceeded(
             f"{n_elements} elements exceed the search cap {cap}"
         )
-    return _plan(g, p, list(g.elements()))
+    # nothing lies outside a whole plan, so its domains are full at any range
+    return _plan(g, p, list(g.elements()), 0, {}.get)[0]
 
 
 def _labeling(
     g: Graph, k: int, plan: Plan, st: SearchStats, symmetry: bool, limit: int | None
 ) -> TotalLabeling | None:
     st.calls += 1
-    found = _search(plan, k, {}.get, st, symmetry, limit)
+    found = _search(plan, k, [(1 << (k + 1)) - 1] * len(plan.order), st, symmetry,
+                    limit)
     if found is None:
         return None
     return TotalLabeling(g, k, dict(zip(plan.order, found)))
@@ -321,8 +318,8 @@ def extend_bounded(
     ]
     st = stats if stats is not None else SearchStats()
     st.calls += 1
-    plan = _plan(g, p, norm_free)
-    found = _search(plan, kk, f.get if f.flip else f.assignment.get, st, False, st.budget)
+    plan, domains = _plan(g, p, norm_free, kk, f.get if f.flip else f.assignment.get)
+    found = _search(plan, kk, domains, st, False, st.budget)
     if found is None:
         return None
     a = f.assignment

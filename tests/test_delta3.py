@@ -252,7 +252,7 @@ def test_one_walk_per_wide_gap_attach(monkeypatch):
     # a wide-gap attach chooses its walk's start parity before the walk and
     # meets a bridge labeled 4 or 5 by pinning an edge after it
     attaches, parities, pins, inside = [], [], [], []
-    wide, walk, pin = delta3._attach_wide_gap, delta3.label_k2, delta3.pin_outer_edge
+    wide, walk, pin = delta3._attach_wide_gap, delta3._walk_k2, delta3.pin_outer_edge
 
     def counted_attach(*args):
         attaches.append(args)
@@ -261,10 +261,10 @@ def test_one_walk_per_wide_gap_attach(monkeypatch):
         inside.pop()
         return out
 
-    def counted_walk(emb, opts=None, diag=None):
+    def counted_walk(emb, xs, ys, opts, diag=None):
         if inside:
             parities.append(opts.start_parity)
-        return walk(emb, opts, diag)
+        return walk(emb, xs, ys, opts, diag)
 
     def counted_pin(*args):
         if inside:
@@ -272,13 +272,43 @@ def test_one_walk_per_wide_gap_attach(monkeypatch):
         return pin(*args)
 
     monkeypatch.setattr(delta3, "_attach_wide_gap", counted_attach)
-    monkeypatch.setattr(delta3, "label_k2", counted_walk)
+    monkeypatch.setattr(delta3, "_walk_k2", counted_walk)
     monkeypatch.setattr(delta3, "pin_outer_edge", counted_pin)
     for s in range(300):
         g = gen.gen_glued_outerplanar(20 + s % 60, s, {"max_degree": 3})
         assert verify(label_outerplanar(g), 2) == []
     assert len(parities) == len(attaches)
     assert 1 in parities and pins
+
+
+def test_one_decomposition_per_chorded_attach(monkeypatch):
+    # a chorded leaf's boundary is decomposed once, by its attach; the
+    # block's own walk (wide gap, tight-gap flip) reads the attach's lists
+    attaches, decomposed, walked = [], [], []
+    attach, decompose, walk = (delta3._attach_chorded_block, delta3.boundary_decompose,
+                               delta3._walk_k2)
+
+    def counted_attach(base, leaf, emb1, *args):
+        attaches.append(emb1)
+        return attach(base, leaf, emb1, *args)
+
+    def counted_decompose(emb, start=None):
+        decomposed.append(emb)
+        return decompose(emb, start)
+
+    def counted_walk(emb, *args):
+        walked.append(emb)
+        return walk(emb, *args)
+
+    monkeypatch.setattr(delta3, "_attach_chorded_block", counted_attach)
+    monkeypatch.setattr(delta3, "boundary_decompose", counted_decompose)
+    monkeypatch.setattr(delta3, "_walk_k2", counted_walk)
+    for s in range(300):
+        g = gen.gen_glued_outerplanar(20 + s % 60, s, {"max_degree": 3})
+        assert verify(label_outerplanar(g), 2) == []
+    assert attaches
+    assert [sum(emb is e for emb in decomposed) for e in attaches] == [1] * len(attaches)
+    assert sum(any(emb is e for emb in walked) for e in attaches) > len(attaches) // 2
 
 
 # -- whole-graph driver ------------------------------------------------------
@@ -315,15 +345,68 @@ def test_cut_vertex_cycle_block():
     assert verify(f, 2) == [] and span(f) <= 5
 
 
+def _pendant_host(degree: int, u1: int, u2: int) -> Graph:
+    """``u2`` with the pendant ``u1`` and ``degree - 1`` more neighbours."""
+    return Graph.from_edges([(u1, u2)] + [(u2, x) for x in range(10, 9 + degree)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pendant_rule_matches_the_search(data):
+    # the pendant rule writes the completion search's first answer, in the
+    # search's insertion order, and misses exactly where the search does
+    degree = data.draw(st.integers(2, 4), label="degree of u2")
+    u1, u2 = data.draw(st.sampled_from([(0, 1), (9, 0)]), label="u1, u2")
+    g = _pendant_host(degree, u1, u2)
+    k = data.draw(st.integers(max(1, degree - 1), degree + 2), label="k")
+    near = st.one_of(st.none(), st.integers(-2, k + 2))  # kept labels may lie outside {0..k}
+    e = norm_edge(u1, u2)
+    labels = {}
+    if data.draw(st.booleans(), label="stale pendant labels"):  # moved to the end
+        labels[e], labels[u1] = data.draw(st.integers(0, k)), data.draw(st.integers(0, k))
+    labels[u2] = data.draw(near, label="u2")
+    for x in g.neighbors(u2):
+        if x != u1:
+            labels[norm_edge(u2, x)] = data.draw(near, label=f"edge to {x}")
+            labels[x] = data.draw(near, label=f"vertex {x}")
+    flip = data.draw(st.sampled_from([0, k, k + 3]), label="flip")
+    f = TotalLabeling(g, k, {z: flip - lab if flip else lab
+                             for z, lab in labels.items() if lab is not None}, flip)
+    searched = TotalLabeling(g, k, dict(f.assignment), flip)
+    if extend_bounded(searched, [u1, e]) is None:
+        with pytest.raises(InfeasibleTrace, match=(
+            rf"^pendant at vertex {u1}: no verified completion$"
+        )):
+            delta3._restore_pendant(u1, u2, f)
+    else:
+        assert delta3._restore_pendant(u1, u2, f) is f
+    assert list(f.assignment.items()) == list(searched.assignment.items())
+
+
+def test_pendant_rule_misses_below_its_range():
+    # at k = 3 < Δ+2 = 6 the edge back to u2 = 0 (labeled 0) has no label
+    # left once u2's other edges hold 2 and 3
+    g = _pendant_host(4, 9, 0)
+    f = TotalLabeling(g, 3, {0: 0, (0, 10): 2, (0, 11): 3})
+    assert extend_bounded(TotalLabeling(g, 3, dict(f.assignment)), [9, (0, 9)]) is None
+    with pytest.raises(InfeasibleTrace, match=r"^pendant at vertex 9: no verified completion$"):
+        delta3._restore_pendant(9, 0, f)
+    assert f.assignment == {0: 0, (0, 10): 2, (0, 11): 3}
+
+
+# a square with a triangle on its vertex 2: a Δ = 4 host reduced by one C1
+# step, whose fill searches
+C1_HOST = Graph.from_edges([(0, 1), (0, 3), (1, 2), (2, 3), (2, 4), (2, 5), (4, 5)])
+
+
 def test_completion_budget_raises(monkeypatch):
-    # putting the pendant 0 back takes two search nodes on this tree
-    g = Graph.from_edges([(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (5, 6)])
-    assert verify(label_delta3(g), 2) == []
+    # refilling the C1 vertex takes more than one search node on this host
+    assert verify(label_outerplanar(C1_HOST), 2) == []
     monkeypatch.setattr(delta3, "COMPLETION_BUDGET", 1)
     with pytest.raises(InfeasibleTrace, match=(
-        r"^pendant at vertex 0: completion search tried 2 nodes, past its budget of 1$"
+        r"^C1 completion: completion search tried 2 nodes, past its budget of 1$"
     )):
-        label_delta3(g)
+        label_outerplanar(C1_HOST)
 
 
 def test_disconnected_components():

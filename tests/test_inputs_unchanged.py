@@ -14,7 +14,7 @@ from test_delta4 import _capped_polygon
 
 from outerlabel import delta3, delta4
 from outerlabel import generators as gen
-from outerlabel.delta3 import InfeasibleTrace, reduce_and_extend
+from outerlabel.delta3 import InfeasibleTrace, check, reduce_and_extend
 from outerlabel.embedding import recognize_embed
 from outerlabel.graphs import Graph
 from outerlabel.labeling import verify
@@ -68,12 +68,24 @@ def test_the_driver_leaves_a_passed_embedding_alone():
 
 @pytest.mark.parametrize("name", ["capped", "bridged", "union"])
 def test_a_failed_run_leaves_the_input_alone(monkeypatch, name):
-    # a spent completion budget raises part-way, with the working copy cut
+    # a spent completion budget, or on the bridged host, where nothing
+    # searches, a failed check, raises part-way, with the working copy cut
     g = HOSTS[name]
     before = _state(g)
-    monkeypatch.setattr(delta3, "COMPLETION_BUDGET", 1)
+    if name == "bridged":
+        checks = []
+
+        def failing_check(f, touched, where):
+            checks.append(where)
+            if len(checks) == 20:
+                raise InfeasibleTrace(f"{where}: refused")
+            return check(f, touched, where)
+
+        monkeypatch.setattr(delta3, "check", failing_check)
+    else:
+        monkeypatch.setattr(delta3, "COMPLETION_BUDGET", 1)
     with pytest.raises(InfeasibleTrace):
         label_outerplanar(g)
     assert _state(g) == before
-    monkeypatch.setattr(delta3, "COMPLETION_BUDGET", 10_000)
+    monkeypatch.undo()
     assert verify(label_outerplanar(g), 2) == [] and _state(g) == before

@@ -4,7 +4,7 @@
 
 Each ``--run LABEL=SRC`` imports ``outerlabel`` from ``SRC``, in a fresh
 process per family, and labels five families with fixed seeds, from about
-10^2 to 10^4 vertices: bridged(k) and capped(n, 4) from ``perfbench/families.py`` (read,
+10^2 to 10^5 vertices: bridged(k) and capped(n, 4) from ``perfbench/families.py`` (read,
 not changed), and three from this tree's ``generators.py``, whichever
 tree ``SRC`` is: strip(n), the path 0..n-1 plus the chords (i, i + 2);
 pentagon_leaves(k), a k-cycle with a chorded pentagon bridged to each
@@ -39,7 +39,7 @@ import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SIZES = (100, 200, 400, 800, 1600, 3200, 6400, 10000)  # vertices, about
+SIZES = (100, 200, 400, 800, 1600, 3200, 6400, 10000, 30000, 100000)  # vertices, about
 CAP_SECONDS = 20.0  # a family stops after a size that took longer
 MAX_MB = 400.0  # or after a size that took the process past this peak
 
