@@ -63,8 +63,8 @@ from .graphs import Edge, Element, Graph, norm_edge
 from .labeling import TotalLabeling, verify, verify_around
 
 # Node budget of each completion search.  The largest search measured took
-# 17 nodes, over 25,433 completion searches (pendant restores do not search):
-# the seed-0 benchmark corpus and reduce inputs, the 2,302 single-block
+# 17 nodes, over 175 completion searches (pendant and C1/C2 refills do not
+# search): the seed-0 benchmark corpus and reduce inputs, the 2,302 single-block
 # dissections of 4- to 9-gons at Δ = 3, 4, and
 # gen_glued_outerplanar(40, s, {"max_degree": d}) for s < 2000, d = 3, 4.
 COMPLETION_BUDGET = 10_000
@@ -486,47 +486,83 @@ def complete(f: TotalLabeling, frees: Iterable[list[Element]], where: str,
 def _pendant_step(host: OuterplanarEmbedding):
     """Drop the smallest degree-1 vertex; a rule puts its vertex and edge back."""
     u1 = host.worklists().first("pendant")
-    u2 = host.graph.neighbors(u1)[0]
-    return host.remove([u1]), partial(_restore_pendant, u1, u2)
+    return host.remove([u1]), partial(_restore_pendant, u1)
 
 
-def _restore_pendant(u1: int, u2: int, fh: TotalLabeling) -> TotalLabeling:
-    """Label the pendant ``u1`` and its edge to ``u2`` with the search's first answer.
+def _restore_pendant(u1: int, fh: TotalLabeling) -> TotalLabeling:
+    """Put the pendant ``u1`` and its edge back by ``_refill``, then check them.
 
-    The search would label the edge first, with the smallest label that
-    ``u2``'s label and its other edges allow and that leaves the pendant a
-    label, then the pendant with the smallest label left.  At k = Δ+2 the
-    edge loses at most Δ+2 of its k+1 labels, so some label is left and the
-    pendant keeps at least two, as the paper's pendant extension has it.
+    At k = Δ+2 the edge keeps a label, and the pendant at least two, as the
+    paper's pendant extension has it.
+    """
+    where = f"pendant at vertex {u1}"
+    if _refill(u1, fh):
+        return check(fh, (u1, *fh.graph.incident_edges(u1)), where)
+    raise InfeasibleTrace(f"{where}: no verified completion")
+
+
+def _refill(u1: int, fh: TotalLabeling) -> bool:
+    """Label the freed ``u1``, of degree 1 or 2, and its edges as the search would first.
+
+    ``extend_bounded(fh, [u1, *edges])`` written out: ``exact._plan``'s order
+    and seeding, labels ascending, the answer written in that order through
+    ``set`` (so a flipped labeling works); on a miss (False) ``fh`` is unchanged.
     """
     k = fh.k
+    g = fh.graph
     get = fh.get if fh.flip else fh.assignment.get
     near, far = _keep_masks(1, k), _keep_masks(2, k)
-    e = _E(u1, u2)
-    where = f"pendant at vertex {u1}"
-    edge_dom = vertex_dom = (1 << (k + 1)) - 1
-    lab = get(u2)
-    if lab is not None:  # as the search seeds its domains from kept labels
-        in_range = 0 <= lab <= k
-        edge_dom &= far[lab] if in_range else ~_forbid_mask(lab, 2, k)
-        vertex_dom &= near[lab] if in_range else ~_forbid_mask(lab, 1, k)
-    for x in fh.graph.neighbors(u2):
-        lab = get((u2, x) if u2 < x else (x, u2)) if x != u1 else None
+    ends = g.neighbors(u1)
+    vertex_dom = full = (1 << (k + 1)) - 1
+    keyed = []  # (-constraint degree, is an edge, element, starting domain)
+    for x in ends:
+        edge_dom = full
+        lab = get(x)
         if lab is not None:
-            edge_dom &= near[lab] if 0 <= lab <= k else ~_forbid_mask(lab, 1, k)
-    while edge_dom:
-        low = edge_dom & -edge_dom
-        edge_lab = low.bit_length() - 1
-        left = vertex_dom & far[edge_lab]
-        if left:
-            # written as the search writes its answer: the edge, then the pendant
-            fh.assignment.pop(e, None)
-            fh.assignment.pop(u1, None)
-            fh.set(e, edge_lab)
-            fh.set(u1, (left & -left).bit_length() - 1)
-            return check(fh, (u1, e), where)
-        edge_dom ^= low
-    raise InfeasibleTrace(f"{where}: no verified completion")
+            in_range = 0 <= lab <= k
+            vertex_dom &= near[lab] if in_range else ~_forbid_mask(lab, 1, k)
+            edge_dom &= far[lab] if in_range else ~_forbid_mask(lab, 2, k)
+        for y in g.neighbors(x):
+            lab = get((x, y) if x < y else (y, x)) if y != u1 else None
+            if lab is not None:
+                edge_dom &= near[lab] if 0 <= lab <= k else ~_forbid_mask(lab, 1, k)
+        keyed.append((-len(ends) - len(g.neighbors(x)), True,
+                      (u1, x) if u1 < x else (x, u1), edge_dom))
+    keyed.append((-2 * len(ends), False, u1, vertex_dom))  # before edges at equal degree
+    keyed.sort()
+    found = _first_labels(keyed, near, far)
+    if found is None:
+        return False
+    for (*_, el, _), lab in zip(keyed, found):
+        fh.assignment.pop(el, None)  # moved to the end, as the search writes it
+        fh.set(el, lab)
+    return True
+
+
+def _first_labels(keyed: list, near: tuple[int, ...], far: tuple[int, ...]) -> list[int] | None:
+    """The least labels, in ``_refill``'s order, of its two or three elements.
+
+    Two edges keep ``near`` of each other's label, a vertex and an edge
+    ``far``: the search's depth-first order over bitmasks, written out.
+    """
+    (_, e0, _, d0), (_, e1, _, d1), *last = keyed
+    while d0:
+        low = d0 & -d0
+        l0 = low.bit_length() - 1
+        d0 ^= low
+        n1 = d1 & (near if e0 and e1 else far)[l0]
+        if n1 and not last:
+            return [l0, (n1 & -n1).bit_length() - 1]
+        for _, e2, _, d2 in last:  # the third element, if there is one
+            n2 = d2 & (near if e0 and e2 else far)[l0]
+            while n1 and n2:
+                low = n1 & -n1
+                l1 = low.bit_length() - 1
+                n1 ^= low
+                left = n2 & (near if e1 and e2 else far)[l1]
+                if left:
+                    return [l0, l1, (left & -left).bit_length() - 1]
+    return None
 
 
 # -- leaf-block surgery ------------------------------------------------------

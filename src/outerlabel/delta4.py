@@ -7,9 +7,9 @@ each rule removes what it drops from that embedding in place
 of maximum degree 3 are labeled by the span-5 labeler inside the span-6
 range, on the same embedding.  Hosts of minimum degree 1 lose a pendant;
 hosts containing two adjacent 2-vertices or a triangle with a 2-vertex and
-a 3-vertex lose one 2-vertex, and the C1/C2 finish rule
-relabels the freed elements by bounded search, widened to the neighbours'
-elements (and logged) only when that misses.  The remaining hosts contain
+a 3-vertex lose one 2-vertex, which the pendant's rule puts back; a bounded
+search over the neighbours' elements too runs (and is logged) only when that
+misses or fails its check.  The remaining hosts contain
 a closed fan of triangles whose interior is cut out; the chain-template
 finish rule labels it by one of eight per-parity label templates and
 splices it back.  Which template applies is decided by which pair of
@@ -41,6 +41,7 @@ from .delta3 import (
     NotDelta,
     _label_span5,
     _pendant_step,
+    _refill,
     check,
     complete,
     label_cycle_or_path,
@@ -803,7 +804,7 @@ def _step6(emb: OuterplanarEmbedding, diag: Diagnostics | None):
 def _fill_c1c2(g: Graph, cfg: Configuration, freed: list[Element],
                diag: Diagnostics | None, fh: TotalLabeling) -> TotalLabeling:
     def frees():
-        yield freed
+        yield []  # _refill's answer is only checked: a miss or failed check widens
         # Freeing only the dropped vertex's own elements is not always
         # completable (the host can force both freed edges into {3,6}, say,
         # leaving no vertex label).  Widening the search to the neighbors'
@@ -814,7 +815,9 @@ def _fill_c1c2(g: Graph, cfg: Configuration, freed: list[Element],
             wider.update(g.incident_edges(nb))
         yield sorted(wider, key=repr)
 
-    return complete(fh, frees(), f"{cfg.kind} completion", diag, "widened-completion")
+    _refill(cfg.witnesses[0], fh)
+    return complete(fh, frees(), f"{cfg.kind} completion", diag, "widened-completion",
+                    touched=freed)
 
 
 def _chain_surgery(chain, diag: Diagnostics | None, fh: TotalLabeling) -> TotalLabeling:

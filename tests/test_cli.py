@@ -82,8 +82,10 @@ def test_label_labeler_fault_exit_code(tmp_path, capsys, monkeypatch):
     from outerlabel import delta3
 
     monkeypatch.setattr(delta3, "COMPLETION_BUDGET", 1)
-    # a square with a triangle on its vertex 2, whose C1 fill searches
-    host = gen.Graph.from_edges([(0, 1), (0, 3), (1, 2), (2, 3), (2, 4), (2, 5), (4, 5)])
+    # a hexagon with the chords (1, 3) and (1, 5), whose C2 fill widens and
+    # so searches
+    host = gen.Graph.from_edges(
+        [(0, 1), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (3, 4), (4, 5)])
     code, out, err = run(capsys, "label", write_graph(tmp_path, host))
     assert (code, out) == (5, "")
     assert "labeler fault" in err and "past its budget of 1" in err

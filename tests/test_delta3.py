@@ -377,9 +377,9 @@ def test_pendant_rule_matches_the_search(data):
         with pytest.raises(InfeasibleTrace, match=(
             rf"^pendant at vertex {u1}: no verified completion$"
         )):
-            delta3._restore_pendant(u1, u2, f)
+            delta3._restore_pendant(u1, f)
     else:
-        assert delta3._restore_pendant(u1, u2, f) is f
+        assert delta3._restore_pendant(u1, f) is f
     assert list(f.assignment.items()) == list(searched.assignment.items())
 
 
@@ -390,23 +390,71 @@ def test_pendant_rule_misses_below_its_range():
     f = TotalLabeling(g, 3, {0: 0, (0, 10): 2, (0, 11): 3})
     assert extend_bounded(TotalLabeling(g, 3, dict(f.assignment)), [9, (0, 9)]) is None
     with pytest.raises(InfeasibleTrace, match=r"^pendant at vertex 9: no verified completion$"):
-        delta3._restore_pendant(9, 0, f)
+        delta3._restore_pendant(9, f)
     assert f.assignment == {0: 0, (0, 10): 2, (0, 11): 3}
 
 
-# a square with a triangle on its vertex 2: a Δ = 4 host reduced by one C1
-# step, whose fill searches
-C1_HOST = Graph.from_edges([(0, 1), (0, 3), (1, 2), (2, 3), (2, 4), (2, 5), (4, 5)])
+def _two_vertex_host(u1: int, a: int, b: int, deg_a: int, deg_b: int, chord: bool) -> Graph:
+    """The 2-vertex ``u1`` between ``a`` and ``b`` of degrees ``deg_a`` and ``deg_b``.
+
+    With the chord ``ab`` the dropped vertex sits on a triangle (C2's
+    shape), without it on a path through ``a`` and ``b`` (C1's).
+    """
+    edges = [(u1, a), (u1, b)] + [(a, b)] * chord
+    edges += [(a, x) for x in range(10, 10 + deg_a - 1 - chord)]
+    edges += [(b, x) for x in range(20, 20 + deg_b - 1 - chord)]
+    return Graph.from_edges(edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_two_vertex_rule_matches_the_search(data):
+    # the rule writes the completion search's first answer for a freed
+    # 2-vertex and its edges, in the search's insertion order, and misses
+    # exactly where the search does
+    u1, a, b = data.draw(st.sampled_from([(0, 1, 2), (9, 0, 5), (5, 9, 0)]), label="u1, a, b")
+    chord = data.draw(st.booleans(), label="chord ab")
+    deg_a = data.draw(st.integers(2, 4), label="degree of a")
+    deg_b = data.draw(st.integers(2, 4), label="degree of b")
+    g = _two_vertex_host(u1, a, b, deg_a, deg_b, chord)
+    k = data.draw(st.integers(1, g.max_degree() + 2), label="k")
+    near = st.one_of(st.none(), st.integers(-2, k + 2))  # kept labels may lie outside {0..k}
+    freed = [u1, norm_edge(u1, a), norm_edge(u1, b)]
+    labels = {}
+    if data.draw(st.booleans(), label="stale freed labels"):  # moved to the end
+        for z in freed:
+            labels[z] = data.draw(st.integers(0, k))
+    for x in (a, b):
+        labels[x] = data.draw(near, label=f"vertex {x}")
+        for y in g.neighbors(x):
+            if y != u1:
+                labels[norm_edge(x, y)] = data.draw(near, label=f"edge {x}-{y}")
+    flip = data.draw(st.sampled_from([0, k, k + 3]), label="flip")
+    f = TotalLabeling(g, k, {z: flip - lab if flip else lab
+                             for z, lab in labels.items() if lab is not None}, flip)
+    searched = TotalLabeling(g, k, dict(f.assignment), flip)
+    found = extend_bounded(searched, freed) is not None
+    assert delta3._refill(u1, f) is found
+    assert list(f.assignment.items()) == list(searched.assignment.items())
+
+
+# a hexagon with the chords (1, 3) and (1, 5): a Δ = 4 host whose C2 fill
+# widens past the dropped vertex's own elements, so it searches
+C2_WIDENING_HOST = Graph.from_edges(
+    [(0, 1), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (3, 4), (4, 5)])
 
 
 def test_completion_budget_raises(monkeypatch):
-    # refilling the C1 vertex takes more than one search node on this host
-    assert verify(label_outerplanar(C1_HOST), 2) == []
+    # the widened C2 completion takes more than one search node on this host
+    d = Diagnostics()
+    assert verify(label_outerplanar(C2_WIDENING_HOST, diag=d), 2) == []
+    assert [(r["event"], r["where"]) for r in d.records] == [
+        ("widened-completion", "C2 completion")]
     monkeypatch.setattr(delta3, "COMPLETION_BUDGET", 1)
     with pytest.raises(InfeasibleTrace, match=(
-        r"^C1 completion: completion search tried 2 nodes, past its budget of 1$"
+        r"^C2 completion: completion search tried 2 nodes, past its budget of 1$"
     )):
-        label_outerplanar(C1_HOST)
+        label_outerplanar(C2_WIDENING_HOST)
 
 
 def test_disconnected_components():

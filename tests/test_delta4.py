@@ -240,6 +240,21 @@ def test_c1_completion_widens_after_a_miss():
     ]
 
 
+def test_c1_fill_widens_when_the_rule_misses():
+    # at k = 4, below Δ+2 = 5, each freed edge can take only 4 against its
+    # kept neighbours, so the rule leaves the dropped vertex unlabeled; the
+    # fill widens once, logs it, and the wider search labels the patch
+    g = Graph.from_edges([(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
+    kept = {1: 0, (1, 3): 2, (1, 4): 3, 3: 4, 4: 1,
+            2: 0, (2, 5): 2, (2, 6): 3, 5: 4, 6: 1}
+    f = TotalLabeling(g, 4, dict(kept))
+    assert delta3._refill(0, f) is False and f.assignment == kept
+    d = Diagnostics()
+    out = delta4._fill_c1c2(g, Configuration("C1", (0, 1, 2)), [0, (0, 1), (0, 2)], d, f)
+    assert out is f and verify(f, 2) == []
+    assert d.records == [{"event": "widened-completion", "where": "C1 completion", "freed": 9}]
+
+
 def test_every_small_polygon_subgraph():
     # every connected graph on n <= 7 vertices whose edges lie in a
     # triangulated n-gon: Δ <= 4 labels clean within Δ+2, Δ >= 5 is refused

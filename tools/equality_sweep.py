@@ -143,7 +143,10 @@ def child(glued: int) -> None:
 def run(src: str, glued: int) -> list[list[str]]:
     proc = subprocess.run(
         [sys.executable, __file__, "--child", str(glued)],
-        env={"PYTHONPATH": str(Path(src).resolve()), "PATH": ""},
+        # no bytecode caches in either tree: a later benchmark run would
+        # compare a compiled tree with an uncompiled one
+        env={"PYTHONPATH": str(Path(src).resolve()), "PATH": "",
+             "PYTHONDONTWRITEBYTECODE": "1"},
         stdout=subprocess.PIPE, check=True, text=True)
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
