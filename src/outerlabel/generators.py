@@ -206,6 +206,13 @@ def _meets(g: Graph, constraints: dict) -> bool:
     return True
 
 
+def _refuse_unreachable(constraints: dict, most: int) -> None:
+    """Refuse a maximum degree that no graph on at most ``most`` vertices has."""
+    d = constraints.get("max_degree", 0)
+    if d >= most:
+        raise ConstraintsUnsatisfiable(f"max_degree {d} needs more than {most} vertices")
+
+
 def gen_random_outerplanar(
     n: int,
     edge_keep_prob: float = 0.5,
@@ -217,12 +224,14 @@ def gen_random_outerplanar(
 
     A uniformly random polygon triangulation has each diagonal kept
     independently with ``edge_keep_prob``; the boundary cycle always stays.
-    Rejection-samples until the (exact) degree constraints hold.
+    Rejection-samples until the (exact) degree constraints hold; a maximum
+    degree of ``n`` or more is refused before the first draw.
     """
     if n < 3:
         raise ValueError("need at least three vertices")
     rng = random.Random(seed)
     constraints = constraints or {}
+    _refuse_unreachable(constraints, n)
     for _ in range(retries):
         diags = _random_triangulation_diagonals(n, rng)
         kept = [d for d in diags if rng.random() < edge_keep_prob]
@@ -285,6 +294,7 @@ def gen_glued_outerplanar(
     2-connected sampler cannot.
     """
     constraints = constraints or {}
+    _refuse_unreachable(constraints, max(n, 3))  # the first cycle has 3 vertices
     dmax = constraints.get("max_degree", 4)
     rng = random.Random(seed)
     for _ in range(retries):

@@ -225,6 +225,18 @@ def test_gen_constraints(capsys):
     assert "max_degree=3" in err
 
 
+def test_gen_refuses_unreachable_max_degree(capsys, monkeypatch):
+    def draw(*args):
+        raise AssertionError("a refused request drew a sample")
+
+    monkeypatch.setattr(gen, "_random_triangulation_diagonals", draw)
+    code, out, err = run(capsys, "gen", "--kind", "random", "--n", "4",
+                         "--max-degree", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_degree 4 needs more than 4 vertices\n"
+
+
 def test_bench_command(tmp_path, capsys):
     entries = [
         {"kind": "cycle", "n": 6, "name": "c6"},

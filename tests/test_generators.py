@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +81,30 @@ def test_constraints_enforced():
         )
 
 
+def test_unreachable_max_degree_is_refused_before_any_draw(monkeypatch):
+    def draw(*args):
+        raise AssertionError("a refused request drew a sample")
+
+    monkeypatch.setattr(gen, "_random_triangulation_diagonals", draw)
+    monkeypatch.setattr(gen, "_glued_attempt", draw)
+    for seed in range(3):
+        with pytest.raises(gen.ConstraintsUnsatisfiable, match="needs more than 4"):
+            gen.gen_random_outerplanar(4, 0.5, seed, {"max_degree": 4})
+        with pytest.raises(gen.ConstraintsUnsatisfiable, match="needs more than 4"):
+            gen.gen_glued_outerplanar(4, seed, {"max_degree": 4})
+
+
+def test_max_degree_one_below_the_refusal_is_sampled():
+    assert gen.gen_random_outerplanar(5, 0.5, 0, {"max_degree": 4}).max_degree() == 4
+    glued = gen.gen_glued_outerplanar(4, 0, {"max_degree": 3})
+    assert glued.n == 4 and glued.max_degree() == 3
+    # the glued sampler's first cycle has three vertices even when n is smaller
+    triangle = gen.gen_glued_outerplanar(2, 0, {"max_degree": 2})
+    assert triangle.edges == ((0, 1), (0, 2), (1, 2))
+    with pytest.raises(gen.ConstraintsUnsatisfiable):
+        gen.gen_glued_outerplanar(2, 0, {"max_degree": 3})
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 20_000))
 def test_generated_always_outerplanar(seed):
@@ -121,3 +147,23 @@ def test_manifests_regenerate_exactly():
     assert gen.build_degree_corpus(4, 520) == gen.load_manifest(
         "corpus/delta4_manifest.json"
     )
+
+
+# sha256 over the oracle workload's inputs, build_degree_corpus(d, 1040, (4, 9), 0):
+# each entry's repr, then the (n, edges) of the graph it builds
+ORACLE_INPUT_DIGESTS = {
+    3: "3b7ed5824ced33871b25073424da214d0cb504f76a781711be36953a2fa57a85",
+    4: "226fa90ed4e6f1ef7441c3a626cf8fd65094642144f01a6edaec6b36ac7792f0",
+}
+
+
+@pytest.mark.parametrize("delta", [3, 4])
+def test_oracle_corpus_inputs_pinned(delta):
+    h = hashlib.sha256()
+    entries = gen.build_degree_corpus(delta, 1040, (4, 9), 0)
+    assert len(entries) == 1048
+    for e in entries:
+        g = gen.corpus_graph(e)
+        h.update(repr(e).encode())
+        h.update(repr((g.n, g.edges)).encode())
+    assert h.hexdigest() == ORACLE_INPUT_DIGESTS[delta]
