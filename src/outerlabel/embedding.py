@@ -3,11 +3,12 @@
 A connected outerplanar graph is handled block by block: every biconnected
 block with three or more vertices has a unique Hamiltonian boundary cycle,
 and all remaining block edges must be pairwise non-crossing chords of that
-cycle.  Both are checked in near-linear time, block by block off the edge
-lists of one depth-first search: the cycle by degree-2 reduction on the
-block's adjacency sets, the chords by one stack pass over the boundary
-positions in which they must nest like parentheses.  A block traces its
-inner faces, by the same kind of pass, only when they are first read.
+cycle.  Both are checked in near-linear time: the cycle by degree-2
+reduction on adjacency sets, the chords by one stack pass over the boundary
+positions in which they must nest like parentheses.  A reduction step never
+joins the two sides of a cut vertex, so reducing a whole host of minimum
+degree 2 to a triangle proves it one 2-connected block; other hosts are cut
+into blocks by one depth-first search.  Faces are traced when first read.
 "Clockwise" means the stored orientation of each cycle; there are no
 coordinates.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, count
 from operator import attrgetter, itemgetter
@@ -632,7 +634,8 @@ def _boundary_cycle(adj: dict[int, set[int]], m: int) -> tuple[int, ...]:
     a heap with lazy deletion finds the vertex a full scan would.  The
     output does not depend on the removal order: a 2-connected outerplanar
     graph has exactly one Hamiltonian cycle, and ``_canonical_cycle`` fixes
-    its rotation and direction.
+    its rotation and direction.  A splice keeps a block 2-connected, so a
+    vertex left with one neighbour ends a trial on a host that is no block.
     """
     n = len(adj)
     if m > 2 * n - 3:
@@ -654,10 +657,12 @@ def _boundary_cycle(adj: dict[int, set[int]], m: int) -> tuple[int, ...]:
         na, nb = adj[a], adj[b]
         na.discard(v2)
         na.add(b)
-        if len(na) == 2:
-            push(ready, a)
         nb.discard(v2)
         nb.add(a)
+        if len(na) < 2 or len(nb) < 2:
+            raise NotOuterplanar("a vertex is left with one neighbour")
+        if len(na) == 2:
+            push(ready, a)
         if len(nb) == 2:
             push(ready, b)
     if any(len(ns) != 2 for ns in adj.values()):
@@ -788,16 +793,34 @@ def embed_block(edges: list[Edge], adj: dict[int, set[int]]) -> BlockEmbedding:
 def recognize_embed(g: Graph) -> OuterplanarEmbedding:
     """Recognize outerplanarity and build the embedding, or raise NotOuterplanar.
 
-    The blocks come off one depth-first search: a one-edge block is a
-    bridge, and any other gets its adjacency sets built once.  The blocks'
-    vertex counts, less one each, add up to ``g.n - 1`` exactly when ``g``
-    is connected (its block-cut tree is then a tree; with c components they
-    add up to ``g.n - c``).  A disconnected ``g`` gets one embedding with a
-    seed in each component (``may_split``), so the reduction driver splits
-    it; only then does a second search name the components.
+    A host of minimum degree 2 is first peeled whole.  A peel step only
+    splices the two neighbours of a 2-vertex, so it never joins the two
+    sides of a cut vertex (or two components), and the last vertex peeled
+    from one side would have degree 1 at most: a peel down to a triangle
+    proves ``g`` one 2-connected block.  Else ``_recognize_blocks`` runs,
+    and raises what it would have raised without the attempt.
     """
     if g.n == 0:
         raise ValueError("empty graph")
+    if g.min_degree() >= 2:  # so n >= 3
+        vs = g.vertices
+        with suppress(NotOuterplanar):
+            cycle = _boundary_cycle(dict(zip(vs, map(set, map(g.neighbors, vs)))), g.m)
+            return OuterplanarEmbedding(g, [_finish_block(cycle, g.edges)], ())
+    return _recognize_blocks(g)
+
+
+def _recognize_blocks(g: Graph) -> OuterplanarEmbedding:
+    """``recognize_embed`` block by block, off one depth-first search.
+
+    A one-edge block is a bridge, and any other gets its adjacency sets
+    built once.  The blocks' vertex counts, less one each, add up to
+    ``g.n - 1`` exactly when ``g`` is connected (its block-cut tree is then
+    a tree; with c components they add up to ``g.n - c``).  A disconnected
+    ``g`` gets one embedding with a seed in each component (``may_split``),
+    so the reduction driver splits it; only then does a second search name
+    the components.
+    """
     bridges: set[Edge] = set()
     cyclic: list[tuple[list[Edge], dict[int, set[int]]]] = []
     spanned = 1  # one plus each block's vertex count less one

@@ -79,14 +79,9 @@ def parse_graph(text: str, fmt: str) -> Graph:
 
 
 def labeling_to_json(f: TotalLabeling) -> dict[str, Any]:
-    vertices = {
-        str(v): lab for v, lab in f.assignment.items() if isinstance(v, int)
-    }
-    edges = [
-        [e[0], e[1], lab]
-        for e, lab in f.assignment.items()
-        if isinstance(e, tuple)
-    ]
+    labels = f.labels().items()
+    vertices = {str(v): lab for v, lab in labels if isinstance(v, int)}
+    edges = [[e[0], e[1], lab] for e, lab in labels if isinstance(e, tuple)]
     edges.sort()
     return {"k": f.k, "vertices": vertices, "edges": edges}
 

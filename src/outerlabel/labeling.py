@@ -10,6 +10,8 @@ every constructive labeler's output is checked through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter, sub
 from typing import Iterable, Mapping
 
 from .graphs import Edge, Element, Graph, norm_edge
@@ -67,28 +69,36 @@ class TotalLabeling:
         c = self.flip
         self.assignment.update({z: c - lab for z, lab in other.items()} if c else other)
 
+    def labels(self) -> Mapping[Element, int]:
+        """Every assigned label, read through ``flip``, in assignment order."""
+        return {z: self.get(z) for z in self.assignment} if self.flip else self.assignment
+
 
 def span(f: TotalLabeling) -> int:
     """Largest assigned label."""
     if not f.assignment:
         raise ValueError("empty labeling has no span")
-    return max(f.assignment.values())
+    return max(f.labels().values())
 
 
 def verify(f: TotalLabeling, p: int = 2) -> list[Violation]:
     """All constraint violations of ``f`` at vertex-edge separation ``p``.
 
     An empty list means the labeling is a valid (p,1)-total labeling.
-    The scan is deterministic and exhaustive.  The violations come in four
-    runs: unlabeled or out-of-range elements (vertices, then edges), equal
-    adjacent vertices, vertex-edge pairs closer than ``p`` (by edge, then
-    end), and equal edges at a vertex (by vertex, then pairs of its edges in
-    adjacency order).  One pass over the edges reads each edge's labels
-    once for the first three; a vertex whose present edge labels are all
-    distinct (labels are integers) has no pair to report.
+    Validity is decided first, in ``_valid``'s whole-list passes; only when
+    they find a fault does the ordered scan run, which is deterministic and
+    exhaustive.  The violations come in four runs: unlabeled or out-of-range
+    elements (vertices, then edges), equal adjacent vertices, vertex-edge
+    pairs closer than ``p`` (by edge, then end), and equal edges at a vertex
+    (by vertex, then pairs of its edges in adjacency order).  One pass over
+    the edges reads each edge's labels once for the first three; a vertex
+    whose present edge labels are all distinct (labels are integers) has no
+    pair to report.
     """
+    if _valid(f, p):
+        return []
     g = f.graph
-    get = f.assignment.get
+    get = f.get if f.flip else f.assignment.get
     k = f.k
     out: list[Violation] = []
     for v in g.vertices:
@@ -132,6 +142,29 @@ def verify(f: TotalLabeling, p: int = 2) -> list[Violation]:
                 if lf is not None and abs(le - lf) < 1:
                     out.append(Violation("adjacent-edges-equalish", (inc[i], inc[j])))
     return out
+
+
+def _valid(f: TotalLabeling, p: int) -> bool:
+    """Whether ``verify(f, p)`` is empty, decided in whole-list passes.
+
+    Labels are read as stored (a flip moves the range, not a difference); a
+    missing one reads as past the range.  The labels must lie in it, the
+    gaps must reach 1 and ``p``, and the edges' (end, label) pairs must be
+    2m distinct ones.
+    """
+    g, c = f.graph, f.flip
+    lo, hi = (c - f.k, c) if c else (0, f.k)
+    get, es = f.assignment.get, g.edges
+    vl = list(map(get, g.vertices, repeat(hi + 1)))
+    el = list(map(get, es, repeat(hi + 1)))
+    if min(vl + el, default=lo) < lo or max(vl + el, default=hi) > hi:
+        return False
+    us, ws = list(map(itemgetter(0), es)), list(map(itemgetter(1), es))
+    lu, lw = list(map(get, us)), list(map(get, ws))
+    return (min(map(abs, map(sub, lu, lw)), default=1) >= 1
+            and min(map(abs, map(sub, lu, el)), default=p) >= p
+            and min(map(abs, map(sub, lw, el)), default=p) >= p
+            and len({*zip(us, el), *zip(ws, el)}) == 2 * len(es))
 
 
 def verify_around(
@@ -196,12 +229,11 @@ def is_valid(f: TotalLabeling, p: int = 2) -> bool:
 def complement(f: TotalLabeling, k: int | None = None) -> TotalLabeling:
     """The labeling ``z -> k - f(z)``; valid exactly when ``f`` is."""
     kk = f.k if k is None else k
-    for el, lab in f.assignment.items():
+    labels = f.labels()
+    for el, lab in labels.items():
         if lab > kk:
             raise ValueError(f"label {lab} at {el} exceeds bound {kk}")
-    return TotalLabeling(
-        f.graph, kk, {el: kk - lab for el, lab in f.assignment.items()}
-    )
+    return TotalLabeling(f.graph, kk, {el: kk - lab for el, lab in labels.items()})
 
 
 def incidence_graph(g: Graph) -> tuple[Graph, dict[int, Edge]]:

@@ -272,7 +272,8 @@ def test_recognized_chords_iterate_in_sorted_fill_order():
 
 
 def test_recognition_builds_no_graph(monkeypatch):
-    # blocks are embedded straight off the depth-first search's edge lists
+    # blocks are embedded straight off adjacency sets and edge lists, whether
+    # the whole host is peeled or the depth-first search splits it
     hosts = [gen.gen_strip(40), gen.gen_bridged_hexagons(6), gen.gen_path(5),
              _capped_polygon(30, 4, "no-graph"), Graph.from_edges([], 1)]
     k4 = Graph.from_edges([(a, b) for a in range(4) for b in range(a + 1, 4)])
@@ -292,6 +293,83 @@ def test_recognition_builds_no_graph(monkeypatch):
     assert builds == 0
     Graph([0], [])
     assert builds == 1  # the hook counts
+
+
+def _outcome(recognize, g: Graph):
+    """What ``recognize`` makes of ``g``: its embedding, or its error's message."""
+    try:
+        return recognize(g)
+    except NotOuterplanar as exc:
+        return str(exc)
+
+
+def _assert_same_embedding(emb, by_search) -> None:
+    assert emb.blocks == by_search.blocks  # cycles, chords, faces, order
+    assert [b.faces for b in emb.blocks] == [b.faces for b in by_search.blocks]
+    # the labelers iterate chord sets, so their order must match too
+    assert [list(b.chords) for b in emb.blocks] == [list(b.chords) for b in by_search.blocks]
+    assert emb.bridge_edges == by_search.bridge_edges
+    assert emb.may_split == by_search.may_split
+
+
+def _ladder(n: int) -> Graph:
+    return Graph.from_edges([(i, (i + 1) % n) for i in range(n)]
+                            + [(i, n - 1 - i) for i in range(1, n // 2 - 1)])
+
+
+def test_whole_peel_equals_block_search(monkeypatch):
+    # a 2-connected outerplanar host is recognized by one peel of the whole
+    # graph, never by the depth-first search, and gets the search's embedding
+    by_search = embedding._recognize_blocks
+
+    def unused(g):
+        raise AssertionError("the depth-first search ran on a 2-connected host")
+
+    monkeypatch.setattr(embedding, "_recognize_blocks", unused)
+    rng = random.Random(23)
+    hosts = []
+    for n in range(4, 10):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        hosts += [Graph(range(n), [norm_edge(perm[a], perm[b]) for a, b in d.edges])
+                  for d in gen.enumerate_dissections(n)]
+    hosts += [_ladder(n) for n in (100, 400, 1000)]
+    hosts += [_capped_polygon(n, cap, f"peel:{n}") for n in (100, 400, 1000)
+              for cap in (3, 4)]
+    hosts += [gen.gen_strip(n) for n in (100, 400, 1000)]
+    for g in hosts:
+        emb = recognize_embed(g)
+        assert len(emb.blocks) == 1 and not emb.bridge_edges
+        _assert_same_embedding(emb, by_search(g))
+    assert len(hosts) == 3 + 11 + 45 + 197 + 903 + 4279 + 12
+
+
+def test_failed_peel_falls_back_to_block_search():
+    # a 2-connected host that is not outerplanar, or a host of minimum degree
+    # 2 with a cut vertex: the whole peel fails, and recognition raises or
+    # returns what the depth-first search alone does
+    ring8 = [(i, (i + 1) % 8) for i in range(8)]
+    fan8 = [(0, i) for i in range(2, 7)]
+    not_outerplanar = [
+        Graph.from_edges([(a, b) for a in range(4) for b in range(a + 1, 4)]),
+        Graph.from_edges([(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+        Graph.from_edges([(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4)]),
+        Graph.from_edges(ring8 + fan8 + [(1, 3)]),
+    ]
+    cut = [
+        Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]),
+        gen.gen_bridged_hexagons(3),
+        Graph.from_edges([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+    ]
+    for g in not_outerplanar + cut:
+        assert g.min_degree() >= 2
+        with pytest.raises(NotOuterplanar):
+            embedding._boundary_cycle({v: set(g.neighbors(v)) for v in g.vertices}, g.m)
+        got, want = _outcome(recognize_embed, g), _outcome(embedding._recognize_blocks, g)
+        if g in cut:
+            _assert_same_embedding(got, want)
+        else:
+            assert isinstance(got, str) and got == want
 
 
 def test_blocks_sorted_by_cycle():
@@ -356,14 +434,14 @@ def _one_arc(emb, vertices, edges) -> bool:
 def test_without_equals_fresh_recognition(monkeypatch):
     rng = random.Random(0)
     splits = arcs = refused = 0
-    embedded = []
-    real = embedding.embed_block
+    embedded = []  # every embedded block passes through ``_finish_block`` once
+    real = embedding._finish_block
 
     def counting(*args):
         embedded.append(args)
         return real(*args)
 
-    monkeypatch.setattr(embedding, "embed_block", counting)
+    monkeypatch.setattr(embedding, "_finish_block", counting)
     for g in _removal_hosts():
         embedded.clear()
         emb = recognize_embed(g)

@@ -7,9 +7,11 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_delta4 import _capped_polygon
 
 from outerlabel import generators as gen
 from outerlabel.exact import lambda_exact
+from outerlabel.io import labeling_to_json
 from outerlabel.graphs import Graph, norm_edge
 from outerlabel.pipeline import label_outerplanar
 from outerlabel.labeling import (
@@ -277,21 +279,42 @@ def test_verify_equals_reference_in_order(seed, pick, p):
 
 
 def test_verify_equals_reference_on_valid_and_mutated():
-    # a valid labeling, then one element changed at a time
-    g = gen.gen_glued_outerplanar(14, seed=3, constraints={"max_degree": 4})
-    f = label_outerplanar(g)
-    assert verify(f) == reference_verify(f) == []
-    rng = random.Random(0)
-    for el in list(g.elements()):
-        old = f.assignment[el]
-        for lab in (None, -1, f.k + 1, rng.randint(0, f.k)):
-            if lab is None:
-                del f.assignment[el]
-            else:
-                f.assignment[el] = lab
-            for p in (1, 2, 3):
-                assert verify(f, p) == reference_verify(f, p)
-        f.assignment[el] = old
+    # a valid labeling, then one element changed at a time: every element of
+    # a glued host, and a seeded sample of a block-sized host's elements
+    glued = gen.gen_glued_outerplanar(14, seed=3, constraints={"max_degree": 4})
+    block = _capped_polygon(300, 3, "verify")
+    for g, sample in ((glued, None), (block, 40)):
+        f = label_outerplanar(g)
+        assert verify(f) == reference_verify(f) == []
+        rng = random.Random(0)
+        elements = list(g.elements())
+        for el in rng.sample(elements, sample) if sample else elements:
+            old = f.assignment[el]
+            for lab in (None, -1, f.k + 1, rng.randint(0, f.k)):
+                if lab is None:
+                    del f.assignment[el]
+                else:
+                    f.assignment[el] = lab
+                for p in (1, 2, 3):
+                    assert verify(f, p) == reference_verify(f, p)
+            f.assignment[el] = old
+        assert verify(f) == []
+
+
+def test_flip_is_read_through():
+    # a flipped labeling stores flip minus each label; every reader sees the
+    # labels, as its unflipped copy holds them
+    flipped = TotalLabeling(K2, 6, {0: 6, (0, 1): 4, 1: 2}, flip=5)  # -1, 1, 3
+    plain = TotalLabeling(K2, 6, {0: -1, (0, 1): 1, 1: 3})
+    valid = TotalLabeling(K2, 6, {0: 5, (0, 1): 3, 1: 1}, flip=5)  # 0, 2, 4
+    for f, g in ((flipped, plain), (valid, TotalLabeling(K2, 6, {0: 0, (0, 1): 2, 1: 4}))):
+        for p in (1, 2, 3):
+            assert verify(f, p) == verify(g, p) == verify_around(f, [0, 1, (0, 1)], p)
+        assert span(f) == span(g)
+        assert labeling_to_json(f) == labeling_to_json(g)
+        assert complement(f, 7).assignment == complement(g, 7).assignment
+    assert verify(flipped) == [Violation("label-out-of-range", (0,))]
+    assert verify(valid) == [] and span(flipped) == 3
 
 
 def test_verify_around_normalizes_and_rejects_unknown():
