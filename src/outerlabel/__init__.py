@@ -15,7 +15,6 @@ from .labeling import (
     Violation,
     complement,
     incidence_graph,
-    is_valid,
     span,
     verify,
     verify_around,
@@ -53,7 +52,6 @@ __all__ = [
     "Violation",
     "verify",
     "verify_around",
-    "is_valid",
     "span",
     "complement",
     "incidence_graph",

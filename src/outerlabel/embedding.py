@@ -151,12 +151,6 @@ class Worklists:
         self._heaps: dict[str, list] = {"pendant": pendants, "C1": [], "C2": []}
         self._stale: set[int] | None = None  # None: every vertex
 
-    def entries(self, kind: str) -> set:
-        """Every pendant, C1 edge or C2 triple (``kind``) there is."""
-        if kind != "pendant":
-            self._redo()
-        return set(filter(self._is(kind), self._heaps[kind]))
-
     def first(self, kind: str):
         """The smallest pendant, C1 edge or C2 triple (``kind``), or None."""
         if kind != "pendant":
@@ -285,12 +279,6 @@ class OuterplanarEmbedding:
     def is_biconnected(self) -> bool:
         return self._single() is not None
 
-    def reversed(self) -> "OuterplanarEmbedding":
-        """The same embedding with every boundary cycle read the other way
-        (the blocks sorted again by cycle)."""
-        blocks = [_finish_block(b.cycle[::-1], b.chords) for b in self.blocks]
-        return OuterplanarEmbedding(self.graph, sorted(blocks, key=_cycle), self._bridges)
-
     def working(self) -> "OuterplanarEmbedding":
         """This embedding if it has its working copy, else a copy that has one
         (sharing the blocks, which removals replace rather than change)."""
@@ -305,11 +293,6 @@ class OuterplanarEmbedding:
         if self._work is None:
             self._work = Worklists(self.graph)
         return self._work
-
-    def cut_vertices(self) -> frozenset[int]:
-        """The vertices lying on two or more blocks and bridges."""
-        self._index()
-        return frozenset(self._cuts)
 
     def _index(self) -> dict[int, tuple]:
         """For each vertex the keys of the blocks (ints) and bridges (edges) on

@@ -106,14 +106,6 @@ def gen_pentagon_leaves(k: int) -> Graph:
     return Graph.from_edges(edges)
 
 
-def gen_bridged_hexagons(k: int) -> Graph:
-    """k hexagons with chord (1, 4), vertex 3 of each bridged to vertex 0 of the next."""
-    edges = [(6 * j + 3, 6 * j + 6) for j in range(k - 1)]
-    for b in range(0, 6 * k, 6):
-        edges += [(b + i, b + (i + 1) % 6) for i in range(6)] + [(b + 1, b + 4)]
-    return Graph.from_edges(edges)
-
-
 @lru_cache(maxsize=None)
 def catalan(n: int) -> int:
     if n <= 1:
@@ -492,10 +484,3 @@ def load_manifest(path: str | Path) -> list[dict]:
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError(f"{path}: a manifest is an object with a list of entries")
     return entries
-
-
-def write_manifest(path: str | Path, entries: Iterable[dict], note: str = "") -> None:
-    payload = {"note": note, "entries": list(entries)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")

@@ -277,12 +277,6 @@ class Graph:
                 cuts.add(root)
         return blocks, cuts
 
-    def bridges(self) -> set[Edge]:
-        """Edges lying in no cycle (their removal disconnects the graph)."""
-        return {
-            b.edges[0] for b in self.biconnected_components() if b.n == 2
-        }
-
     # -- a working copy, changed in place ----------------------------------
 
     def working_copy(self) -> "Graph":

@@ -56,11 +56,16 @@ def parse_graph_json(text: str) -> Graph:
         not isinstance(e, list) or len(e) != 2 for e in edges
     ):
         raise FormatError('"edges" must be a list of [u, v] pairs')
+    n = _int(data["n"], "n")
+    if n < 0:
+        raise FormatError(f"n must be nonnegative, got {n}")
     ends = [_int(x, "vertex id") for e in edges for x in e]
     if any(x < 0 for x in ends):
         raise FormatError("vertex ids must be nonnegative")
+    if any(x >= n for x in ends):
+        raise FormatError(f"vertex id {max(ends)} is not below n = {n}")
     try:
-        return Graph.from_edges(zip(ends[::2], ends[1::2]), n=_int(data["n"], "n"))
+        return Graph.from_edges(zip(ends[::2], ends[1::2]), n=n)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -103,11 +108,16 @@ def labeling_from_json(data: dict[str, Any], g: Graph) -> TotalLabeling:
     items = data.get("edges", [])
     if not isinstance(vertices, dict) or not isinstance(items, list):
         raise FormatError('"vertices" must be an object and "edges" a list')
-    f = TotalLabeling(g, _int(data["k"], "k"))
+    k = _int(data["k"], "k")
+    if k < 0:
+        raise FormatError(f"k must be nonnegative, got {k}")
+    f = TotalLabeling(g, k)
     for v, lab in vertices.items():
         vi = _int(v, "vertex id")
         if not g.has_vertex(vi):
             raise FormatError(f"labeling mentions unknown vertex {vi}")
+        if vi in f.assignment:
+            raise FormatError(f"labeling gives vertex {vi} twice")
         f.set(vi, _int(lab, f"label of vertex {vi}"))
     edges = set(g.edges)
     for item in items:
@@ -117,6 +127,8 @@ def labeling_from_json(data: dict[str, Any], g: Graph) -> TotalLabeling:
         e = (min(u, v), max(u, v))
         if e not in edges:
             raise FormatError(f"labeling mentions unknown edge {e}")
+        if e in f.assignment:
+            raise FormatError(f"labeling gives edge {e} twice")
         f.set(e, lab)
     return f
 

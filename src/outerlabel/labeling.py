@@ -222,10 +222,6 @@ def verify_around(
     return list(out)
 
 
-def is_valid(f: TotalLabeling, p: int = 2) -> bool:
-    return not verify(f, p)
-
-
 def complement(f: TotalLabeling, k: int | None = None) -> TotalLabeling:
     """The labeling ``z -> k - f(z)``; valid exactly when ``f`` is."""
     kk = f.k if k is None else k
@@ -254,18 +250,6 @@ def incidence_graph(g: Graph) -> tuple[Graph, dict[int, Edge]]:
         edges.append(norm_edge(mid, e[1]))
     vs = set(g.vertices) | set(mid_of)
     return Graph(vs, edges), mid_of
-
-
-def pull_back(
-    g: Graph, vertex_labels: Mapping[int, int], mid_of: Mapping[int, Edge], k: int
-) -> TotalLabeling:
-    """Turn a vertex labeling of ``incidence_graph(g)`` into a total labeling of ``g``."""
-    f = TotalLabeling(g, k)
-    for v in g.vertices:
-        f.set(v, vertex_labels[v])
-    for mid, e in mid_of.items():
-        f.set(e, vertex_labels[mid])
-    return f
 
 
 def degree_lower_bound(g: Graph, p: int = 2) -> int:

@@ -196,54 +196,13 @@ def enumerate_chains(emb: OuterplanarEmbedding) -> list[Chain]:
                   key=_chain_order)
 
 
-def check_chain(g: Graph, emb: OuterplanarEmbedding, chain: Chain) -> list[str]:
-    """Re-validate a chain against its structural invariants; [] when sound."""
-    problems = []
-    s = chain.spine
-    inner = emb.inner_edges
-    outer = emb.outer_edges
-    if len(s) < 5 or len(s) % 2 == 0:
-        problems.append("spine must have odd length >= 5")
-        return problems
-    if len(set(s)) != len(s):
-        problems.append("spine vertices repeat")
-    for i in range(chain.t):
-        a, b, c = s[2 * i], s[2 * i + 1], s[2 * i + 2]
-        if norm_edge(a, b) not in outer or norm_edge(b, c) not in outer:
-            problems.append(f"face {i} is missing its two outer edges")
-        if norm_edge(a, c) not in inner:
-            problems.append(f"face {i} is missing its chord")
-        if g.degree(b) != 2:
-            problems.append(f"tip {b} is not a 2-vertex")
-    for j in range(2, len(s) - 1, 2):
-        if g.degree(s[j]) != 4:
-            problems.append(f"interior spine vertex {s[j]} is not a 4-vertex")
-    if chain.closing_inner_edge is not None:
-        e = chain.closing_inner_edge
-        if e != norm_edge(s[0], s[-1]):
-            problems.append("closing edge does not join the spine ends")
-        if e not in inner:
-            problems.append("closing edge is not a chord")
-        if chain.attachments is None:
-            problems.append("closed chain lacks attachments")
-        else:
-            w1, w2 = chain.attachments
-            inside = set(s)
-            for end, w in ((s[0], w1), (s[-1], w2)):
-                outsiders = [x for x in g.neighbors(end) if x not in inside]
-                if outsiders != [w]:
-                    problems.append(
-                        f"end {end} must have exactly one outside neighbor"
-                    )
-    return problems
-
-
 def find_closed_chain(emb: OuterplanarEmbedding) -> Chain:
     """The first chain, in ``enumerate_chains`` order, whose ends are joined by a chord.
 
     A chain read off the ear links already has its faces, tips, 4-vertices
-    and attachments in place (``check_chain`` is their reference check), so
-    only the closing edge is looked up, among its own block's chords.  A
+    and attachments in place (``check_chain`` in ``tests/test_structure.py``
+    is their reference check, a scan of the whole host), so only the
+    closing edge is looked up, among its own block's chords.  A
     host of maximum degree 4 and minimum degree 2 with no C1/C2 always has
     one.  Raises ChainNotFound when there is none.
     """

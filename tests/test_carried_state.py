@@ -2,7 +2,7 @@
 
 The driver changes one working host in place: a working copy of the graph
 (with a degree histogram and an edge count) and its ``OuterplanarEmbedding``
-(a vertex index for ``cut_vertices`` and ``leaf_block``, linked boundaries
+(a vertex index for the cut vertices and ``leaf_block``, linked boundaries
 of the blocks it cut, and worklist heaps of degree-1 vertices, C1 edges
 and C2 triangles); each reduction patches them where it changed the host.
 The scans below, run only here, are the reference at every host the
@@ -19,7 +19,8 @@ import sys
 from collections import Counter
 
 import pytest
-from test_delta4 import _capped_polygon
+from test_delta4 import _bridged_hexagons, _capped_polygon
+from test_embedding import _cut_vertices
 
 from outerlabel import delta3, delta4, embedding
 from outerlabel import generators as gen
@@ -48,6 +49,13 @@ def _scanned_c1c2(emb):
     return c1, c2
 
 
+def _entries(work, kind: str) -> set:
+    """Every pendant, C1 edge or C2 triple (``kind``) the worklists hold."""
+    if kind != "pendant":
+        work._redo()
+    return set(filter(work._is(kind), work._heaps[kind]))
+
+
 def _check(emb) -> None:
     g = emb.graph
     # the blocks, patched along the driver's whole chain of removals,
@@ -61,17 +69,17 @@ def _check(emb) -> None:
     assert g.m == len(g.edges) == sum(degrees) // 2
     pendants = {v for v in g.vertices if g.degree(v) == 1}
     work = emb.worklists()
-    assert work.entries("pendant") == pendants
+    assert _entries(work, "pendant") == pendants
     assert work.first("pendant") == min(pendants, default=None)
     c1, c2 = _scanned_c1c2(emb)
-    assert work.entries("C1") == c1 and work.entries("C2") == c2
+    assert _entries(work, "C1") == c1 and _entries(work, "C2") == c2
     if min(degrees) == 2 and (c1 or c2):
         cfg = find_configuration(emb)
         assert (cfg.kind, cfg.witnesses) == (("C1", min(c1)) if c1 else ("C2", min(c2)))
     on = Counter(v for b in emb.blocks for v in b.cycle)
     on.update(v for e in emb.bridge_edges for v in e)
     cuts = {v for v, c in on.items() if c > 1}
-    assert emb.cut_vertices() == cuts == g.cut_vertices()
+    assert _cut_vertices(emb) == cuts == g.cut_vertices()
     leaf = next((b for b in emb.blocks if len(cuts.intersection(b.cycle)) == 1), None)
     if leaf is None:
         assert emb.leaf_block() is None
@@ -92,7 +100,7 @@ def test_carried_state_equals_scans(monkeypatch):
     monkeypatch.setattr(delta3, "_step5", checked(delta3._step5))
     monkeypatch.setattr(delta4, "_step6", checked(delta4._step6))
     hosts = [_capped_polygon(96, 4, "carried"), gen.gen_strip(120),
-             gen.gen_bridged_hexagons(16)]
+             _bridged_hexagons(16)]
     hosts += [gen.gen_glued_outerplanar(10 + s % 40, s, {"max_degree": 3 + s % 2})
               for s in range(200)]
     hosts += [g for n in range(4, 8) for g in gen.enumerate_dissections(n)
@@ -113,7 +121,7 @@ def _inside_remove() -> bool:
 
 
 @pytest.mark.parametrize("g", [gen.gen_strip(480), _capped_polygon(960, 4, "work"),
-                               gen.gen_bridged_hexagons(160)],
+                               _bridged_hexagons(160)],
                          ids=["strip480", "capped960", "bridged160"])
 def test_reduction_work_is_linear(monkeypatch, g):
     # a removal traces no faces (the blocks it leaves trace theirs when

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from test_generators import write_manifest
 
 from outerlabel import generators as gen
 from outerlabel.cli import main
@@ -245,7 +246,7 @@ def test_bench_command(tmp_path, capsys):
          "constraints": {"max_degree": 3}, "name": "rand"},
     ]
     mpath = tmp_path / "manifest.json"
-    gen.write_manifest(mpath, entries)
+    write_manifest(mpath, entries)
     code, out, err = run(capsys, "bench", str(mpath), "--oracle")
     assert code == 0
     rows = json.loads(out)["rows"]
@@ -257,7 +258,7 @@ def test_bench_command(tmp_path, capsys):
 
 def test_bench_oracle_cap(tmp_path, capsys):
     mpath = tmp_path / "manifest.json"
-    gen.write_manifest(mpath, [{"kind": "cycle", "n": 16, "name": "c16"}])
+    write_manifest(mpath, [{"kind": "cycle", "n": 16, "name": "c16"}])
     code, out, _ = run(capsys, "bench", str(mpath), "--oracle", "--oracle-cap", "40")
     assert code == 0
     assert json.loads(out)["rows"][0]["lambda"] == 4  # 32 elements searched
@@ -265,7 +266,7 @@ def test_bench_oracle_cap(tmp_path, capsys):
 
 def test_bench_empty(tmp_path, capsys):
     mpath = tmp_path / "empty.json"
-    gen.write_manifest(mpath, [])
+    write_manifest(mpath, [])
     code, out, _ = run(capsys, "bench", str(mpath))
     assert code == 0
     assert json.loads(out)["rows"] == []
@@ -295,6 +296,20 @@ def test_parse_errors(tmp_path, capsys):
     code, _, err = run(capsys, "label", str(jpath), "--format", "json")
     assert code == 2
     assert "input error" in err
+    for graph in ('{"n": 2, "edges": [[0, 5]]}', '{"n": -1, "edges": [[0, 1]]}'):
+        jpath.write_text(graph)
+        code, out, err = run(capsys, "structure", str(jpath), "--format", "json")
+        assert (code, out) == (2, "")
+        assert "input error" in err
+    # the first label of edge (0, 1) is 2, within 1 of both ends' labels
+    k2 = write_graph(tmp_path, gen.gen_path(2), name="k2.txt")
+    for labeling in ('{"k": 3, "vertices": {"0": 0, "1": 1}, "edges": [[0, 1, 2], [1, 0, 3]]}',
+                     '{"k": 3, "vertices": {"0": 0, "00": 3, "1": 1}, "edges": [[0, 1, 3]]}',
+                     '{"k": -1, "vertices": {}, "edges": []}'):
+        lpath.write_text(labeling)
+        code, out, err = run(capsys, "verify", k2, str(lpath))
+        assert (code, out) == (2, "")
+        assert "input error" in err
     mpath = tmp_path / "manifest.json"
     for manifest in ("[]", '{"note": ""}', '{"entries": 5}', '{"entries": [5]}'):
         mpath.write_text(manifest)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_embedding import _reversed
 
 from outerlabel import delta3
 from outerlabel import generators as gen
@@ -514,7 +515,7 @@ def test_label_k2_on_reversed_orientation(seed):
         )
     except gen.ConstraintsUnsatisfiable:
         return
-    emb = recognize_embed(g).reversed()
+    emb = _reversed(recognize_embed(g))
     f, _ = label_k2(emb)
     assert verify(f, 2) == [] and span(f) <= 5
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_structure import _polygon_subsets
 
-from outerlabel import delta3, delta4, embedding, structure
+from outerlabel import delta3, delta4, embedding
 from outerlabel import generators as gen
 from outerlabel.delta3 import Diagnostics, InfeasibleTrace, NotDelta
 from outerlabel.delta4 import (
@@ -203,6 +203,45 @@ def test_closed_chain_instances(t):
     assert any("chain" in s for s in d.trace)
 
 
+# Hosts whose chain steps reach template cases 2-4 through the driver, and
+# the steps they take: (case, t, host context) in the canonical frame.
+CHAIN_CASE_HOSTS = {
+    2: ("0-14 0-15 1-5 1-7 1-12 2-3 2-9 2-10 2-13 3-6 3-9 3-12 4-5 4-11 4-14 "
+        "4-15 5-15 6-12 7-8 7-12 7-13 8-13 10-13 11-14 14-15",
+        [(1, 4, (4, 2, 4, 1)), (2, 2, (6, 4, 6, 3))]),
+    3: ("0-1 0-9 0-15 0-18 1-5 1-15 1-18 2-7 2-10 2-11 2-21 3-17 3-20 4-8 4-12 "
+        "4-14 4-20 5-15 6-10 6-21 7-9 7-21 8-14 8-16 8-19 9-13 9-15 10-11 10-21 "
+        "12-20 13-16 13-17 16-17 16-19 17-20",
+        [(1, 4, (4, 2, 4, 1)), (2, 2, (2, 6, 2, 5)), (3, 2, (0, 3, 0, 5))]),
+    4: ("0-4 0-10 1-3 1-7 1-8 1-16 2-6 2-11 3-7 3-12 3-16 4-10 4-14 4-17 5-6 "
+        "5-13 6-11 6-13 8-16 8-17 9-10 9-14 10-14 11-13 11-15 12-16 13-15 "
+        "14-17 15-17",
+        [(1, 2, (4, 2, 4, 1)), (2, 2, (6, 4, 6, 3)), (4, 2, (1, 6, 1, 5))]),
+}
+
+
+def chain_case_host(case_id: int) -> Graph:
+    edges = CHAIN_CASE_HOSTS[case_id][0].split()
+    return Graph.from_edges([tuple(map(int, e.split("-"))) for e in edges])
+
+
+@pytest.mark.parametrize("case_id", sorted(CHAIN_CASE_HOSTS))
+def test_driver_reaches_chain_cases_2_to_4(case_id, monkeypatch):
+    steps = []
+
+    def recording(cid, t, ctx):
+        steps.append((cid, t, ctx))
+        return chain_template(cid, t, ctx)
+
+    monkeypatch.setattr(delta4, "chain_template", recording)
+    d = Diagnostics()
+    f = label_outerplanar(chain_case_host(case_id), diag=d)
+    assert steps == CHAIN_CASE_HOSTS[case_id][1]
+    assert steps[-1][0] == case_id
+    assert verify(f, 2) == [] and span(f) <= 6
+    assert d.records == []
+
+
 def test_pendant_and_reduction_branches():
     d = Diagnostics()
     f = label_delta4(gen.gen_closed_chain(3, "pendants"), d)
@@ -305,13 +344,12 @@ def test_template_miss_raises_without_search(monkeypatch):
 
 def test_chain_steps_run_no_c3_pass_and_no_check_chain(monkeypatch):
     # the labeler reads C1 and C2 off the worklists and a closed chain off
-    # its block's chords: neither the C3 pairing nor the host-wide
-    # chain validator is on its path
+    # its block's chords: the C3 pairing is not on its path, and the
+    # host-wide chain validator is a test reference (test_structure.py)
     def refuse(*args):
         raise AssertionError("called while labeling")
 
     monkeypatch.setattr(delta4, "find_configuration", refuse)
-    monkeypatch.setattr(structure, "check_chain", refuse)
     chains = [gen.gen_closed_chain(t, "merged") for t in range(2, 7)]
     for g in (gen.gen_sun_necklace(6), *chains):
         d = Diagnostics()
@@ -409,6 +447,14 @@ def test_outputs_close_under_complement():
         assert verify(complement(f), 2) == []
 
 
+def _bridged_hexagons(k: int) -> Graph:
+    """k hexagons with chord (1, 4), vertex 3 of each bridged to vertex 0 of the next."""
+    edges = [(6 * j + 3, 6 * j + 6) for j in range(k - 1)]
+    for b in range(0, 6 * k, 6):
+        edges += [(b + i, b + (i + 1) % 6) for i in range(6)] + [(b + 1, b + 4)]
+    return Graph.from_edges(edges)
+
+
 def _capped_polygon(n: int, cap: int, seed: str) -> Graph:
     path = Path(__file__).resolve().parents[1] / "perfbench" / "families.py"
     spec = importlib.util.spec_from_file_location("perfbench_families", path)
@@ -430,7 +476,7 @@ def test_one_full_verify_per_output(monkeypatch):
     monkeypatch.setattr(delta3, "verify", counting)
     monkeypatch.setattr(delta4, "verify", counting)
     for g in (_capped_polygon(96, 4, "one-verify"), gen.gen_strip(120),
-              gen.gen_bridged_hexagons(16),
+              _bridged_hexagons(16),
               gen.gen_glued_outerplanar(78, 6718, {"max_degree": 3})):
         calls.clear()
         f = label_outerplanar(g)
@@ -452,7 +498,7 @@ def test_one_recognition_per_component(monkeypatch):
     monkeypatch.setattr(delta3, "recognize_embed", counting)
     monkeypatch.setattr(delta4, "recognize_embed", counting)
     for g in (_capped_polygon(96, 4, "one-recognition"), gen.gen_strip(120),
-              gen.gen_bridged_hexagons(16)):
+              _bridged_hexagons(16)):
         calls.clear()
         f = label_outerplanar(g)
         assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
@@ -486,7 +532,7 @@ def test_driver_never_redecomposes(monkeypatch):
     monkeypatch.setattr(Graph, "_block_decomposition",
                         counting(Graph._block_decomposition))
     for g in (_capped_polygon(96, 4, "one-recognition"), gen.gen_strip(120),
-              gen.gen_bridged_hexagons(16)):
+              _bridged_hexagons(16)):
         calls.clear()
         f = label_outerplanar(g)
         assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2

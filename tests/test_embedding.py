@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_delta4 import _capped_polygon
+from test_delta4 import _bridged_hexagons, _capped_polygon
 
 from outerlabel import embedding
 from outerlabel import generators as gen
 from outerlabel.embedding import (
     NotOuterplanar,
+    OuterplanarEmbedding,
     _finish_block,
     boundary_decompose,
     endfaces,
@@ -23,6 +25,20 @@ from outerlabel.structure import enumerate_chains
 
 def c6_chord():
     return Graph.from_edges([(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
+
+
+def _reversed(emb):
+    """The same embedding with every boundary cycle read the other way
+    (the blocks sorted again by cycle)."""
+    blocks = [_finish_block(b.cycle[::-1], b.chords) for b in emb.blocks]
+    return OuterplanarEmbedding(
+        emb.graph, sorted(blocks, key=attrgetter("cycle")), emb.bridge_edges)
+
+
+def _cut_vertices(emb):
+    """The cut vertices in the embedding's own vertex index."""
+    emb._index()
+    return frozenset(emb._cuts)
 
 
 def test_recognize_cycle():
@@ -122,7 +138,7 @@ def test_generated_graphs_accepted(seed):
     g = gen.gen_random_outerplanar(9, 0.6, seed=seed)
     emb = recognize_embed(g)
     assert len(emb.boundary) == g.n
-    its = emb.reversed()
+    its = _reversed(emb)
     assert len(its.inner_faces) == len(emb.inner_faces)
     assert its.inner_edges == emb.inner_edges
 
@@ -190,7 +206,7 @@ def test_every_dissection_recognized(n):
         assert emb.boundary == boundary
         assert emb.inner_edges == set(edges[n:])
         _assert_faces(emb.blocks[0])
-        _assert_faces(emb.reversed().blocks[0])
+        _assert_faces(_reversed(emb).blocks[0])
         for a, b in kept:  # a < b, so (a+1, b+1) crosses (a, b)
             cross = norm_edge(perm[a + 1], perm[(b + 1) % n])
             with pytest.raises(NotOuterplanar):
@@ -274,7 +290,7 @@ def test_recognized_chords_iterate_in_sorted_fill_order():
 def test_recognition_builds_no_graph(monkeypatch):
     # blocks are embedded straight off adjacency sets and edge lists, whether
     # the whole host is peeled or the depth-first search splits it
-    hosts = [gen.gen_strip(40), gen.gen_bridged_hexagons(6), gen.gen_path(5),
+    hosts = [gen.gen_strip(40), _bridged_hexagons(6), gen.gen_path(5),
              _capped_polygon(30, 4, "no-graph"), Graph.from_edges([], 1)]
     k4 = Graph.from_edges([(a, b) for a in range(4) for b in range(a + 1, 4)])
     builds = 0
@@ -358,7 +374,7 @@ def test_failed_peel_falls_back_to_block_search():
     ]
     cut = [
         Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]),
-        gen.gen_bridged_hexagons(3),
+        _bridged_hexagons(3),
         Graph.from_edges([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
     ]
     for g in not_outerplanar + cut:
@@ -397,7 +413,7 @@ def _removals(emb, rng: random.Random):
     for v in g.vertices:
         if g.degree(v) <= 2:  # pendants, and every 2-vertex a C1/C2 can name
             yield [v], []
-    cuts = emb.cut_vertices()
+    cuts = _cut_vertices(emb)
     for b in emb.blocks:
         if len(cuts.intersection(b.cycle)) == 1:  # a leaf block
             yield [v for v in b.cycle if v not in cuts], []
@@ -446,7 +462,7 @@ def test_without_equals_fresh_recognition(monkeypatch):
         embedded.clear()
         emb = recognize_embed(g)
         assert len(embedded) == len(emb.blocks)  # the hook sees recognition
-        assert emb.cut_vertices() == g.cut_vertices()
+        assert _cut_vertices(emb) == g.cut_vertices()
         for vertices, edges in _removals(emb, rng):
             embedded.clear()
             rest = emb.working()  # a copy: neither emb nor g changes
@@ -489,7 +505,7 @@ def test_without_equals_fresh_recognition(monkeypatch):
     # a reversed embedding keeps its blocks sorted by cycle, and removing
     # from a working copy of it cuts the right block
     g = Graph.from_edges([(0, 1), (1, 5), (0, 5), (1, 2), (2, 3), (1, 3)])
-    its = recognize_embed(g).reversed().working()
+    its = _reversed(recognize_embed(g)).working()
     assert [b.cycle for b in its.blocks] == [(3, 2, 1), (5, 1, 0)]
     its.remove([2])
     assert [b.cycle for b in its.blocks] == [(5, 1, 0)]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,14 @@ from hypothesis import strategies as st
 
 from outerlabel import generators as gen
 from outerlabel.embedding import recognize_embed
+
+
+def write_manifest(path, entries, note: str = "") -> None:
+    """A manifest file as ``load_manifest`` reads it (the frozen corpora's format)."""
+    payload = {"note": note, "entries": list(entries)}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
 
 
 def test_cycle_and_path_shapes():
@@ -117,7 +126,7 @@ def test_generated_always_outerplanar(seed):
 def test_manifest_roundtrip(tmp_path):
     entries = gen.build_degree_corpus(3, count=8)
     path = tmp_path / "m.json"
-    gen.write_manifest(path, entries, "test")
+    write_manifest(path, entries, "test")
     loaded = gen.load_manifest(path)
     assert loaded == entries
     for e in loaded:

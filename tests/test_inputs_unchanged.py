@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import partial
 
 import pytest
-from test_delta4 import _capped_polygon
+from test_delta4 import _bridged_hexagons, _capped_polygon
 
 from outerlabel import delta3, delta4
 from outerlabel import generators as gen
@@ -35,10 +35,10 @@ def _union(a: Graph, b: Graph) -> Graph:
 HOSTS = {
     "capped": _capped_polygon(96, 4, "unchanged"),
     "strip": gen.gen_strip(120),
-    "bridged": gen.gen_bridged_hexagons(16),
+    "bridged": _bridged_hexagons(16),
     "glued3": gen.gen_glued_outerplanar(40, 3, {"max_degree": 3}),
     "union": _union(gen.gen_strip(30), _capped_polygon(48, 4, "unchanged:union")),
-    "union3": _union(gen.gen_bridged_hexagons(4),
+    "union3": _union(_bridged_hexagons(4),
                      gen.gen_glued_outerplanar(30, 5, {"max_degree": 3})),
 }
 

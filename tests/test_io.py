@@ -46,6 +46,9 @@ def test_graph_json_roundtrip():
         '{"n": 2, "edges": [[0, true]]}',
         '{"n": 2, "edges": [[0, 1, 2]]}',
         '{"n": 2, "edges": {"0": 1}}',
+        '{"n": 2, "edges": [[0, 5]]}',  # an endpoint not below n
+        '{"n": 0, "edges": [[0, 1]]}',
+        '{"n": -1, "edges": [[0, 1]]}',
     ):
         with pytest.raises(io.FormatError):
             io.parse_graph_json(bad)
@@ -73,6 +76,11 @@ def test_labeling_json_roundtrip():
         {"k": 4.5, "vertices": {}, "edges": []},
         {"k": 4, "vertices": {}, "edges": [[0, 1, 2.0]]},
         {"k": 4, "vertices": {}, "edges": [[0, 1.0, 2]]},
+        {"k": -1, "vertices": {}, "edges": []},
+        # one element given twice: the last entry must not silently win
+        {"k": 4, "vertices": {"0": 0, "00": 2}, "edges": []},
+        {"k": 4, "vertices": {}, "edges": [[0, 1, 2], [1, 0, 3]]},
+        {"k": 4, "vertices": {}, "edges": [[0, 1, 2], [0, 1, 2]]},
     ):
         with pytest.raises(io.FormatError):
             io.labeling_from_json(bad, g)

@@ -20,13 +20,22 @@ from outerlabel.labeling import (
     complement,
     degree_lower_bound,
     incidence_graph,
-    pull_back,
     span,
     verify,
     verify_around,
 )
 
 K2 = Graph.from_edges([(0, 1)])
+
+
+def pull_back(g, vertex_labels, mid_of, k) -> TotalLabeling:
+    """Turn a vertex labeling of ``incidence_graph(g)`` into a total labeling of ``g``."""
+    f = TotalLabeling(g, k)
+    for v in g.vertices:
+        f.set(v, vertex_labels[v])
+    for mid, e in mid_of.items():
+        f.set(e, vertex_labels[mid])
+    return f
 
 
 def k2_labeling(a, b, e, k=3):

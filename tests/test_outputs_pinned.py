@@ -12,14 +12,19 @@ import hashlib
 from pathlib import Path
 
 from test_delta3_surgery import join_leaf, tight_block
-from test_delta4 import _capped_polygon
+from test_delta4 import (
+    CHAIN_CASE_HOSTS,
+    _bridged_hexagons,
+    _capped_polygon,
+    chain_case_host,
+)
 
 from outerlabel import generators as gen
 from outerlabel.delta3 import Diagnostics
 from outerlabel.pipeline import label_outerplanar
 
 ROOT = Path(__file__).resolve().parents[1]
-DIGEST = "740227ef81658ee87d4f7e8150d9809f4626001ad24f2df27952d5181ea989db"
+DIGEST = "69466a797a39344dfc4b4cda3c12a6207541ad58850bd206d2eb3158d1bb47b4"
 
 
 def _inputs():
@@ -28,7 +33,7 @@ def _inputs():
             yield gen.corpus_graph(entry)
     yield _capped_polygon(96, 4, "one-recognition")
     yield gen.gen_strip(120)
-    yield gen.gen_bridged_hexagons(16)
+    yield _bridged_hexagons(16)
     yield gen.gen_pentagon_leaves(24)  # every leaf reattached across a chord
     yield gen.gen_sun(12)  # one ring of ears
     yield gen.gen_sun_necklace(6)  # one closed chain per copy
@@ -40,6 +45,9 @@ def _inputs():
     leaf, v_c = tight_block(4, 1, 1, 1)
     yield join_leaf(leaf, v_c, gen.gen_glued_outerplanar(9, 1, {"max_degree": 3}), 2)
     yield join_leaf(leaf, v_c, gen.gen_glued_outerplanar(12, 4, {"max_degree": 3}), 4)
+    # chain steps that end in template cases 2, 3 and 4
+    for case_id in sorted(CHAIN_CASE_HOSTS):
+        yield chain_case_host(case_id)
 
 
 def test_outputs_match_pinned_digest():

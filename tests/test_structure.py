@@ -9,14 +9,55 @@ from hypothesis import strategies as st
 
 from outerlabel import generators as gen
 from outerlabel.embedding import recognize_embed
-from outerlabel.graphs import Graph
+from outerlabel.graphs import Graph, norm_edge
 from outerlabel.structure import (
     ChainNotFound,
-    check_chain,
     enumerate_chains,
     find_closed_chain,
     find_configuration,
 )
+
+
+def check_chain(g, emb, chain) -> list[str]:
+    """Re-validate a chain against its structural invariants; [] when sound."""
+    problems = []
+    s = chain.spine
+    inner = emb.inner_edges
+    outer = emb.outer_edges
+    if len(s) < 5 or len(s) % 2 == 0:
+        problems.append("spine must have odd length >= 5")
+        return problems
+    if len(set(s)) != len(s):
+        problems.append("spine vertices repeat")
+    for i in range(chain.t):
+        a, b, c = s[2 * i], s[2 * i + 1], s[2 * i + 2]
+        if norm_edge(a, b) not in outer or norm_edge(b, c) not in outer:
+            problems.append(f"face {i} is missing its two outer edges")
+        if norm_edge(a, c) not in inner:
+            problems.append(f"face {i} is missing its chord")
+        if g.degree(b) != 2:
+            problems.append(f"tip {b} is not a 2-vertex")
+    for j in range(2, len(s) - 1, 2):
+        if g.degree(s[j]) != 4:
+            problems.append(f"interior spine vertex {s[j]} is not a 4-vertex")
+    if chain.closing_inner_edge is not None:
+        e = chain.closing_inner_edge
+        if e != norm_edge(s[0], s[-1]):
+            problems.append("closing edge does not join the spine ends")
+        if e not in inner:
+            problems.append("closing edge is not a chord")
+        if chain.attachments is None:
+            problems.append("closed chain lacks attachments")
+        else:
+            w1, w2 = chain.attachments
+            inside = set(s)
+            for end, w in ((s[0], w1), (s[-1], w2)):
+                outsiders = [x for x in g.neighbors(end) if x not in inside]
+                if outsiders != [w]:
+                    problems.append(
+                        f"end {end} must have exactly one outside neighbor"
+                    )
+    return problems
 
 
 def bowtie_fan():

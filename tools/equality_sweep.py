@@ -28,14 +28,22 @@ The inputs:
   (``tests/test_delta3_surgery.py::tight_block``), each with its cut vertex
   bridged to the smallest vertex of degree at most 2 of 60 small glued
   Δ = 3 hosts, keeping those of maximum degree 3 (1,260 hosts); they reach
-  every row of the tight-gap attach table.
+  every row of the tight-gap attach table;
+* the ``chains`` group: for each seed s < 2,000, 2 to 5 pieces, each a
+  merged closed chain of 2 to 7 triangles (with probability 2/3) or a sun
+  of 3 to 7 ears, each piece after the first bridged from a random earlier
+  vertex of degree at most 3 to one of its own; the vertex ids are then
+  shuffled, and the hosts of maximum degree 4 are kept.  Their chain steps
+  reach all four chain template cases.
 
 Both trees label the same hosts: those from this tree's ``generators.py``
 are built by it whichever tree is imported, and the tight-gap leaves by
 this tree's test module.  Prints the count of inputs
 per group, with the mismatches of each part, then for each tree how many
-inputs logged each repair event (its fallback rate), then every
-mismatching input and its parts, and exits 1 if there is one.  This is an opt-in check for
+inputs logged each repair event (its fallback rate), how many chain steps
+ran each chain template case and how many lines its ``outerlabel`` package
+has, then every mismatching input and its parts, and exits 1 if there is
+one.  This is an opt-in check for
 changes that must keep outputs, not part of the test suite.
 """
 
@@ -44,6 +52,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -120,14 +129,48 @@ def inputs(glued: int):
             g = join_leaf(*tight_block(*shape), host, at)
             if g.max_degree() == 3:
                 yield "tight", f"tight{shape}@glued{s}", g
+    for s in range(2000):
+        g = chain_host(here, random.Random(s))
+        if g.max_degree() == 4:
+            yield "chains", f"chains{s}", Graph.from_edges(g.edges)
+
+
+def chain_host(gen, r: random.Random):
+    """Closed chains and suns bridged into a tree of pieces, ids shuffled."""
+    edges: list[tuple[int, int]] = []
+    degree: Counter = Counter()
+    n = 0
+    for i in range(r.randint(2, 5)):
+        piece = (gen.gen_closed_chain(r.randint(2, 7), "merged") if r.randrange(3) < 2
+                 else gen.gen_sun(r.randint(3, 7)))
+        own = [(u + n, v + n) for u, v in piece.edges]
+        if i:
+            earlier = [v for v in range(n) if degree[v] <= 3]
+            later = [v + n for v in piece.vertices if piece.degree(v) <= 3]
+            own.append((r.choice(earlier), r.choice(later)))
+        edges += own
+        degree.update(v for e in own for v in e)
+        n += piece.n
+    ids = list(range(n))
+    r.shuffle(ids)
+    return gen.Graph.from_edges((ids[u], ids[v]) for u, v in edges)
 
 
 def child(glued: int) -> None:
+    from outerlabel import delta4
     from outerlabel.delta3 import Diagnostics
     from outerlabel.pipeline import label_outerplanar
 
+    template, cases = delta4.chain_template, []
+
+    def recording(case_id, t, ctx):
+        cases.append(case_id)
+        return template(case_id, t, ctx)
+
+    delta4.chain_template = recording
     for group, name, g in inputs(glued):
         diag = Diagnostics()
+        cases.clear()
         try:
             f = label_outerplanar(g, diag=diag)
             out = repr(sorted(f.assignment.items(), key=repr))
@@ -137,7 +180,7 @@ def child(glued: int) -> None:
         digests = [hashlib.sha256(part.encode()).hexdigest()
                    for part in (out, records, "\n".join(diag.trace))]
         events = sorted({str(r.get("event")) for r in diag.records})
-        print(json.dumps([group, name, *digests, events]))
+        print(json.dumps([group, name, *digests, events, cases]))
 
 
 def run(src: str, glued: int) -> list[list[str]]:
@@ -178,10 +221,16 @@ def main() -> int:
         wrong = [b[2] for b in bad if group in ("total", b[0])]
         each = "  ".join(f"{part} {sum(part in w for w in wrong):4d}" for part in PARTS)
         print(f"{group:12s} {n:6d} inputs {len(wrong):4d} mismatches: {each}")
-    for side, rows in (("parent", parent), ("change", change)):
+    for side, src, rows in (("parent", args.parent, parent), ("change", args.change, change)):
         logged = Counter(event for row in rows for event in row[5])
         each = "  ".join(f"{event} {n}" for event, n in sorted(logged.items()))
         print(f"{side} inputs logging each event: {each or 'none'}")
+        steps = Counter(case for row in rows for case in row[6])
+        each = "  ".join(f"case {case} {n}" for case, n in sorted(steps.items()))
+        print(f"{side} chain steps per template case: {each or 'none'}")
+        lines = sum(len(p.read_text().splitlines())
+                    for p in (Path(src) / "outerlabel").glob("*.py"))
+        print(f"{side} lines in {src}/outerlabel/*.py: {lines}")
     for group, name, parts in bad:
         print(f"mismatch: {group} {name} ({', '.join(parts)})")
     return 1 if bad else 0
