@@ -193,7 +193,8 @@ def _endface_arc(emb: OuterplanarEmbedding, face: Face) -> tuple[int, int, list[
     boundary = emb.boundary
     pos = {v: i for i, v in enumerate(boundary)}
     n = len(boundary)
-    chord = next(e for e in face.edges() if e in emb.inner_edges)
+    inner = emb.inner_edges
+    chord = next(e for e in face.edges() if e in inner)
     a, b = chord
     fv = set(face.vertices)
     for s, t in ((a, b), (b, a)):
@@ -403,11 +404,12 @@ def reduce_and_extend(host: OuterplanarEmbedding, k: int,
     while todo:
         item = todo.pop()
         if type(item) is OuterplanarEmbedding:
-            parts, undo = item.split()
-            if undo is not None:
-                todo.append((item.graph, undo, len(parts)))
-                todo.extend(reversed(parts))
-                continue
+            if item.may_split:
+                parts, undo = item.split()
+                if undo is not None:
+                    todo.append((item.graph, undo, len(parts)))
+                    todo.extend(reversed(parts))
+                    continue
             out = step(item)
             if isinstance(out, TotalLabeling):
                 done.append(out)
@@ -505,12 +507,12 @@ def _refill(u1: int, fh: TotalLabeling) -> bool:
     """Label the freed ``u1``, of degree 1 or 2, and its edges as the search would first.
 
     ``extend_bounded(fh, [u1, *edges])`` written out: ``exact._plan``'s order
-    and seeding, labels ascending, the answer written in that order through
-    ``set`` (so a flipped labeling works); on a miss (False) ``fh`` is unchanged.
+    and seeding, labels ascending, the answer written in that order as
+    ``set`` stores it (labels are read and written in the stored frame, so a
+    flipped labeling works); on a miss (False) ``fh`` is unchanged.
     """
-    k = fh.k
-    g = fh.graph
-    get = fh.get if fh.flip else fh.assignment.get
+    k, g, c, a = fh.k, fh.graph, fh.flip, fh.assignment
+    get = a.get  # stored labels: ``c`` minus the label when flipped
     near, far = _keep_masks(1, k), _keep_masks(2, k)
     ends = g.neighbors(u1)
     vertex_dom = full = (1 << (k + 1)) - 1
@@ -519,12 +521,14 @@ def _refill(u1: int, fh: TotalLabeling) -> bool:
         edge_dom = full
         lab = get(x)
         if lab is not None:
+            lab = c - lab if c else lab
             in_range = 0 <= lab <= k
             vertex_dom &= near[lab] if in_range else ~_forbid_mask(lab, 1, k)
             edge_dom &= far[lab] if in_range else ~_forbid_mask(lab, 2, k)
         for y in g.neighbors(x):
             lab = get((x, y) if x < y else (y, x)) if y != u1 else None
             if lab is not None:
+                lab = c - lab if c else lab
                 edge_dom &= near[lab] if 0 <= lab <= k else ~_forbid_mask(lab, 1, k)
         keyed.append((-len(ends) - len(g.neighbors(x)), True,
                       (u1, x) if u1 < x else (x, u1), edge_dom))
@@ -534,8 +538,8 @@ def _refill(u1: int, fh: TotalLabeling) -> bool:
     if found is None:
         return False
     for (*_, el, _), lab in zip(keyed, found):
-        fh.assignment.pop(el, None)  # moved to the end, as the search writes it
-        fh.set(el, lab)
+        a.pop(el, None)  # moved to the end, as the search writes it
+        a[el] = c - lab if c else lab
     return True
 
 
@@ -1026,7 +1030,8 @@ def _attach_tight_gap(
     few = base.edge(v_c, w)
     fw = base.vertex(w)
     x1 = xs[0]
-    xp = next(z for z in leaf.neighbors(x1) if _E(x1, z) in emb1.inner_edges)
+    inner = emb1.inner_edges
+    xp = next(z for z in leaf.neighbors(x1) if _E(x1, z) in inner)
     pprime = xs.index(xp) + 1
     order = _rotate_to(emb1.boundary, x1)
     idx_z = order.index(xp)
@@ -1051,7 +1056,7 @@ def _attach_tight_gap(
 
     near = set(order[:idx_z + 1])
     ext: dict[Element, int] = {
-        e: row.chord for e in emb1.inner_edges if e[0] in near and e[1] in near}
+        e: row.chord for e in inner if e[0] in near and e[1] in near}
     ext[v_c] = row.vc
     first, flip5 = row.mid
     mid_xs = xs[1:pprime - 1]

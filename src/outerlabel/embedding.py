@@ -18,11 +18,13 @@ Mitchell's linear recognition (Inf. Process. Lett. 9(5), 1979).
 copy of the graph and returns its undo record, which the driver replays
 just before the step's finish rule runs; it patches the vertex index, the
 cut vertices, the leaf blocks and the reduction worklists where it changed
-them.  A block that loses one arc of its cycle (an ear, a 2-vertex, a
-chain's interior, all of a leaf block but its cut vertex) falls apart along
-the path left of its cycle, found by jumping along outermost chords, and
-its largest piece is relinked in place.  So a removal costs what it
-touches.  Recognition builds none of this state.
+them.  A pendant goes with its bridge, and an ear of a block of four or
+more vertices is spliced out of the block's boundary.  Any other block
+that loses one arc of its cycle (a 2-vertex, a chain's interior, all of a
+leaf block but its cut vertex) falls apart along the path left of its
+cycle, found by jumping along outermost chords, and its largest piece is
+relinked in place.  So a removal costs what it touches.  Recognition
+builds none of this state.
 """
 
 from __future__ import annotations
@@ -143,31 +145,41 @@ class Worklists:
     more than the marking.
     """
 
-    __slots__ = ("graph", "_heaps", "_stale")
+    __slots__ = ("graph", "_heaps", "_stale", "_preds")
 
     def __init__(self, g: Graph):
         self.graph = g
         pendants = [v for v in g.vertices if len(g.neighbors(v)) == 1]  # sorted: a heap
         self._heaps: dict[str, list] = {"pendant": pendants, "C1": [], "C2": []}
         self._stale: set[int] | None = None  # None: every vertex
+        adj = g._adj  # changed in place by ``cut`` and ``put_back``, never replaced
+
+        def pendant(v: int) -> bool:
+            return len(adj.get(v, ())) == 1
+
+        def c1(e: Edge) -> bool:
+            ns = adj.get(e[0], ())
+            return len(ns) == 2 and e[1] in ns and len(adj[e[1]]) == 2
+
+        def c2(t: tuple[int, int, int]) -> bool:
+            ns = adj.get(t[0], ())
+            return (len(ns) == 2 and t[1] in ns and t[2] in ns
+                    and len(nb := adj[t[1]]) == 3 and t[2] in nb)
+
+        self._preds = {"pendant": pendant, "C1": c1, "C2": c2}
 
     def first(self, kind: str):
         """The smallest pendant, C1 edge or C2 triple (``kind``), or None."""
         if kind != "pendant":
             self._redo()
-        heap, listed = self._heaps[kind], self._is(kind)
+        heap, listed = self._heaps[kind], self._preds[kind]
         while heap and not listed(heap[0]):
             heapq.heappop(heap)
         return heap[0] if heap else None
 
     def _is(self, kind: str):
-        has, nbrs, edge = self.graph.has_vertex, self.graph.neighbors, self.graph.has_edge
-        if kind == "pendant":
-            return lambda v: has(v) and len(nbrs(v)) == 1
-        if kind == "C1":
-            return lambda e: edge(*e) and len(nbrs(e[0])) == len(nbrs(e[1])) == 2
-        return lambda t: (edge(t[0], t[1]) and edge(t[0], t[2]) and edge(t[1], t[2])
-                          and len(nbrs(t[0])) == 2 and len(nbrs(t[1])) == 3)
+        """Whether an entry of the heap ``kind`` still is one."""
+        return self._preds[kind]
 
     def removed(self, gone: set[int], changed: Iterable[int]) -> None:
         """Note that the graph lost ``gone`` and some edges; ``changed`` holds
@@ -181,6 +193,8 @@ class Worklists:
             self._stale.update(changed)
 
     def _redo(self) -> None:
+        if self._stale is not None and not self._stale:
+            return
         g = self.graph
         nbrs = g.neighbors
         if self._stale is None:
@@ -347,13 +361,73 @@ class OuterplanarEmbedding:
         equals a fresh recognition of each component of what is left.
         ``may_split`` is set when a removed vertex was a cut vertex or a
         bridge was removed.
+
+        Two one-vertex removals, the most common steps, take a short path
+        that leaves what ``_cut_arc`` would: a pendant is cut with its
+        bridge (``_cut_pendant``), and an ear, a 2-vertex whose neighbours
+        are adjacent in a block of four or more vertices, is spliced out
+        of the block's boundary (``_cut_ear``).
         """
         if not self._own:
             raise ValueError("only a working() embedding can be changed")
-        g = self.graph
         at = self._at if self._block is not None else self._index()
-        block, cuts, bridges = self._block, self._cuts, self._bridges
         gone = set(vertices)
+        if len(gone) == 1 and not edges:
+            (v,) = gone
+            on = at.get(v, ())
+            if len(on) == 1:
+                ns = self.graph.neighbors(v)
+                if len(ns) == 1:
+                    return self._cut_pendant(v, ns[0])
+                if (len(ns) == 2 and type(on[0]) is int and len(self._block[on[0]]) > 3
+                        and self.graph.has_edge(*ns)):
+                    return self._cut_ear(v, ns, on[0])
+        return self._cut(gone, edges)
+
+    def _cut_pendant(self, v: int, w: int) -> tuple:
+        """``remove([v])`` for a pendant ``v`` on ``w``: a bridge goes."""
+        at, cuts = self._at, self._cuts
+        e = (v, w) if v < w else (w, v)
+        del at[v]
+        self._bridges.discard(e)
+        at[w] = on = _drop(at[w], e)
+        undo = self.graph.cut((v,))
+        if len(on) == 1:  # ``w`` lost one of two entries: no longer a cut vertex
+            cuts.discard(w)
+            self._fresh.update(k for k in on if type(k) is int)
+        if self._work is not None:
+            self._work.removed({v}, (w,))
+        return undo
+
+    def _cut_ear(self, v: int, ns: tuple[int, int], key: int) -> tuple:
+        """``remove([v])`` for an ear ``v`` of block ``key``: the boundary
+        skips ``v``, and the chord between its neighbours ``ns`` becomes a
+        boundary edge."""
+        b = self._block[key]
+        if b._next is None:
+            b = self._block[key] = BlockEmbedding._linked(
+                b.cycle, set(b._chords), _positions(b.cycle))
+        a, c = ns
+        nxt = b._next
+        if nxt[a] == v:
+            nxt[a] = c
+        else:
+            nxt[c] = a
+        del nxt[v], self._at[v]
+        b._chords.discard(ns)
+        b._cycle = b._faces = b._frozen = None
+        self._sorted = None
+        self._leaves.pop(key, None)
+        self._fresh.add(key)
+        undo = self.graph.cut((v,))
+        if self._work is not None:
+            self._work.removed({v}, ns)
+        return undo
+
+    def _cut(self, gone: set[int], edges: Iterable[Edge]) -> tuple:
+        """``remove`` by ``_cut_arc``, block by block."""
+        g, at = self.graph, self._at
+        block, cuts, bridges = self._block, self._cuts, self._bridges
         if not gone <= at.keys():
             gone = {v for v in gone if v in at}
         cut = [e for e in {norm_edge(u, v) for u, v in edges}
@@ -573,7 +647,8 @@ def _small_components(g: Graph, seeds: set[int]) -> list[list[int]]:
         return i
 
     running = list(range(len(root)))
-    finished: list[int] = []
+    finished: list[int] = []  # in the order the searches ran out
+    ran_out: set[int] = set()  # the same, for membership
     while len(running) > 1:
         for i in running:
             if root[i] != i:  # merged this round
@@ -581,6 +656,7 @@ def _small_components(g: Graph, seeds: set[int]) -> list[list[int]]:
             stack = stacks[i]
             if not stack:
                 finished.append(i)
+                ran_out.add(i)
                 continue
             for w in g.neighbors(stack.pop()):
                 j = owner.get(w)
@@ -592,7 +668,7 @@ def _small_components(g: Graph, seeds: set[int]) -> list[list[int]]:
                     root[j] = i
                     stack += stacks[j]
                     stacks[j] = []
-        running = [i for i in running if root[i] == i and i not in finished]
+        running = [i for i in running if root[i] == i and i not in ran_out]
     if not finished:
         return []
     if not running:  # every search ran out: keep the largest one's component
@@ -609,8 +685,9 @@ def _small_components(g: Graph, seeds: set[int]) -> list[list[int]]:
 def _boundary_cycle(adj: dict[int, set[int]], m: int) -> tuple[int, ...]:
     """The Hamiltonian boundary cycle of a 2-connected outerplanar block.
 
-    ``adj`` holds the block's adjacency sets, which this uses up, and ``m``
-    its edge count.  Repeatedly deletes the smallest-id degree-2 vertex,
+    ``adj`` holds the block's adjacency (sets, or tuples that are turned
+    into sets when the peel first changes them), which this uses up, and
+    ``m`` its edge count.  Repeatedly deletes the smallest-id degree-2 vertex,
     splicing its neighbors together, then reinserts the vertices in reverse
     order.  A 2-connected graph of minimum degree 3 has no outerplane
     drawing, so getting stuck is a sound rejection.  Degrees never grow, so
@@ -638,6 +715,10 @@ def _boundary_cycle(adj: dict[int, set[int]], m: int) -> tuple[int, ...]:
             a, b = b, a
         removed.append((v2, a, b))
         na, nb = adj[a], adj[b]
+        if type(na) is tuple:
+            adj[a] = na = set(na)
+        if type(nb) is tuple:
+            adj[b] = nb = set(nb)
         na.discard(v2)
         na.add(b)
         nb.discard(v2)
@@ -780,15 +861,16 @@ def recognize_embed(g: Graph) -> OuterplanarEmbedding:
     splices the two neighbours of a 2-vertex, so it never joins the two
     sides of a cut vertex (or two components), and the last vertex peeled
     from one side would have degree 1 at most: a peel down to a triangle
-    proves ``g`` one 2-connected block.  Else ``_recognize_blocks`` runs,
+    proves ``g`` one 2-connected block.  The peel copies a vertex's
+    neighbours into a set only when it first changes them, so a failed
+    attempt costs about what it peeled.  Else ``_recognize_blocks`` runs,
     and raises what it would have raised without the attempt.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     if g.min_degree() >= 2:  # so n >= 3
-        vs = g.vertices
         with suppress(NotOuterplanar):
-            cycle = _boundary_cycle(dict(zip(vs, map(set, map(g.neighbors, vs)))), g.m)
+            cycle = _boundary_cycle(dict(g._adj), g.m)
             return OuterplanarEmbedding(g, [_finish_block(cycle, g.edges)], ())
     return _recognize_blocks(g)
 

@@ -308,7 +308,12 @@ class Graph:
             if ns is None:  # removed as well
                 continue
             saved.append((w, ns))
-            adj[w] = left = tuple(filterfalse(xs.__contains__, ns))
+            if len(xs) == 1:
+                x = xs[0]
+                left = tuple([u for u in ns if u != x])
+            else:
+                left = tuple(filterfalse(xs.__contains__, ns))
+            adj[w] = left
             degrees[len(ns)] -= 1
             degrees[len(left)] += 1
             ends += len(ns) - len(left)

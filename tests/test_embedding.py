@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_delta4 import _bridged_hexagons, _capped_polygon
+from test_structure import _polygon_subsets
 
 from outerlabel import embedding
 from outerlabel import generators as gen
@@ -510,3 +511,69 @@ def test_without_equals_fresh_recognition(monkeypatch):
     its.remove([2])
     assert [b.cycle for b in its.blocks] == [(5, 1, 0)]
     assert its.bridge_edges == {(1, 3)}
+
+
+def _short_path_state(emb, undo):
+    """What a removal leaves that later steps read: index, cut set, leaves,
+    blocks, worklist picks, the graph and the undo record."""
+    emb._index()
+    fresh = set(emb._fresh)
+    leaf = emb.leaf_block()
+    work = emb.worklists()
+    return (emb._at, emb._cuts, emb._bridges, emb._seeds, fresh,
+            leaf and (leaf[0].cycle, leaf[1]),
+            {key: b.cycle for key, b in emb._leaves.items()},
+            {key: (b.cycle, list(b.chords)) for key, b in emb._block.items()},
+            [b.cycle for b in emb.blocks], [b.faces for b in emb.blocks],
+            [work.first(kind) for kind in ("pendant", "C1", "C2")],
+            emb.graph._adj, emb.graph.m, undo)
+
+
+def _one_vertex_steps(emb):
+    """The pendants and ears of ``emb``: (vertex, "pendant" or "ear")."""
+    g, at = emb.graph, emb._index()
+    for v in g.vertices:
+        ns = g.neighbors(v)
+        if len(ns) == 1:
+            yield v, "pendant"
+        elif (len(ns) == 2 and len(at[v]) == 1 and type(at[v][0]) is int
+              and len(emb._block[at[v][0]]) > 3 and g.has_edge(*ns)):
+            yield v, "ear"
+
+
+def test_short_paths_leave_what_cut_arc_does(monkeypatch):
+    # on every n <= 7 sweep host of maximum degree 3 or 4, two working copies
+    # remove the first pendant or ear, one by ``remove``'s short path and one
+    # by ``_cut_arc``, and keep doing so until neither is left, so ears of
+    # linked blocks are spliced too; each other ear of the host is removed
+    # once.  After every removal the copies are compared.
+    general = []
+    real = OuterplanarEmbedding._cut
+
+    def cut(self, gone, edges):
+        general.append(self)
+        return real(self, gone, edges)
+
+    monkeypatch.setattr(OuterplanarEmbedding, "_cut", cut)
+    seen = Counter()
+    for g in _polygon_subsets():
+        if g.max_degree() not in (3, 4):
+            continue
+        emb = recognize_embed(g)
+        steps = list(_one_vertex_steps(emb.working()))
+        for i, (v, kind) in enumerate(steps):
+            if i and kind == "pendant":
+                continue
+            short, other = emb.working(), emb.working()
+            _short_path_state(short, None)
+            _short_path_state(other, None)
+            while v is not None:
+                seen[kind] += 1
+                if kind == "ear":
+                    seen["linked ear"] += short._block[short._at[v][0]]._next is not None
+                undo = short.remove([v])
+                assert short not in general
+                want = _short_path_state(other, real(other, {v}, ()))
+                assert _short_path_state(short, undo) == want
+                v, kind = next(_one_vertex_steps(short), (None, None)) if not i else (None, None)
+    assert seen["pendant"] > 20000 and seen["ear"] > 5000 and seen["linked ear"] > 900

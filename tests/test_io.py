@@ -111,3 +111,13 @@ def test_search_budget_is_clean():
     assert (lam, witness) == (None, None)  # unknown, never partial
     lam, witness = lambda_exact(g, 2, 4)
     assert lam == 4 and verify(witness, 2) == []
+
+
+def test_many_components_label_in_one_pass():
+    # one edge and 10,000 isolated vertices: the split names every small
+    # component in time linear in their number (it took 1.2 s when each
+    # search that ran out was looked up in a list)
+    g = io.parse_graph_json(json.dumps({"n": 10_002, "edges": [[0, 1]]}))
+    assert len(g.components()) == 10_001
+    f = label_outerplanar(g)
+    assert verify(f, 2) == [] and len(f.assignment) == g.n + g.m

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from test_delta4 import _capped_polygon
 
 from outerlabel import generators as gen
+from outerlabel import labeling
 from outerlabel.exact import lambda_exact
 from outerlabel.io import labeling_to_json
 from outerlabel.graphs import Graph, norm_edge
@@ -334,3 +336,40 @@ def test_verify_around_normalizes_and_rejects_unknown():
         verify_around(f, [2])
     with pytest.raises(ValueError):
         verify_around(f, [(0, 2)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
+def test_clean_pass_decides_verify_around(seed, pick, p):
+    # a valid labeling with a few labels dropped, moved out of range or
+    # redrawn, stored plain or flipped: the one-pass check is clean exactly
+    # when the ordered scan finds nothing, verify_around returns the scan's
+    # list, and an element not in the graph raises in both
+    rng = random.Random(pick)
+    g = gen.gen_glued_outerplanar(6 + seed % 18, seed, {"max_degree": 3 + seed % 2})
+    f = label_outerplanar(g)
+    labels, k = dict(f.assignment), f.k
+    for el in rng.sample(list(labels), rng.randrange(4)):
+        how = rng.randrange(3)
+        if how == 0:
+            del labels[el]
+        else:
+            labels[el] = rng.choice((-1, k + 1)) if how == 1 else rng.randint(0, k)
+    c = rng.choice((0, k, k + 3))
+    f = TotalLabeling(g, k, {z: c - lab for z, lab in labels.items()} if c else labels,
+                      flip=c)
+    subset = [el[::-1] if type(el) is tuple and rng.random() < 0.3 else el
+              for el in g.elements() if rng.random() < 0.3]
+    clean = labeling._clean_around
+    if rng.random() < 0.1:
+        subset.insert(rng.randrange(len(subset) + 1),
+                      rng.choice((g.n + 5, (0, g.n + 5), (0, 0))))
+        assert not clean(f, subset, p)
+        with pytest.raises(ValueError):
+            verify_around(f, subset, p)
+        return
+    with mock.patch.object(labeling, "_clean_around", return_value=False):
+        scan = verify_around(f, subset, p)  # the ordered scan alone
+    assert clean(f, subset, p) == (scan == [])
+    assert verify_around(f, subset, p) == scan
+    assert verify_around(f, iter(subset), p) == scan
