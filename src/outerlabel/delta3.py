@@ -404,12 +404,11 @@ def reduce_and_extend(host: OuterplanarEmbedding, k: int,
     while todo:
         item = todo.pop()
         if type(item) is OuterplanarEmbedding:
-            if item.may_split:
-                parts, undo = item.split()
-                if undo is not None:
-                    todo.append((item.graph, undo, len(parts)))
-                    todo.extend(reversed(parts))
-                    continue
+            parts, undo = item.split()
+            if undo is not None:
+                todo.append((item.graph, undo, len(parts)))
+                todo.extend(reversed(parts))
+                continue
             out = step(item)
             if isinstance(out, TotalLabeling):
                 done.append(out)
@@ -507,12 +506,12 @@ def _refill(u1: int, fh: TotalLabeling) -> bool:
     """Label the freed ``u1``, of degree 1 or 2, and its edges as the search would first.
 
     ``extend_bounded(fh, [u1, *edges])`` written out: ``exact._plan``'s order
-    and seeding, labels ascending, the answer written in that order as
-    ``set`` stores it (labels are read and written in the stored frame, so a
-    flipped labeling works); on a miss (False) ``fh`` is unchanged.
+    and seeding, labels ascending, the answer written in that order through
+    ``set`` (so a flipped labeling works); on a miss (False) ``fh`` is unchanged.
     """
-    k, g, c, a = fh.k, fh.graph, fh.flip, fh.assignment
-    get = a.get  # stored labels: ``c`` minus the label when flipped
+    k = fh.k
+    g = fh.graph
+    get = fh.get if fh.flip else fh.assignment.get
     near, far = _keep_masks(1, k), _keep_masks(2, k)
     ends = g.neighbors(u1)
     vertex_dom = full = (1 << (k + 1)) - 1
@@ -521,14 +520,12 @@ def _refill(u1: int, fh: TotalLabeling) -> bool:
         edge_dom = full
         lab = get(x)
         if lab is not None:
-            lab = c - lab if c else lab
             in_range = 0 <= lab <= k
             vertex_dom &= near[lab] if in_range else ~_forbid_mask(lab, 1, k)
             edge_dom &= far[lab] if in_range else ~_forbid_mask(lab, 2, k)
         for y in g.neighbors(x):
             lab = get((x, y) if x < y else (y, x)) if y != u1 else None
             if lab is not None:
-                lab = c - lab if c else lab
                 edge_dom &= near[lab] if 0 <= lab <= k else ~_forbid_mask(lab, 1, k)
         keyed.append((-len(ends) - len(g.neighbors(x)), True,
                       (u1, x) if u1 < x else (x, u1), edge_dom))
@@ -538,8 +535,8 @@ def _refill(u1: int, fh: TotalLabeling) -> bool:
     if found is None:
         return False
     for (*_, el, _), lab in zip(keyed, found):
-        a.pop(el, None)  # moved to the end, as the search writes it
-        a[el] = c - lab if c else lab
+        fh.assignment.pop(el, None)  # moved to the end, as the search writes it
+        fh.set(el, lab)
     return True
 
 

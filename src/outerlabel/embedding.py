@@ -647,16 +647,14 @@ def _small_components(g: Graph, seeds: set[int]) -> list[list[int]]:
         return i
 
     running = list(range(len(root)))
-    finished: list[int] = []  # in the order the searches ran out
-    ran_out: set[int] = set()  # the same, for membership
+    finished: dict[int, None] = {}  # in the order the searches ran out
     while len(running) > 1:
         for i in running:
             if root[i] != i:  # merged this round
                 continue
             stack = stacks[i]
             if not stack:
-                finished.append(i)
-                ran_out.add(i)
+                finished[i] = None
                 continue
             for w in g.neighbors(stack.pop()):
                 j = owner.get(w)
@@ -668,12 +666,12 @@ def _small_components(g: Graph, seeds: set[int]) -> list[list[int]]:
                     root[j] = i
                     stack += stacks[j]
                     stacks[j] = []
-        running = [i for i in running if root[i] == i and i not in ran_out]
+        running = [i for i in running if root[i] == i and i not in finished]
     if not finished:
         return []
     if not running:  # every search ran out: keep the largest one's component
         sizes = Counter(find(j) for j in owner.values())
-        finished.remove(max(finished, key=sizes.__getitem__))
+        del finished[max(finished, key=sizes.__getitem__)]
     comps: dict[int, list[int]] = {i: [] for i in finished}
     for v, j in owner.items():
         j = find(j)

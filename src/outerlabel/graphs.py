@@ -14,7 +14,6 @@ only when they are first read.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import filterfalse
 from typing import Iterable, Iterator
 
 
@@ -308,12 +307,7 @@ class Graph:
             if ns is None:  # removed as well
                 continue
             saved.append((w, ns))
-            if len(xs) == 1:
-                x = xs[0]
-                left = tuple([u for u in ns if u != x])
-            else:
-                left = tuple(filterfalse(xs.__contains__, ns))
-            adj[w] = left
+            adj[w] = left = tuple([u for u in ns if u not in xs])
             degrees[len(ns)] -= 1
             degrees[len(left)] += 1
             ends += len(ns) - len(left)

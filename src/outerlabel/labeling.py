@@ -177,93 +177,52 @@ def verify_around(
     ``elements``, with a labeling known to be valid on a subgraph (or with
     its complement), and every element outside that subgraph is in
     ``elements``, an empty result means ``verify(f, p)`` is empty too.
-    Raises ValueError on an element that is not in the graph.  Whether
-    anything is wrong is decided first, by ``_clean_around``; only on a
-    fault does the ordered scan below run, as ``verify`` does with
-    ``_valid``.
+    Raises ValueError on an element that is not in the graph.  Labels are
+    read as stored, as ``_valid`` reads them (a flip moves the range, not a
+    difference); they are integers, so a gap below 1 is an equal pair.
     """
-    if iter(elements) is elements:  # read twice below
-        elements = list(elements)
-    if _clean_around(f, elements, p):
-        return []
-    g = f.graph
-    get = f.get if f.flip else f.assignment.get
-    nbrs = g.neighbors
+    g, c = f.graph, f.flip
+    lo, hi = (c - f.k, c) if c else (0, f.k)
+    get, adj = f.assignment.get, g._adj
     out: dict[Violation, None] = {}
     for el in elements:
-        if isinstance(el, tuple):
-            el = norm_edge(*el)
-            if not g.has_edge(*el):
+        edge = isinstance(el, tuple)
+        if edge:
+            u, w = el
+            if u > w:
+                el = (w, u)
+            if w not in adj.get(u, ()):
                 raise ValueError(f"edge {el} is not in the graph")
-        elif not g.has_vertex(el):
+        elif el not in adj:
             raise ValueError(f"vertex {el} is not in the graph")
         lab = get(el)
         if lab is None:
             out[Violation("unlabeled-element", (el,))] = None
             continue  # every pair it takes part in has a label missing
-        if not (0 <= lab <= f.k):
+        if not lo <= lab <= hi:
             out[Violation("label-out-of-range", (el,))] = None
-        if isinstance(el, tuple):
+        if edge:
             for x in el:
                 lx = get(x)
                 if lx is not None and abs(lx - lab) < p:
                     out[Violation("vertex-edge-too-close", (x, el))] = None
                 # edges at x in adjacency order, as ``verify`` pairs them
                 y = el[0] + el[1] - x
-                for z in nbrs(x):
+                for z in adj[x]:
                     if z != y:
                         e = (x, z) if x < z else (z, x)
-                        le = get(e)
-                        if le is not None and abs(le - lab) < 1:
+                        if get(e) == lab:
                             out[Violation("adjacent-edges-equalish",
                                           (el, e) if y < z else (e, el))] = None
         else:
-            for w in nbrs(el):
+            for w in adj[el]:
                 e = (el, w) if el < w else (w, el)
-                lw = get(w)
-                if lw is not None and abs(lw - lab) < 1:
+                if get(w) == lab:
                     out[Violation("adjacent-vertices-equalish", e)] = None
                 le = get(e)
                 if le is not None and abs(lab - le) < p:
                     out[Violation("vertex-edge-too-close", (el, e))] = None
     return list(out)
-
-
-def _clean_around(f: TotalLabeling, elements: Iterable[Element], p: int) -> bool:
-    """Whether ``verify_around(f, elements, p)`` is empty, in one pass over
-    the elements' stars.
-
-    Labels are read as stored, as ``_valid`` reads them; labels are
-    integers, so a gap below 1 is an equal pair.  An element that is not in
-    the graph reads as a fault, and the ordered scan raises on it.
-    """
-    c = f.flip
-    lo, hi = (c - f.k, c) if c else (0, f.k)
-    get, adj = f.assignment.get, f.graph._adj.get
-    for el in elements:
-        if type(el) is tuple:
-            u, w = el if el[0] < el[1] else (el[1], el[0])
-            lab = get((u, w))
-            if lab is None or not lo <= lab <= hi or w not in adj(u, ()):
-                return False
-            for x, y in ((u, w), (w, u)):
-                lx = get(x)
-                if lx is not None and abs(lx - lab) < p:
-                    return False
-                for z in adj(x):
-                    if z != y and get((x, z) if x < z else (z, x)) == lab:
-                        return False
-        else:
-            ns, lab = adj(el), get(el)
-            if ns is None or lab is None or not lo <= lab <= hi:
-                return False
-            for w in ns:
-                if get(w) == lab:
-                    return False
-                le = get((el, w) if el < w else (w, el))
-                if le is not None and abs(lab - le) < p:
-                    return False
-    return True
 
 
 def complement(f: TotalLabeling, k: int | None = None) -> TotalLabeling:

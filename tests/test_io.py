@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from outerlabel import generators as gen
-from outerlabel import io
+from outerlabel import embedding, io
 from outerlabel.embedding import recognize_embed
 from outerlabel.exact import SearchStats, lambda_exact
 from outerlabel.graphs import Graph
@@ -114,10 +115,23 @@ def test_search_budget_is_clean():
 
 
 def test_many_components_label_in_one_pass():
-    # one edge and 10,000 isolated vertices: the split names every small
-    # component in time linear in their number (it took 1.2 s when each
-    # search that ran out was looked up in a list)
+    # one edge and 10,000 isolated vertices from graph JSON label and verify
     g = io.parse_graph_json(json.dumps({"n": 10_002, "edges": [[0, 1]]}))
     assert len(g.components()) == 10_001
     f = label_outerplanar(g)
     assert verify(f, 2) == [] and len(f.assignment) == g.n + g.m
+
+    # and the split names the small components in time linear in their
+    # number: eight times as many take about eight times as long (64 times
+    # when each search that ran out was looked up in a list)
+    def took(n: int) -> float:
+        h = Graph(range(n), [(0, 1)])
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            comps = embedding._small_components(h, set(range(1, n)))
+            best = min(best, time.perf_counter() - t0)
+        assert len(comps) == n - 2
+        return best
+
+    assert took(40_000) < 24 * took(5_000)

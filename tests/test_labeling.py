@@ -3,7 +3,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from test_delta4 import _capped_polygon
 
 from outerlabel import generators as gen
-from outerlabel import labeling
 from outerlabel.exact import lambda_exact
 from outerlabel.io import labeling_to_json
 from outerlabel.graphs import Graph, norm_edge
@@ -340,11 +338,11 @@ def test_verify_around_normalizes_and_rejects_unknown():
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
-def test_clean_pass_decides_verify_around(seed, pick, p):
+def test_verify_around_reads_the_stored_frame(seed, pick, p):
     # a valid labeling with a few labels dropped, moved out of range or
-    # redrawn, stored plain or flipped: the one-pass check is clean exactly
-    # when the ordered scan finds nothing, verify_around returns the scan's
-    # list, and an element not in the graph raises in both
+    # redrawn, stored flipped: verify_around returns the list it returns on
+    # the same labels stored plain, and the violations of verify with a
+    # witness in the subset; an element not in the graph raises
     rng = random.Random(pick)
     g = gen.gen_glued_outerplanar(6 + seed % 18, seed, {"max_degree": 3 + seed % 2})
     f = label_outerplanar(g)
@@ -355,21 +353,18 @@ def test_clean_pass_decides_verify_around(seed, pick, p):
             del labels[el]
         else:
             labels[el] = rng.choice((-1, k + 1)) if how == 1 else rng.randint(0, k)
-    c = rng.choice((0, k, k + 3))
-    f = TotalLabeling(g, k, {z: c - lab for z, lab in labels.items()} if c else labels,
-                      flip=c)
+    c = rng.choice((k, k + 3))
+    plain = TotalLabeling(g, k, labels)
+    flipped = TotalLabeling(g, k, {z: c - lab for z, lab in labels.items()}, flip=c)
     subset = [el[::-1] if type(el) is tuple and rng.random() < 0.3 else el
               for el in g.elements() if rng.random() < 0.3]
-    clean = labeling._clean_around
-    if rng.random() < 0.1:
-        subset.insert(rng.randrange(len(subset) + 1),
-                      rng.choice((g.n + 5, (0, g.n + 5), (0, 0))))
-        assert not clean(f, subset, p)
+    got = verify_around(flipped, subset, p)
+    assert got == verify_around(plain, subset, p)
+    near = {norm_edge(*el) if type(el) is tuple else el for el in subset}
+    assert set(got) == {v for v in verify(plain, p) if near & set(v.witnesses)}
+    assert len(got) == len(set(got))
+    subset.insert(rng.randrange(len(subset) + 1),
+                  rng.choice((g.n + 5, (0, g.n + 5), (0, 0))))
+    for f in (plain, flipped):
         with pytest.raises(ValueError):
             verify_around(f, subset, p)
-        return
-    with mock.patch.object(labeling, "_clean_around", return_value=False):
-        scan = verify_around(f, subset, p)  # the ordered scan alone
-    assert clean(f, subset, p) == (scan == [])
-    assert verify_around(f, subset, p) == scan
-    assert verify_around(f, iter(subset), p) == scan
