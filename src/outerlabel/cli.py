@@ -24,7 +24,7 @@ from .exact import SearchCapExceeded, SearchStats, lambda_exact
 from .graphs import Graph
 from .labeling import span, verify
 from .pipeline import UnsupportedDegree, label_outerplanar
-from .structure import ChainNotFound, enumerate_chains, find_configuration
+from .structure import enumerate_chains, find_configuration
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -235,13 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except io.FormatError as exc:
-        _say(f"input error: {exc}")
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        _say(f"input error: {exc}")
-        return EXIT_PARSE
-    except json.JSONDecodeError as exc:
+    except (io.FormatError, FileNotFoundError, json.JSONDecodeError) as exc:
         _say(f"input error: {exc}")
         return EXIT_PARSE
     except NotOuterplanar as exc:
@@ -253,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleTrace as exc:
         _say(f"labeler fault: {exc}")
         return EXIT_LABELER
-    except (ChainNotFound, ValueError) as exc:
+    except ValueError as exc:
         _say(f"error: {exc}")
         return EXIT_PARSE
 

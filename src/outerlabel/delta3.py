@@ -27,9 +27,11 @@ before its rule runs.
 
 Every finish rule extends its component's labeling in place and checks
 what it changed with ``verify_around``, which is exact because the smaller
-host's labeling was valid and the rest of it is kept (or complemented as a
-whole).  A case table writes its labels and is only checked (``check``):
-a miss raises InfeasibleTrace naming the rule or row.  ``complete`` is
+host's labeling was valid and the rest of it is kept.  A rule that meets
+its context complemented (a leaf bridge labeled 2 or less, mirrored stubs)
+reads it as z -> 5 - z and writes the complement of each label it picks.
+A case table writes its labels and is only checked (``check``): a miss
+raises InfeasibleTrace naming the rule or row.  ``complete`` is
 the one place that searches: it relabels freed elements by bounded
 search, checks and puts back, and frees a wider set only after a miss,
 logging each widening.  ``label_delta3`` runs the one full ``verify`` on the finished
@@ -424,13 +426,11 @@ def reduce_and_extend(host: OuterplanarEmbedding, k: int,
             f = next(part for part in parts if part.graph is g)
             for part in parts:
                 if part is not f:
-                    f.update({z: part.get(z) for z in part.assignment})
+                    f.update(part.assignment)
             done.append(f)
         else:
             done.append(then(done.pop()))
     f = done.pop()
-    if f.flip:  # read every label through the complement once, at the end
-        f.assignment, f.flip = {z: f.get(z) for z in f.assignment}, 0
     return f if f.graph is graph else TotalLabeling(graph, k, f.assignment)
 
 
@@ -438,8 +438,8 @@ def check(f: TotalLabeling, touched: Collection[Element], where: str) -> TotalLa
     """``f``, once ``verify_around`` finds nothing around ``touched``.
 
     ``touched`` holds every element whose label may differ from the smaller
-    host's valid labeling (or its complement) and every element that host
-    lacks.  Raises InfeasibleTrace naming ``where`` and the violations.
+    host's valid labeling and every element that host lacks.  Raises
+    InfeasibleTrace naming ``where`` and the violations.
     """
     bad = verify_around(f, touched)
     if bad:
@@ -506,12 +506,12 @@ def _refill(u1: int, fh: TotalLabeling) -> bool:
     """Label the freed ``u1``, of degree 1 or 2, and its edges as the search would first.
 
     ``extend_bounded(fh, [u1, *edges])`` written out: ``exact._plan``'s order
-    and seeding, labels ascending, the answer written in that order through
-    ``set`` (so a flipped labeling works); on a miss (False) ``fh`` is unchanged.
+    and seeding, labels ascending, the answer written in that order; on a
+    miss (False) ``fh`` is unchanged.
     """
     k = fh.k
     g = fh.graph
-    get = fh.get if fh.flip else fh.assignment.get
+    get = fh.assignment.get
     near, far = _keep_masks(1, k), _keep_masks(2, k)
     ends = g.neighbors(u1)
     vertex_dom = full = (1 << (k + 1)) - 1
@@ -584,17 +584,18 @@ def extend_lemma1(
     ``(u, u_prime)`` and ``(v, v_prime)``, so it labels no element of the
     far side but ``u_prime`` and ``v_prime``.  Requires the stub labels to
     sit at opposite extremes: stub vertices in {0,1} with stub edges in
-    {4,5}, or the mirrored form.
+    {4,5}, or the mirrored form, which is read complemented (z -> 5 - z)
+    and gets the complement of each label the walk gives.
 
     Labels the far side from one boundary walk of a closed-up copy of it,
     built from the far side only.  The walk opens at whichever tip is a
-    chord end of the copy, ``u_prime`` (the stub vertex labeled 0) with 0,
+    chord end of the copy, ``u_prime`` (the stub vertex read as 0) with 0,
     else ``v_prime`` with 1, so when both are chord ends their alternating
     labels meet the stub labels.  The tips keep the stub host's labels; if
     the walk's labels around them then fail the check, one junction vertex
     label is re-chosen (``complete``, logged as a junction patch).  Returns
     ``f``, checked around the stubs and the far side, the only elements
-    where it can differ from the stub host's labeling or its mirror image.
+    where it can differ from the stub host's labeling.
     """
     g = f.graph
     u_prime, v_prime = far[-1], far[0]
@@ -606,13 +607,11 @@ def extend_lemma1(
     eu, ev = f.edge(u, u_prime), f.edge(v, v_prime)
     if None in (vu, vv, eu, ev) or vu == vv:
         raise ValueError("stub labels missing or equal")
-    flipped = {vu, vv} <= {4, 5} and {eu, ev} <= {0, 1}
-    if flipped:
+    mirrored = {vu, vv} <= {4, 5} and {eu, ev} <= {0, 1}
+    if mirrored:
         vu, vv, eu, ev = 5 - vu, 5 - vv, 5 - eu, 5 - ev
     if not ({vu, vv} <= {0, 1} and {eu, ev} <= {4, 5}):
         raise ValueError("stub labels do not meet the extension preconditions")
-    if flipped:  # extend the mirror image, by the complement flag
-        f.flip = 5 - f.flip
     if vu == 1:  # name the 0-labeled endpoint first
         u, v = v, u
         u_prime, v_prime = v_prime, u_prime
@@ -634,11 +633,8 @@ def extend_lemma1(
     g3 = Graph([*far, *hidden], far_edges + path)
     if g3.max_degree() <= 2:
         # the far side is a single edge; complete it in place
-        complete(f, [[*far_edges, *far[1:-1]]], "tiny reattachment", diag,
-                 touched=around)
-        if flipped:
-            f.flip = 5 - f.flip
-        return f
+        return complete(f, [[*far_edges, *far[1:-1]]], "tiny reattachment", diag,
+                        touched=around)
 
     emb3 = recognize_embed(g3)
     start, parity = (u_prime, 0) if g3.degree(u_prime) == 3 else (v_prime, 1)
@@ -654,17 +650,14 @@ def extend_lemma1(
         endface_avoid=frozenset(hidden),
     ))
     pin_outer_edge(f1, (u_prime, x), eu)
-    part = {z: l for z, l in f1.assignment.items() if z in keep}
-    part[u_prime], part[v_prime] = vu, vv  # the tips keep the stub host's labels
+    # the tips keep the stub host's labels
+    part = {z: 5 - l if mirrored else l for z, l in f1.assignment.items()
+            if z in keep and z != u_prime and z != v_prime}
     f.update(part)
     # re-choosing a junction vertex label is the construction's own final
     # move, logged as a patch; a walk whose tips already fit is only checked
-    complete(f, ([], [u_prime], [v_prime]), "reattachment junction", diag,
-             "junction-patch", touched=around)
-    # ``f`` is valid, and its mirror image is valid exactly when it is
-    if flipped:
-        f.flip = 5 - f.flip
-    return f
+    return complete(f, ([], [u_prime], [v_prime]), "reattachment junction", diag,
+                    "junction-patch", touched=around)
 
 
 # -- whole-graph driver ------------------------------------------------------
@@ -727,18 +720,35 @@ def _leaf_block_step(emb: OuterplanarEmbedding, diag: Diagnostics | None):
 
 def _attach_leaf_block(g: Graph, blk: BlockEmbedding, v_c: int, w: int,
                        diag: Diagnostics | None, base: TotalLabeling) -> TotalLabeling:
-    if base.edge(v_c, w) <= 2:  # complement the host's labeling, by its flag
-        base.flip = 5 - base.flip
+    """Label the leaf block ``blk`` of ``g`` back onto ``base`` at its cut vertex ``v_c``.
+
+    The rule reads the bridge ``(v_c, w)`` and ``w``; a bridge labeled 2 or
+    less is read complemented (z -> 5 - z), and then the rule's labels are
+    complemented as they are written.  They are checked in place before a
+    far side, if any, is labeled (``extend_lemma1``): the far side's
+    interior and the edges tying its ends to the other chord end carry no
+    label yet, and ``verify_around`` skips every pair with an unlabeled
+    element, so the check reads exactly the stub host, in which each end is
+    a pendant on its chord end.
+    """
+    few, fw = base.edge(v_c, w), base.vertex(w)
+    low = few <= 2
+    if low:
+        few, fw = 5 - few, 5 - fw
     leaf = g.induced(blk.cycle)
     emb1 = OuterplanarEmbedding(leaf, (blk,), frozenset())
     if diag is not None:
         diag.step(
             f"leaf block n={leaf.n} chords={len(emb1.inner_edges)} "
-            f"bridge-label={base.edge(v_c, w)}"
+            f"bridge-label={few}"
         )
-    if not emb1.inner_edges:
-        return _attach_cycle_block(base, emb1, v_c, w)
-    return _attach_chorded_block(base, leaf, emb1, v_c, w, diag)
+    if emb1.inner_edges:
+        where, ext, far = _attach_chorded_block(leaf, emb1, v_c, few, fw, diag)
+    else:
+        where, ext, far = _attach_cycle_block(emb1, v_c, few, fw)
+    base.update({z: 5 - l for z, l in ext.items()} if low else ext)
+    check(base, ext, where)
+    return base if far is None else extend_lemma1(base, *far, diag)
 
 
 def _rotate_to(seq: Sequence[int], first: int) -> list[int]:
@@ -746,10 +756,13 @@ def _rotate_to(seq: Sequence[int], first: int) -> list[int]:
     return [seq[(i + j) % len(seq)] for j in range(len(seq))]
 
 
-def _attach_cycle_block(base: TotalLabeling, emb1, v_c: int, w: int) -> TotalLabeling:
+# Each attach gets the bridge label ``few`` and its far end's label ``fw``,
+# as the leaf-block rule reads them, and returns the name of the rule it
+# wrote, its labels of the block, and the chord ends and far side to reattach
+# (``extend_lemma1``'s arguments), or None.
+
+def _attach_cycle_block(emb1, v_c: int, few: int, fw: int) -> tuple:
     """Label a chordless leaf cycle against the already-labeled bridge."""
-    few = base.edge(v_c, w)
-    fw = base.vertex(w)
     order = _rotate_to(emb1.boundary, v_c)
     r = len(order)
     ext: dict[Element, int] = {}
@@ -783,17 +796,17 @@ def _attach_cycle_block(base: TotalLabeling, emb1, v_c: int, w: int) -> TotalLab
         elif few == 3 and r % 2 == 1:
             ext[_E(order[2], order[1])] = 3
             ext[_E(order[1], v_c)] = 4
-    return _finish_direct(base, ext, "cycle-block attach")
+    return "cycle-block attach", ext, None
 
 
 def _attach_chorded_block(
-    base: TotalLabeling,
     leaf: Graph,
     emb1,
     v_c: int,
-    w: int,
+    few: int,
+    fw: int,
     diag: Diagnostics | None,
-) -> TotalLabeling:
+) -> tuple:
     xs, ys, _ = boundary_decompose(emb1)
     i = next(i for i, run in enumerate(ys) if v_c in run)
     xs, ys = xs[i:] + xs[:i], ys[i:] + ys[:i]
@@ -805,21 +818,19 @@ def _attach_chorded_block(
                           avoid2_soft=frozenset(leaf.neighbors(v_c)),
                           endface_avoid=frozenset({v_c}))
     if len(ys[0]) > 1:
-        return _attach_wide_gap(base, emb1, xs, ys, v_c, w, away)
-    return _attach_tight_gap(base, leaf, emb1, xs, ys, v_c, w, away, diag)
+        return _attach_wide_gap(emb1, xs, ys, v_c, few, fw, away)
+    return _attach_tight_gap(leaf, emb1, xs, ys, v_c, few, fw, away, diag)
 
 
-def _attach_wide_gap(base: TotalLabeling, emb1, xs: list[int], ys: list[list[int]],
-                     v_c: int, w: int, away: LabelK2Options) -> TotalLabeling:
+def _attach_wide_gap(emb1, xs: list[int], ys: list[list[int]], v_c: int, few: int,
+                     fw: int, away: LabelK2Options) -> tuple:
     """The cut vertex has a 2-vertex neighbor inside its run ``ys[0]``.
 
     One walk ``away`` from it, over the block's boundary decomposition
     ``xs, ys`` from ``xs[0]``: its start parity keeps ``v_c`` off the
-    label of ``w``, and a bridge labeled 4 or 5 is matched by pinning the
+    label ``fw``, and a bridge labeled 4 or 5 is matched by pinning the
     edge to a run neighbor of ``v_c`` not labeled 2, which then takes 3.
     """
-    few = base.edge(v_c, w)
-    fw = base.vertex(w)
     # the seam avoids v_c, so the walk gives v_c the label its run fill does
     run = ys[0]
     lab: dict[Element, int] = {}
@@ -834,7 +845,7 @@ def _attach_wide_gap(base: TotalLabeling, emb1, xs: list[int], ys: list[list[int
             raise InfeasibleTrace("both run neighbors of the cut vertex took 2")
         pin_outer_edge(f1, (good[0], v_c), few)
         f1.set_edge(good[0], v_c, 3)
-    return _finish_direct(base, f1.assignment, "wide-gap attach")
+    return "wide-gap attach", f1.assignment, None
 
 
 # -- the tight-gap table -----------------------------------------------------
@@ -1007,25 +1018,24 @@ def _alternate_run(ext: dict[Element, int], seq: Sequence[Element], first: int,
 
 
 def _attach_tight_gap(
-    base: TotalLabeling,
     leaf: Graph,
     emb1,
     xs: list[int],
     ys: list[list[int]],
     v_c: int,
-    w: int,
+    few: int,
+    fw: int,
     away: LabelK2Options,
     diag: Diagnostics | None,
-) -> TotalLabeling:
+) -> tuple:
     """The cut vertex sits alone between two chord endpoints.
 
     A bridge labeled 5 whose neighbor is not labeled 3 takes the block's
     boundary walk ``away`` from ``v_c``, complemented; every other context
-    writes the first ``TIGHT_GAP_ROWS`` row its facts match, then labels
-    the far side beyond the chord ``(x1, xp)`` unless its ends merge.
+    writes the first ``TIGHT_GAP_ROWS`` row its facts match, and leaves
+    the far side beyond the chord ``(x1, xp)`` to reattach unless its ends
+    merge.
     """
-    few = base.edge(v_c, w)
-    fw = base.vertex(w)
     x1 = xs[0]
     inner = emb1.inner_edges
     xp = next(z for z in leaf.neighbors(x1) if _E(x1, z) in inner)
@@ -1042,8 +1052,7 @@ def _attach_tight_gap(
 
     if few == 5 and fw != 3:
         f1, _ = _walk_k2(emb1, xs, ys, away)
-        ext = {z: 5 - l for z, l in f1.assignment.items()}
-        return _finish_direct(base, ext, "tight-gap flip attach")
+        return "tight-gap flip attach", {z: 5 - l for z, l in f1.assignment.items()}, None
 
     m1 = order.index(xs[pprime - 2])  # xm; x1 for a short chord
     last_run = order[m1 + 1:idx_z] if pprime > 2 else []
@@ -1075,31 +1084,4 @@ def _attach_tight_gap(
         return ids[0] if len(ids) == 1 else _E(*ids)
 
     run_ops(row.ops, ext, key, {})
-    if same:
-        return _finish_direct(base, ext, row.name)
-    return _finish_reattach(base, ext, x1, xp, far, diag, row.name)
-
-
-def _finish_direct(base: TotalLabeling, ext: dict[Element, int],
-                   where: str) -> TotalLabeling:
-    """Write the table rule ``where``'s labels ``ext`` and check them."""
-    base.update(ext)
-    return check(base, ext, where)
-
-
-def _finish_reattach(base: TotalLabeling, ext: dict[Element, int], x1: int,
-                     xp: int, far: Sequence[int], diag: Diagnostics | None,
-                     where: str) -> TotalLabeling:
-    """Label the near side of the chord ``(x1, xp)`` by the table rule
-    ``where``'s labels ``ext``, then the far side.
-
-    ``far`` is the leaf block's boundary arc beyond the chord, from ``xp``'s
-    neighbour to ``x1``'s.  The near side is checked in place, before the
-    far side is labeled: the far side's interior and the edges tying its
-    ends to the other chord end carry no label yet, and ``verify_around``
-    skips every pair with an unlabeled element, so the check reads exactly
-    the stub host, in which each end is a pendant on its chord end.
-    """
-    base.update(ext)
-    check(base, ext, where)
-    return extend_lemma1(base, x1, xp, far, diag)
+    return row.name, ext, None if same else (x1, xp, far)

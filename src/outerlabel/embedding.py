@@ -177,10 +177,6 @@ class Worklists:
             heapq.heappop(heap)
         return heap[0] if heap else None
 
-    def _is(self, kind: str):
-        """Whether an entry of the heap ``kind`` still is one."""
-        return self._preds[kind]
-
     def removed(self, gone: set[int], changed: Iterable[int]) -> None:
         """Note that the graph lost ``gone`` and some edges; ``changed`` holds
         the other vertices whose degree changed."""
@@ -232,9 +228,9 @@ class OuterplanarEmbedding:
     Only ``remove`` and ``split`` change an embedding, and only one made by
     ``working``, which owns a working copy of its graph, so the graph an
     embedding was made with never changes.  The vertex index and the
-    worklists are built on first use and patched by every removal.
-    ``may_split`` is set when the graph may be disconnected (by a removal,
-    or as made, with ``seeds``: a vertex of each component).
+    worklists are built on first use and patched by every removal.  While
+    the graph may be disconnected (by a removal, or as made, with ``seeds``:
+    a vertex of each component), the embedding holds seeds for ``split``.
     """
 
     __slots__ = ("graph", "_seeds", "_sorted", "_bridges", "_own", "_block", "_at",
@@ -250,8 +246,6 @@ class OuterplanarEmbedding:
         self._block: dict[int, BlockEmbedding] | None = None  # by key, with the index
         self._work: Worklists | None = None
         self._low: list[int] | None = None
-
-    may_split = property(lambda self: bool(self._seeds))
 
     @property
     def blocks(self) -> tuple[BlockEmbedding, ...]:
@@ -359,8 +353,8 @@ class OuterplanarEmbedding:
         ``_cut_arc``; any other removal raises ValueError and leaves this
         embedding unusable.  Removal never joins blocks, so the result
         equals a fresh recognition of each component of what is left.
-        ``may_split`` is set when a removed vertex was a cut vertex or a
-        bridge was removed.
+        When a removed vertex was a cut vertex or a bridge was removed, the
+        vertices next to the removal become seeds for ``split``.
 
         Two one-vertex removals, the most common steps, take a short path
         that leaves what ``_cut_arc`` would: a pendant is cut with its
@@ -505,7 +499,7 @@ class OuterplanarEmbedding:
     def split(self) -> tuple[list["OuterplanarEmbedding"], tuple | None]:
         """The embedding of each component, in vertex order, and an undo record.
 
-        Only an embedding with ``may_split`` set is checked.  This one keeps
+        Only an embedding holding seeds is checked.  This one keeps
         the largest component; each other one is copied out with its blocks
         and bridges and removed (the record undoes that), so a split costs
         the components it copies out."""
@@ -880,8 +874,8 @@ def _recognize_blocks(g: Graph) -> OuterplanarEmbedding:
     built once.  The blocks' vertex counts, less one each, add up to
     ``g.n - 1`` exactly when ``g`` is connected (its block-cut tree is then
     a tree; with c components they add up to ``g.n - c``).  A disconnected
-    ``g`` gets one embedding with a seed in each component (``may_split``),
-    so the reduction driver splits it; only then does a second search name
+    ``g`` gets one embedding with a seed in each component, so the
+    reduction driver splits it; only then does a second search name
     the components.
     """
     bridges: set[Edge] = set()

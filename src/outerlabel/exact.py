@@ -318,12 +318,12 @@ def extend_bounded(
     ]
     st = stats if stats is not None else SearchStats()
     st.calls += 1
-    plan, domains = _plan(g, p, norm_free, kk, f.get if f.flip else f.assignment.get)
+    plan, domains = _plan(g, p, norm_free, kk, f.assignment.get)
     found = _search(plan, kk, domains, st, False, st.budget)
     if found is None:
         return None
     a = f.assignment
     for el in plan.order:
         a.pop(el, None)
-    a.update(zip(plan.order, [f.flip - lab for lab in found] if f.flip else found))
+    a.update(zip(plan.order, found))
     return f if kk == f.k else TotalLabeling(g, kk, a)

@@ -84,7 +84,7 @@ def parse_graph(text: str, fmt: str) -> Graph:
 
 
 def labeling_to_json(f: TotalLabeling) -> dict[str, Any]:
-    labels = f.labels().items()
+    labels = f.assignment.items()
     vertices = {str(v): lab for v, lab in labels if isinstance(v, int)}
     edges = [[e[0], e[1], lab] for e, lab in labels if isinstance(e, tuple)]
     edges.sort()

@@ -37,21 +37,14 @@ VIOLATION_KINDS = (
 
 @dataclass
 class TotalLabeling:
-    """Partial or total assignment from vertices and edges to ``{0..k}``.
-
-    With ``flip`` set to some ``c``, ``assignment`` holds ``c`` minus each
-    label, so complementing costs O(1); the methods read and write through
-    it.  Only the reduction driver's working labelings have one set.
-    """
+    """Partial or total assignment from vertices and edges to ``{0..k}``."""
 
     graph: Graph
     k: int
     assignment: dict[Element, int] = field(default_factory=dict)
-    flip: int = 0
 
     def get(self, element: Element) -> int | None:
-        lab = self.assignment.get(element)
-        return lab if lab is None or not self.flip else self.flip - lab
+        return self.assignment.get(element)
 
     def vertex(self, v: int) -> int | None:
         return self.get(v)
@@ -60,25 +53,20 @@ class TotalLabeling:
         return self.get(norm_edge(u, v))
 
     def set(self, element: Element, label: int) -> None:
-        self.assignment[element] = self.flip - label if self.flip else label
+        self.assignment[element] = label
 
     def set_edge(self, u: int, v: int, label: int) -> None:
         self.set(norm_edge(u, v), label)
 
     def update(self, other: Mapping[Element, int]) -> None:
-        c = self.flip
-        self.assignment.update({z: c - lab for z, lab in other.items()} if c else other)
-
-    def labels(self) -> Mapping[Element, int]:
-        """Every assigned label, read through ``flip``, in assignment order."""
-        return {z: self.get(z) for z in self.assignment} if self.flip else self.assignment
+        self.assignment.update(other)
 
 
 def span(f: TotalLabeling) -> int:
     """Largest assigned label."""
     if not f.assignment:
         raise ValueError("empty labeling has no span")
-    return max(f.labels().values())
+    return max(f.assignment.values())
 
 
 def verify(f: TotalLabeling, p: int = 2) -> list[Violation]:
@@ -98,7 +86,7 @@ def verify(f: TotalLabeling, p: int = 2) -> list[Violation]:
     if _valid(f, p):
         return []
     g = f.graph
-    get = f.get if f.flip else f.assignment.get
+    get = f.assignment.get
     k = f.k
     out: list[Violation] = []
     for v in g.vertices:
@@ -147,17 +135,15 @@ def verify(f: TotalLabeling, p: int = 2) -> list[Violation]:
 def _valid(f: TotalLabeling, p: int) -> bool:
     """Whether ``verify(f, p)`` is empty, decided in whole-list passes.
 
-    Labels are read as stored (a flip moves the range, not a difference); a
-    missing one reads as past the range.  The labels must lie in it, the
-    gaps must reach 1 and ``p``, and the edges' (end, label) pairs must be
-    2m distinct ones.
+    A missing label reads as past the range.  The labels must lie in
+    ``{0..k}``, the gaps must reach 1 and ``p``, and the edges' (end, label)
+    pairs must be 2m distinct ones.
     """
-    g, c = f.graph, f.flip
-    lo, hi = (c - f.k, c) if c else (0, f.k)
+    g, k = f.graph, f.k
     get, es = f.assignment.get, g.edges
-    vl = list(map(get, g.vertices, repeat(hi + 1)))
-    el = list(map(get, es, repeat(hi + 1)))
-    if min(vl + el, default=lo) < lo or max(vl + el, default=hi) > hi:
+    vl = list(map(get, g.vertices, repeat(k + 1)))
+    el = list(map(get, es, repeat(k + 1)))
+    if min(vl + el, default=0) < 0 or max(vl + el, default=k) > k:
         return False
     us, ws = list(map(itemgetter(0), es)), list(map(itemgetter(1), es))
     lu, lw = list(map(get, us)), list(map(get, ws))
@@ -174,15 +160,13 @@ def verify_around(
 
     Only the given elements and the constraints they take part in are read,
     so the cost does not grow with the graph.  When ``f`` agrees, outside
-    ``elements``, with a labeling known to be valid on a subgraph (or with
-    its complement), and every element outside that subgraph is in
-    ``elements``, an empty result means ``verify(f, p)`` is empty too.
-    Raises ValueError on an element that is not in the graph.  Labels are
-    read as stored, as ``_valid`` reads them (a flip moves the range, not a
-    difference); they are integers, so a gap below 1 is an equal pair.
+    ``elements``, with a labeling known to be valid on a subgraph, and every
+    element outside that subgraph is in ``elements``, an empty result means
+    ``verify(f, p)`` is empty too.  Raises ValueError on an element that is
+    not in the graph.  Labels are integers, so a gap below 1 is an equal
+    pair.
     """
-    g, c = f.graph, f.flip
-    lo, hi = (c - f.k, c) if c else (0, f.k)
+    g, k = f.graph, f.k
     get, adj = f.assignment.get, g._adj
     out: dict[Violation, None] = {}
     for el in elements:
@@ -199,7 +183,7 @@ def verify_around(
         if lab is None:
             out[Violation("unlabeled-element", (el,))] = None
             continue  # every pair it takes part in has a label missing
-        if not lo <= lab <= hi:
+        if not 0 <= lab <= k:
             out[Violation("label-out-of-range", (el,))] = None
         if edge:
             for x in el:
@@ -228,11 +212,10 @@ def verify_around(
 def complement(f: TotalLabeling, k: int | None = None) -> TotalLabeling:
     """The labeling ``z -> k - f(z)``; valid exactly when ``f`` is."""
     kk = f.k if k is None else k
-    labels = f.labels()
-    for el, lab in labels.items():
+    for el, lab in f.assignment.items():
         if lab > kk:
             raise ValueError(f"label {lab} at {el} exceeds bound {kk}")
-    return TotalLabeling(f.graph, kk, {el: kk - lab for el, lab in labels.items()})
+    return TotalLabeling(f.graph, kk, {el: kk - lab for el, lab in f.assignment.items()})
 
 
 def incidence_graph(g: Graph) -> tuple[Graph, dict[int, Edge]]:

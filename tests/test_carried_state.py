@@ -25,7 +25,7 @@ from test_embedding import _cut_vertices
 from outerlabel import delta3, delta4, embedding
 from outerlabel import generators as gen
 from outerlabel.graphs import Graph
-from outerlabel.labeling import span, verify
+from outerlabel.labeling import TotalLabeling, span, verify
 from outerlabel.pipeline import label_outerplanar
 from outerlabel.embedding import recognize_embed
 from outerlabel.structure import find_configuration
@@ -53,7 +53,7 @@ def _entries(work, kind: str) -> set:
     """Every pendant, C1 edge or C2 triple (``kind``) the worklists hold."""
     if kind != "pendant":
         work._redo()
-    return set(filter(work._is(kind), work._heaps[kind]))
+    return set(filter(work._preds[kind], work._heaps[kind]))
 
 
 def _check(emb) -> None:
@@ -121,13 +121,17 @@ def _inside_remove() -> bool:
 
 
 @pytest.mark.parametrize("g", [gen.gen_strip(480), _capped_polygon(960, 4, "work"),
-                               _bridged_hexagons(160)],
-                         ids=["strip480", "capped960", "bridged160"])
+                               _bridged_hexagons(160), gen.gen_pentagon_leaves(200)],
+                         ids=["strip480", "capped960", "bridged160", "pentagon200"])
 def test_reduction_work_is_linear(monkeypatch, g):
     # a removal traces no faces (the blocks it leaves trace theirs when
     # read), and the steps read degrees off the worklists and the degree
     # histogram instead of scanning the host: at most 10 Graph.degree calls
-    # per vertex (about 4-7 today; the whole-host scans made 86-1,205)
+    # per vertex (about 4-7 today; the whole-host scans made 86-1,205).
+    # The finish rules write each label about once: at most 2 writes per
+    # element through TotalLabeling.set and update (1.0-1.7 today), also
+    # on pentagon200, whose every leaf attach meets a bridge labeled 2 or
+    # less and writes only the complement of its own labels
     passes = []
     real_pass = embedding._face_pass
 
@@ -143,9 +147,25 @@ def test_reduction_work_is_linear(monkeypatch, g):
         calls += 1
         return real_degree(self, v)
 
+    writes = 0
+    real_set, real_update = TotalLabeling.set, TotalLabeling.update
+
+    def set_label(self, element, label):
+        nonlocal writes
+        writes += 1
+        real_set(self, element, label)
+
+    def update(self, other):
+        nonlocal writes
+        writes += len(other)
+        real_update(self, other)
+
     monkeypatch.setattr(embedding, "_face_pass", face_pass)
     monkeypatch.setattr(Graph, "degree", degree)
+    monkeypatch.setattr(TotalLabeling, "set", set_label)
+    monkeypatch.setattr(TotalLabeling, "update", update)
     f = label_outerplanar(g)
     assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
     assert True not in passes
     assert calls <= 10 * g.n
+    assert writes <= 2 * (g.n + g.m)

@@ -185,7 +185,6 @@ def test_extend_lemma_mirrored_form():
         {7: 5, 4: 4, norm_edge(0, 7): 0, norm_edge(3, 4): 0},
     )
     out = extend_lemma1(f, 0, 3, FAR)
-    assert out.flip == 0  # the mirror image is read back through the flag
     assert verify(out, 2) == [] and span(out) <= 5
 
 
@@ -197,7 +196,7 @@ def test_extend_lemma_rejects_bad_labels():
     before = dict(f.assignment)
     with pytest.raises(ValueError):
         extend_lemma1(f, 0, 3, FAR)
-    assert f.assignment == before and f.flip == 0
+    assert f.assignment == before
 
 
 def test_extend_lemma_fallback_candidate():
@@ -289,9 +288,9 @@ def test_one_decomposition_per_chorded_attach(monkeypatch):
     attach, decompose, walk = (delta3._attach_chorded_block, delta3.boundary_decompose,
                                delta3._walk_k2)
 
-    def counted_attach(base, leaf, emb1, *args):
+    def counted_attach(leaf, emb1, *args):
         attaches.append(emb1)
-        return attach(base, leaf, emb1, *args)
+        return attach(leaf, emb1, *args)
 
     def counted_decompose(emb, start=None):
         decomposed.append(emb)
@@ -370,10 +369,8 @@ def test_pendant_rule_matches_the_search(data):
         if x != u1:
             labels[norm_edge(u2, x)] = data.draw(near, label=f"edge to {x}")
             labels[x] = data.draw(near, label=f"vertex {x}")
-    flip = data.draw(st.sampled_from([0, k, k + 3]), label="flip")
-    f = TotalLabeling(g, k, {z: flip - lab if flip else lab
-                             for z, lab in labels.items() if lab is not None}, flip)
-    searched = TotalLabeling(g, k, dict(f.assignment), flip)
+    f = TotalLabeling(g, k, {z: lab for z, lab in labels.items() if lab is not None})
+    searched = TotalLabeling(g, k, dict(f.assignment))
     if extend_bounded(searched, [u1, e]) is None:
         with pytest.raises(InfeasibleTrace, match=(
             rf"^pendant at vertex {u1}: no verified completion$"
@@ -430,10 +427,8 @@ def test_two_vertex_rule_matches_the_search(data):
         for y in g.neighbors(x):
             if y != u1:
                 labels[norm_edge(x, y)] = data.draw(near, label=f"edge {x}-{y}")
-    flip = data.draw(st.sampled_from([0, k, k + 3]), label="flip")
-    f = TotalLabeling(g, k, {z: flip - lab if flip else lab
-                             for z, lab in labels.items() if lab is not None}, flip)
-    searched = TotalLabeling(g, k, dict(f.assignment), flip)
+    f = TotalLabeling(g, k, {z: lab for z, lab in labels.items() if lab is not None})
+    searched = TotalLabeling(g, k, dict(f.assignment))
     found = extend_bounded(searched, freed) is not None
     assert delta3._refill(u1, f) is found
     assert list(f.assignment.items()) == list(searched.assignment.items())

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from outerlabel import delta3
-from outerlabel.delta3 import Diagnostics, _attach_chorded_block, _label_span5
+from outerlabel.delta3 import Diagnostics, _attach_leaf_block, _label_span5
 from outerlabel.embedding import recognize_embed
 from outerlabel.exact import extend_bounded
 from outerlabel.graphs import Graph, norm_edge
@@ -72,7 +72,7 @@ def attach_case(leaf, v_c, few, fw):
     assert base_h is not None, "remainder must be labelable with pinned stubs"
     base = TotalLabeling(g, 5, dict(base_h.assignment))
     diag = Diagnostics()
-    out = _attach_chorded_block(base, leaf, recognize_embed(leaf), v_c, w, diag)
+    out = _attach_leaf_block(g, recognize_embed(leaf).blocks[0], v_c, w, diag, base)
     return g, out, diag
 
 

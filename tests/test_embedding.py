@@ -79,12 +79,12 @@ def test_reject_disconnected_before_any_block():
     for g in (two, Graph.from_edges([], 2), Graph.from_edges([(0, 1), (2, 3)]),
               Graph.from_edges(list(c6_chord().edges) + [(5, 6), (7, 8), (8, 9)])):
         emb = recognize_embed(g)
-        assert emb.may_split and emb.graph is g
+        assert emb._seeds and emb.graph is g
         parts = [recognize_embed(g.induced(c)) for c in g.components()]
         assert emb.blocks == tuple(sorted((b for p in parts for b in p.blocks),
                                           key=lambda b: b.cycle))
         assert emb.bridge_edges == {e for p in parts for e in p.bridge_edges}
-    assert not recognize_embed(c6_chord()).may_split
+    assert not recognize_embed(c6_chord())._seeds
     k4_and_one = Graph.from_edges(
         [(a, b) for a in range(4) for b in range(a + 1, 4)], 5)
     with pytest.raises(NotOuterplanar):
@@ -326,7 +326,7 @@ def _assert_same_embedding(emb, by_search) -> None:
     # the labelers iterate chord sets, so their order must match too
     assert [list(b.chords) for b in emb.blocks] == [list(b.chords) for b in by_search.blocks]
     assert emb.bridge_edges == by_search.bridge_edges
-    assert emb.may_split == by_search.may_split
+    assert bool(emb._seeds) == bool(by_search._seeds)
 
 
 def _ladder(n: int) -> Graph:
@@ -481,7 +481,7 @@ def test_without_equals_fresh_recognition(monkeypatch):
                 [v for v in g.vertices if v not in gone],
                 [e for e in g.edges if gone.isdisjoint(e) and e not in lost])
             comps = rest.graph.components()
-            if not rest.may_split:
+            if not rest._seeds:
                 assert len(comps) == 1
             graphs = [rest.graph.induced(c) for c in comps]
             parts, split_undo = rest.split()

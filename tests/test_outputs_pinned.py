@@ -24,7 +24,7 @@ from outerlabel.delta3 import Diagnostics
 from outerlabel.pipeline import label_outerplanar
 
 ROOT = Path(__file__).resolve().parents[1]
-DIGEST = "69466a797a39344dfc4b4cda3c12a6207541ad58850bd206d2eb3158d1bb47b4"
+DIGEST = "010bf50a57500fe7b758146578eca58d57e0e6847cbe3eb818037afaf13b5ea6"
 
 
 def _inputs():
@@ -44,7 +44,7 @@ def _inputs():
     # row, then by the "tight-gap low-bridge ends, even path" row
     leaf, v_c = tight_block(4, 1, 1, 1)
     yield join_leaf(leaf, v_c, gen.gen_glued_outerplanar(9, 1, {"max_degree": 3}), 2)
-    yield join_leaf(leaf, v_c, gen.gen_glued_outerplanar(12, 4, {"max_degree": 3}), 4)
+    yield join_leaf(leaf, v_c, gen.gen_glued_outerplanar(10, 17, {"max_degree": 3}), 3)
     # chain steps that end in template cases 2, 3 and 4
     for case_id in sorted(CHAIN_CASE_HOSTS):
         yield chain_case_host(case_id)

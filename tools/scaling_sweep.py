@@ -11,9 +11,14 @@ pentagon_leaves(k), a k-cycle with a chorded pentagon bridged to each
 vertex, whose every leaf is reattached across a chord; and
 sun_necklace(k), k suns of four ears in a row, reduced by one closed
 chain each.  Every labeling is checked with ``verify`` and span <= Δ + 2.
-A size is timed as the best of three runs.  A family stops growing after
-a size whose best run took longer than ``CAP_SECONDS`` or whose process
-peak memory (``ru_maxrss``, measured after the size) passed ``MAX_MB``.
+A size is timed as the best of three runs.  The runs take turns point by
+point: each (family, size) is timed on every run before the next, and the
+run that goes first alternates from one point to the next, so a drift in
+the machine's speed reaches every run alike.  A family's processes, one
+per run, are started together and each is sent one size at a time.  A
+run's family stops growing after a size whose best run took longer than
+``CAP_SECONDS`` or whose process peak memory (``ru_maxrss``, measured
+after the size) passed ``MAX_MB``.
 The exponent is the least-squares slope of log(seconds) over log(n), over
 every size a run reached (``exponent``) and over the sizes every run
 reached (``shared_exponent``), which compares runs over one range.
@@ -94,16 +99,20 @@ def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def sweep(name: str) -> dict:
-    """Run in the child process: one family, growing until a limit."""
+def serve(name: str) -> None:
+    """Run in the child process: one family, one size per line of stdin.
+
+    Prints the process's peak memory before any size, then one JSON point
+    per size it reads.
+    """
     from outerlabel.graphs import Graph
     from outerlabel.labeling import span, verify
     from outerlabel.pipeline import label_outerplanar
 
     fam, gen = _family_modules()
-    base = _peak_mb()
-    points = []
-    for size in SIZES:
+    print(json.dumps(_peak_mb()), flush=True)
+    for line in sys.stdin:
+        size = int(line)
         g = Graph.from_edges(FAMILIES[name](fam, gen, size))
         best = math.inf
         for _ in range(3):
@@ -112,18 +121,52 @@ def sweep(name: str) -> dict:
             best = min(best, time.perf_counter() - t0)
         if verify(f, 2) or span(f) > g.max_degree() + 2:
             raise AssertionError(f"{name}({size}): bad labeling")
-        peak = _peak_mb()
-        points.append({"n": g.n, "m": g.m, "seconds": round(best, 4),
-                       "peak_mb": round(peak, 1)})
-        print(f"{name:15s} n={g.n:6d} m={g.m:6d} {best:9.4f} s {peak:6.0f} MB",
-              file=sys.stderr)
-        if best > CAP_SECONDS or peak > MAX_MB:
-            break
-    slope = exponent(points)
-    grow = exponent(points, "peak_mb", base)
-    return {"points": points, "exponent": None if slope is None else round(slope, 3),
-            "base_mb": round(base, 1),
-            "memory_exponent": None if grow is None else round(grow, 3)}
+        print(json.dumps({"n": g.n, "m": g.m, "seconds": round(best, 4),
+                          "peak_mb": round(_peak_mb(), 1)}), flush=True)
+
+
+def _read(child: subprocess.Popen, what: str):
+    line = child.stdout.readline()
+    if not line:
+        raise SystemExit(f"{what}: the child process failed")
+    return json.loads(line)
+
+
+def sweep(name: str, envs: dict[str, dict], turn: int) -> tuple[dict, int]:
+    """Every run's points of one family, taking turns from ``turn`` on."""
+    children = {label: subprocess.Popen(
+        [sys.executable, __file__, "--child", name], env=env, text=True,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE) for label, env in envs.items()}
+    try:
+        base = {label: _read(child, f"{label} {name}") for label, child in children.items()}
+        points: dict[str, list] = {label: [] for label in children}
+        growing = list(children)
+        for size in SIZES:
+            if not growing:
+                break
+            for label in growing[::-1] if turn % 2 else list(growing):
+                child = children[label]
+                child.stdin.write(f"{size}\n")
+                child.stdin.flush()
+                p = _read(child, f"{label} {name}({size})")
+                points[label].append(p)
+                print(f"{label:8s} {name:15s} n={p['n']:6d} m={p['m']:6d} "
+                      f"{p['seconds']:9.4f} s {p['peak_mb']:6.0f} MB", file=sys.stderr)
+                if p["seconds"] > CAP_SECONDS or p["peak_mb"] > MAX_MB:
+                    growing.remove(label)
+            turn += 1
+    finally:
+        for child in children.values():
+            child.stdin.close()
+            child.wait()
+    out = {}
+    for label, pts in points.items():
+        slope = exponent(pts)
+        grow = exponent(pts, "peak_mb", base[label])
+        out[label] = {"points": pts, "exponent": None if slope is None else round(slope, 3),
+                      "base_mb": round(base[label], 1),
+                      "memory_exponent": None if grow is None else round(grow, 3)}
+    return out, turn
 
 
 def main() -> int:
@@ -134,23 +177,24 @@ def main() -> int:
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
-        print(json.dumps(sweep(args.child)))
+        serve(args.child)
         return 0
-    runs = {}
+    runs: dict[str, dict] = {}
+    envs = {}
     with tempfile.TemporaryDirectory() as cache:
         for spec in args.run or ["change=src"]:
             label, src = spec.split("=", 1)
-            print(f"-- {label}", file=sys.stderr)
             runs[label] = {}
-            env = {"PYTHONPATH": str(Path(src).resolve()), "PATH": "",
-                   "PYTHONPYCACHEPREFIX": cache}
+            envs[label] = env = {"PYTHONPATH": str(Path(src).resolve()), "PATH": "",
+                                 "PYTHONPYCACHEPREFIX": cache}
             # compile the package once, so that no child's base_mb holds the compiler's peak
             subprocess.run([sys.executable, "-c", "import outerlabel.pipeline"], env=env,
                            check=True)
-            for name in FAMILIES:
-                proc = subprocess.run([sys.executable, __file__, "--child", name], env=env,
-                                      stdout=subprocess.PIPE, check=True, text=True)
-                runs[label][name] = json.loads(proc.stdout)
+        turn = 0
+        for name in FAMILIES:
+            family, turn = sweep(name, envs, turn)
+            for label, result in family.items():
+                runs[label][name] = result
     for name in FAMILIES:
         shared = set.intersection(*({p["n"] for p in r[name]["points"]}
                                     for r in runs.values()))
