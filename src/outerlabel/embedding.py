@@ -17,14 +17,17 @@ Mitchell's linear recognition (Inf. Process. Lett. 9(5), 1979).
 ``OuterplanarEmbedding.remove`` cuts vertices and edges out of a working
 copy of the graph and returns its undo record, which the driver replays
 just before the step's finish rule runs; it patches the vertex index, the
-cut vertices, the leaf blocks and the reduction worklists where it changed
-them.  A pendant goes with its bridge, and an ear of a block of four or
-more vertices is spliced out of the block's boundary.  Any other block
-that loses one arc of its cycle (a 2-vertex, a chain's interior, all of a
-leaf block but its cut vertex) falls apart along the path left of its
-cycle, found by jumping along outermost chords, and its largest piece is
-relinked in place.  So a removal costs what it touches.  Recognition
-builds none of this state.
+cut vertices, each block's count of them (so a leaf block is found without
+reading its vertices), the leaf blocks and the reduction worklists where
+it changed them.  One vertex goes by its kind: a pendant or a path vertex
+with its bridges, a 2-vertex of a triangle or of a chordless cycle by
+leaving the rest of the cycle as a path of bridges, and an ear of a block
+of four or more vertices by a splice of the block's boundary.  Any other
+block that loses one arc of its cycle (another 2-vertex, a chain's
+interior, all of a leaf block but its cut vertex) falls apart along the
+path left of its cycle, found by jumping along outermost chords, and its
+largest piece is relinked in place.  So a removal costs what it touches.
+Recognition builds none of this state.
 """
 
 from __future__ import annotations
@@ -234,7 +237,7 @@ class OuterplanarEmbedding:
     """
 
     __slots__ = ("graph", "_seeds", "_sorted", "_bridges", "_own", "_block", "_at",
-                 "_cuts", "_leaves", "_heap", "_fresh", "_keys", "_work", "_low")
+                 "_cuts", "_ncut", "_leaves", "_heap", "_fresh", "_keys", "_work", "_low")
 
     def __init__(self, graph: Graph, blocks: Iterable[BlockEmbedding],
                  bridge_edges: Iterable[Edge], seeds: Iterable[int] = ()):
@@ -304,8 +307,9 @@ class OuterplanarEmbedding:
 
     def _index(self) -> dict[int, tuple]:
         """For each vertex the keys of the blocks (ints) and bridges (edges) on
-        it, built with ``_block`` (blocks by key), ``_cuts`` and ``_leaves``
-        (blocks with one cut vertex, but for those in ``_fresh``)."""
+        it, built with ``_block`` (blocks by key), ``_cuts``, ``_ncut`` (each
+        block's count of cut vertices) and ``_leaves`` (blocks with one cut
+        vertex, but for those in ``_fresh``)."""
         if self._block is None:
             at: dict[int, tuple] = dict.fromkeys(self.graph.vertices, ())
             self._block = dict(enumerate(self._sorted))
@@ -316,7 +320,9 @@ class OuterplanarEmbedding:
                 for v in e:
                     at[v] += (e,)
             self._at = at
-            self._cuts = {v for v, on in at.items() if len(on) > 1}
+            self._cuts = cuts = {v for v, on in at.items() if len(on) > 1}
+            self._ncut = {key: len(cuts.intersection(b.cycle))
+                          for key, b in self._block.items()}
             self._leaves: dict[int, BlockEmbedding] = {}
             self._heap: list = []  # (cycle, key) of the leaves, lazily deleted
             self._fresh = set(self._block)
@@ -326,10 +332,10 @@ class OuterplanarEmbedding:
     def leaf_block(self) -> tuple[BlockEmbedding, int] | None:
         """The first block, by cycle, with exactly one cut vertex, and that vertex."""
         self._index()
-        block, cuts, leaves = self._block, self._cuts, self._leaves
+        block, leaves = self._block, self._leaves
         for key in self._fresh:
             b = block.get(key)  # None: the block is gone
-            if b is not None and len(cuts.intersection(b.vertices())) == 1:
+            if b is not None and self._ncut[key] == 1:
                 leaves[key] = b
                 heapq.heappush(self._heap, (b.cycle, key))
             else:
@@ -341,7 +347,7 @@ class OuterplanarEmbedding:
         if not heap:
             return None
         b = leaves[heap[0][1]]
-        (cut,) = cuts.intersection(b.vertices())
+        (cut,) = self._cuts.intersection(b.vertices())
         return b, cut
 
     def remove(self, vertices: Iterable[int], edges: Iterable[Edge] = ()) -> tuple:
@@ -356,48 +362,85 @@ class OuterplanarEmbedding:
         When a removed vertex was a cut vertex or a bridge was removed, the
         vertices next to the removal become seeds for ``split``.
 
-        Two one-vertex removals, the most common steps, take a short path
-        that leaves what ``_cut_arc`` would: a pendant is cut with its
-        bridge (``_cut_pendant``), and an ear, a 2-vertex whose neighbours
-        are adjacent in a block of four or more vertices, is spliced out
-        of the block's boundary (``_cut_ear``).
+        One vertex and no edges (a pendant, or a 2-vertex of a C1 or C2
+        step) takes ``_cut_vertex``, which leaves exactly what ``_cut``
+        would but builds none of its maps; ``_cut`` takes the rest (a leaf
+        block but its cut vertex, a chain's interior, ``split``).
         """
         if not self._own:
             raise ValueError("only a working() embedding can be changed")
-        at = self._at if self._block is not None else self._index()
+        if self._block is None:
+            self._index()
         gone = set(vertices)
         if len(gone) == 1 and not edges:
-            (v,) = gone
-            on = at.get(v, ())
-            if len(on) == 1:
-                ns = self.graph.neighbors(v)
-                if len(ns) == 1:
-                    return self._cut_pendant(v, ns[0])
-                if (len(ns) == 2 and type(on[0]) is int and len(self._block[on[0]]) > 3
-                        and self.graph.has_edge(*ns)):
-                    return self._cut_ear(v, ns, on[0])
+            return self._cut_vertex(*gone)
         return self._cut(gone, edges)
 
-    def _cut_pendant(self, v: int, w: int) -> tuple:
-        """``remove([v])`` for a pendant ``v`` on ``w``: a bridge goes."""
-        at, cuts = self._at, self._cuts
-        e = (v, w) if v < w else (w, v)
+    def _cut_vertex(self, v: int) -> tuple:
+        """``remove([v])`` with no more set-up than ``v``'s kind needs.
+
+        A vertex on bridges alone (a pendant, a path vertex) takes them
+        along.  A vertex of one block without chords (a triangle, a
+        chordless cycle) leaves the rest of the cycle as a path of bridges;
+        an ear, whose neighbours are joined by a chord, is spliced out of
+        the boundary; any other vertex of one block is cut by ``_cut_arc``.
+        A cut vertex on a block, or a vertex not in the graph, goes to
+        ``_cut``.
+        """
+        at, g = self._at, self.graph
+        on = at.get(v)
+        if on is None or len(on) > 1 and len(g.neighbors(v)) > len(on):
+            return self._cut({v}, ())
+        ns = g.neighbors(v)
         del at[v]
-        self._bridges.discard(e)
-        at[w] = on = _drop(at[w], e)
-        undo = self.graph.cut((v,))
-        if len(on) == 1:  # ``w`` lost one of two entries: no longer a cut vertex
-            cuts.discard(w)
-            self._fresh.update(k for k in on if type(k) is int)
+        undo = g.cut((v,))
+        if len(ns) == len(on):  # a block would hold two of the neighbours
+            for e in on:
+                self._bridges.discard(e)
+                w = e[0] + e[1] - v
+                at[w] = _drop(at[w], e)
+            self._recheck(ns)
+            if len(on) > 1:
+                self._cuts.discard(v)
+                self._seeds.update(ns)
+        else:
+            key = on[0]
+            b = self._block[key]
+            if not b._chords:
+                self._recheck(self._open(v, key, b))
+            elif len(ns) == 2 and ns in b._chords:
+                self._splice(v, ns, key, b)
+            else:
+                self._recheck(self._split_block(key, {v}, (), {v: ns}))
         if self._work is not None:
-            self._work.removed({v}, (w,))
+            self._work.removed({v}, ns)
         return undo
 
-    def _cut_ear(self, v: int, ns: tuple[int, int], key: int) -> tuple:
-        """``remove([v])`` for an ear ``v`` of block ``key``: the boundary
-        skips ``v``, and the chord between its neighbours ``ns`` becomes a
-        boundary edge."""
-        b = self._block[key]
+    def _open(self, v: int, key: int, b: BlockEmbedding) -> list[int]:
+        """Drop block ``key`` (``b``, with no chords) for the path of bridges
+        its cycle leaves without ``v``; returns the path's inner vertices."""
+        at = self._at
+        del self._block[key]
+        del self._ncut[key]
+        self._leaves.pop(key, None)
+        self._sorted = None
+        if b._next is None:
+            i = b._cycle.index(v)
+            path = [*b._cycle[i + 1:], *b._cycle[:i]]
+        else:
+            nxt = b._next
+            path = [nxt[v]]
+            while nxt[path[-1]] != v:
+                path.append(nxt[path[-1]])
+        es = [(x, y) if x < y else (y, x) for x, y in zip(path, path[1:])]
+        self._bridges.update(es)
+        for i, x in enumerate(path):
+            at[x] = _drop(at[x], key) + tuple(es[max(i - 1, 0):i + 1])
+        return path[1:-1]
+
+    def _splice(self, v: int, ns: tuple[int, int], key: int, b: BlockEmbedding) -> None:
+        """Skip the ear ``v`` on the boundary of block ``key`` (``b``): the
+        chord between its neighbours ``ns`` becomes a boundary edge."""
         if b._next is None:
             b = self._block[key] = BlockEmbedding._linked(
                 b.cycle, set(b._chords), _positions(b.cycle))
@@ -407,26 +450,22 @@ class OuterplanarEmbedding:
             nxt[a] = c
         else:
             nxt[c] = a
-        del nxt[v], self._at[v]
+        del nxt[v]
         b._chords.discard(ns)
         b._cycle = b._faces = b._frozen = None
         self._sorted = None
         self._leaves.pop(key, None)
         self._fresh.add(key)
-        undo = self.graph.cut((v,))
-        if self._work is not None:
-            self._work.removed({v}, ns)
-        return undo
 
     def _cut(self, gone: set[int], edges: Iterable[Edge]) -> tuple:
-        """``remove`` by ``_cut_arc``, block by block."""
-        g, at = self.graph, self._at
-        block, cuts, bridges = self._block, self._cuts, self._bridges
+        """``remove`` by ``_cut_arc``, block by block: the one-vertex paths
+        are checked against it."""
+        g, at, bridges = self.graph, self._at, self._bridges
         if not gone <= at.keys():
             gone = {v for v in gone if v in at}
         cut = [e for e in {norm_edge(u, v) for u, v in edges}
                if g.has_edge(*e) and gone.isdisjoint(e)] if edges else []
-        may_split = not cuts.isdisjoint(gone)
+        may_split = not self._cuts.isdisjoint(gone)
         hits: dict[int, set[int]] = {}  # touched block key -> its removed vertices
         lost: dict[int, list[Edge]] = {}  # touched block key -> its removed chords
         nbrs = {}  # the removed vertices' neighbours, as they were
@@ -457,44 +496,67 @@ class OuterplanarEmbedding:
         undo = g.cut(gone, cut)
         touched = set(near)  # the vertices whose index entry may change
         for key, hit in hits.items():
-            b = block.pop(key)
-            self._leaves.pop(key, None)
-            self._sorted = None
-            left = _cut_arc(b, hit, lost.get(key, ()), nbrs, g)
-            if left is None:
-                raise ValueError(f"removal is not one arc of block {b.cycle}")
-            leaving, pieces, kept = left
-            for v in leaving:
-                at[v] = _drop(at[v], key)
-                touched.add(v)
-            if kept is not None:  # the largest block keeps the key
-                block[key] = kept
-                self._fresh.add(key)
-            for piece in pieces:
-                if isinstance(piece, tuple):
-                    bridges.add(piece)
-                    new, ons = piece, piece
-                else:
-                    new, ons = next(self._keys), piece.vertices()
-                    block[new] = piece
-                    self._fresh.add(new)
-                for v in ons:
-                    at[v] += (new,)
-                    touched.add(v)
-        cuts -= gone
-        for v in touched:
-            on = at[v]
-            if (len(on) > 1) != (v in cuts):
-                self._fresh.update(k for k in on if type(k) is int)
-                if len(on) > 1:
-                    cuts.add(v)
-                else:
-                    cuts.discard(v)
+            touched.update(self._split_block(key, hit, lost.get(key, ()), nbrs))
+        self._cuts -= gone
+        self._recheck(touched)
         if self._work is not None:
             self._work.removed(gone, near)
         if may_split:
             self._seeds |= near
         return undo
+
+    def _split_block(self, key: int, hit: set[int], lost: Iterable[Edge],
+                     nbrs: dict[int, tuple[int, ...]]) -> list[int]:
+        """Replace block ``key`` by what ``_cut_arc`` leaves of it once
+        ``hit`` and ``lost`` are gone (the graph has lost them); returns
+        the vertices whose index entries changed."""
+        at, block, cuts, ncut = self._at, self._block, self._cuts, self._ncut
+        b = block.pop(key)
+        self._leaves.pop(key, None)
+        self._sorted = None
+        left = _cut_arc(b, hit, lost, nbrs, self.graph)
+        if left is None:
+            raise ValueError(f"removal is not one arc of block {b.cycle}")
+        leaving, pieces, kept = left
+        for v in leaving:
+            at[v] = _drop(at[v], key)
+        if kept is not None:  # the largest block keeps the key
+            block[key] = kept
+            self._fresh.add(key)
+            ncut[key] -= sum(v in cuts for v in chain(hit, leaving))
+        else:
+            del ncut[key]
+        touched = list(leaving)
+        for piece in pieces:
+            if isinstance(piece, tuple):
+                self._bridges.add(piece)
+                new, ons = piece, piece
+            else:
+                new, ons = next(self._keys), piece.vertices()
+                block[new] = piece
+                self._fresh.add(new)
+                ncut[new] = sum(v in cuts for v in ons)
+            for v in ons:
+                at[v] += (new,)
+            touched += ons
+        return touched
+
+    def _recheck(self, vertices: Iterable[int]) -> None:
+        """Patch the cut set, and the cut counts and leaf marks of the
+        blocks on them, for ``vertices`` whose index entries changed."""
+        at, cuts, ncut = self._at, self._cuts, self._ncut
+        for v in vertices:
+            on = at[v]
+            if (len(on) > 1) != (v in cuts):
+                keys = [k for k in on if type(k) is int]
+                self._fresh.update(keys)
+                step = 1 if len(on) > 1 else -1
+                for k in keys:
+                    ncut[k] += step
+                if step > 0:
+                    cuts.add(v)
+                else:
+                    cuts.discard(v)
 
     def split(self) -> tuple[list["OuterplanarEmbedding"], tuple | None]:
         """The embedding of each component, in vertex order, and an undo record.

@@ -8,8 +8,8 @@ and C2 triangles); each reduction patches them where it changed the host.
 The scans below, run only here, are the reference at every host the
 driver pops: a fresh recognition of the working graph for the blocks and
 bridges, the extreme degrees and edge count, the pendant, C1 and C2
-worklists and the picks made from them, the cut vertices and the first
-leaf block.
+worklists and the picks made from them, the cut vertices, each block's
+count of them and the first leaf block.
 The last test counts the work a labeling does.
 """
 
@@ -27,7 +27,7 @@ from outerlabel import generators as gen
 from outerlabel.graphs import Graph
 from outerlabel.labeling import TotalLabeling, span, verify
 from outerlabel.pipeline import label_outerplanar
-from outerlabel.embedding import recognize_embed
+from outerlabel.embedding import BlockEmbedding, recognize_embed
 from outerlabel.structure import find_configuration
 
 
@@ -80,6 +80,8 @@ def _check(emb) -> None:
     on.update(v for e in emb.bridge_edges for v in e)
     cuts = {v for v, c in on.items() if c > 1}
     assert _cut_vertices(emb) == cuts == g.cut_vertices()
+    assert emb._ncut == {key: len(cuts.intersection(b.vertices()))
+                         for key, b in emb._block.items()}
     leaf = next((b for b in emb.blocks if len(cuts.intersection(b.cycle)) == 1), None)
     if leaf is None:
         assert emb.leaf_block() is None
@@ -100,7 +102,7 @@ def test_carried_state_equals_scans(monkeypatch):
     monkeypatch.setattr(delta3, "_step5", checked(delta3._step5))
     monkeypatch.setattr(delta4, "_step6", checked(delta4._step6))
     hosts = [_capped_polygon(96, 4, "carried"), gen.gen_strip(120),
-             _bridged_hexagons(16)]
+             _bridged_hexagons(16), gen.gen_pentagon_leaves(12)]
     hosts += [gen.gen_glued_outerplanar(10 + s % 40, s, {"max_degree": 3 + s % 2})
               for s in range(200)]
     hosts += [g for n in range(4, 8) for g in gen.enumerate_dissections(n)
@@ -120,18 +122,27 @@ def _inside_remove() -> bool:
     return False
 
 
-@pytest.mark.parametrize("g", [gen.gen_strip(480), _capped_polygon(960, 4, "work"),
-                               _bridged_hexagons(160), gen.gen_pentagon_leaves(200)],
-                         ids=["strip480", "capped960", "bridged160", "pentagon200"])
-def test_reduction_work_is_linear(monkeypatch, g):
-    # a removal traces no faces (the blocks it leaves trace theirs when
-    # read), and the steps read degrees off the worklists and the degree
-    # histogram instead of scanning the host: at most 10 Graph.degree calls
-    # per vertex (about 4-7 today; the whole-host scans made 86-1,205).
-    # The finish rules write each label about once: at most 2 writes per
-    # element through TotalLabeling.set and update (1.0-1.7 today), also
-    # on pentagon200, whose every leaf attach meets a bridge labeled 2 or
-    # less and writes only the complement of its own labels
+@pytest.mark.parametrize("family, size", [
+    (gen.gen_strip, 480), (lambda n: _capped_polygon(n, 4, "work"), 960),
+    (_bridged_hexagons, 160), (gen.gen_pentagon_leaves, 200),
+], ids=["strip480", "capped960", "bridged160", "pentagon200"])
+def test_reduction_work_is_linear(monkeypatch, family, size):
+    # each family is labeled at ``size`` (480 to 1,200 vertices) and at 8
+    # times that.  Five counts of the work done must grow no faster than 1.5
+    # times the vertex count: block vertices read (``vertices()`` and
+    # ``cycle`` reads, each weighted by its block's length), vertices walked
+    # by ``_cut_arc`` (what it leaves of a block), elements checked by
+    # ``verify_around``, completion-search nodes and Graph.degree calls.
+    # sun_necklace stays out until closed-chain steps stop rebuilding every
+    # block's ear map (quadratic there).
+    # Besides, a removal traces no faces (the blocks it leaves trace theirs
+    # when read), and the steps read degrees off the worklists and the
+    # degree histogram instead of scanning the host: at most 10 Graph.degree
+    # calls per vertex (about 4-7 today; the whole-host scans made
+    # 86-1,205).  The finish rules write each label about once: at most 2
+    # writes per element through TotalLabeling.set and update (1.0-1.7
+    # today), also on pentagon200, whose every leaf attach meets a bridge
+    # labeled 2 or less and writes only the complement of its own labels
     passes = []
     real_pass = embedding._face_pass
 
@@ -139,33 +150,44 @@ def test_reduction_work_is_linear(monkeypatch, g):
         passes.append(_inside_remove())
         return real_pass(*args)
 
-    calls = 0
-    real_degree = Graph.degree
+    work = Counter()
 
-    def degree(self, v):
-        nonlocal calls
-        calls += 1
-        return real_degree(self, v)
+    def counting(name, real, weight):
+        def counted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            work[name] += weight(args, kwargs, out)
+            return out
+        return counted
 
-    writes = 0
-    real_set, real_update = TotalLabeling.set, TotalLabeling.update
-
-    def set_label(self, element, label):
-        nonlocal writes
-        writes += 1
-        real_set(self, element, label)
-
-    def update(self, other):
-        nonlocal writes
-        writes += len(other)
-        real_update(self, other)
+    def length(args, kwargs, out):
+        return len(args[0])
 
     monkeypatch.setattr(embedding, "_face_pass", face_pass)
-    monkeypatch.setattr(Graph, "degree", degree)
-    monkeypatch.setattr(TotalLabeling, "set", set_label)
-    monkeypatch.setattr(TotalLabeling, "update", update)
-    f = label_outerplanar(g)
-    assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
-    assert True not in passes
-    assert calls <= 10 * g.n
-    assert writes <= 2 * (g.n + g.m)
+    monkeypatch.setattr(BlockEmbedding, "cycle", property(counting(
+        "block vertices read", BlockEmbedding.cycle.fget, length)))
+    for owner, attr, name, weight in [
+        (BlockEmbedding, "vertices", "block vertices read", length),
+        (embedding, "_cut_arc", "walked by _cut_arc",
+         lambda args, kwargs, out: len(out[0]) + sum(map(len, out[1]))),
+        (delta3, "verify_around", "checked by verify_around",
+         lambda args, kwargs, out: len(args[1])),
+        (delta3, "extend_bounded", "completion nodes",
+         lambda args, kwargs, out: kwargs["stats"].nodes),
+        (Graph, "degree", "Graph.degree calls", lambda args, kwargs, out: 1),
+        (TotalLabeling, "set", "label writes", lambda args, kwargs, out: 1),
+        (TotalLabeling, "update", "label writes", lambda args, kwargs, out: len(args[1])),
+    ]:
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr), weight))
+    counts = []
+    for g in (family(size), family(8 * size)):
+        work.clear()
+        f = label_outerplanar(g)
+        assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
+        assert True not in passes
+        assert work["Graph.degree calls"] <= 10 * g.n
+        assert work["label writes"] <= 2 * (g.n + g.m)
+        counts.append((g.n, dict(work)))
+    (n1, small), (n2, big) = counts
+    for name in ("block vertices read", "walked by _cut_arc", "checked by verify_around",
+                 "completion nodes", "Graph.degree calls"):
+        assert big.get(name, 0) * n1 <= 1.5 * n2 * small.get(name, 0), (name, small, big)

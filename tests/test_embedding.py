@@ -514,13 +514,13 @@ def test_without_equals_fresh_recognition(monkeypatch):
 
 
 def _short_path_state(emb, undo):
-    """What a removal leaves that later steps read: index, cut set, leaves,
-    blocks, worklist picks, the graph and the undo record."""
+    """What a removal leaves that later steps read: index, cut set and
+    counts, leaves, blocks, worklist picks, the graph and the undo record."""
     emb._index()
     fresh = set(emb._fresh)
     leaf = emb.leaf_block()
     work = emb.worklists()
-    return (emb._at, emb._cuts, emb._bridges, emb._seeds, fresh,
+    return (emb._at, emb._cuts, emb._ncut, emb._bridges, emb._seeds, fresh,
             leaf and (leaf[0].cycle, leaf[1]),
             {key: b.cycle for key, b in emb._leaves.items()},
             {key: (b.cycle, list(b.chords)) for key, b in emb._block.items()},
@@ -530,23 +530,32 @@ def _short_path_state(emb, undo):
 
 
 def _one_vertex_steps(emb):
-    """The pendants and ears of ``emb``: (vertex, "pendant" or "ear")."""
+    """The vertices of degree 1 or 2 of ``emb`` and their kinds: a pendant,
+    a path vertex (on two bridges), or a 2-vertex of a triangle, of a
+    chordless cycle, of a block whose chord joins its neighbours (an ear)
+    or of another block with chords."""
     g, at = emb.graph, emb._index()
     for v in g.vertices:
-        ns = g.neighbors(v)
+        ns, on = g.neighbors(v), at[v]
         if len(ns) == 1:
             yield v, "pendant"
-        elif (len(ns) == 2 and len(at[v]) == 1 and type(at[v][0]) is int
-              and len(emb._block[at[v][0]]) > 3 and g.has_edge(*ns)):
-            yield v, "ear"
+        elif len(ns) != 2:
+            continue
+        elif type(on[0]) is not int:
+            yield v, "path"
+        else:
+            b = emb._block[on[0]]
+            yield v, ("triangle" if len(b) == 3 else "chordless" if not b._chords
+                      else "ear" if ns in b._chords else "chorded")
 
 
 def test_short_paths_leave_what_cut_arc_does(monkeypatch):
     # on every n <= 7 sweep host of maximum degree 3 or 4, two working copies
-    # remove the first pendant or ear, one by ``remove``'s short path and one
-    # by ``_cut_arc``, and keep doing so until neither is left, so ears of
-    # linked blocks are spliced too; each other ear of the host is removed
-    # once.  After every removal the copies are compared.
+    # remove the first vertex of degree 1 or 2, one by ``remove``'s one-vertex
+    # path and one by ``_cut``, and keep doing so while a block is left, so
+    # vertices of linked blocks go too; each other 2-vertex of the host's
+    # blocks of four or more vertices is removed once.  After every removal
+    # the copies are compared, and ``_cut`` is never entered for one vertex.
     general = []
     real = OuterplanarEmbedding._cut
 
@@ -562,18 +571,22 @@ def test_short_paths_leave_what_cut_arc_does(monkeypatch):
         emb = recognize_embed(g)
         steps = list(_one_vertex_steps(emb.working()))
         for i, (v, kind) in enumerate(steps):
-            if i and kind == "pendant":
+            if i and kind in ("pendant", "path", "triangle"):
                 continue
             short, other = emb.working(), emb.working()
             _short_path_state(short, None)
             _short_path_state(other, None)
             while v is not None:
                 seen[kind] += 1
-                if kind == "ear":
-                    seen["linked ear"] += short._block[short._at[v][0]]._next is not None
+                if kind not in ("pendant", "path"):
+                    seen["linked"] += short._block[short._at[v][0]]._next is not None
                 undo = short.remove([v])
                 assert short not in general
                 want = _short_path_state(other, real(other, {v}, ()))
                 assert _short_path_state(short, undo) == want
-                v, kind = next(_one_vertex_steps(short), (None, None)) if not i else (None, None)
-    assert seen["pendant"] > 20000 and seen["ear"] > 5000 and seen["linked ear"] > 900
+                if i or not short._block:
+                    break
+                v, kind = next(_one_vertex_steps(short), (None, None))
+    least = {"pendant": 5000, "path": 1500, "triangle": 5000, "ear": 4000,
+             "chordless": 2500, "chorded": 1500, "linked": 3000}
+    assert all(seen[kind] > n for kind, n in least.items()), seen
