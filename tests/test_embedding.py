@@ -579,7 +579,7 @@ def test_short_paths_leave_what_cut_arc_does(monkeypatch):
             while v is not None:
                 seen[kind] += 1
                 if kind not in ("pendant", "path"):
-                    seen["linked"] += short._block[short._at[v][0]]._next is not None
+                    seen["linked " + kind] += short._block[short._at[v][0]]._next is not None
                 undo = short.remove([v])
                 assert short not in general
                 want = _short_path_state(other, real(other, {v}, ()))
@@ -588,5 +588,6 @@ def test_short_paths_leave_what_cut_arc_does(monkeypatch):
                     break
                 v, kind = next(_one_vertex_steps(short), (None, None))
     least = {"pendant": 5000, "path": 1500, "triangle": 5000, "ear": 4000,
-             "chordless": 2500, "chorded": 1500, "linked": 3000}
+             "chordless": 2500, "chorded": 1500, "linked triangle": 2000,
+             "linked ear": 700, "linked chordless": 300, "linked chorded": 100}
     assert all(seen[kind] > n for kind, n in least.items()), seen
