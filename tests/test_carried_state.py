@@ -27,7 +27,7 @@ from outerlabel import generators as gen
 from outerlabel.graphs import Graph
 from outerlabel.labeling import TotalLabeling, span, verify
 from outerlabel.pipeline import label_outerplanar
-from outerlabel.embedding import BlockEmbedding, recognize_embed
+from outerlabel.embedding import BlockEmbedding, OuterplanarEmbedding, recognize_embed
 from outerlabel.structure import find_configuration
 
 
@@ -130,7 +130,8 @@ def test_reduction_work_is_linear(monkeypatch, family, size):
     # each family is labeled at ``size`` (480 to 1,200 vertices) and at 8
     # times that.  Five counts of the work done must grow no faster than 1.5
     # times the vertex count: block vertices read (``vertices()`` and
-    # ``cycle`` reads, each weighted by its block's length), vertices walked
+    # ``cycle`` reads, each weighted by its block's length, and the path a
+    # chordless block opens into, which ``_open`` walks), vertices walked
     # by ``_cut_arc`` (what it leaves of a block), elements checked by
     # ``verify_around``, completion-search nodes and Graph.degree calls.
     # sun_necklace stays out until closed-chain steps stop rebuilding every
@@ -167,6 +168,8 @@ def test_reduction_work_is_linear(monkeypatch, family, size):
         "block vertices read", BlockEmbedding.cycle.fget, length)))
     for owner, attr, name, weight in [
         (BlockEmbedding, "vertices", "block vertices read", length),
+        (OuterplanarEmbedding, "_open", "block vertices read",
+         lambda args, kwargs, out: len(out) + 2),
         (embedding, "_cut_arc", "walked by _cut_arc",
          lambda args, kwargs, out: len(out[0]) + sum(map(len, out[1]))),
         (delta3, "verify_around", "checked by verify_around",

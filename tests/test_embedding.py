@@ -513,6 +513,16 @@ def test_without_equals_fresh_recognition(monkeypatch):
     assert its.bridge_edges == {(1, 3)}
 
 
+def _prime(emb):
+    """Build the index, the leaves and the worklists of ``emb``, so that a
+    removal patches them."""
+    emb._index()
+    emb.leaf_block()
+    work = emb.worklists()
+    for kind in ("pendant", "C1", "C2"):
+        work.first(kind)
+
+
 def _short_path_state(emb, undo):
     """What a removal leaves that later steps read: index, cut set and
     counts, leaves, blocks, worklist picks, the graph and the undo record."""
@@ -529,33 +539,47 @@ def _short_path_state(emb, undo):
             emb.graph._adj, emb.graph.m, undo)
 
 
-def _one_vertex_steps(emb):
-    """The vertices of degree 1 or 2 of ``emb`` and their kinds: a pendant,
-    a path vertex (on two bridges), or a 2-vertex of a triangle, of a
+def _vertex_kind(emb, v):
+    """How ``remove([v])`` takes ``v``: on bridges alone (a pendant, a path
+    vertex, or a hub of three or more), as a vertex of one block with a
+    chord at it (a chord end), or as a 2-vertex of a triangle, of a
     chordless cycle, of a block whose chord joins its neighbours (an ear)
-    or of another block with chords."""
-    g, at = emb.graph, emb._index()
-    for v in g.vertices:
-        ns, on = g.neighbors(v), at[v]
-        if len(ns) == 1:
-            yield v, "pendant"
-        elif len(ns) != 2:
-            continue
-        elif type(on[0]) is not int:
-            yield v, "path"
-        else:
-            b = emb._block[on[0]]
-            yield v, ("triangle" if len(b) == 3 else "chordless" if not b._chords
-                      else "ear" if ns in b._chords else "chorded")
+    or of another block with chords.  None for an isolated vertex and for
+    a cut vertex on a block, which ``_cut_vertex`` leaves to ``_cut``."""
+    ns, on = emb.graph.neighbors(v), emb._at[v]
+    if not ns:
+        return None
+    if all(type(k) is not int for k in on):
+        return "pendant" if len(ns) == 1 else "path" if len(ns) == 2 else "hub"
+    if len(on) > 1:
+        return None
+    b = emb._block[on[0]]
+    if len(ns) > 2:
+        return "chord end"
+    return ("triangle" if len(b) == 3 else "chordless" if not b._chords
+            else "ear" if ns in b._chords else "chorded")
 
 
-def test_short_paths_leave_what_cut_arc_does(monkeypatch):
-    # on every n <= 7 sweep host of maximum degree 3 or 4, two working copies
-    # remove the first vertex of degree 1 or 2, one by ``remove``'s one-vertex
-    # path and one by ``_cut``, and keep doing so while a block is left, so
-    # vertices of linked blocks go too; each other 2-vertex of the host's
-    # blocks of four or more vertices is removed once.  After every removal
-    # the copies are compared, and ``_cut`` is never entered for one vertex.
+def _one_vertex_steps(emb, kinds):
+    """The vertices of ``emb`` whose kind (``_vertex_kind``) is in ``kinds``,
+    in vertex order: (vertex, kind)."""
+    emb._index()
+    for v in emb.graph.vertices:
+        kind = _vertex_kind(emb, v)
+        if kind in kinds:
+            yield v, kind
+
+
+def _one_vertex_removals(monkeypatch, prefer, blocks_only, once):
+    """Remove vertices of every n <= 7 sweep host of maximum degree 3 or 4
+    from two working copies, one by ``remove``'s one-vertex path and one by
+    ``_cut``, compare the copies after every removal and check that
+    ``_cut`` is never entered for one vertex.  A chain removes the first
+    vertex of the kinds in ``prefer`` (groups of kinds, the first group
+    first) until none is left, or, if ``blocks_only``, while a block is
+    left; each other vertex of the host of a kind in ``once`` is removed
+    alone.  Returns the count of removals by kind, and by ``"linked "`` and
+    kind for those from a block that an earlier removal relinked."""
     general = []
     real = OuterplanarEmbedding._cut
 
@@ -563,31 +587,57 @@ def test_short_paths_leave_what_cut_arc_does(monkeypatch):
         general.append(self)
         return real(self, gone, edges)
 
+    def pick(emb):
+        return next((step for kinds in prefer for step in _one_vertex_steps(emb, kinds)),
+                    (None, None))
+
     monkeypatch.setattr(OuterplanarEmbedding, "_cut", cut)
     seen = Counter()
     for g in _polygon_subsets():
         if g.max_degree() not in (3, 4):
             continue
         emb = recognize_embed(g)
-        steps = list(_one_vertex_steps(emb.working()))
-        for i, (v, kind) in enumerate(steps):
-            if i and kind in ("pendant", "path", "triangle"):
+        head = pick(emb.working())
+        for v, kind in _one_vertex_steps(emb.working(), once + sum(prefer, ())):
+            chained = (v, kind) == head
+            if not chained and kind not in once:
                 continue
             short, other = emb.working(), emb.working()
-            _short_path_state(short, None)
-            _short_path_state(other, None)
+            _prime(short)
+            _prime(other)
             while v is not None:
                 seen[kind] += 1
-                if kind not in ("pendant", "path"):
-                    seen["linked " + kind] += short._block[short._at[v][0]]._next is not None
+                on = short._at[v]
+                if type(on[0]) is int:
+                    seen["linked " + kind] += short._block[on[0]]._next is not None
                 undo = short.remove([v])
                 assert short not in general
                 want = _short_path_state(other, real(other, {v}, ()))
                 assert _short_path_state(short, undo) == want
-                if i or not short._block:
+                if not chained or blocks_only and not short._block:
                     break
-                v, kind = next(_one_vertex_steps(short), (None, None))
-    least = {"pendant": 5000, "path": 1500, "triangle": 5000, "ear": 4000,
-             "chordless": 2500, "chorded": 1500, "linked triangle": 2000,
-             "linked ear": 700, "linked chordless": 300, "linked chorded": 100}
+                v, kind = pick(short)
+    return seen
+
+
+def test_short_paths_leave_what_cut_arc_does(monkeypatch):
+    # the chain removes the first pendant or ear until neither is left, so
+    # ears of linked blocks are spliced too, and pendants of the forest
+    # left go as well; each other ear of the host is removed alone
+    seen = _one_vertex_removals(monkeypatch, [("pendant", "ear")], False, ("ear",))
+    assert seen["pendant"] > 20000 and seen["ear"] > 5000 and seen["linked ear"] > 900, seen
+
+
+def test_every_one_vertex_kind_leaves_what_cut_does(monkeypatch):
+    # the chain removes the first 2-vertex of any kind, else the first
+    # pendant, while a block is left, so triangles, chordless cycles and
+    # other blocks are cut once a removal relinked them; each other
+    # chordless or chorded 2-vertex, chord end and hub of the host is
+    # removed alone
+    twos = ("path", "triangle", "chordless", "ear", "chorded")
+    seen = _one_vertex_removals(monkeypatch, [twos, ("pendant",)], True,
+                                ("chordless", "chorded", "chord end", "hub"))
+    least = {"path": 1500, "triangle": 5000, "chordless": 2500, "chorded": 1500,
+             "chord end": 1000, "hub": 100, "linked triangle": 2000,
+             "linked chordless": 300, "linked chorded": 100}
     assert all(seen[kind] > n for kind, n in least.items()), seen
