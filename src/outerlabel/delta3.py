@@ -21,9 +21,11 @@ its embedding (the input recognized once, whole), and one labeling per
 component.  A per-degree step function either labels a connected host
 directly (path or cycle, boundary walk) or removes what its reduction
 drops (``OuterplanarEmbedding.remove``) and returns the graph's undo
-record with the finish rule that extends the smaller host's labeling back
-(pendant rule, leaf-block attach); the driver replays each record just
-before its rule runs.
+record with the finish rule that extends the smaller host's labeling back;
+the driver replays each record just before its rule runs.  A pendant or
+the 2-vertex of a C1/C2 instance goes by one step, ``vertex_step``, and
+comes back by one rule, ``put_back``, in both labelers; a leaf block
+comes back by ``_attach_leaf_block``.
 
 Every finish rule extends its component's labeling in place and checks
 what it changed with ``verify_around``, which is exact because the smaller
@@ -484,22 +486,34 @@ def complete(f: TotalLabeling, frees: Iterable[list[Element]], where: str,
     raise InfeasibleTrace(f"{where}: no verified completion")
 
 
-def _pendant_step(host: OuterplanarEmbedding):
-    """Drop the smallest degree-1 vertex; a rule puts its vertex and edge back."""
-    u1 = host.worklists().first("pendant")
-    return host.remove([u1]), partial(_restore_pendant, u1)
+def vertex_step(host: OuterplanarEmbedding, u1: int, kind: str,
+                diag: Diagnostics | None):
+    """Drop ``u1``, a pendant or the 2-vertex of a ``kind`` (C1/C2) instance;
+    ``put_back`` extends the smaller host's labeling back over it."""
+    return host.remove([u1]), partial(put_back, u1, kind, diag)
 
 
-def _restore_pendant(u1: int, fh: TotalLabeling) -> TotalLabeling:
-    """Put the pendant ``u1`` and its edge back by ``_refill``, then check them.
+def put_back(u1: int, kind: str, diag: Diagnostics | None,
+             fh: TotalLabeling) -> TotalLabeling:
+    """Put the dropped ``u1`` and its edges back by ``_refill``, then check them.
 
-    At k = Δ+2 the edge keeps a label, and the pendant at least two, as the
-    paper's pendant extension has it.
+    At k = Δ+2 a pendant's edge keeps a label, and the pendant at least
+    two, as the paper's pendant extension has it.  Only a miss or a failed
+    check searches: ``complete`` frees ``u1``'s neighbours and their edges
+    too (the host can force both edges of a 2-vertex into {3, 6}, say,
+    leaving no vertex label) and logs the widening.
     """
-    where = f"pendant at vertex {u1}"
-    if _refill(u1, fh):
-        return check(fh, (u1, *fh.graph.incident_edges(u1)), where)
-    raise InfeasibleTrace(f"{where}: no verified completion")
+    g = fh.graph
+    freed = [u1, *g.incident_edges(u1)]
+    if _refill(u1, fh) and not verify_around(fh, freed):
+        return fh
+    wider = set(freed)
+    for nb in g.neighbors(u1):
+        wider.add(nb)
+        wider.update(g.incident_edges(nb))
+    where = f"pendant at vertex {u1}" if kind == "pendant" else f"{kind} completion"
+    return complete(fh, ([], sorted(wider, key=repr)), where, diag,
+                    "widened-completion", touched=freed)
 
 
 def _refill(u1: int, fh: TotalLabeling) -> bool:
@@ -694,7 +708,7 @@ def _step5(emb: OuterplanarEmbedding, diag: Diagnostics | None):
     if g.max_degree() <= 2:
         return label_cycle_or_path(g, k=5)
     if g.min_degree() == 1:
-        return _pendant_step(emb)
+        return vertex_step(emb, emb.worklists().first("pendant"), "pendant", diag)
     if emb.is_biconnected():
         f, _ = label_k2(emb, LabelK2Options(), diag)
         return f

@@ -7,9 +7,10 @@ each rule removes what it drops from that embedding in place
 of maximum degree 3 are labeled by the span-5 labeler inside the span-6
 range, on the same embedding.  Hosts of minimum degree 1 lose a pendant;
 hosts containing two adjacent 2-vertices or a triangle with a 2-vertex and
-a 3-vertex lose one 2-vertex, which the pendant's rule puts back; a bounded
-search over the neighbours' elements too runs (and is logged) only when that
-misses or fails its check.  The remaining hosts contain
+a 3-vertex lose one 2-vertex.  Both go by ``delta3.vertex_step`` and come
+back by ``delta3.put_back``, a rule; a bounded search over the neighbours'
+elements too runs (and is logged) only when that misses or fails its
+check.  The remaining hosts contain
 a closed fan of triangles whose interior is cut out; the chain-template
 finish rule labels it by one of eight per-parity label templates and
 splices it back.  Which template applies is decided by which pair of
@@ -43,13 +44,11 @@ from .delta3 import (
     InfeasibleTrace,
     NotDelta,
     _label_span5,
-    _pendant_step,
-    _refill,
     check,
-    complete,
     label_cycle_or_path,
     reduce_and_extend,
     run_ops,
+    vertex_step,
 )
 from .embedding import OuterplanarEmbedding, recognize_embed
 # extend_bounded and find_labeling_bounded are unused here; perfbench/tracing.py
@@ -57,7 +56,7 @@ from .embedding import OuterplanarEmbedding, recognize_embed
 from .exact import extend_bounded, find_labeling_bounded  # noqa: F401
 from .graphs import Element, Graph, norm_edge
 from .labeling import TotalLabeling, verify
-from .structure import Configuration, find_closed_chain
+from .structure import find_closed_chain
 # find_configuration is unused here; perfbench/tracing.py patches this binding
 from .structure import find_configuration  # noqa: F401
 
@@ -749,18 +748,6 @@ def apply_template(
 
 # -- reductions and the driver -----------------------------------------------
 
-def reduce_c1c2(host: OuterplanarEmbedding, config: Configuration) -> tuple[tuple, list]:
-    """Drop one 2-vertex of a C1/C2 instance; its undo record and freed elements."""
-    if config.kind not in ("C1", "C2"):
-        raise ValueError("reduction applies to C1/C2 only")
-    g = host.graph
-    u1 = config.witnesses[0]
-    if g.degree(u1) != 2:
-        raise ValueError(f"witness {u1} is not a 2-vertex")
-    freed: list[Element] = [u1] + g.incident_edges(u1)
-    return host.remove([u1]), freed
-
-
 def label_delta4(g: Graph, diag: Diagnostics | None = None) -> TotalLabeling:
     """Verified span <= 6 labeling of an outerplanar graph with max degree 4.
 
@@ -786,41 +773,20 @@ def _step6(emb: OuterplanarEmbedding, diag: Diagnostics | None):
         return label_cycle_or_path(g, k=6)
     if delta == 3:
         return TotalLabeling(g, 6, _label_span5(emb, diag).assignment)
-    if g.min_degree() == 1:
-        return _pendant_step(emb)
     work = emb.worklists()
+    if g.min_degree() == 1:
+        return vertex_step(emb, work.first("pendant"), "pendant", diag)
     for kind in ("C1", "C2"):
         witnesses = work.first(kind)
         if witnesses is not None:
             if diag is not None:
                 diag.step(f"degree-4 dispatch: {kind} at {witnesses}")
-            cfg = Configuration(kind, witnesses)
-            undo, freed = reduce_c1c2(emb, cfg)
-            return undo, partial(_fill_c1c2, g, cfg, freed, diag)
+            return vertex_step(emb, witnesses[0], kind, diag)
     chain = find_closed_chain(emb)
     if diag is not None:
         diag.step(f"degree-4 dispatch: closed chain {chain.spine}")
     undo = emb.remove(chain.interior(), [chain.closing_inner_edge])
     return undo, partial(_chain_surgery, chain, diag)
-
-
-def _fill_c1c2(g: Graph, cfg: Configuration, freed: list[Element],
-               diag: Diagnostics | None, fh: TotalLabeling) -> TotalLabeling:
-    def frees():
-        yield []  # _refill's answer is only checked: a miss or failed check widens
-        # Freeing only the dropped vertex's own elements is not always
-        # completable (the host can force both freed edges into {3,6}, say,
-        # leaving no vertex label).  Widening the search to the neighbors'
-        # elements relabels a slightly larger patch instead.
-        wider = set(freed)
-        for nb in g.neighbors(cfg.witnesses[0]):
-            wider.add(nb)
-            wider.update(g.incident_edges(nb))
-        yield sorted(wider, key=repr)
-
-    _refill(cfg.witnesses[0], fh)
-    return complete(fh, frees(), f"{cfg.kind} completion", diag, "widened-completion",
-                    touched=freed)
 
 
 def _chain_surgery(chain, diag: Diagnostics | None, fh: TotalLabeling) -> TotalLabeling:

@@ -17,11 +17,12 @@ from outerlabel.delta3 import (
     label_delta3,
     label_k2,
     pin_outer_edge,
+    put_back,
 )
 from outerlabel.embedding import recognize_embed
 from outerlabel.exact import extend_bounded, lambda_exact
 from outerlabel.graphs import Graph, norm_edge
-from outerlabel.labeling import TotalLabeling, span, verify
+from outerlabel.labeling import TotalLabeling, span, verify, verify_around
 from outerlabel.pipeline import label_outerplanar
 
 
@@ -354,7 +355,8 @@ def _pendant_host(degree: int, u1: int, u2: int) -> Graph:
 @given(st.data())
 def test_pendant_rule_matches_the_search(data):
     # the pendant rule writes the completion search's first answer, in the
-    # search's insertion order, and misses exactly where the search does
+    # search's insertion order; where the search misses, the rule widens
+    # once (logged) and labels the wider patch clean or leaves f unchanged
     degree = data.draw(st.integers(2, 4), label="degree of u2")
     u1, u2 = data.draw(st.sampled_from([(0, 1), (9, 0)]), label="u1, u2")
     g = _pendant_host(degree, u1, u2)
@@ -370,26 +372,37 @@ def test_pendant_rule_matches_the_search(data):
             labels[norm_edge(u2, x)] = data.draw(near, label=f"edge to {x}")
             labels[x] = data.draw(near, label=f"vertex {x}")
     f = TotalLabeling(g, k, {z: lab for z, lab in labels.items() if lab is not None})
+    before = dict(f.assignment)
     searched = TotalLabeling(g, k, dict(f.assignment))
-    if extend_bounded(searched, [u1, e]) is None:
-        with pytest.raises(InfeasibleTrace, match=(
-            rf"^pendant at vertex {u1}: no verified completion$"
-        )):
-            delta3._restore_pendant(u1, f)
+    d = Diagnostics()
+    if extend_bounded(searched, [u1, e]) is not None:
+        assert put_back(u1, "pendant", d, f) is f and d.records == []
+        assert list(f.assignment.items()) == list(searched.assignment.items())
+        return
+    try:
+        assert put_back(u1, "pendant", d, f) is f
+    except InfeasibleTrace as exc:
+        assert str(exc) == f"pendant at vertex {u1}: no verified completion"
+        assert f.assignment == before
     else:
-        assert delta3._restore_pendant(u1, f) is f
-    assert list(f.assignment.items()) == list(searched.assignment.items())
+        assert verify_around(f, [u1, u2, *g.incident_edges(u2)]) == []
+    assert d.records == [
+        {"event": "widened-completion", "where": f"pendant at vertex {u1}", "freed": 2 + degree}]
 
 
 def test_pendant_rule_misses_below_its_range():
     # at k = 3 < Δ+2 = 6 the edge back to u2 = 0 (labeled 0) has no label
-    # left once u2's other edges hold 2 and 3
+    # left once u2's other edges hold 2 and 3; freeing u2 and its edges too
+    # cannot help, as u2's four edges would take all of {0..3}
     g = _pendant_host(4, 9, 0)
     f = TotalLabeling(g, 3, {0: 0, (0, 10): 2, (0, 11): 3})
     assert extend_bounded(TotalLabeling(g, 3, dict(f.assignment)), [9, (0, 9)]) is None
+    d = Diagnostics()
     with pytest.raises(InfeasibleTrace, match=r"^pendant at vertex 9: no verified completion$"):
-        delta3._restore_pendant(9, f)
+        put_back(9, "pendant", d, f)
     assert f.assignment == {0: 0, (0, 10): 2, (0, 11): 3}
+    assert d.records == [
+        {"event": "widened-completion", "where": "pendant at vertex 9", "freed": 6}]
 
 
 def _two_vertex_host(u1: int, a: int, b: int, deg_a: int, deg_b: int, chord: bool) -> Graph:

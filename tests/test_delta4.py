@@ -12,7 +12,14 @@ from test_structure import _polygon_subsets
 
 from outerlabel import delta3, delta4, embedding
 from outerlabel import generators as gen
-from outerlabel.delta3 import Diagnostics, InfeasibleTrace, NotDelta
+from outerlabel.delta3 import (
+    Diagnostics,
+    InfeasibleTrace,
+    NotDelta,
+    label_cycle_or_path,
+    put_back,
+    vertex_step,
+)
 from outerlabel.delta4 import (
     CASE_TARGETS,
     CLAIM_PAIRS,
@@ -25,14 +32,13 @@ from outerlabel.delta4 import (
     chain_template,
     claim_pair,
     label_delta4,
-    reduce_c1c2,
 )
 from outerlabel.embedding import recognize_embed
 from outerlabel.exact import lambda_exact
 from outerlabel.graphs import Graph, norm_edge
 from outerlabel.labeling import TotalLabeling, span, verify
 from outerlabel.pipeline import UnsupportedDegree, label_outerplanar
-from outerlabel.structure import Configuration, find_configuration
+from outerlabel.structure import find_configuration
 
 
 def test_availability_examples():
@@ -160,29 +166,28 @@ def test_template_sweep_small(case_id, t):
 
 
 def test_reduce_c1():
-    # the reduction works in place on a copy of the graph, and its record undoes it
+    # the step works in place on a copy of the graph, its record undoes it,
+    # and its rule labels back exactly the dropped vertex and its edges
     g = gen.gen_cycle(5)
     emb = recognize_embed(g).working()
     cfg = find_configuration(emb)
-    undo, freed = reduce_c1c2(emb, cfg)
+    undo, finish = vertex_step(emb, cfg.witnesses[0], cfg.kind, None)
     assert emb.graph.n == 4 and emb.graph.m == 3 and g.n == 5
-    assert freed == [0, (0, 1), (0, 4)]
+    fh = label_cycle_or_path(emb.graph, k=6)
+    kept = dict(fh.assignment)
     emb.graph.put_back(undo)
     assert emb.graph == g
+    assert finish(fh) is fh and verify(fh, 2) == []
+    assert fh.assignment.keys() - kept.keys() == {0, (0, 1), (0, 4)}
+    assert {z: fh.assignment[z] for z in kept} == kept
 
 
 def test_reduce_c2():
     emb = recognize_embed(Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])).working()
     cfg = find_configuration(emb)
-    reduce_c1c2(emb, cfg)
-    assert emb.graph.n == 3 and emb.graph.m == 3  # a triangle remains
     assert cfg.witnesses[0] in (1, 3)
-
-
-def test_reduce_rejects_c3():
-    with pytest.raises(ValueError):
-        reduce_c1c2(recognize_embed(gen.gen_cycle(5)).working(),
-                    Configuration("C3", (0, 1, 2, 3, 4)))
+    vertex_step(emb, cfg.witnesses[0], cfg.kind, None)
+    assert emb.graph.n == 3 and emb.graph.m == 3  # a triangle remains
 
 
 def test_label_delta4_requires_degree_4():
@@ -282,14 +287,14 @@ def test_c1_completion_widens_after_a_miss():
 def test_c1_fill_widens_when_the_rule_misses():
     # at k = 4, below Δ+2 = 5, each freed edge can take only 4 against its
     # kept neighbours, so the rule leaves the dropped vertex unlabeled; the
-    # fill widens once, logs it, and the wider search labels the patch
+    # put-back widens once, logs it, and the wider search labels the patch
     g = Graph.from_edges([(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
     kept = {1: 0, (1, 3): 2, (1, 4): 3, 3: 4, 4: 1,
             2: 0, (2, 5): 2, (2, 6): 3, 5: 4, 6: 1}
     f = TotalLabeling(g, 4, dict(kept))
     assert delta3._refill(0, f) is False and f.assignment == kept
     d = Diagnostics()
-    out = delta4._fill_c1c2(g, Configuration("C1", (0, 1, 2)), [0, (0, 1), (0, 2)], d, f)
+    out = put_back(0, "C1", d, f)
     assert out is f and verify(f, 2) == []
     assert d.records == [{"event": "widened-completion", "where": "C1 completion", "freed": 9}]
 

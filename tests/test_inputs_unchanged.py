@@ -14,7 +14,7 @@ from test_delta4 import _bridged_hexagons, _capped_polygon
 
 from outerlabel import delta3, delta4
 from outerlabel import generators as gen
-from outerlabel.delta3 import InfeasibleTrace, check, reduce_and_extend
+from outerlabel.delta3 import InfeasibleTrace, put_back, reduce_and_extend
 from outerlabel.embedding import recognize_embed
 from outerlabel.graphs import Graph
 from outerlabel.labeling import verify
@@ -68,22 +68,22 @@ def test_the_driver_leaves_a_passed_embedding_alone():
 
 @pytest.mark.parametrize("name", ["capped", "bridged", "union"])
 def test_a_failed_run_leaves_the_input_alone(monkeypatch, name):
-    # a failed check raises part-way, with the working copy cut: each of
-    # these hosts runs more than 20 checks (pendant restores, and on the
-    # bridged host leaf-block attaches too)
+    # a failed put-back raises part-way, with the working copy cut: each of
+    # these hosts puts back more than 10 dropped vertices (15 pendants on
+    # the bridged host, pendants and C1/C2 vertices on the other two)
     g = HOSTS[name]
     before = _state(g)
-    checks = []
+    calls = []
 
-    def failing_check(f, touched, where):
-        checks.append(where)
-        if len(checks) == 20:
-            raise InfeasibleTrace(f"{where}: refused")
-        return check(f, touched, where)
+    def failing_put_back(u1, kind, diag, fh):
+        calls.append(u1)
+        if len(calls) == 10:
+            raise InfeasibleTrace(f"{kind} at vertex {u1}: refused")
+        return put_back(u1, kind, diag, fh)
 
-    monkeypatch.setattr(delta3, "check", failing_check)
+    monkeypatch.setattr(delta3, "put_back", failing_put_back)
     with pytest.raises(InfeasibleTrace, match=r": refused$"):
         label_outerplanar(g)
-    assert _state(g) == before
+    assert len(calls) == 10 and _state(g) == before
     monkeypatch.undo()
     assert verify(label_outerplanar(g), 2) == [] and _state(g) == before
