@@ -22,7 +22,10 @@ component.  A per-degree step function either labels a connected host
 directly (path or cycle, boundary walk) or removes what its reduction
 drops (``OuterplanarEmbedding.remove``) and returns the graph's undo
 record with the finish rule that extends the smaller host's labeling back;
-the driver replays each record just before its rule runs.  A pendant or
+the driver replays each record just before its rule runs and sets the
+labeling's range to that host's Δ+2, so each rule works within its own
+host's range.  This labeler's step, ``step5``, also takes every host of a
+degree-4 run that has maximum degree 3 or less or a pendant.  A pendant or
 the 2-vertex of a C1/C2 instance goes by one step, ``vertex_step``, and
 comes back by one rule, ``put_back``, in both labelers; a leaf block
 comes back by ``_attach_leaf_block``.
@@ -54,13 +57,7 @@ from .embedding import (
     endfaces,
     recognize_embed,
 )
-from .exact import (
-    SearchBudgetExceeded,
-    SearchStats,
-    _forbid_mask,
-    _keep_masks,
-    extend_bounded,
-)
+from .exact import SearchBudgetExceeded, SearchStats, extend_bounded, extend_vertex
 # find_labeling_bounded is unused here; perfbench/tracing.py patches this binding
 from .exact import find_labeling_bounded  # noqa: F401
 from .graphs import Edge, Element, Graph, norm_edge
@@ -386,9 +383,8 @@ def _cycle_labels(m: int) -> list[int]:
 # -- the reduction driver ----------------------------------------------------
 
 
-def reduce_and_extend(host: OuterplanarEmbedding, k: int,
-                      step: Callable) -> TotalLabeling:
-    """Label ``host.graph`` within ``{0..k}`` by reducing it, then extending back.
+def reduce_and_extend(host: OuterplanarEmbedding, step: Callable) -> TotalLabeling:
+    """Label ``host.graph`` within ``{0..Δ+2}`` by reducing it, then extending back.
 
     The paper's induction, run in place on an explicit stack, on
     ``host.working()``: neither the caller's graph nor its embedding
@@ -398,9 +394,12 @@ def reduce_and_extend(host: OuterplanarEmbedding, k: int,
     with the finish rule that extends the smaller host's labeling back.
     The driver replays the record just before the rule runs, so each rule
     sees exactly its own host and extends its component's labeling in
-    place.  A host that may split is split into its components, labeled in
-    vertex order and joined into the largest one's labeling.  Finish rules
-    run in the post-order a recursive induction would give them.
+    place, within its own host's range: the driver sets the labeling's
+    ``k`` to that host's Δ+2 before the rule runs, as the paper's induction
+    extends a labeling of G′ within Δ(G′)+2 to one of G within Δ(G)+2.  A
+    host that may split is split into its components, labeled in vertex
+    order and joined into the largest one's labeling.  Finish rules run in
+    the post-order a recursive induction would give them.
     """
     graph = host.graph
     todo: list = [host.working()]  # hosts to label; (graph, record, rule or join)
@@ -431,9 +430,10 @@ def reduce_and_extend(host: OuterplanarEmbedding, k: int,
                     f.update(part.assignment)
             done.append(f)
         else:
-            done.append(then(done.pop()))
-    f = done.pop()
-    return f if f.graph is graph else TotalLabeling(graph, k, f.assignment)
+            f = done.pop()
+            f.k = g.max_degree() + 2
+            done.append(then(f))
+    return TotalLabeling(graph, graph.max_degree() + 2, done.pop().assignment)
 
 
 def check(f: TotalLabeling, touched: Collection[Element], where: str) -> TotalLabeling:
@@ -449,30 +449,29 @@ def check(f: TotalLabeling, touched: Collection[Element], where: str) -> TotalLa
     return f
 
 
-def complete(f: TotalLabeling, frees: Iterable[list[Element]], where: str,
-             diag: Diagnostics | None, event: str | None = None, *,
-             touched: Collection[Element] = ()) -> TotalLabeling:
+def complete(f: TotalLabeling, touched: Collection[Element],
+             frees: Iterable[list[Element]], where: str, diag: Diagnostics | None,
+             event: str | None = None) -> TotalLabeling:
     """The first checked completion of ``f``, freeing each of ``frees`` in turn.
 
     ``f`` is as ``check`` needs it around ``touched`` and the freed
     elements, so a completion is valid exactly when ``verify_around`` finds
     nothing there; no full ``verify`` runs here.  ``extend_bounded``
     relabels each freed set (normalized), in place, within
-    ``COMPLETION_BUDGET`` nodes; an empty set is only checked.  A completion
-    that does not check clean is put back.  ``frees`` is read one set at a
-    time, so a wider set is built only after a miss; each set after the
-    first is logged as ``event`` at ``where``.  Returns ``f``; raises
-    InfeasibleTrace when no set gives a valid labeling or a search spends
-    its budget.
+    ``COMPLETION_BUDGET`` nodes.  A completion that does not check clean is
+    put back.  ``frees`` is read one set at a time, so a wider set is built
+    only after a miss; when ``event`` is given, each set is logged as
+    ``event`` at ``where``.  Returns ``f``; raises InfeasibleTrace when no
+    set gives a valid labeling or a search spends its budget.
     """
     a = f.assignment
-    for i, free in enumerate(frees):
-        if i and diag is not None:
+    for free in frees:
+        if event is not None and diag is not None:
             diag.note(event=event, where=where, freed=len(free))
         old = [(el, a[el]) for el in free if el in a]
         stats = SearchStats(budget=COMPLETION_BUDGET)
         try:
-            if free and extend_bounded(f, free, stats=stats) is None:
+            if extend_bounded(f, free, stats=stats) is None:
                 continue
         except SearchBudgetExceeded as exc:
             raise InfeasibleTrace(
@@ -495,7 +494,8 @@ def vertex_step(host: OuterplanarEmbedding, u1: int, kind: str,
 
 def put_back(u1: int, kind: str, diag: Diagnostics | None,
              fh: TotalLabeling) -> TotalLabeling:
-    """Put the dropped ``u1`` and its edges back by ``_refill``, then check them.
+    """Put the dropped ``u1`` and its edges back by ``exact.extend_vertex``, then
+    check them.
 
     At k = Δ+2 a pendant's edge keeps a label, and the pendant at least
     two, as the paper's pendant extension has it.  Only a miss or a failed
@@ -505,79 +505,15 @@ def put_back(u1: int, kind: str, diag: Diagnostics | None,
     """
     g = fh.graph
     freed = [u1, *g.incident_edges(u1)]
-    if _refill(u1, fh) and not verify_around(fh, freed):
+    if extend_vertex(fh, u1) and not verify_around(fh, freed):
         return fh
     wider = set(freed)
     for nb in g.neighbors(u1):
         wider.add(nb)
         wider.update(g.incident_edges(nb))
     where = f"pendant at vertex {u1}" if kind == "pendant" else f"{kind} completion"
-    return complete(fh, ([], sorted(wider, key=repr)), where, diag,
-                    "widened-completion", touched=freed)
-
-
-def _refill(u1: int, fh: TotalLabeling) -> bool:
-    """Label the freed ``u1``, of degree 1 or 2, and its edges as the search would first.
-
-    ``extend_bounded(fh, [u1, *edges])`` written out: ``exact._plan``'s order
-    and seeding, labels ascending, the answer written in that order; on a
-    miss (False) ``fh`` is unchanged.
-    """
-    k = fh.k
-    g = fh.graph
-    get = fh.assignment.get
-    near, far = _keep_masks(1, k), _keep_masks(2, k)
-    ends = g.neighbors(u1)
-    vertex_dom = full = (1 << (k + 1)) - 1
-    keyed = []  # (-constraint degree, is an edge, element, starting domain)
-    for x in ends:
-        edge_dom = full
-        lab = get(x)
-        if lab is not None:
-            in_range = 0 <= lab <= k
-            vertex_dom &= near[lab] if in_range else ~_forbid_mask(lab, 1, k)
-            edge_dom &= far[lab] if in_range else ~_forbid_mask(lab, 2, k)
-        for y in g.neighbors(x):
-            lab = get((x, y) if x < y else (y, x)) if y != u1 else None
-            if lab is not None:
-                edge_dom &= near[lab] if 0 <= lab <= k else ~_forbid_mask(lab, 1, k)
-        keyed.append((-len(ends) - len(g.neighbors(x)), True,
-                      (u1, x) if u1 < x else (x, u1), edge_dom))
-    keyed.append((-2 * len(ends), False, u1, vertex_dom))  # before edges at equal degree
-    keyed.sort()
-    found = _first_labels(keyed, near, far)
-    if found is None:
-        return False
-    for (*_, el, _), lab in zip(keyed, found):
-        fh.assignment.pop(el, None)  # moved to the end, as the search writes it
-        fh.set(el, lab)
-    return True
-
-
-def _first_labels(keyed: list, near: tuple[int, ...], far: tuple[int, ...]) -> list[int] | None:
-    """The least labels, in ``_refill``'s order, of its two or three elements.
-
-    Two edges keep ``near`` of each other's label, a vertex and an edge
-    ``far``: the search's depth-first order over bitmasks, written out.
-    """
-    (_, e0, _, d0), (_, e1, _, d1), *last = keyed
-    while d0:
-        low = d0 & -d0
-        l0 = low.bit_length() - 1
-        d0 ^= low
-        n1 = d1 & (near if e0 and e1 else far)[l0]
-        if n1 and not last:
-            return [l0, (n1 & -n1).bit_length() - 1]
-        for _, e2, _, d2 in last:  # the third element, if there is one
-            n2 = d2 & (near if e0 and e2 else far)[l0]
-            while n1 and n2:
-                low = n1 & -n1
-                l1 = low.bit_length() - 1
-                n1 ^= low
-                left = n2 & (near if e1 and e2 else far)[l1]
-                if left:
-                    return [l0, l1, (left & -left).bit_length() - 1]
-    return None
+    return complete(fh, freed, [sorted(wider, key=repr)], where, diag,
+                    "widened-completion")
 
 
 # -- leaf-block surgery ------------------------------------------------------
@@ -647,8 +583,7 @@ def extend_lemma1(
     g3 = Graph([*far, *hidden], far_edges + path)
     if g3.max_degree() <= 2:
         # the far side is a single edge; complete it in place
-        return complete(f, [[*far_edges, *far[1:-1]]], "tiny reattachment", diag,
-                        touched=around)
+        return complete(f, around, [[*far_edges, *far[1:-1]]], "tiny reattachment", diag)
 
     emb3 = recognize_embed(g3)
     start, parity = (u_prime, 0) if g3.degree(u_prime) == 3 else (v_prime, 1)
@@ -668,10 +603,12 @@ def extend_lemma1(
     part = {z: 5 - l if mirrored else l for z, l in f1.assignment.items()
             if z in keep and z != u_prime and z != v_prime}
     f.update(part)
-    # re-choosing a junction vertex label is the construction's own final
-    # move, logged as a patch; a walk whose tips already fit is only checked
-    return complete(f, ([], [u_prime], [v_prime]), "reattachment junction", diag,
-                    "junction-patch", touched=around)
+    # a walk whose tips already fit is only checked; re-choosing a junction
+    # vertex label is the construction's own final move, logged as a patch
+    if not verify_around(f, around):
+        return f
+    return complete(f, around, ([u_prime], [v_prime]), "reattachment junction", diag,
+                    "junction-patch")
 
 
 # -- whole-graph driver ------------------------------------------------------
@@ -698,12 +635,13 @@ def label_delta3(g: Graph, diag: Diagnostics | None = None) -> TotalLabeling:
 
 
 def _label_span5(host: OuterplanarEmbedding, diag: Diagnostics | None) -> TotalLabeling:
-    """Maximum degree <= 3, labeling within {0..5}."""
-    return reduce_and_extend(host, 5, partial(_step5, diag=diag))
+    """Maximum degree <= 3, labeling within {0..Δ+2}."""
+    return reduce_and_extend(host, partial(step5, diag=diag))
 
 
-def _step5(emb: OuterplanarEmbedding, diag: Diagnostics | None):
-    """Label a connected host of maximum degree <= 3, or reduce it."""
+def step5(emb: OuterplanarEmbedding, diag: Diagnostics | None):
+    """Label a connected host of maximum degree <= 3, or reduce it; any
+    host with a pendant loses it."""
     g = emb.graph
     if g.max_degree() <= 2:
         return label_cycle_or_path(g, k=5)

@@ -4,13 +4,14 @@ The degree-4 step function for ``delta3.reduce_and_extend`` labels a host
 directly or reduces it by one rule.  A host comes with its embedding, and
 each rule removes what it drops from that embedding in place
 (``OuterplanarEmbedding.remove``), so no host is recognized again.  Hosts
-of maximum degree 3 are labeled by the span-5 labeler inside the span-6
-range, on the same embedding.  Hosts of minimum degree 1 lose a pendant;
-hosts containing two adjacent 2-vertices or a triangle with a 2-vertex and
-a 3-vertex lose one 2-vertex.  Both go by ``delta3.vertex_step`` and come
-back by ``delta3.put_back``, a rule; a bounded search over the neighbours'
-elements too runs (and is logged) only when that misses or fails its
-check.  The remaining hosts contain
+of maximum degree 3 or less, and hosts with a pendant, take the degree-3
+step (``delta3.step5``) in the same driver pass, and the driver gives each
+finish rule its own host's range, Δ+2: 5 under a host of maximum degree 3,
+6 under one of 4.  Hosts containing two adjacent 2-vertices or a triangle
+with a 2-vertex and a 3-vertex lose one 2-vertex, by
+``delta3.vertex_step``, and come back by ``delta3.put_back``, a rule; a
+bounded search over the neighbours' elements too runs (and is logged) only
+when that misses or fails its check.  The remaining hosts contain
 a closed fan of triangles whose interior is cut out; the chain-template
 finish rule labels it by one of eight per-parity label templates and
 splices it back.  Which template applies is decided by which pair of
@@ -43,13 +44,15 @@ from .delta3 import (
     Diagnostics,
     InfeasibleTrace,
     NotDelta,
-    _label_span5,
     check,
-    label_cycle_or_path,
     reduce_and_extend,
     run_ops,
+    step5,
     vertex_step,
 )
+# _label_span5 and label_cycle_or_path are unused here; perfbench/tracing.py
+# patches these bindings
+from .delta3 import _label_span5, label_cycle_or_path  # noqa: F401
 from .embedding import OuterplanarEmbedding, recognize_embed
 # extend_bounded and find_labeling_bounded are unused here; perfbench/tracing.py
 # patches these bindings
@@ -758,7 +761,7 @@ def label_delta4(g: Graph, diag: Diagnostics | None = None) -> TotalLabeling:
         raise ValueError("empty graph")
     if g.max_degree() != 4:
         raise NotDelta(4, g.max_degree())
-    out = reduce_and_extend(recognize_embed(g), 6, partial(_step6, diag=diag))
+    out = reduce_and_extend(recognize_embed(g), partial(_step6, diag=diag))
     bad = verify(out, 2)
     if bad:
         raise InfeasibleTrace(f"driver produced an invalid labeling: {bad[:3]}")
@@ -766,16 +769,12 @@ def label_delta4(g: Graph, diag: Diagnostics | None = None) -> TotalLabeling:
 
 
 def _step6(emb: OuterplanarEmbedding, diag: Diagnostics | None):
-    """Label a connected host of maximum degree <= 4, or reduce it."""
+    """Label a connected host of maximum degree <= 4, or reduce it: a host
+    of maximum degree <= 3 or with a pendant takes the degree-3 step."""
     g = emb.graph
-    delta = g.max_degree()
-    if delta <= 2:
-        return label_cycle_or_path(g, k=6)
-    if delta == 3:
-        return TotalLabeling(g, 6, _label_span5(emb, diag).assignment)
+    if g.max_degree() <= 3 or g.min_degree() == 1:
+        return step5(emb, diag)
     work = emb.worklists()
-    if g.min_degree() == 1:
-        return vertex_step(emb, work.first("pendant"), "pendant", diag)
     for kind in ("C1", "C2"):
         witnesses = work.first(kind)
         if witnesses is not None:

@@ -18,7 +18,7 @@ Mitchell's linear recognition (Inf. Process. Lett. 9(5), 1979).
 copy of the graph and returns its undo record, which the driver replays
 just before the step's finish rule runs; it patches the vertex index, the
 cut vertices, each block's count of them (so a leaf block is found without
-reading its vertices), the leaf blocks and the reduction worklists where
+reading its vertices), the heap of leaf blocks and the reduction worklists where
 it changed them.  One vertex goes by its kind: a pendant or a path vertex
 with its bridges, a 2-vertex of a triangle or of a chordless cycle by
 leaving the rest of the cycle as a path of bridges, and an ear of a block
@@ -237,7 +237,7 @@ class OuterplanarEmbedding:
     """
 
     __slots__ = ("graph", "_seeds", "_sorted", "_bridges", "_own", "_block", "_at",
-                 "_cuts", "_ncut", "_leaves", "_heap", "_fresh", "_keys", "_work", "_low")
+                 "_cuts", "_ncut", "_heap", "_fresh", "_keys", "_work", "_low")
 
     def __init__(self, graph: Graph, blocks: Iterable[BlockEmbedding],
                  bridge_edges: Iterable[Edge], seeds: Iterable[int] = ()):
@@ -307,9 +307,8 @@ class OuterplanarEmbedding:
 
     def _index(self) -> dict[int, tuple]:
         """For each vertex the keys of the blocks (ints) and bridges (edges) on
-        it, built with ``_block`` (blocks by key), ``_cuts``, ``_ncut`` (each
-        block's count of cut vertices) and ``_leaves`` (blocks with one cut
-        vertex, but for those in ``_fresh``)."""
+        it, built with ``_block`` (blocks by key), ``_cuts`` and ``_ncut``
+        (each block's count of cut vertices)."""
         if self._block is None:
             at: dict[int, tuple] = dict.fromkeys(self.graph.vertices, ())
             self._block = dict(enumerate(self._sorted))
@@ -323,7 +322,6 @@ class OuterplanarEmbedding:
             self._cuts = cuts = {v for v, on in at.items() if len(on) > 1}
             self._ncut = {key: len(cuts.intersection(b.cycle))
                           for key, b in self._block.items()}
-            self._leaves: dict[int, BlockEmbedding] = {}
             self._heap: list = []  # (cycle, key) of the leaves, lazily deleted
             self._fresh = set(self._block)
             self._keys = count(len(self._block))
@@ -332,23 +330,22 @@ class OuterplanarEmbedding:
     def leaf_block(self) -> tuple[BlockEmbedding, int] | None:
         """The first block, by cycle, with exactly one cut vertex, and that vertex."""
         self._index()
-        block, leaves = self._block, self._leaves
+        block, ncut = self._block, self._ncut
+        heap = self._heap  # (cycle, key): stale once the key left or its cycle changed
         for key in self._fresh:
             b = block.get(key)  # None: the block is gone
-            if b is not None and self._ncut[key] == 1:
-                leaves[key] = b
-                heapq.heappush(self._heap, (b.cycle, key))
-            else:
-                leaves.pop(key, None)
+            if b is not None and ncut[key] == 1:
+                heapq.heappush(heap, (b.cycle, key))
         self._fresh.clear()
-        heap = self._heap  # (cycle, key): stale once the key left or its cycle changed
-        while heap and getattr(leaves.get(heap[0][1]), "cycle", None) is not heap[0][0]:
+        while heap:
+            cycle, key = heap[0]
+            b = block.get(key)
+            # a changed block fails a test before its cycle is read
+            if b is not None and ncut[key] == 1 and b.cycle is cycle:
+                (cut,) = self._cuts.intersection(b.vertices())
+                return b, cut
             heapq.heappop(heap)
-        if not heap:
-            return None
-        b = leaves[heap[0][1]]
-        (cut,) = self._cuts.intersection(b.vertices())
-        return b, cut
+        return None
 
     def remove(self, vertices: Iterable[int], edges: Iterable[Edge] = ()) -> tuple:
         """Cut ``vertices`` and ``edges`` out of this embedding and its graph.
@@ -422,7 +419,6 @@ class OuterplanarEmbedding:
         at = self._at
         del self._block[key]
         del self._ncut[key]
-        self._leaves.pop(key, None)
         self._sorted = None
         if b._next is None:
             i = b._cycle.index(v)
@@ -454,7 +450,6 @@ class OuterplanarEmbedding:
         b._chords.discard(ns)
         b._cycle = b._faces = b._frozen = None
         self._sorted = None
-        self._leaves.pop(key, None)
         self._fresh.add(key)
 
     def _cut(self, gone: set[int], edges: Iterable[Edge]) -> tuple:
@@ -512,7 +507,6 @@ class OuterplanarEmbedding:
         the vertices whose index entries changed."""
         at, block, cuts, ncut = self._at, self._block, self._cuts, self._ncut
         b = block.pop(key)
-        self._leaves.pop(key, None)
         self._sorted = None
         left = _cut_arc(b, hit, lost, nbrs, self.graph)
         if left is None:
@@ -542,8 +536,8 @@ class OuterplanarEmbedding:
         return touched
 
     def _recheck(self, vertices: Iterable[int]) -> None:
-        """Patch the cut set, and the cut counts and leaf marks of the
-        blocks on them, for ``vertices`` whose index entries changed."""
+        """Patch the cut set, and the cut counts of the blocks on them (marked
+        fresh), for ``vertices`` whose index entries changed."""
         at, cuts, ncut = self._at, self._cuts, self._ncut
         for v in vertices:
             on = at[v]

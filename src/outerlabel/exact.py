@@ -8,7 +8,9 @@ found, and hence every returned witness, is deterministic.
 ``extend_bounded`` searches only the elements it frees, against the labels
 of their neighbours, and writes the labels it finds into the labeling it
 was given; it does not check the labels it keeps, which is the job of the
-caller's check (``labeling.verify_around`` or ``verify``).
+caller's check (``labeling.verify_around`` or ``verify``).  For a freed
+vertex of degree 1 or 2 and its edges, ``extend_vertex`` writes the same
+first answer without building a plan.
 
 One search node costs table lookups and bit operations.  Domains are
 bitmasks over {0..k}.  ``_keep_masks(gap, k)`` holds, for each label in
@@ -134,6 +136,65 @@ def _plan(
         ahead.append(later)
         domains.append(dom)
     return Plan(order, ahead, p), domains
+
+
+def extend_vertex(f: TotalLabeling, v: int) -> bool:
+    """``extend_bounded(f, [v, *edges])``'s first answer for a freed vertex
+    ``v`` of degree 1 or 2 and its edges, at p = 2.
+
+    The search written out for two or three elements: ``_plan``'s order and
+    seeding, then labels ascending, depth first over the same masks (two
+    edges keep ``near`` of each other's label, a vertex and an edge
+    ``far``).  The answer is written into ``f`` in that order and True
+    returned; on a miss (False) ``f`` is unchanged.
+    """
+    k = f.k
+    g = f.graph
+    get = f.assignment.get
+    near, far = _keep_masks(1, k), _keep_masks(2, k)
+    ends = g.neighbors(v)
+    vertex_dom = full = (1 << (k + 1)) - 1
+    keyed = []  # (-constraint degree, is an edge, element, starting domain)
+    for x in ends:
+        edge_dom = full
+        lab = get(x)
+        if lab is not None:
+            in_range = 0 <= lab <= k
+            vertex_dom &= near[lab] if in_range else ~_forbid_mask(lab, 1, k)
+            edge_dom &= far[lab] if in_range else ~_forbid_mask(lab, 2, k)
+        for y in g.neighbors(x):
+            lab = get((x, y) if x < y else (y, x)) if y != v else None
+            if lab is not None:
+                edge_dom &= near[lab] if 0 <= lab <= k else ~_forbid_mask(lab, 1, k)
+        keyed.append((-len(ends) - len(g.neighbors(x)), True,
+                      (v, x) if v < x else (x, v), edge_dom))
+    keyed.append((-2 * len(ends), False, v, vertex_dom))  # before edges at equal degree
+    keyed.sort()
+    (_, e0, _, d0), (_, e1, _, d1), *last = keyed
+    found = None
+    while d0 and found is None:
+        low = d0 & -d0
+        l0 = low.bit_length() - 1
+        d0 ^= low
+        n1 = d1 & (near if e0 and e1 else far)[l0]
+        if n1 and not last:
+            found = [l0, (n1 & -n1).bit_length() - 1]
+        for _, e2, _, d2 in last:  # the third element, if there is one
+            n2 = d2 & (near if e0 and e2 else far)[l0]
+            while n1 and n2:
+                low = n1 & -n1
+                l1 = low.bit_length() - 1
+                n1 ^= low
+                left = n2 & (near if e1 and e2 else far)[l1]
+                if left:
+                    found = [l0, l1, (left & -left).bit_length() - 1]
+                    break
+    if found is None:
+        return False
+    for (*_, el, _), lab in zip(keyed, found):
+        f.assignment.pop(el, None)  # moved to the end, as the search writes it
+        f.set(el, lab)
+    return True
 
 
 def _search(

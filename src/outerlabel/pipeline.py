@@ -49,8 +49,7 @@ def label_outerplanar(
         return label_delta4(g, diag)
     emb = recognize_embed(g)  # raises NotOuterplanar before any search
     if delta <= 2:
-        f = reduce_and_extend(
-            emb, delta + 2, lambda host: label_cycle_or_path(host.graph, k=delta + 2))
+        f = reduce_and_extend(emb, lambda host: label_cycle_or_path(host.graph, k=delta + 2))
     else:
         f = find_labeling_bounded(g, 2, delta + 2) if fallback_search else None
         if f is None:

@@ -99,7 +99,7 @@ def test_carried_state_equals_scans(monkeypatch):
             return real(emb, diag)
         return step
 
-    monkeypatch.setattr(delta3, "_step5", checked(delta3._step5))
+    monkeypatch.setattr(delta3, "step5", checked(delta3.step5))
     monkeypatch.setattr(delta4, "_step6", checked(delta4._step6))
     hosts = [_capped_polygon(96, 4, "carried"), gen.gen_strip(120),
              _bridged_hexagons(16), gen.gen_pentagon_leaves(12)]

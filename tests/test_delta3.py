@@ -20,7 +20,7 @@ from outerlabel.delta3 import (
     put_back,
 )
 from outerlabel.embedding import recognize_embed
-from outerlabel.exact import extend_bounded, lambda_exact
+from outerlabel.exact import extend_bounded, extend_vertex, lambda_exact
 from outerlabel.graphs import Graph, norm_edge
 from outerlabel.labeling import TotalLabeling, span, verify, verify_around
 from outerlabel.pipeline import label_outerplanar
@@ -375,7 +375,11 @@ def test_pendant_rule_matches_the_search(data):
     before = dict(f.assignment)
     searched = TotalLabeling(g, k, dict(f.assignment))
     d = Diagnostics()
-    if extend_bounded(searched, [u1, e]) is not None:
+    found = extend_bounded(searched, [u1, e]) is not None
+    filled = TotalLabeling(g, k, dict(f.assignment))
+    assert extend_vertex(filled, u1) is found
+    assert filled.assignment == (searched.assignment if found else before)
+    if found:
         assert put_back(u1, "pendant", d, f) is f and d.records == []
         assert list(f.assignment.items()) == list(searched.assignment.items())
         return
@@ -443,7 +447,7 @@ def test_two_vertex_rule_matches_the_search(data):
     f = TotalLabeling(g, k, {z: lab for z, lab in labels.items() if lab is not None})
     searched = TotalLabeling(g, k, dict(f.assignment))
     found = extend_bounded(searched, freed) is not None
-    assert delta3._refill(u1, f) is found
+    assert extend_vertex(f, u1) is found
     assert list(f.assignment.items()) == list(searched.assignment.items())
 
 

@@ -34,7 +34,7 @@ from outerlabel.delta4 import (
     label_delta4,
 )
 from outerlabel.embedding import recognize_embed
-from outerlabel.exact import lambda_exact
+from outerlabel.exact import extend_vertex, lambda_exact
 from outerlabel.graphs import Graph, norm_edge
 from outerlabel.labeling import TotalLabeling, span, verify
 from outerlabel.pipeline import UnsupportedDegree, label_outerplanar
@@ -292,7 +292,7 @@ def test_c1_fill_widens_when_the_rule_misses():
     kept = {1: 0, (1, 3): 2, (1, 4): 3, 3: 4, 4: 1,
             2: 0, (2, 5): 2, (2, 6): 3, 5: 4, 6: 1}
     f = TotalLabeling(g, 4, dict(kept))
-    assert delta3._refill(0, f) is False and f.assignment == kept
+    assert extend_vertex(f, 0) is False and f.assignment == kept
     d = Diagnostics()
     out = put_back(0, "C1", d, f)
     assert out is f and verify(f, 2) == []
@@ -564,3 +564,44 @@ def test_final_verify_catches_a_bad_kept_part(monkeypatch):
     )
     with pytest.raises(InfeasibleTrace, match="driver produced an invalid"):
         label_delta4(g)
+
+
+def test_each_finish_rule_runs_within_its_hosts_range(monkeypatch):
+    # the driver sets the labeling's k to the Δ+2 of the host a finish rule
+    # extends onto: 5 under the Δ = 3 hosts of a Δ = 4 run, 6 under Δ = 4
+    seen = []
+
+    def spy(rule):
+        def run(*args):
+            fh = args[-1]
+            assert fh.k == fh.graph.max_degree() + 2, rule.__name__
+            seen.append((rule.__name__, fh.k))
+            return rule(*args)
+        return run
+
+    for module, name in ((delta3, "put_back"), (delta3, "_attach_leaf_block"),
+                         (delta4, "_chain_surgery")):
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    hosts = [gen.gen_glued_outerplanar(30, s, {"max_degree": 4}) for s in range(20)]
+    hosts += [chain_case_host(case_id) for case_id in sorted(CHAIN_CASE_HOSTS)]
+    hosts += [gen.gen_closed_chain(4, "merged"), gen.gen_sun_necklace(3)]
+    for g in hosts:
+        f = label_delta4(g)
+        assert f.k == 6 and verify(f, 2) == []
+    assert {k for _, k in seen} == {5, 6}
+    assert {name for name, _ in seen} == {"put_back", "_attach_leaf_block", "_chain_surgery"}
+
+
+def test_a_smaller_degree_4_component_joins_at_the_inputs_range():
+    # the largest component has Δ = 3, so the join keeps its labeling, made
+    # within 5; the output is still the input's, within Δ+2 = 6
+    big = gen.gen_pentagon_leaves(3)
+    small = gen.gen_closed_chain(2, "merged")
+    shift = big.n
+    g = Graph(range(big.n + small.n),
+              [*big.edges, *((u + shift, v + shift) for u, v in small.edges)])
+    assert big.max_degree() == 3 and small.max_degree() == 4 and big.n > small.n
+    f = label_delta4(g)
+    assert f.k == 6 and f.graph is g and verify(f, 2) == []
+    assert max(lab for z, lab in f.assignment.items()
+               if (z if type(z) is int else z[0]) < shift) <= 5

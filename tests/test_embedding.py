@@ -525,14 +525,13 @@ def _prime(emb):
 
 def _short_path_state(emb, undo):
     """What a removal leaves that later steps read: index, cut set and
-    counts, leaves, blocks, worklist picks, the graph and the undo record."""
+    counts, leaf block, blocks, worklist picks, the graph and the undo record."""
     emb._index()
     fresh = set(emb._fresh)
     leaf = emb.leaf_block()
     work = emb.worklists()
     return (emb._at, emb._cuts, emb._ncut, emb._bridges, emb._seeds, fresh,
             leaf and (leaf[0].cycle, leaf[1]),
-            {key: b.cycle for key, b in emb._leaves.items()},
             {key: (b.cycle, list(b.chords)) for key, b in emb._block.items()},
             [b.cycle for b in emb.blocks], [b.faces for b in emb.blocks],
             [work.first(kind) for kind in ("pendant", "C1", "C2")],

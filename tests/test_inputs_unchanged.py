@@ -59,7 +59,7 @@ def test_the_driver_leaves_a_passed_embedding_alone():
     emb = recognize_embed(g)
     blocks, bridges, before = emb.blocks, emb.bridge_edges, _state(g)
     cycles = [(b.cycle, b.chords, b.faces) for b in blocks]
-    f = reduce_and_extend(emb, 6, partial(delta4._step6, diag=None))
+    f = reduce_and_extend(emb, partial(delta4._step6, diag=None))
     assert verify(f, 2) == []
     assert emb.graph is g and _state(g) == before
     assert emb.blocks == blocks and emb.bridge_edges == bridges
