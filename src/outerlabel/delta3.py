@@ -417,7 +417,8 @@ def reduce_and_extend(host: OuterplanarEmbedding, step: Callable) -> TotalLabeli
                 done.append(out)
             else:
                 undo, finish = out
-                todo += [(item.graph, undo, finish), item]
+                todo.append((item.graph, undo, finish))
+                todo.append(item)
             continue
         g, undo, then = item
         g.put_back(undo)

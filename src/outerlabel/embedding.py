@@ -148,14 +148,14 @@ class Worklists:
     more than the marking.
     """
 
-    __slots__ = ("graph", "_heaps", "_stale", "_preds")
+    __slots__ = ("_adj", "_heaps", "_stale", "_preds")
 
     def __init__(self, g: Graph):
-        self.graph = g
-        pendants = [v for v in g.vertices if len(g.neighbors(v)) == 1]  # sorted: a heap
+        # changed in place by ``cut`` and ``put_back``, never replaced
+        self._adj = adj = g._adj
+        pendants = [v for v in g.vertices if len(adj[v]) == 1]  # sorted: a heap
         self._heaps: dict[str, list] = {"pendant": pendants, "C1": [], "C2": []}
         self._stale: set[int] | None = None  # None: every vertex
-        adj = g._adj  # changed in place by ``cut`` and ``put_back``, never replaced
 
         def pendant(v: int) -> bool:
             return len(adj.get(v, ())) == 1
@@ -183,9 +183,9 @@ class Worklists:
     def removed(self, gone: set[int], changed: Iterable[int]) -> None:
         """Note that the graph lost ``gone`` and some edges; ``changed`` holds
         the other vertices whose degree changed."""
-        nbrs = self.graph.neighbors
+        adj = self._adj
         for v in changed:
-            if len(nbrs(v)) == 1:
+            if len(adj[v]) == 1:
                 heapq.heappush(self._heaps["pendant"], v)
         if self._stale is not None:
             self._stale |= gone
@@ -194,28 +194,29 @@ class Worklists:
     def _redo(self) -> None:
         if self._stale is not None and not self._stale:
             return
-        g = self.graph
-        nbrs = g.neighbors
+        adj = self._adj
         if self._stale is None:
-            redo: Iterable[int] = g.vertices
+            redo: Iterable[int] = adj
         else:
             redo = set()
             for v in self._stale:
-                if g.has_vertex(v):
+                ns = adj.get(v)
+                if ns is not None:
                     redo.add(v)
-                    redo.update(u for u in nbrs(v) if len(nbrs(u)) == 2)
+                    redo.update(u for u in ns if len(adj[u]) == 2)
         self._stale = set()
         h1, h2 = self._heaps["C1"], self._heaps["C2"]
         for v in redo:
-            ns = nbrs(v)
+            ns = adj[v]
             if len(ns) == 2:
                 a, b = ns
-                da, db = len(nbrs(a)), len(nbrs(b))
+                na = adj[a]
+                da, db = len(na), len(adj[b])
                 if da == 2:
-                    heapq.heappush(h1, norm_edge(v, a))
+                    heapq.heappush(h1, (v, a) if v < a else (a, v))
                 if db == 2:
-                    heapq.heappush(h1, norm_edge(v, b))
-                if g.has_edge(a, b):
+                    heapq.heappush(h1, (v, b) if v < b else (b, v))
+                if b in na:
                     if da == 3:
                         heapq.heappush(h2, (v, a, b))
                     if db == 3:

@@ -152,7 +152,8 @@ def extend_vertex(f: TotalLabeling, v: int) -> bool:
     g = f.graph
     get = f.assignment.get
     near, far = _keep_masks(1, k), _keep_masks(2, k)
-    ends = g.neighbors(v)
+    nbrs = g.neighbors
+    ends = nbrs(v)
     vertex_dom = full = (1 << (k + 1)) - 1
     keyed = []  # (-constraint degree, is an edge, element, starting domain)
     for x in ends:
@@ -162,11 +163,12 @@ def extend_vertex(f: TotalLabeling, v: int) -> bool:
             in_range = 0 <= lab <= k
             vertex_dom &= near[lab] if in_range else ~_forbid_mask(lab, 1, k)
             edge_dom &= far[lab] if in_range else ~_forbid_mask(lab, 2, k)
-        for y in g.neighbors(x):
+        xs = nbrs(x)
+        for y in xs:
             lab = get((x, y) if x < y else (y, x)) if y != v else None
             if lab is not None:
                 edge_dom &= near[lab] if 0 <= lab <= k else ~_forbid_mask(lab, 1, k)
-        keyed.append((-len(ends) - len(g.neighbors(x)), True,
+        keyed.append((-len(ends) - len(xs), True,
                       (v, x) if v < x else (x, v), edge_dom))
     keyed.append((-2 * len(ends), False, v, vertex_dom))  # before edges at equal degree
     keyed.sort()

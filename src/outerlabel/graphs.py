@@ -6,9 +6,11 @@ a working copy (``working_copy``), which ``cut`` changes in place and
 ``put_back`` restores from the record ``cut`` returned; the reduction driver
 keeps one.  A working copy counts its degrees into a histogram once, and a
 cut patches it at the vertices it touches, so its extreme degrees cost O(Δ);
-any other graph finds them by a scan.  A working copy, an induced subgraph
-or a graph built by ``from_edges`` lists its sorted vertex and edge tuples
-only when they are first read.
+any other graph finds them by a scan.  A cut of one vertex, the usual
+reduction step, slices it out of its neighbours' tuples, so it costs
+O(Δ²) and builds no map of what each neighbour loses.  A working copy, an
+induced subgraph or a graph built by ``from_edges`` lists its sorted
+vertex and edge tuples only when they are first read.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ class Graph:
         yield from self.edges
 
     def incident_edges(self, v: int) -> list[Edge]:
-        return [norm_edge(v, u) for u in self._adj[v]]
+        return [(v, u) if v < u else (u, v) for u in self._adj[v]]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -285,32 +287,51 @@ class Graph:
     def cut(self, vertices: Iterable[int], edges: Iterable[Edge] = ()) -> tuple:
         """Remove ``vertices`` and existing ``edges`` from a working copy, in
         place; the undo record holds the tuples it changed, so ``put_back``
-        costs what the cut did."""
+        costs what the cut did.  One vertex and no edges (most cuts) is
+        sliced out of each neighbour's tuple; otherwise each neighbour's
+        tuple is filtered by what it loses.  ``vertices`` may be any
+        iterable, a generator too."""
         adj = self._adj
         degrees = self._degrees or self._histogram()
-        lose: dict[int, list[int]] = {}
         saved = []
         ends = 0
-        for v in vertices:
+        vertices = tuple(vertices)
+        if len(vertices) == 1 and not edges:
+            (v,) = vertices
             ns = adj.pop(v, None)
             if ns is not None:
                 saved.append((v, ns))
                 degrees[len(ns)] -= 1
-                ends += len(ns)
+                ends = 2 * len(ns)
                 for w in ns:
-                    lose.setdefault(w, []).append(v)
-        for a, b in edges:
-            lose.setdefault(a, []).append(b)
-            lose.setdefault(b, []).append(a)
-        for w, xs in lose.items():
-            ns = adj.get(w)
-            if ns is None:  # removed as well
-                continue
-            saved.append((w, ns))
-            adj[w] = left = tuple([u for u in ns if u not in xs])
-            degrees[len(ns)] -= 1
-            degrees[len(left)] += 1
-            ends += len(ns) - len(left)
+                    ws = adj[w]
+                    saved.append((w, ws))
+                    i = ws.index(v)
+                    adj[w] = ws[:i] + ws[i + 1:]
+                    degrees[len(ws)] -= 1
+                    degrees[len(ws) - 1] += 1
+        else:
+            lose: dict[int, list[int]] = {}
+            for v in vertices:
+                ns = adj.pop(v, None)
+                if ns is not None:
+                    saved.append((v, ns))
+                    degrees[len(ns)] -= 1
+                    ends += len(ns)
+                    for w in ns:
+                        lose.setdefault(w, []).append(v)
+            for a, b in edges:
+                lose.setdefault(a, []).append(b)
+                lose.setdefault(b, []).append(a)
+            for w, xs in lose.items():
+                ns = adj.get(w)
+                if ns is None:  # removed as well
+                    continue
+                saved.append((w, ns))
+                adj[w] = left = tuple([u for u in ns if u not in xs])
+                degrees[len(ns)] -= 1
+                degrees[len(left)] += 1
+                ends += len(ns) - len(left)
         record = (saved, self._m)
         self._m -= ends // 2
         self._vertices = self._edges = None

@@ -35,7 +35,7 @@ VIOLATION_KINDS = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class TotalLabeling:
     """Partial or total assignment from vertices and edges to ``{0..k}``."""
 

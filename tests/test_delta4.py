@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import random
 import sys
 from itertools import product
 from pathlib import Path
@@ -299,12 +300,12 @@ def test_c1_fill_widens_when_the_rule_misses():
     assert d.records == [{"event": "widened-completion", "where": "C1 completion", "freed": 9}]
 
 
-def test_every_small_polygon_subgraph():
-    # every connected graph on n <= 7 vertices whose edges lie in a
-    # triangulated n-gon: Δ <= 4 labels clean within Δ+2, Δ >= 5 is refused
+def _label_each(hosts):
+    """Label each host: how many were labeled, how many refused (Δ >= 5),
+    and the (event, where) records they logged."""
     labeled = refused = 0
     records = []
-    for g in _polygon_subsets():
+    for g in hosts:
         d = Diagnostics()
         try:
             f = label_outerplanar(g, diag=d)
@@ -315,8 +316,29 @@ def test_every_small_polygon_subgraph():
         assert verify(f, 2) == [] and span(f) <= g.max_degree() + 2
         labeled += 1
         records += [(r.get("event"), r.get("where")) for r in d.records]
-    assert (labeled, refused) == (8645, 1888)
-    assert records == [("widened-completion", "C2 completion")] * 14
+    return labeled, refused, records
+
+
+def test_every_small_polygon_subgraph():
+    # every connected graph on n <= 7 vertices whose edges lie in a
+    # triangulated n-gon: Δ <= 4 labels clean within Δ+2, Δ >= 5 is refused
+    assert _label_each(_polygon_subsets()) == (
+        8645, 1888, [("widened-completion", "C2 completion")] * 14)
+
+
+def test_small_polygon_subgraphs_under_permuted_ids():
+    # the worklists pick by smallest id, and the polygon sweep numbers its
+    # vertices in boundary order: the n <= 6 hosts again, the i-th with its
+    # ids shuffled by random.Random(i), run other pick orders
+    def permuted():
+        for i, g in enumerate(_polygon_subsets()):
+            if g.n > 6:
+                return
+            ids = list(g.vertices)
+            random.Random(i).shuffle(ids)
+            yield Graph(ids, [(ids[u], ids[v]) for u, v in g.edges])
+
+    assert _label_each(permuted()) == (1245, 96, [])
 
 
 def test_stars_label_through_the_pendant_rule():

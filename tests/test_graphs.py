@@ -233,9 +233,15 @@ def test_induced_equals_rebuilt_graph(seed, pick):
     assert sub.edges == ref.edges
     assert sub == ref and hash(sub) == hash(ref)
     unknown = max(g.vertices) + 1
-    for drop in (ks, set(), {unknown} | set(keep[:2])):
+    hub = max(g.vertices, key=g.degree)
+    # (what is dropped, as ``cut`` is given it): one vertex takes its own branch
+    for drop, given in (
+        (ks, ks), (set(), set()), ({unknown} | set(keep[:2]),) * 2,
+        ({hub}, (hub,)), ({hub}, {hub}), ({unknown}, (unknown,)),
+        ({hub}, (v for v in (hub,))),
+    ):
         rest = g.working_copy()
-        rest.cut(drop)
+        record = rest.cut(given)
         ref = Graph(
             [v for v in g.vertices if v not in drop],
             [e for e in g.edges if e[0] not in drop and e[1] not in drop],
@@ -246,6 +252,14 @@ def test_induced_equals_rebuilt_graph(seed, pick):
             ref.neighbors(v) for v in ref.vertices
         ]
         assert not rest.has_vertex(unknown)
+        assert rest.m == ref.m
+        if ref.n:
+            assert rest.max_degree() == ref.max_degree()
+            assert rest.min_degree() == ref.min_degree()
+        rest.put_back(record)
+        assert rest == g and rest.m == g.m
+        assert all(rest.neighbors(v) is g.neighbors(v) for v in g.vertices)
+        assert (rest.max_degree(), rest.min_degree()) == (g.max_degree(), g.min_degree())
     cut = [e[::-1] for e in g.edges if rng.random() < 0.3]
     thin = g.working_copy()
     thin.cut((), cut)
