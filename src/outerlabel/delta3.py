@@ -24,11 +24,12 @@ drops (``OuterplanarEmbedding.remove``) and returns the graph's undo
 record with the finish rule that extends the smaller host's labeling back;
 the driver replays each record just before its rule runs and sets the
 labeling's range to that host's Δ+2, so each rule works within its own
-host's range.  This labeler's step, ``step5``, also takes every host of a
-degree-4 run that has maximum degree 3 or less or a pendant.  A pendant or
-the 2-vertex of a C1/C2 instance goes by one step, ``vertex_step``, and
-comes back by one rule, ``put_back``, in both labelers; a leaf block
-comes back by ``_attach_leaf_block``.
+host's range.  This labeler's step, ``step5``, reads a host's extreme
+degrees once and hands them to ``degree3_step``, which also takes every
+host of a degree-4 run that has maximum degree 3 or less or a pendant.  A
+pendant or the 2-vertex of a C1/C2 instance goes by one step,
+``vertex_step``, and comes back by one rule, ``put_back``, in both
+labelers; a leaf block comes back by ``_attach_leaf_block``.
 
 Every finish rule extends its component's labeling in place and checks
 what it changed with ``verify_around``, which is exact because the smaller
@@ -138,38 +139,23 @@ def _fill_run(
     ``a_label`` is the label of the run's clockwise start endpoint.
     """
     q = len(run)
-    if q % 2 == 0:
-        labs = [(1 - a_label) if i % 2 == 0 else a_label for i in range(q)]
-    else:
-        mid = (q - 1) / 2
-        order = sorted(
-            range(q),
-            key=lambda i: (
-                run[i] in opts.avoid2_hard,
-                run[i] in opts.avoid2_soft,
-                abs(i - mid),
-                i,
-            ),
-        )
-        j = order[0]
-        labs = []
-        pos = 0
-        for i in range(q):
-            if i == j:
-                labs.append(2)
-            else:
-                labs.append((1 - a_label) if pos % 2 == 0 else a_label)
-                pos += 1
+    labs = [1 - a_label, a_label] * (q // 2)
+    if q % 2:
+        hard, soft = opts.avoid2_hard, opts.avoid2_soft
+        mid = q // 2
+        if hard or soft:
+            mid = min(range(q), key=lambda i: (
+                run[i] in hard, run[i] in soft, abs(i - q // 2), i))
+        labs.insert(mid, 2)
     if flip5:
         labs = [5 - l for l in labs]
-    for v, l in zip(run, labs):
-        assign[v] = l
+    assign.update(zip(run, labs))
 
 
 def _alternate(assign: dict[Element, int], edge_seq: list[tuple[int, int]]) -> None:
     lab = 4
-    for e in edge_seq:
-        assign[norm_edge(*e)] = lab
+    for u, v in edge_seq:
+        assign[(u, v) if u < v else (v, u)] = lab
         lab = 9 - lab
 
 
@@ -255,8 +241,8 @@ def _walk_k2(
     boundary = emb.boundary
     n = len(boundary)
     i0 = boundary.index(xs[0])
-    order = [boundary[(i0 + j) % n] for j in range(n)]
-    cyc = [(order[j], order[(j + 1) % n]) for j in range(n)]
+    order = boundary[i0:] + boundary[:i0]
+    cyc = list(zip(order, order[1:] + order[:1]))
 
     if n % 2 == 0:
         _alternate(assign, cyc)
@@ -644,9 +630,16 @@ def step5(emb: OuterplanarEmbedding, diag: Diagnostics | None):
     """Label a connected host of maximum degree <= 3, or reduce it; any
     host with a pendant loses it."""
     g = emb.graph
-    if g.max_degree() <= 2:
-        return label_cycle_or_path(g, k=5)
-    if g.min_degree() == 1:
+    return degree3_step(emb, g.max_degree(), g.min_degree(), diag)
+
+
+def degree3_step(emb: OuterplanarEmbedding, top: int, low: int,
+                 diag: Diagnostics | None):
+    """``step5`` on a host whose extreme degrees ``top`` and ``low`` the
+    caller has read."""
+    if top <= 2:
+        return label_cycle_or_path(emb.graph, k=5)
+    if low == 1:
         return vertex_step(emb, emb.worklists().first("pendant"), "pendant", diag)
     if emb.is_biconnected():
         f, _ = label_k2(emb, LabelK2Options(), diag)

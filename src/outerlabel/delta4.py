@@ -5,11 +5,12 @@ directly or reduces it by one rule.  A host comes with its embedding, and
 each rule removes what it drops from that embedding in place
 (``OuterplanarEmbedding.remove``), so no host is recognized again.  Hosts
 of maximum degree 3 or less, and hosts with a pendant, take the degree-3
-step (``delta3.step5``) in the same driver pass, and the driver gives each
-finish rule its own host's range, Δ+2: 5 under a host of maximum degree 3,
-6 under one of 4.  Hosts containing two adjacent 2-vertices or a triangle
-with a 2-vertex and a 3-vertex lose one 2-vertex, by
-``delta3.vertex_step``, and come back by ``delta3.put_back``, a rule; a
+step (``delta3.degree3_step``, handed the extreme degrees this step read)
+in the same driver pass, and the driver gives each finish rule its own
+host's range, Δ+2: 5 under a host of maximum degree 3, 6 under one of 4.
+Hosts containing two adjacent 2-vertices or a triangle with a 2-vertex
+and a 3-vertex lose one 2-vertex, by ``delta3.vertex_step``, and come
+back by ``delta3.put_back``, a rule; a
 bounded search over the neighbours' elements too runs (and is logged) only
 when that misses or fails its check.  The remaining hosts contain
 a closed fan of triangles whose interior is cut out; the chain-template
@@ -45,9 +46,9 @@ from .delta3 import (
     InfeasibleTrace,
     NotDelta,
     check,
+    degree3_step,
     reduce_and_extend,
     run_ops,
-    step5,
     vertex_step,
 )
 # _label_span5 and label_cycle_or_path are unused here; perfbench/tracing.py
@@ -772,8 +773,9 @@ def _step6(emb: OuterplanarEmbedding, diag: Diagnostics | None):
     """Label a connected host of maximum degree <= 4, or reduce it: a host
     of maximum degree <= 3 or with a pendant takes the degree-3 step."""
     g = emb.graph
-    if g.max_degree() <= 3 or g.min_degree() == 1:
-        return step5(emb, diag)
+    top, low = g.max_degree(), g.min_degree()
+    if top <= 3 or low == 1:
+        return degree3_step(emb, top, low, diag)
     work = emb.worklists()
     for kind in ("C1", "C2"):
         witnesses = work.first(kind)

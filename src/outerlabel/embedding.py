@@ -736,29 +736,30 @@ def _boundary_cycle(adj: dict[int, set[int]], m: int) -> tuple[int, ...]:
 
     ``adj`` holds the block's adjacency (sets, or tuples that are turned
     into sets when the peel first changes them), which this uses up, and
-    ``m`` its edge count.  Repeatedly deletes the smallest-id degree-2 vertex,
-    splicing its neighbors together, then reinserts the vertices in reverse
-    order.  A 2-connected graph of minimum degree 3 has no outerplane
-    drawing, so getting stuck is a sound rejection.  Degrees never grow, so
-    a heap with lazy deletion finds the vertex a full scan would.  The
-    output does not depend on the removal order: a 2-connected outerplanar
-    graph has exactly one Hamiltonian cycle, and ``_canonical_cycle`` fixes
-    its rotation and direction.  A splice keeps a block 2-connected, so a
-    vertex left with one neighbour ends a trial on a host that is no block.
+    ``m`` its edge count.  Repeatedly deletes a degree-2 vertex, splicing
+    its neighbors together, then reinserts the vertices in reverse order.
+    A 2-connected graph of minimum degree 3 has no outerplane drawing, so
+    getting stuck is a sound rejection.  The ready vertices wait on a
+    stack, and one whose degree changed since it was pushed is skipped when
+    popped.  Which 2-vertex goes first does not change the output: a
+    2-connected outerplanar graph has exactly one Hamiltonian cycle, and
+    ``_canonical_cycle`` fixes its rotation and direction.  It can change
+    which fault a rejected host is reported with.  A splice keeps a block
+    2-connected, so a vertex left with one neighbour ends a trial on a host
+    that is no block.
     """
     n = len(adj)
     if m > 2 * n - 3:
         raise NotOuterplanar("too many edges for an outerplane drawing")
     ready = [v for v, ns in adj.items() if len(ns) == 2]
-    heapq.heapify(ready)
     removed: list[tuple[int, int, int]] = []  # (vertex, left, right)
-    pop, push = heapq.heappop, heapq.heappush
+    push = ready.append
     for _ in range(n - 3):
-        while ready and len(adj.get(ready[0], ())) != 2:
-            pop(ready)
+        while ready and len(adj.get(ready[-1], ())) != 2:
+            ready.pop()
         if not ready:
             raise NotOuterplanar("a block has minimum degree 3")
-        v2 = pop(ready)
+        v2 = ready.pop()
         a, b = adj.pop(v2)
         if a > b:
             a, b = b, a
@@ -775,9 +776,9 @@ def _boundary_cycle(adj: dict[int, set[int]], m: int) -> tuple[int, ...]:
         if len(na) < 2 or len(nb) < 2:
             raise NotOuterplanar("a vertex is left with one neighbour")
         if len(na) == 2:
-            push(ready, a)
+            push(a)
         if len(nb) == 2:
-            push(ready, b)
+            push(b)
     if any(len(ns) != 2 for ns in adj.values()):
         raise NotOuterplanar("block does not reduce to a triangle")
     # reinsert in reverse removal order; neighbors must sit side by side
@@ -851,7 +852,9 @@ def _check_nesting(cycle: tuple[int, ...], pos: dict[int, int],
     """
     stack: list[int] = []
     for j, ends in enumerate(_closing(len(cycle), pos, chords)):
-        for i in sorted(ends, reverse=True):
+        if len(ends) > 1:
+            ends.sort(reverse=True)
+        for i in ends:
             while stack[-1] > i:
                 stack.pop()
             if stack[-1] != i:
@@ -973,20 +976,20 @@ def boundary_decompose(
     boundary = emb.boundary
     if g.max_degree() != 3:
         raise ValueError("decomposition expects maximum degree 3")
-    three = [v for v in boundary if g.degree(v) == 3]
+    adj = g._adj
+    ends = [len(adj[v]) == 3 for v in boundary]
+    three = [v for v, end in zip(boundary, ends) if end]
     if not three:
         raise ValueError("host has no chords to decompose around")
     if start is None:
         start = min(three)
     elif g.degree(start) != 3:
         raise ValueError(f"start vertex {start} is not a chord endpoint")
-    k = len(boundary)
     i0 = boundary.index(start)
-    order = [boundary[(i0 + j) % k] for j in range(k)]
     xs: list[int] = []
     ys: list[list[int]] = []
-    for v in order:
-        if g.degree(v) == 3:
+    for v, end in zip(boundary[i0:] + boundary[:i0], ends[i0:] + ends[:i0]):
+        if end:
             xs.append(v)
             ys.append([])
         else:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -106,11 +105,15 @@ def gen_pentagon_leaves(k: int) -> Graph:
     return Graph.from_edges(edges)
 
 
-@lru_cache(maxsize=None)
+_CATALAN = [1, 1]
+
+
 def catalan(n: int) -> int:
-    if n <= 1:
-        return 1
-    return sum(catalan(i) * catalan(n - 1 - i) for i in range(n))
+    """The n-th Catalan number, from a table grown by C(i+1) = C(i)·2(2i+1)/(i+2)."""
+    while len(_CATALAN) <= n:
+        i = len(_CATALAN) - 1
+        _CATALAN.append(_CATALAN[i] * 2 * (2 * i + 1) // (i + 2))
+    return _CATALAN[max(n, 0)]
 
 
 def enumerate_triangulations(n: int) -> list[Graph]:
@@ -157,30 +160,31 @@ def enumerate_dissections(n: int) -> Iterator[Graph]:
 
 
 def _random_triangulation_diagonals(n: int, rng: random.Random) -> list[Edge]:
-    """Diagonals of a uniformly random triangulation of the convex n-gon."""
+    """Diagonals of a uniformly random triangulation of the convex n-gon.
 
+    Each polygon ``(i, j)`` picks the apex ``k`` of the triangle on its
+    side ``(i, j)``, then splits into ``(i, k)`` and ``(k, j)``; an explicit
+    stack visits them in that preorder, so the draws come in a fixed order.
+    """
+    catalan(n)  # grows the table the weights are read from
+    c = _CATALAN
     diags: list[Edge] = []
-
-    def split(i: int, j: int) -> None:
-        gap = j - i
-        if gap < 2:
-            return
-        total = catalan(gap - 1)
-        pick = rng.randrange(total)
+    todo = [(0, n - 1)]
+    while todo:
+        i, j = todo.pop()
+        if j - i < 2:
+            continue
+        pick = rng.randrange(c[j - i - 1])
         acc = 0
         for k in range(i + 1, j):
-            w = catalan(k - i - 1) * catalan(j - k - 1)
-            acc += w
+            acc += c[k - i - 1] * c[j - k - 1]
             if pick < acc:
                 break
         if k - i > 1:
             diags.append(norm_edge(i, k))
         if j - k > 1:
             diags.append(norm_edge(k, j))
-        split(i, k)
-        split(k, j)
-
-    split(0, n - 1)
+        todo += ((k, j), (i, k))
     return diags
 
 

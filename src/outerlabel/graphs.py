@@ -15,7 +15,7 @@ vertex and edge tuples only when they are first read.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Iterable, Iterator
 
 
@@ -72,21 +72,24 @@ class Graph:
     def from_edges(cls, edges: Iterable[Edge], n: int | None = None) -> "Graph":
         """Build from an edge list; vertices are the endpoints plus 0..n-1.
 
-        Each edge is read once, into adjacency sets that are then sorted;
-        a self-loop raises ValueError."""
-        adj: dict[int, set[int]] = {v: set() for v in range(n or 0)}
+        Each edge is read once, into adjacency lists; a self-loop raises
+        ValueError.  Edges in the order ``edges`` lists them (each ``u < v``,
+        increasing, none twice) leave every list sorted; any other order
+        pays a sort and a set per vertex."""
+        adj = defaultdict(list, {v: [] for v in range(n or 0)})
+        ordered, lu, lv = True, -1, -1
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if u in adj:
-                adj[u].add(v)
-            else:
-                adj[u] = {v}
-            if v in adj:
-                adj[v].add(u)
-            else:
-                adj[v] = {u}
-        out = {v: tuple(sorted(adj[v])) for v in sorted(adj)}
+            if ordered and not (u < v and (u > lu or u == lu and v > lv)):
+                ordered = False
+            lu, lv = u, v
+            adj[u].append(v)
+            adj[v].append(u)
+        if ordered:
+            out = {v: tuple(adj[v]) for v in sorted(adj)}
+        else:
+            out = {v: tuple(sorted(set(adj[v]))) for v in sorted(adj)}
         return cls._of(out, sum(map(len, out.values())) // 2, None)
 
     # -- accessors ---------------------------------------------------------

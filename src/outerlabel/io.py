@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from .embedding import OuterplanarEmbedding
@@ -14,12 +15,32 @@ class FormatError(ValueError):
     pass
 
 
+# A line of two decimal ids, or a blank one, as ``dump_edgelist`` writes them.
+_PLAIN_LINE = re.compile(r"[ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?")
+
+
 def parse_edgelist(text: str) -> Graph:
     """One ``u v`` pair per line; ``#`` starts a comment.
 
     Vertices are the endpoints that appear (the format cannot express
-    isolated vertices).
+    isolated vertices).  A text whose every line is plain (``_PLAIN_LINE``)
+    has no fault to report, so its ids are read in one pass over its
+    tokens.  Every other text (comments, other whitespace, signs, a wrong
+    token count, an id ``int`` refuses, no edge) goes to the line scan,
+    which raises at its first faulty line.
     """
+    if all(map(_PLAIN_LINE.fullmatch, text.splitlines())):
+        try:
+            ends = list(map(int, text.split()))
+        except ValueError:  # more digits than ``int`` converts
+            ends = []
+        if ends:
+            return Graph.from_edges(zip(ends[::2], ends[1::2]))
+    return _scan_edgelist(text)
+
+
+def _scan_edgelist(text: str) -> Graph:
+    """``parse_edgelist`` line by line, raising at the first faulty line."""
     edges = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -84,10 +105,19 @@ def parse_graph(text: str, fmt: str) -> Graph:
 
 
 def labeling_to_json(f: TotalLabeling) -> dict[str, Any]:
-    labels = f.assignment.items()
-    vertices = {str(v): lab for v, lab in labels if isinstance(v, int)}
-    edges = [[e[0], e[1], lab] for e, lab in labels if isinstance(e, tuple)]
-    edges.sort()
+    """``f`` as JSON: ``k``, the vertex labels by id (as strings), in the
+    assignment's order, and ``[u, v, label]`` per labeled edge, sorted.
+
+    ``f.graph.edges`` is already sorted, so the edges are read off it with
+    no sort.  When some edge key is not one of its edges (a pair outside
+    the graph, or not normalized), every edge key is still written, sorted
+    as a list.
+    """
+    a = f.assignment
+    vertices = {str(v): lab for v, lab in a.items() if isinstance(v, int)}
+    edges = [[*e, a[e]] for e in f.graph.edges if e in a]
+    if len(vertices) + len(edges) != len(a):
+        edges = sorted([*e, lab] for e, lab in a.items() if isinstance(e, tuple))
     return {"k": f.k, "vertices": vertices, "edges": edges}
 
 

@@ -226,6 +226,14 @@ def test_gen_constraints(capsys):
     assert "max_degree=3" in err
 
 
+def test_gen_random_draws_large_polygons(capsys):
+    # the triangulation draw keeps an explicit stack, so no RecursionError
+    code, out, err = run(capsys, "gen", "--kind", "random", "--n", "1000")
+    assert code == 0
+    assert err.startswith("generated n=1000 ")
+    assert len(out.splitlines()) > 1000
+
+
 def test_gen_refuses_unreachable_max_degree(capsys, monkeypatch):
     def draw(*args):
         raise AssertionError("a refused request drew a sample")

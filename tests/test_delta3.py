@@ -65,6 +65,51 @@ def test_label_k2_odd_boundary_tight_run():
     assert f.edge(0, 2) in (4, 5)
 
 
+def _sorted_fill_run(assign, a_label, run, opts, flip5=False):
+    """``delta3._fill_run`` as it was when it sorted every odd run: the
+    reference for the direct middle index."""
+    q = len(run)
+    if q % 2 == 0:
+        labs = [(1 - a_label) if i % 2 == 0 else a_label for i in range(q)]
+    else:
+        mid = (q - 1) / 2
+        order = sorted(range(q), key=lambda i: (
+            run[i] in opts.avoid2_hard, run[i] in opts.avoid2_soft, abs(i - mid), i))
+        j = order[0]
+        labs = []
+        pos = 0
+        for i in range(q):
+            if i == j:
+                labs.append(2)
+            else:
+                labs.append((1 - a_label) if pos % 2 == 0 else a_label)
+                pos += 1
+    if flip5:
+        labs = [5 - l for l in labs]
+    for v, l in zip(run, labs):
+        assign[v] = l
+
+
+def test_fill_run_matches_the_sorted_run():
+    # every run length and start label, flipped or not, with nothing avoided
+    # and with each subset of a short run avoided hard or soft
+    for q in range(14):
+        run = [10 + 3 * i for i in range(q)]
+        avoided = [frozenset()]
+        if q <= 7:
+            avoided += [frozenset(v for i, v in enumerate(run) if mask >> i & 1)
+                        for mask in range(1, 1 << q)]
+        for a_label in (0, 1):
+            for flip5 in (False, True):
+                for hard in avoided:
+                    for soft in {frozenset(), hard, frozenset(run[q // 2 + 1:])}:
+                        opts = LabelK2Options(avoid2_hard=hard, avoid2_soft=soft)
+                        got, want = {"x": 9}, {"x": 9}
+                        delta3._fill_run(got, a_label, run, opts, flip5)
+                        _sorted_fill_run(want, a_label, run, opts, flip5)
+                        assert list(got.items()) == list(want.items())
+
+
 def test_label_k2_invariants_modulo_patches():
     for g in (c6_chord(),
               Graph.from_edges([(i, (i + 1) % 7) for i in range(7)] + [(0, 3)]),
@@ -392,6 +437,37 @@ def test_pendant_rule_matches_the_search(data):
         assert verify_around(f, [u1, u2, *g.incident_edges(u2)]) == []
     assert d.records == [
         {"event": "widened-completion", "where": f"pendant at vertex {u1}", "freed": 2 + degree}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_extend_vertex_hit_checks_clean(data):
+    # put_back keeps its verify_around after an extend_vertex hit; this
+    # records that a hit never needs it: on a random partial labeling of a
+    # pendant's or a 2-vertex's surroundings, kept labels in or out of
+    # {0..k}, every hit is clean around the vertex and its edges
+    v = data.draw(st.sampled_from([0, 50]), label="v")
+    ends = data.draw(st.sampled_from([(1,), (1, 2), (2, 60)]), label="neighbours")
+    edges = [(v, x) for x in ends]
+    if len(ends) == 2 and data.draw(st.booleans(), label="triangle"):
+        edges.append(ends)
+    fresh = 3
+    for x in ends:
+        for _ in range(data.draw(st.integers(0, 3), label=f"more at {x}")):
+            edges.append((x, fresh))
+            fresh += 1
+    if len(ends) == 2 and data.draw(st.booleans(), label="common neighbour"):
+        edges += [(ends[0], 40), (ends[1], 40)]
+    g = Graph.from_edges(edges)
+    k = data.draw(st.integers(1, g.max_degree() + 3), label="k")
+    near = st.one_of(st.none(), st.integers(-2, k + 2))
+    labels = {el: data.draw(near, label=f"{el}") for el in (*g.vertices, *g.edges)}
+    f = TotalLabeling(g, k, {el: lab for el, lab in labels.items() if lab is not None})
+    before = dict(f.assignment)
+    if extend_vertex(f, v):
+        assert verify_around(f, [v, *g.incident_edges(v)]) == []
+    else:
+        assert f.assignment == before
 
 
 def test_pendant_rule_misses_below_its_range():

@@ -389,6 +389,116 @@ def test_failed_peel_falls_back_to_block_search():
             assert isinstance(got, str) and got == want
 
 
+def _heap_boundary_cycle(adj, m):
+    """``embedding._boundary_cycle`` as it was when it peeled the smallest-id
+    2-vertex first, off a heap: the reference for the stack peel."""
+    import heapq
+    n = len(adj)
+    if m > 2 * n - 3:
+        raise NotOuterplanar("too many edges for an outerplane drawing")
+    ready = [v for v, ns in adj.items() if len(ns) == 2]
+    heapq.heapify(ready)
+    removed = []
+    for _ in range(n - 3):
+        while ready and len(adj.get(ready[0], ())) != 2:
+            heapq.heappop(ready)
+        if not ready:
+            raise NotOuterplanar("a block has minimum degree 3")
+        v2 = heapq.heappop(ready)
+        a, b = adj.pop(v2)
+        if a > b:
+            a, b = b, a
+        removed.append((v2, a, b))
+        na, nb = adj[a], adj[b]
+        if type(na) is tuple:
+            adj[a] = na = set(na)
+        if type(nb) is tuple:
+            adj[b] = nb = set(nb)
+        na.discard(v2)
+        na.add(b)
+        nb.discard(v2)
+        nb.add(a)
+        if len(na) < 2 or len(nb) < 2:
+            raise NotOuterplanar("a vertex is left with one neighbour")
+        if len(na) == 2:
+            heapq.heappush(ready, a)
+        if len(nb) == 2:
+            heapq.heappush(ready, b)
+    if any(len(ns) != 2 for ns in adj.values()):
+        raise NotOuterplanar("block does not reduce to a triangle")
+    first, second, third = sorted(adj)
+    nxt = {first: second, second: third, third: first}
+    for v, a, b in reversed(removed):
+        if nxt[a] != b:
+            a, b = b, a
+        if nxt[a] != b:
+            raise NotOuterplanar("chords of a block interleave")
+        nxt[a], nxt[v] = v, b
+    cycle = [first]
+    for _ in range(n - 1):
+        cycle.append(nxt[cycle[-1]])
+    return embedding._canonical_cycle(cycle)
+
+
+def _peel_outcome(peel, adj, m):
+    try:
+        return peel({v: tuple(ns) for v, ns in adj.items()}, m)
+    except NotOuterplanar:
+        return NotOuterplanar
+
+
+def _subdivided(edges, pattern):
+    """``edges`` with edge i subdivided by ``pattern[i]`` new vertices."""
+    out, fresh = [], 100
+    for (u, v), extra in zip(edges, pattern):
+        path = [u, *range(fresh, fresh + extra), v]
+        fresh += extra
+        out += zip(path, path[1:])
+    return Graph.from_edges(out)
+
+
+def test_stack_peel_finds_the_heap_peels_cycle():
+    # the peel's order is free: each block of the n <= 7 polygon sweep, each
+    # whole sweep host of minimum degree 2, every dissection of a 4- to 9-gon
+    # under a relabeling, and K4, K2,3 and their subdivisions give the same
+    # cycle as the smallest-first heap peel, or NotOuterplanar on both
+    hosts = list(_polygon_subsets())
+    rng = random.Random(31)
+    for n in range(4, 10):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for d in gen.enumerate_dissections(n):
+            edges = [norm_edge(perm[a], perm[b]) for a, b in d.edges]
+            hosts.append(Graph(range(n), edges))
+            for a, b in d.edges:  # the first chord, and one crossing it
+                if (b - a) % n not in (1, n - 1):
+                    cross = norm_edge(perm[a + 1], perm[(b + 1) % n])
+                    hosts.append(Graph(range(n), edges + [cross]))
+                    break
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    k23 = [(a, b) for a in (0, 1) for b in (2, 3, 4)]
+    rejected = [_subdivided(base, [(mask >> i) & 1 for i in range(6)])
+                for base in (k4, k23) for mask in range(64)]
+    outcomes = Counter()
+    for g in hosts + rejected:
+        parts = [(g._adj, g.m)] if g.min_degree() >= 2 else []
+        for edges in g._block_decomposition()[0]:
+            if len(edges) > 1:
+                adj = {}
+                for u, v in edges:
+                    adj.setdefault(u, set()).add(v)
+                    adj.setdefault(v, set()).add(u)
+                parts.append((adj, len(edges)))
+        for adj, m in parts:
+            got = _peel_outcome(embedding._boundary_cycle, adj, m)
+            assert got == _peel_outcome(_heap_boundary_cycle, adj, m), sorted(g.edges)
+            outcomes[got is NotOuterplanar] += 1
+    for g in rejected:
+        with pytest.raises(NotOuterplanar):
+            recognize_embed(g)
+    assert outcomes[False] > 20000 and outcomes[True] > 10000, outcomes
+
+
 def test_blocks_sorted_by_cycle():
     # both blocks have smallest vertex 0; the depth-first search meets the
     # square first, through its chord (0, 1), but its cycle sorts second

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from outerlabel import generators as gen
 from outerlabel.embedding import recognize_embed
+from outerlabel.graphs import norm_edge
 
 
 def write_manifest(path, entries, note: str = "") -> None:
@@ -70,6 +73,53 @@ def test_random_outerplanar_deterministic():
     assert a == b
     c = gen.gen_random_outerplanar(9, 0.5, seed=43)
     assert a != c  # overwhelmingly likely by construction
+
+
+@lru_cache(maxsize=None)
+def _recursive_catalan(n: int) -> int:
+    if n <= 1:
+        return 1
+    return sum(_recursive_catalan(i) * _recursive_catalan(n - 1 - i) for i in range(n))
+
+
+def _recursive_diagonals(n: int, rng: random.Random) -> list:
+    """``generators._random_triangulation_diagonals`` as it was, recursing
+    into each side: the reference for the explicit stack."""
+    diags = []
+
+    def split(i: int, j: int) -> None:
+        gap = j - i
+        if gap < 2:
+            return
+        pick = rng.randrange(_recursive_catalan(gap - 1))
+        acc = 0
+        for k in range(i + 1, j):
+            acc += _recursive_catalan(k - i - 1) * _recursive_catalan(j - k - 1)
+            if pick < acc:
+                break
+        if k - i > 1:
+            diags.append(norm_edge(i, k))
+        if j - k > 1:
+            diags.append(norm_edge(k, j))
+        split(i, k)
+        split(k, j)
+
+    split(0, n - 1)
+    return diags
+
+
+def test_triangulation_draws_match_the_recursive_ones():
+    # the same diagonals in the same order, and the same draws left over
+    assert [gen.catalan(n) for n in range(-1, 80)] == [
+        _recursive_catalan(n) for n in range(-1, 80)]
+    for n in range(3, 61):
+        for seed in range(5):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            drawn = gen._random_triangulation_diagonals(n, mine)
+            assert drawn == _recursive_diagonals(n, theirs)
+            assert mine.random() == theirs.random()
+    big = gen._random_triangulation_diagonals(1000, random.Random(0))
+    assert len(big) == 997 and len(set(big)) == 997
 
 
 def test_random_outerplanar_keep_all():

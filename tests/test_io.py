@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outerlabel import generators as gen
 from outerlabel import embedding, io
 from outerlabel.embedding import recognize_embed
 from outerlabel.exact import SearchStats, lambda_exact
 from outerlabel.graphs import Graph
-from outerlabel.labeling import verify
+from outerlabel.labeling import TotalLabeling, verify
 from outerlabel.pipeline import label_outerplanar
 
 
@@ -28,6 +31,80 @@ def test_edgelist_comments_and_errors():
         io.parse_edgelist("a b\n")
     with pytest.raises(io.FormatError):
         io.parse_edgelist("")
+
+
+def _scanned_edgelist(text: str) -> Graph:
+    """``io.parse_edgelist`` as it was, one line at a time: the reference for
+    the one-pass read."""
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise io.FormatError(f"line {lineno}: expected 'u v', got {raw!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise io.FormatError(f"line {lineno}: non-integer vertex id") from exc
+        if u < 0 or v < 0:
+            raise io.FormatError(f"line {lineno}: vertex ids must be nonnegative")
+        edges.append((u, v))
+    if not edges:
+        raise io.FormatError("empty edge list")
+    return Graph.from_edges(edges)
+
+
+def _read(parse, text: str):
+    """The graph ``parse`` reads from ``text``, or its error's type and message."""
+    try:
+        return parse(text)
+    except ValueError as exc:  # a FormatError, or a self-loop from Graph.from_edges
+        return type(exc), str(exc)
+
+
+_ID = st.one_of(st.integers(0, 6).map(str), st.sampled_from(
+    ["007", "12", "-1", "-0", "+3", "x", "1.5", "\u0663", "1_0", "#", "9" * 5000]))
+_GAP = st.sampled_from([" ", "  ", "\t", " \t", "\x0b"])
+_PAIR = st.tuples(_ID, _GAP, _ID).map("".join)
+_LINE = st.one_of(
+    _PAIR, _PAIR, _PAIR,
+    st.tuples(st.sampled_from(["", " ", "\t"]), _PAIR, st.sampled_from(["", " ", "\t"]),
+              st.sampled_from(["", "# note", " #1 2"])).map("".join),
+    st.lists(_ID, min_size=1, max_size=4).map(" ".join),  # wrong token counts
+    st.sampled_from(["", " ", "\t ", "# comment", "  # 1 2"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\n", "\r\n", "\r"])), max_size=8),
+       st.booleans())
+def test_one_pass_read_matches_the_line_scan(lines, closed):
+    # comments, blank lines, CRLF, tabs, wrong token counts, non-integers
+    # (an id longer than ``int`` converts too), negatives and self-loops: an
+    # equal graph, or the same error and message
+    text = "".join(line + end for line, end in lines)
+    if not closed and text:
+        text = text[:-1]
+    got, want = _read(io.parse_edgelist, text), _read(_scanned_edgelist, text)
+    assert got == want
+    if isinstance(want, Graph):
+        assert got.m == want.m and got._adj == want._adj
+
+
+def test_written_edge_lists_take_the_one_pass_read(monkeypatch):
+    def scan(text):
+        raise AssertionError("a written edge list went to the line scan")
+
+    hosts = [gen.gen_closed_chain(3, "merged"), gen.gen_strip(40),
+             Graph.from_edges([(0, 1), (1, 2), (2, 0), (2, 10), (10, 11)])]
+    texts = [io.dump_edgelist(g) for g in hosts]
+    texts += [texts[0].replace("\n", "\r\n"), texts[1].rstrip("\n"),
+              texts[2].replace(" ", " \t ") + "\n  \n"]
+    monkeypatch.setattr(io, "_scan_edgelist", scan)
+    for g, text in zip(hosts * 2, texts):
+        assert io.parse_edgelist(text) == g
 
 
 def test_graph_json_roundtrip():
@@ -85,6 +162,40 @@ def test_labeling_json_roundtrip():
     ):
         with pytest.raises(io.FormatError):
             io.labeling_from_json(bad, g)
+
+
+def _sorted_labeling_json(f):
+    """``io.labeling_to_json`` as it was, sorting ``[u, v, label]`` lists: the
+    reference for reading the edges off ``g.edges``."""
+    labels = f.assignment.items()
+    vertices = {str(v): lab for v, lab in labels if isinstance(v, int)}
+    edges = [[e[0], e[1], lab] for e, lab in labels if isinstance(e, tuple)]
+    edges.sort()
+    return {"k": f.k, "vertices": vertices, "edges": edges}
+
+
+def test_labeling_json_matches_the_sorted_emit():
+    # complete labelings, and partial ones in shuffled insertion order, print
+    # the same bytes; so does an edge key outside the graph (an edge it lacks
+    # or a pair not normalized), which is written, sorted in with the rest
+    hosts = [gen.gen_glued_outerplanar(10 + s, s, {"max_degree": 3 + s % 2})
+             for s in range(12)]
+    hosts += [gen.gen_strip(60), gen.gen_cycle(7), Graph.from_edges([(3, 9), (9, 4)])]
+    rng = random.Random(7)
+    for g in hosts:
+        f = label_outerplanar(g)
+        items = list(f.assignment.items())
+        cases = [f]
+        for _ in range(6):
+            rng.shuffle(items)
+            cases.append(TotalLabeling(g, f.k, dict(items[:rng.randrange(len(items) + 1)])))
+        u, v = g.edges[0]
+        for stray in ((v, u), (u, max(g.vertices) + 5)):
+            cases.append(TotalLabeling(g, f.k, {**f.assignment, stray: 1}))
+        for case in cases:
+            out = json.dumps(io.labeling_to_json(case))
+            assert out == json.dumps(_sorted_labeling_json(case))
+        assert [v, u, 1] in io.labeling_to_json(cases[-2])["edges"]
 
 
 def test_dot_export():

@@ -4,10 +4,15 @@
 
 Each ``SRC`` holds an ``outerlabel`` package; it is imported in a fresh
 process, which labels every input with ``label_outerplanar`` and a
-``Diagnostics`` and reports, per input, three digests: of the labels (the
+``Diagnostics`` and reports, per input, four digests: of the labels (the
 assignment as sorted items, or the exception raised), of the ``(event,
-where)`` records and of the step trace lines.  Insertion order is left out
-on purpose: the inputs must get equal labels, not equal dict histories.
+where)`` records, of the step trace lines, and of what ``outerlabel label``
+prints for it: the bytes of ``json.dumps(io.labeling_to_json(f))`` for
+the labeling ``f`` of the graph read back from its ``io.dump_edgelist``
+text (or the exception raised).  The first leaves insertion order out on
+purpose: the inputs must get equal labels, not equal dict histories.  The
+last keeps it, as the vertex labels are written in the assignment's
+order, and sweeps the edge-list parser and the JSON writer too.
 The inputs:
 
 * both corpus manifests (``corpus/delta{3,4}_manifest.json``);
@@ -62,7 +67,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LEMMA1_SEEDS = (3442, 3992, 4224, 6402, 6718)  # glued seeds, Δ = 3
 REPAIR_SEEDS = ((954, 4), (476, 4))  # glued (seed, Δ)
-PARTS = ("labels", "records", "trace")
+PARTS = ("labels", "records", "trace", "json")
 
 
 def inputs(glued: int):
@@ -157,7 +162,7 @@ def chain_host(gen, r: random.Random):
 
 
 def child(glued: int) -> None:
-    from outerlabel import delta4
+    from outerlabel import delta4, io
     from outerlabel.delta3 import Diagnostics
     from outerlabel.pipeline import label_outerplanar
 
@@ -177,10 +182,16 @@ def child(glued: int) -> None:
         except Exception as exc:  # a raise must be the same on both sides
             out = f"{type(exc).__name__}: {exc}"
         records = repr([(r.get("event"), r.get("where")) for r in diag.records])
+        steps = list(cases)
+        try:
+            h = io.parse_edgelist(io.dump_edgelist(g))
+            printed = json.dumps(io.labeling_to_json(label_outerplanar(h)))
+        except Exception as exc:
+            printed = f"{type(exc).__name__}: {exc}"
         digests = [hashlib.sha256(part.encode()).hexdigest()
-                   for part in (out, records, "\n".join(diag.trace))]
+                   for part in (out, records, "\n".join(diag.trace), printed)]
         events = sorted({str(r.get("event")) for r in diag.records})
-        print(json.dumps([group, name, *digests, events, cases]))
+        print(json.dumps([group, name, *digests, events, steps]))
 
 
 def run(src: str, glued: int) -> list[list[str]]:
@@ -214,7 +225,7 @@ def main() -> int:
     counts["total"] = len(parent)
     bad = []  # (group, name, the parts that differ)
     for p, c in zip(parent, change):
-        parts = [part for part, a, b in zip(PARTS, p[2:5], c[2:5]) if a != b]
+        parts = [part for part, a, b in zip(PARTS, p[2:6], c[2:6]) if a != b]
         if parts:
             bad.append((p[0], p[1], parts))
     for group, n in counts.items():
@@ -222,10 +233,10 @@ def main() -> int:
         each = "  ".join(f"{part} {sum(part in w for w in wrong):4d}" for part in PARTS)
         print(f"{group:12s} {n:6d} inputs {len(wrong):4d} mismatches: {each}")
     for side, src, rows in (("parent", args.parent, parent), ("change", args.change, change)):
-        logged = Counter(event for row in rows for event in row[5])
+        logged = Counter(event for row in rows for event in row[6])
         each = "  ".join(f"{event} {n}" for event, n in sorted(logged.items()))
         print(f"{side} inputs logging each event: {each or 'none'}")
-        steps = Counter(case for row in rows for case in row[6])
+        steps = Counter(case for row in rows for case in row[7])
         each = "  ".join(f"case {case} {n}" for case, n in sorted(steps.items()))
         print(f"{side} chain steps per template case: {each or 'none'}")
         lines = sum(len(p.read_text().splitlines())
