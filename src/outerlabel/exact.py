@@ -19,12 +19,13 @@ forward check of a label is one ``&`` per later constrained element; the
 tables for gaps 1 and p are fetched once per search.  The pass that plans
 the search order also seeds the starting domains from the kept labels,
 through the same tables, or through ``_forbid_mask`` when they lie outside
-{0..k}, where a table has no entry.  Narrowed domains go on one undo trail
-shared by the whole search.  ``SearchStats.nodes`` counts every
-label tried.  A call given a ``budget`` (or a ``SearchStats`` whose
-``budget`` the caller set) raises ``SearchBudgetExceeded`` at the first
-label past it, counted from the call's own first node, so a spent budget
-leaves ``nodes`` one past the budget more than the call found it.
+{0..k}, where a table has no entry.  Each depth keeps the domains it was
+entered with, and each label tried narrows a copy of them, so backing up
+undoes nothing.  ``SearchStats.nodes`` counts every label tried.  A call
+given a ``budget`` (or a ``SearchStats`` whose ``budget`` the caller set)
+raises ``SearchBudgetExceeded`` at the first label past it, counted from
+the call's own first node, so a spent budget leaves ``nodes`` one past the
+budget more than the call found it.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class Plan(NamedTuple):
     """A search order and each element's forward checks, as built by ``_plan``."""
 
     order: list[Element]
-    ahead: list[list[tuple[int, bool]]]
+    near: list[list[int]]  # the later positions each position constrains at gap 1
+    far: list[list[int]]  # and at gap p
     p: int
 
 
@@ -86,13 +88,13 @@ def _plan(
     edge's ends, twice a vertex's degree), vertices before edges at equal
     degree, then by id.  A vertex constrains its neighbours at gap 1 and its
     edges at gap p; an edge constrains its ends at gap p and the edges next
-    to it at gap 1.  ``ahead[pos]`` lists (position, whether the gap is p)
-    of each later free element that ``order[pos]`` constrains.  The plan
-    does not depend on the range.  In the same pass, each free element's
-    starting domain is the set of labels in ``{0..k}`` that the labels of
-    its constrained elements that are not free (read by ``get``; None for
-    unlabeled) leave open.  Only the vertices of the free elements are
-    read, each once.
+    to it at gap 1.  ``near[pos]`` and ``far[pos]`` list the positions of
+    the later free elements that ``order[pos]`` constrains at gap 1 and at
+    gap p.  The plan does not depend on the range.  In the same pass, each
+    free element's starting domain is the set of labels in ``{0..k}`` that
+    the labels of its constrained elements that are not free (read by
+    ``get``; None for unlabeled) leave open.  Only the vertices of the free
+    elements are read, each once.
     """
     # is_edge_element and norm_edge are inlined here and below: these loops
     # are the whole set-up cost of a search
@@ -109,9 +111,10 @@ def _plan(
     order = [el if is_edge else el[0] for _, is_edge, el in keyed]
     index = {el: i for i, el in enumerate(order)}
     full = (1 << (k + 1)) - 1
-    near = _keep_masks(1, k)
-    far = _keep_masks(p, k)
-    ahead: list[list[tuple[int, bool]]] = []
+    near_keep = _keep_masks(1, k)
+    far_keep = _keep_masks(p, k)
+    near: list[list[int]] = []
+    far: list[list[int]] = []
     domains: list[int] = []
     for pos, el in enumerate(order):
         if isinstance(el, tuple):  # its ends at gap p, then the edges next to it
@@ -121,10 +124,10 @@ def _plan(
         else:  # its neighbours at gap 1, then its edges at gap p
             ns = nbrs[el]
             groups = ((ns, False), ([(el, w) if el < w else (w, el) for w in ns], True))
-        later = []
         dom = full
         for others, at_p in groups:
-            keep, gap = (far, p) if at_p else (near, 1)
+            keep, gap, later = (far_keep, p, []) if at_p else (near_keep, 1, [])
+            (far if at_p else near).append(later)
             for other in others:
                 i = index.get(other)
                 if i is None:
@@ -132,10 +135,9 @@ def _plan(
                     if lab is not None:
                         dom &= keep[lab] if 0 <= lab <= k else ~_forbid_mask(lab, gap, k)
                 elif i > pos:
-                    later.append((i, at_p))
-        ahead.append(later)
+                    later.append(i)
         domains.append(dom)
-    return Plan(order, ahead, p), domains
+    return Plan(order, near, far, p), domains
 
 
 def extend_vertex(f: TotalLabeling, v: int) -> bool:
@@ -210,42 +212,34 @@ def _search(
     """Depth-first search with forward checking over bitmask domains.
 
     Only the planned free elements are searched, each from its starting
-    domain in ``domains`` (narrowed in place); labels outside the plan are
-    neither checked nor read.  ``symmetry`` is for a search with nothing
-    fixed.  The result lists the labels of the free elements in search
-    order.  Past ``limit`` nodes in all (counted by ``stats``) the search
-    raises ``SearchBudgetExceeded``.
+    domain in ``domains``, which is read and never written; labels outside
+    the plan are neither checked nor read.  ``symmetry`` is for a search
+    with nothing fixed.  The result lists the labels of the free elements
+    in search order.  Past ``limit`` nodes in all (counted by ``stats``)
+    the search raises ``SearchBudgetExceeded``.
     """
-    order, ahead, p = plan
+    order, near_at, far_at, p = plan
     if not order:
         return []
-    near = _keep_masks(1, k)
-    far = _keep_masks(p, k)
     if not all(domains):
         return None
-
-    if symmetry:
-        # the complement z -> k - f(z) preserves validity, so the first
-        # branched element may be pinned to the lower half of the range
-        half = (k + 1) // 2 + 1  # labels 0..ceil(k/2)
-        domains[0] &= (1 << half) - 1
+    near = _keep_masks(1, k)
+    far = _keep_masks(p, k)
 
     last = len(order) - 1
     assignment = [0] * len(order)
     untried = [0] * len(order)  # labels left to try at each position on the path
-    marks = [0] * len(order)  # trail length when each position was entered
-    trail: list[tuple[int, int]] = []  # (position, its domain before a narrowing)
+    entered = [domains] * len(order)  # the domains each position was entered with
+    untried[0] = domains[0]
+    if symmetry:
+        # the complement z -> k - f(z) preserves validity, so the first
+        # branched element may be pinned to the lower half of the range
+        untried[0] &= (1 << (k + 1) // 2 + 1) - 1  # labels 0..ceil(k/2)
     nodes = stats.nodes
     pos = 0
-    untried[0] = domains[0]
     # constraints are symmetric, so checking each label forward suffices
     try:
         while True:
-            # undo the forward checks of the label last tried at pos
-            mark = marks[pos]
-            while len(trail) > mark:
-                i, old = trail.pop()
-                domains[i] = old
             dom = untried[pos]
             if not dom:
                 if not pos:
@@ -258,23 +252,30 @@ def _search(
             nodes += 1
             if limit is not None and nodes > limit:
                 raise SearchBudgetExceeded(f"exceeded the node budget at {limit}")
-            keep1 = near[lab]
-            keepp = far[lab]
-            for i, at_p in ahead[pos]:
-                old = domains[i]
-                new = old & (keepp if at_p else keep1)
-                if new != old:
-                    domains[i] = new
-                    trail.append((i, old))
+            doms = entered[pos]
+            ns, fs = near_at[pos], far_at[pos]
+            if ns or fs:  # else the parent's domains pass on uncopied
+                doms = doms.copy()
+                new = 1  # no domain emptied yet
+                keep = near[lab]
+                for i in ns:
+                    new = doms[i] = doms[i] & keep
                     if not new:
                         break
-            else:
-                assignment[pos] = lab
-                if pos == last:
-                    break
-                pos += 1
-                untried[pos] = domains[pos]
-                marks[pos] = len(trail)
+                else:
+                    keep = far[lab]
+                    for i in fs:
+                        new = doms[i] = doms[i] & keep
+                        if not new:
+                            break
+                if not new:
+                    continue
+            assignment[pos] = lab
+            if pos == last:
+                break
+            pos += 1
+            entered[pos] = doms
+            untried[pos] = doms[pos]
     finally:
         stats.nodes = nodes
     return assignment
@@ -295,6 +296,8 @@ def _labeling(
     g: Graph, k: int, plan: Plan, st: SearchStats, symmetry: bool, limit: int | None
 ) -> TotalLabeling | None:
     st.calls += 1
+    if k < 0:  # an empty range, and no mask to build for it
+        return None
     found = _search(plan, k, [(1 << (k + 1)) - 1] * len(plan.order), st, symmetry,
                     limit)
     if found is None:
@@ -314,7 +317,8 @@ def find_labeling_bounded(
     """A valid (p,1)-total labeling within ``{0..k}``, or None if none exists.
 
     The search is exhaustive, so a None answer is a proof of infeasibility;
-    an exhausted node ``budget`` raises instead of guessing.
+    an exhausted node ``budget`` raises instead of guessing.  A negative
+    ``k`` returns None.
     """
     st = stats if stats is not None else SearchStats()
     limit = st.budget if budget is None else st.nodes + budget
@@ -367,12 +371,12 @@ def extend_bounded(
     search finds is written into ``f`` (each free element moves to the end
     of the assignment, in search order) and ``f`` is returned; None, with
     ``f`` unchanged, only when the free elements cannot be labeled against
-    their labeled neighbours.  Only the free elements and their neighbours
-    are read, so the result is not verified: a conflict among the kept
-    labels, a kept label outside ``{0..k}``, or an element that is neither
-    assigned nor free is left for the check that callers run on it
-    (``complete`` checks around the touched and freed elements with
-    ``verify_around``).
+    their labeled neighbours, and always for a negative ``k``.  Only the
+    free elements and their neighbours are read, so the result is not
+    verified: a conflict among the kept labels, a kept label outside
+    ``{0..k}``, or an element that is neither assigned nor free is left for
+    the check that callers run on it (``complete`` checks around the
+    touched and freed elements with ``verify_around``).
     """
     kk = f.k if k is None else k
     g = f.graph
@@ -381,6 +385,8 @@ def extend_bounded(
     ]
     st = stats if stats is not None else SearchStats()
     st.calls += 1
+    if kk < 0:  # an empty range, and no mask to build for it
+        return None
     plan, domains = _plan(g, p, norm_free, kk, f.assignment.get)
     found = _search(plan, kk, domains, st, False, st.budget)
     if found is None:

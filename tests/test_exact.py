@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,9 @@ from outerlabel.exact import (
     SearchBudgetExceeded,
     SearchCapExceeded,
     SearchStats,
+    _keep_masks,
+    _plan,
+    _search,
     extend_bounded,
     find_labeling_bounded,
     lambda_exact,
@@ -209,3 +213,132 @@ def test_spent_budget_counts_one_node_past_it():
     stats = SearchStats()
     assert lambda_exact(gen.gen_cycle(9), 2, 4, stats=stats, budget=5) == (None, None)
     assert stats.nodes == 6
+
+
+@pytest.mark.parametrize("k", [-1, -2, -5])
+def test_negative_range_returns_none(k):
+    g = gen.gen_path(3)
+    stats = SearchStats()
+    assert find_labeling_bounded(g, 2, k, stats=stats) is None
+    f = find_labeling_bounded(g, 2, 4)
+    kept = dict(f.assignment)
+    assert extend_bounded(f, [0, (0, 1)], k=k, stats=stats) is None
+    assert f.assignment == kept and f.k == 4
+    assert extend_bounded(TotalLabeling(g, k, {}), list(g.elements()), stats=stats) is None
+    assert stats.nodes == 0 and stats.calls == 3
+    assert lambda_exact(g, 2, -3) == (None, None)
+
+
+def _trail_search(plan, k, domains, stats, symmetry, limit):
+    """The search kernel as it was with an undo trail, kept as a reference.
+
+    ``ahead[pos]`` pairs each later constrained position with whether its
+    gap is p, as the plan listed them then: an edge's ends (gap p) before
+    its neighbouring edges, a vertex's neighbours before its edges.
+    """
+    order, near_at, far_at, p = plan
+    ahead = [
+        [(i, True) for i in fs] + [(i, False) for i in ns] if isinstance(el, tuple)
+        else [(i, False) for i in ns] + [(i, True) for i in fs]
+        for el, ns, fs in zip(order, near_at, far_at)
+    ]
+    if not order:
+        return []
+    near = _keep_masks(1, k)
+    far = _keep_masks(p, k)
+    if not all(domains):
+        return None
+    if symmetry:
+        half = (k + 1) // 2 + 1
+        domains[0] &= (1 << half) - 1
+    last = len(order) - 1
+    assignment = [0] * len(order)
+    untried = [0] * len(order)
+    marks = [0] * len(order)
+    trail = []
+    nodes = stats.nodes
+    pos = 0
+    untried[0] = domains[0]
+    try:
+        while True:
+            mark = marks[pos]
+            while len(trail) > mark:
+                i, old = trail.pop()
+                domains[i] = old
+            dom = untried[pos]
+            if not dom:
+                if not pos:
+                    return None
+                pos -= 1
+                continue
+            low = dom & -dom
+            untried[pos] = dom ^ low
+            lab = low.bit_length() - 1
+            nodes += 1
+            if limit is not None and nodes > limit:
+                raise SearchBudgetExceeded(f"exceeded the node budget at {limit}")
+            keep1 = near[lab]
+            keepp = far[lab]
+            for i, at_p in ahead[pos]:
+                old = domains[i]
+                new = old & (keepp if at_p else keep1)
+                if new != old:
+                    domains[i] = new
+                    trail.append((i, old))
+                    if not new:
+                        break
+            else:
+                assignment[pos] = lab
+                if pos == last:
+                    break
+                pos += 1
+                untried[pos] = domains[pos]
+                marks[pos] = len(trail)
+    finally:
+        stats.nodes = nodes
+    return assignment
+
+
+def _run(kernel, plan, k, domains, nodes, symmetry, budget):
+    """(result or "budget", nodes after) of one kernel from ``nodes`` nodes in."""
+    stats = SearchStats(nodes=nodes)
+    limit = None if budget is None else nodes + budget
+    try:
+        out = kernel(plan, k, domains, stats, symmetry, limit)
+    except SearchBudgetExceeded:
+        out = "budget"
+    return out, stats.nodes
+
+
+@cache
+def _triangulations(n):
+    return [sorted(t.edges) for t in gen.enumerate_triangulations(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_snapshot_kernel_matches_the_trail_kernel(data):
+    if data.draw(st.booleans()):  # a subset of a triangulated polygon
+        n = data.draw(st.integers(3, 8))
+        edges = data.draw(st.sampled_from(_triangulations(n)))
+        kept = [e for e in edges if data.draw(st.booleans())]
+        g = Graph(range(n), kept)
+    else:
+        n = data.draw(st.integers(2, 8))
+        g = gen.gen_glued_outerplanar(n, seed=data.draw(st.integers(0, 5_000)),
+                                      constraints={}, retries=10)
+    elements = list(g.elements())
+    free = [el for el in elements if data.draw(st.integers(0, 3))]
+    k = data.draw(st.integers(0, 7))
+    p = data.draw(st.integers(1, 3))
+    labels = {el: data.draw(st.integers(-2, k + 2)) for el in elements
+              if el not in free and data.draw(st.integers(0, 4))}
+    plan, domains = _plan(g, p, free, k, labels.get)
+    symmetry = data.draw(st.booleans())
+    nodes = data.draw(st.integers(0, 50))
+    size = _run(_trail_search, plan, k, list(domains), 0, symmetry, None)[1]
+    budget = data.draw(st.none() | st.integers(0, size + 2))
+    given_domains = list(domains)
+    assert _run(_search, plan, k, domains, nodes, symmetry, budget) == _run(
+        _trail_search, plan, k, list(domains), nodes, symmetry, budget)
+    assert domains == given_domains  # read, never written

@@ -4,15 +4,25 @@
 
 Each ``SRC`` holds an ``outerlabel`` package; it is imported in a fresh
 process, which labels every input with ``label_outerplanar`` and a
-``Diagnostics`` and reports, per input, four digests: of the labels (the
-assignment as sorted items, or the exception raised), of the ``(event,
-where)`` records, of the step trace lines, and of what ``outerlabel label``
-prints for it: the bytes of ``json.dumps(io.labeling_to_json(f))`` for
-the labeling ``f`` of the graph read back from its ``io.dump_edgelist``
-text (or the exception raised).  The first leaves insertion order out on
-purpose: the inputs must get equal labels, not equal dict histories.  The
-last keeps it, as the vertex labels are written in the assignment's
-order, and sweeps the edge-list parser and the JSON writer too.
+``Diagnostics`` and reports, per input, five digests:
+
+* ``labels``: the assignment as sorted items, or the exception raised;
+* ``records``: the ``(event, where)`` records;
+* ``trace``: the step trace lines;
+* ``json``: what ``outerlabel label`` prints for it, the bytes of
+  ``json.dumps(io.labeling_to_json(f))`` for the labeling ``f`` of the
+  graph read back from its ``io.dump_edgelist`` text (or the exception
+  raised);
+* ``search``: for an input of at most 33 elements (vertices and edges),
+  ``lambda_exact(g, 2, Δ+2, cap=33)``'s λ, the witness items in
+  insertion order, and the search's ``nodes`` and ``calls``, so the
+  exact search's tree is compared input by input (a larger input digests
+  an empty string).
+
+``labels`` leaves insertion order out on purpose: the inputs must get
+equal labels, not equal dict histories.  ``json`` keeps it, as the vertex
+labels are written in the assignment's order, and sweeps the edge-list
+parser and the JSON writer too.
 The inputs:
 
 * both corpus manifests (``corpus/delta{3,4}_manifest.json``);
@@ -44,7 +54,8 @@ The inputs:
 Both trees label the same hosts: those from this tree's ``generators.py``
 are built by it whichever tree is imported, and the tight-gap leaves by
 this tree's test module.  Prints the count of inputs
-per group, with the mismatches of each part, then for each tree how many
+per group, with the mismatches of each part, and how many inputs the
+``search`` part searched, then for each tree how many
 inputs logged each repair event (its fallback rate), how many chain steps
 ran each chain template case and how many lines its ``outerlabel`` package
 has, then every mismatching input and its parts, and exits 1 if there is
@@ -67,7 +78,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LEMMA1_SEEDS = (3442, 3992, 4224, 6402, 6718)  # glued seeds, Δ = 3
 REPAIR_SEEDS = ((954, 4), (476, 4))  # glued (seed, Δ)
-PARTS = ("labels", "records", "trace", "json")
+PARTS = ("labels", "records", "trace", "json", "search")
+SEARCH_CAP = 33  # elements
 
 
 def inputs(glued: int):
@@ -164,6 +176,7 @@ def chain_host(gen, r: random.Random):
 def child(glued: int) -> None:
     from outerlabel import delta4, io
     from outerlabel.delta3 import Diagnostics
+    from outerlabel.exact import SearchStats, lambda_exact
     from outerlabel.pipeline import label_outerplanar
 
     template, cases = delta4.chain_template, []
@@ -188,8 +201,15 @@ def child(glued: int) -> None:
             printed = json.dumps(io.labeling_to_json(label_outerplanar(h)))
         except Exception as exc:
             printed = f"{type(exc).__name__}: {exc}"
+        searched = ""
+        if g.n + g.m <= SEARCH_CAP:
+            stats = SearchStats()
+            lam, witness = lambda_exact(g, 2, g.max_degree() + 2, cap=SEARCH_CAP,
+                                        stats=stats)
+            searched = repr((lam, witness and list(witness.assignment.items()),
+                             stats.nodes, stats.calls))
         digests = [hashlib.sha256(part.encode()).hexdigest()
-                   for part in (out, records, "\n".join(diag.trace), printed)]
+                   for part in (out, records, "\n".join(diag.trace), printed, searched)]
         events = sorted({str(r.get("event")) for r in diag.records})
         print(json.dumps([group, name, *digests, events, steps]))
 
@@ -225,18 +245,21 @@ def main() -> int:
     counts["total"] = len(parent)
     bad = []  # (group, name, the parts that differ)
     for p, c in zip(parent, change):
-        parts = [part for part, a, b in zip(PARTS, p[2:6], c[2:6]) if a != b]
+        parts = [part for part, a, b in zip(PARTS, p[2:], c[2:]) if a != b]
         if parts:
             bad.append((p[0], p[1], parts))
     for group, n in counts.items():
         wrong = [b[2] for b in bad if group in ("total", b[0])]
         each = "  ".join(f"{part} {sum(part in w for w in wrong):4d}" for part in PARTS)
         print(f"{group:12s} {n:6d} inputs {len(wrong):4d} mismatches: {each}")
+    unsearched = hashlib.sha256(b"").hexdigest()
+    searched = sum(row[2 + PARTS.index("search")] != unsearched for row in parent)
+    print(f"inputs of at most {SEARCH_CAP} elements, searched exactly: {searched}")
     for side, src, rows in (("parent", args.parent, parent), ("change", args.change, change)):
-        logged = Counter(event for row in rows for event in row[6])
+        logged = Counter(event for row in rows for event in row[-2])
         each = "  ".join(f"{event} {n}" for event, n in sorted(logged.items()))
         print(f"{side} inputs logging each event: {each or 'none'}")
-        steps = Counter(case for row in rows for case in row[7])
+        steps = Counter(case for row in rows for case in row[-1])
         each = "  ".join(f"case {case} {n}" for case, n in sorted(steps.items()))
         print(f"{side} chain steps per template case: {each or 'none'}")
         lines = sum(len(p.read_text().splitlines())
