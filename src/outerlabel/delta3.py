@@ -31,17 +31,17 @@ pendant or the 2-vertex of a C1/C2 instance goes by one step,
 ``vertex_step``, and comes back by one rule, ``put_back``, in both
 labelers; a leaf block comes back by ``_attach_leaf_block``.
 
-Every finish rule extends its component's labeling in place and checks
-what it changed with ``verify_around``, which is exact because the smaller
-host's labeling was valid and the rest of it is kept.  A rule that meets
-its context complemented (a leaf bridge labeled 2 or less, mirrored stubs)
-reads it as z -> 5 - z and writes the complement of each label it picks.
-A case table writes its labels and is only checked (``check``): a miss
-raises InfeasibleTrace naming the rule or row.  ``complete`` is
-the one place that searches: it relabels freed elements by bounded
-search, checks and puts back, and frees a wider set only after a miss,
-logging each widening.  ``label_delta3`` runs the one full ``verify`` on the finished
-labeling, so the verifier has the last word on every output.
+Every finish rule extends its component's labeling in place.  Labels a
+search writes (``put_back``, ``complete``) meet every constraint at the
+freed elements by construction and are not checked.  Every other rule, a
+case table or a walk, checks what it changed (``check``): ``verify_around``
+is exact there because the smaller host's labeling was valid and the rest
+is kept, and a miss raises InfeasibleTrace naming the rule or row.  A rule
+that meets its context complemented (a leaf bridge labeled 2 or less,
+mirrored stubs) reads it as z -> 5 - z and writes the complement of each
+label it picks.  ``complete`` alone searches with a budget, widening only
+after a miss and logging it.  ``label_delta3`` runs the one full
+``verify`` on the finished labeling, the last word on every output.
 """
 
 from __future__ import annotations
@@ -441,15 +441,15 @@ def complete(f: TotalLabeling, touched: Collection[Element],
              event: str | None = None) -> TotalLabeling:
     """The first checked completion of ``f``, freeing each of ``frees`` in turn.
 
-    ``f`` is as ``check`` needs it around ``touched`` and the freed
-    elements, so a completion is valid exactly when ``verify_around`` finds
-    nothing there; no full ``verify`` runs here.  ``extend_bounded``
-    relabels each freed set (normalized), in place, within
-    ``COMPLETION_BUDGET`` nodes.  A completion that does not check clean is
-    put back.  ``frees`` is read one set at a time, so a wider set is built
-    only after a miss; when ``event`` is given, each set is logged as
-    ``event`` at ``where``.  Returns ``f``; raises InfeasibleTrace when no
-    set gives a valid labeling or a search spends its budget.
+    ``extend_bounded`` relabels each freed set (normalized), in place,
+    within ``COMPLETION_BUDGET`` nodes, seeding each freed element from
+    every labeled element it constrains, so only kept labels can clash:
+    ``touched`` is what ``check`` would need, less any element every set
+    frees (empty checks nothing).  A completion that does not check clean
+    is put back.  ``frees`` is read one set at a time, so a wider set is
+    built only after a miss; when ``event`` is given, each set is logged
+    as ``event`` at ``where``.  Returns ``f``; raises InfeasibleTrace when
+    no set gives a valid labeling or a search spends its budget.
     """
     a = f.assignment
     for free in frees:
@@ -464,7 +464,7 @@ def complete(f: TotalLabeling, touched: Collection[Element],
             raise InfeasibleTrace(
                 f"{where}: completion search tried {stats.nodes} nodes, "
                 f"past its budget of {COMPLETION_BUDGET}") from exc
-        if not verify_around(f, [*touched, *free]):
+        if not verify_around(f, touched):
             return f
         for el in free:
             a.pop(el, None)
@@ -481,26 +481,22 @@ def vertex_step(host: OuterplanarEmbedding, u1: int, kind: str,
 
 def put_back(u1: int, kind: str, diag: Diagnostics | None,
              fh: TotalLabeling) -> TotalLabeling:
-    """Put the dropped ``u1`` and its edges back by ``exact.extend_vertex``, then
-    check them.
+    """Put the dropped ``u1`` and its edges back by ``exact.extend_vertex``.
 
+    A hit is not checked: every element that changed is freed, and
+    ``extend_vertex`` seeds each from every labeled element it constrains.
     At k = Δ+2 a pendant's edge keeps a label, and the pendant at least
-    two, as the paper's pendant extension has it.  Only a miss or a failed
-    check searches: ``complete`` frees ``u1``'s neighbours and their edges
-    too (the host can force both edges of a 2-vertex into {3, 6}, say,
-    leaving no vertex label) and logs the widening.
+    two, as the paper's pendant extension has it.  Only a miss searches:
+    ``complete`` frees ``u1``'s neighbours and their edges too (the host
+    can force both edges of a 2-vertex into {3, 6}, say, leaving no vertex
+    label), logs the widening and checks nothing either.
     """
-    g = fh.graph
-    freed = [u1, *g.incident_edges(u1)]
-    if extend_vertex(fh, u1) and not verify_around(fh, freed):
+    if extend_vertex(fh, u1):
         return fh
-    wider = set(freed)
-    for nb in g.neighbors(u1):
-        wider.add(nb)
-        wider.update(g.incident_edges(nb))
+    nbs = fh.graph.neighbors(u1)
+    wider = {u1, *nbs, *(e for nb in nbs for e in fh.graph.incident_edges(nb))}
     where = f"pendant at vertex {u1}" if kind == "pendant" else f"{kind} completion"
-    return complete(fh, freed, [sorted(wider, key=repr)], where, diag,
-                    "widened-completion")
+    return complete(fh, (), [sorted(wider, key=repr)], where, diag, "widened-completion")
 
 
 # -- leaf-block surgery ------------------------------------------------------

@@ -6,11 +6,11 @@ decreasing constraint degree, labels ascending), so the first labeling
 found, and hence every returned witness, is deterministic.
 
 ``extend_bounded`` searches only the elements it frees, against the labels
-of their neighbours, and writes the labels it finds into the labeling it
-was given; it does not check the labels it keeps, which is the job of the
-caller's check (``labeling.verify_around`` or ``verify``).  For a freed
-vertex of degree 1 or 2 and its edges, ``extend_vertex`` writes the same
-first answer without building a plan.
+of their neighbours, and writes what it finds into the labeling it was
+given.  Each freed element is seeded from every labeled element it
+constrains, so only kept labels can clash: that is the caller's check
+(``labeling.verify_around`` or ``verify``).  Without a plan, ``extend_vertex``
+writes the same first answer for a freed vertex of degree 1 or 2 and its edges.
 
 One search node costs table lookups and bit operations.  Domains are
 bitmasks over {0..k}.  ``_keep_masks(gap, k)`` holds, for each label in
@@ -148,7 +148,7 @@ def extend_vertex(f: TotalLabeling, v: int) -> bool:
     seeding, then labels ascending, depth first over the same masks (two
     edges keep ``near`` of each other's label, a vertex and an edge
     ``far``).  The answer is written into ``f`` in that order and True
-    returned; on a miss (False) ``f`` is unchanged.
+    returned; on a miss (False) ``f`` is unchanged.  Other degrees raise.
     """
     k = f.k
     g = f.graph
@@ -156,6 +156,8 @@ def extend_vertex(f: TotalLabeling, v: int) -> bool:
     near, far = _keep_masks(1, k), _keep_masks(2, k)
     nbrs = g.neighbors
     ends = nbrs(v)
+    if not 0 < len(ends) < 3:
+        raise ValueError(f"extend_vertex: vertex {v} has degree {len(ends)}, not 1 or 2")
     vertex_dom = full = (1 << (k + 1)) - 1
     keyed = []  # (-constraint degree, is an edge, element, starting domain)
     for x in ends:
@@ -375,8 +377,8 @@ def extend_bounded(
     free elements and their neighbours are read, so the result is not
     verified: a conflict among the kept labels, a kept label outside
     ``{0..k}``, or an element that is neither assigned nor free is left for
-    the check that callers run on it (``complete`` checks around the
-    touched and freed elements with ``verify_around``).
+    the check that callers run on it (``complete`` checks around its
+    touched elements with ``verify_around``).
     """
     kk = f.k if k is None else k
     g = f.graph

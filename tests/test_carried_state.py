@@ -128,12 +128,14 @@ def _inside_remove() -> bool:
 ], ids=["strip480", "capped960", "bridged160", "pentagon200"])
 def test_reduction_work_is_linear(monkeypatch, family, size):
     # each family is labeled at ``size`` (480 to 1,200 vertices) and at 8
-    # times that.  Five counts of the work done must grow no faster than 1.5
+    # times that.  Six counts of the work done must grow no faster than 1.5
     # times the vertex count: block vertices read (``vertices()`` and
     # ``cycle`` reads, each weighted by its block's length, and the path a
     # chordless block opens into, which ``_open`` walks), vertices walked
     # by ``_cut_arc`` (what it leaves of a block), elements checked by
-    # ``verify_around``, completion-search nodes and Graph.degree calls.
+    # ``verify_around`` (a put-back checks none), elements written by an
+    # ``extend_vertex`` hit (every put-back but a widened one),
+    # completion-search nodes and Graph.degree calls.
     # sun_necklace stays out until closed-chain steps stop rebuilding every
     # block's ear map (quadratic there).
     # Besides, a removal traces no faces (the blocks it leaves trace theirs
@@ -174,6 +176,8 @@ def test_reduction_work_is_linear(monkeypatch, family, size):
          lambda args, kwargs, out: len(out[0]) + sum(map(len, out[1]))),
         (delta3, "verify_around", "checked by verify_around",
          lambda args, kwargs, out: len(args[1])),
+        (delta3, "extend_vertex", "written by extend_vertex",
+         lambda args, kwargs, out: 1 + len(args[0].graph.neighbors(args[1])) if out else 0),
         (delta3, "extend_bounded", "completion nodes",
          lambda args, kwargs, out: kwargs["stats"].nodes),
         (Graph, "degree", "Graph.degree calls", lambda args, kwargs, out: 1),
@@ -192,5 +196,5 @@ def test_reduction_work_is_linear(monkeypatch, family, size):
         counts.append((g.n, dict(work)))
     (n1, small), (n2, big) = counts
     for name in ("block vertices read", "walked by _cut_arc", "checked by verify_around",
-                 "completion nodes", "Graph.degree calls"):
+                 "written by extend_vertex", "completion nodes", "Graph.degree calls"):
         assert big.get(name, 0) * n1 <= 1.5 * n2 * small.get(name, 0), (name, small, big)

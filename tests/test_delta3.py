@@ -442,10 +442,10 @@ def test_pendant_rule_matches_the_search(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_every_extend_vertex_hit_checks_clean(data):
-    # put_back keeps its verify_around after an extend_vertex hit; this
-    # records that a hit never needs it: on a random partial labeling of a
-    # pendant's or a 2-vertex's surroundings, kept labels in or out of
-    # {0..k}, every hit is clean around the vertex and its edges
+    # put_back does not check an extend_vertex hit, as a hit is valid by
+    # construction: on a random partial labeling of a pendant's or a
+    # 2-vertex's surroundings, kept labels in or out of {0..k}, every hit
+    # is clean around the vertex and its edges
     v = data.draw(st.sampled_from([0, 50]), label="v")
     ends = data.draw(st.sampled_from([(1,), (1, 2), (2, 60)]), label="neighbours")
     edges = [(v, x) for x in ends]
@@ -468,6 +468,24 @@ def test_every_extend_vertex_hit_checks_clean(data):
         assert verify_around(f, [v, *g.incident_edges(v)]) == []
     else:
         assert f.assignment == before
+
+
+def test_extend_vertex_refuses_other_degrees():
+    # a vertex of degree 3 would keep an edge unlabeled (no labeling of the
+    # star exists here), and one of degree 0 has no edge to order: both
+    # raise before anything is written
+    g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 4)])
+    labels = {1: 0, 2: 0, 3: 1, (1, 4): 5, 4: 2}
+    f = TotalLabeling(g, 5, dict(labels))
+    assert extend_bounded(TotalLabeling(g, 5, dict(labels)),
+                          [0, *g.incident_edges(0)]) is None
+    with pytest.raises(ValueError, match=r"^extend_vertex: vertex 0 has degree 3, not 1 or 2$"):
+        extend_vertex(f, 0)
+    assert f.assignment == labels
+    lone = TotalLabeling(Graph.from_edges([(1, 2)], n=1), 5, {1: 0, 2: 2, (1, 2): 5})
+    with pytest.raises(ValueError, match=r"^extend_vertex: vertex 0 has degree 0, not 1 or 2$"):
+        extend_vertex(lone, 0)
+    assert lone.assignment == {1: 0, 2: 2, (1, 2): 5}
 
 
 def test_pendant_rule_misses_below_its_range():

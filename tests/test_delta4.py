@@ -37,7 +37,7 @@ from outerlabel.delta4 import (
 from outerlabel.embedding import recognize_embed
 from outerlabel.exact import extend_vertex, lambda_exact
 from outerlabel.graphs import Graph, norm_edge
-from outerlabel.labeling import TotalLabeling, span, verify
+from outerlabel.labeling import TotalLabeling, span, verify, verify_around
 from outerlabel.pipeline import UnsupportedDegree, label_outerplanar
 from outerlabel.structure import find_configuration
 
@@ -324,6 +324,29 @@ def test_every_small_polygon_subgraph():
     # triangulated n-gon: Δ <= 4 labels clean within Δ+2, Δ >= 5 is refused
     assert _label_each(_polygon_subsets()) == (
         8645, 1888, [("widened-completion", "C2 completion")] * 14)
+
+
+def test_every_put_back_hit_checks_clean_in_the_driver(monkeypatch):
+    # put_back does not check an extend_vertex hit.  In the states the
+    # driver really reaches, every hit is clean around the vertex and its
+    # edges: the Δ = 3 and 4 hosts of the n <= 7 polygon sweep and 200
+    # glued hosts, each labeled through label_outerplanar
+    real, hits = delta3.extend_vertex, []
+
+    def checked(f, v):
+        hit = real(f, v)
+        if hit:
+            assert verify_around(f, [v, *f.graph.incident_edges(v)]) == [], v
+            hits.append(v)
+        return hit
+
+    monkeypatch.setattr(delta3, "extend_vertex", checked)
+    hosts = [g for g in _polygon_subsets() if g.max_degree() in (3, 4)]
+    hosts += [gen.gen_glued_outerplanar(20 + s % 60, s, {"max_degree": 3 + s % 2})
+              for s in range(200)]
+    for g in hosts:
+        label_outerplanar(g)  # its own verify raises on any clash
+    assert len(hits) >= 28_000  # 28,667 today
 
 
 def test_small_polygon_subgraphs_under_permuted_ids():

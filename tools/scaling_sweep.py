@@ -3,29 +3,30 @@
     python tools/scaling_sweep.py --run change=src [--run parent=OTHER/src] --out BENCH.json
 
 Each ``--run LABEL=SRC`` imports ``outerlabel`` from ``SRC``, in a fresh
-process per family, and labels five families with fixed seeds, from about
-10^2 to 10^5 vertices: bridged(k) and capped(n, 4) from ``perfbench/families.py`` (read,
-not changed), and three from this tree's ``generators.py``, whichever
-tree ``SRC`` is: strip(n), the path 0..n-1 plus the chords (i, i + 2);
-pentagon_leaves(k), a k-cycle with a chorded pentagon bridged to each
-vertex, whose every leaf is reattached across a chord; and
-sun_necklace(k), k suns of four ears in a row, reduced by one closed
-chain each.  Every labeling is checked with ``verify`` and span <= Δ + 2.
+process per family and size, and labels five families with fixed seeds,
+from about 10^2 to 10^5 vertices: bridged(k) and capped(n, 4) from
+``perfbench/families.py`` (read, not changed), and three from this tree's
+``generators.py``, whichever tree ``SRC`` is: strip(n), the path 0..n-1
+plus the chords (i, i + 2); pentagon_leaves(k), a k-cycle with a chorded
+pentagon bridged to each vertex, whose every leaf is reattached across a
+chord; and sun_necklace(k), k suns of four ears in a row, reduced by one
+closed chain each.  Every labeling is checked with ``verify`` and span <= Δ + 2.
 A size is timed as the best of three runs.  The runs take turns point by
 point: each (family, size) is timed on every run before the next, and the
 run that goes first alternates from one point to the next, so a drift in
-the machine's speed reaches every run alike.  A family's processes, one
-per run, are started together and each is sent one size at a time.  A
-run's family stops growing after a size whose best run took longer than
-``CAP_SECONDS`` or whose process peak memory (``ru_maxrss``, measured
-after the size) passed ``MAX_MB``.
+the machine's speed reaches every run alike.  Each point's process builds
+and labels only that size, so no point inherits the heap of the smaller
+sizes before it.  A run's family stops growing after a size whose best
+run took longer than ``CAP_SECONDS`` or whose process peak memory
+(``ru_maxrss``, measured after the size) passed ``MAX_MB``.
 The exponent is the least-squares slope of log(seconds) over log(n), over
 every size a run reached (``exponent``) and over the sizes every run
 reached (``shared_exponent``), which compares runs over one range.
 ``memory_exponent`` is the slope of log(peak_mb - base_mb) over log(n),
-where ``base_mb`` is the child's peak before its first size (interpreter,
-package and family set-up; the package is compiled beforehand, so the
-compiler's peak is not in it), over the sizes whose peak grew past it.
+where each point's ``base_mb`` is its process's peak before the size
+(interpreter, package and family set-up; the package is compiled
+beforehand, so the compiler's peak is not in it), over the sizes whose
+peak grew past it.  A family's ``base_mb`` is the least of its points'.
 The bytecode goes to one temporary ``PYTHONPYCACHEPREFIX``, which the
 compile step and every child share, so no swept tree is left with a
 ``__pycache__``.  All runs go into one JSON file.
@@ -99,72 +100,52 @@ def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def serve(name: str) -> None:
-    """Run in the child process: one family, one size per line of stdin.
-
-    Prints the process's peak memory before any size, then one JSON point
-    per size it reads.
-    """
+def serve(name: str, size: int) -> None:
+    """Run in the child process: one family at one size, printed as a JSON point."""
     from outerlabel.graphs import Graph
     from outerlabel.labeling import span, verify
     from outerlabel.pipeline import label_outerplanar
 
     fam, gen = _family_modules()
-    print(json.dumps(_peak_mb()), flush=True)
-    for line in sys.stdin:
-        size = int(line)
-        g = Graph.from_edges(FAMILIES[name](fam, gen, size))
-        best = math.inf
-        for _ in range(3):
-            t0 = time.perf_counter()
-            f = label_outerplanar(g)
-            best = min(best, time.perf_counter() - t0)
-        if verify(f, 2) or span(f) > g.max_degree() + 2:
-            raise AssertionError(f"{name}({size}): bad labeling")
-        print(json.dumps({"n": g.n, "m": g.m, "seconds": round(best, 4),
-                          "peak_mb": round(_peak_mb(), 1)}), flush=True)
-
-
-def _read(child: subprocess.Popen, what: str):
-    line = child.stdout.readline()
-    if not line:
-        raise SystemExit(f"{what}: the child process failed")
-    return json.loads(line)
+    base = _peak_mb()
+    g = Graph.from_edges(FAMILIES[name](fam, gen, size))
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        f = label_outerplanar(g)
+        best = min(best, time.perf_counter() - t0)
+    if verify(f, 2) or span(f) > g.max_degree() + 2:
+        raise AssertionError(f"{name}({size}): bad labeling")
+    print(json.dumps({"n": g.n, "m": g.m, "seconds": round(best, 4),
+                      "peak_mb": round(_peak_mb(), 1), "base_mb": round(base, 1)}))
 
 
 def sweep(name: str, envs: dict[str, dict], turn: int) -> tuple[dict, int]:
     """Every run's points of one family, taking turns from ``turn`` on."""
-    children = {label: subprocess.Popen(
-        [sys.executable, __file__, "--child", name], env=env, text=True,
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE) for label, env in envs.items()}
-    try:
-        base = {label: _read(child, f"{label} {name}") for label, child in children.items()}
-        points: dict[str, list] = {label: [] for label in children}
-        growing = list(children)
-        for size in SIZES:
-            if not growing:
-                break
-            for label in growing[::-1] if turn % 2 else list(growing):
-                child = children[label]
-                child.stdin.write(f"{size}\n")
-                child.stdin.flush()
-                p = _read(child, f"{label} {name}({size})")
-                points[label].append(p)
-                print(f"{label:8s} {name:15s} n={p['n']:6d} m={p['m']:6d} "
-                      f"{p['seconds']:9.4f} s {p['peak_mb']:6.0f} MB", file=sys.stderr)
-                if p["seconds"] > CAP_SECONDS or p["peak_mb"] > MAX_MB:
-                    growing.remove(label)
-            turn += 1
-    finally:
-        for child in children.values():
-            child.stdin.close()
-            child.wait()
+    points: dict[str, list] = {label: [] for label in envs}
+    growing = list(envs)
+    for size in SIZES:
+        if not growing:
+            break
+        for label in growing[::-1] if turn % 2 else list(growing):
+            child = subprocess.run(
+                [sys.executable, __file__, "--child", name, str(size)],
+                env=envs[label], text=True, stdout=subprocess.PIPE)
+            if child.returncode:
+                raise SystemExit(f"{label} {name}({size}): the child process failed")
+            p = json.loads(child.stdout)
+            points[label].append(p)
+            print(f"{label:8s} {name:15s} n={p['n']:6d} m={p['m']:6d} "
+                  f"{p['seconds']:9.4f} s {p['peak_mb']:6.0f} MB", file=sys.stderr)
+            if p["seconds"] > CAP_SECONDS or p["peak_mb"] > MAX_MB:
+                growing.remove(label)
+        turn += 1
     out = {}
     for label, pts in points.items():
         slope = exponent(pts)
-        grow = exponent(pts, "peak_mb", base[label])
+        grow = exponent([{"n": p["n"], "mb": p["peak_mb"] - p["base_mb"]} for p in pts], "mb")
         out[label] = {"points": pts, "exponent": None if slope is None else round(slope, 3),
-                      "base_mb": round(base[label], 1),
+                      "base_mb": min(p["base_mb"] for p in pts),
                       "memory_exponent": None if grow is None else round(grow, 3)}
     return out, turn
 
@@ -174,10 +155,10 @@ def main() -> int:
     ap.add_argument("--run", action="append", default=[], metavar="LABEL=SRC",
                     help="label and source directory holding the outerlabel package")
     ap.add_argument("--out", help="JSON file to write (default: stdout)")
-    ap.add_argument("--child", help=argparse.SUPPRESS)
+    ap.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
-        serve(args.child)
+        serve(args.child[0], int(args.child[1]))
         return 0
     runs: dict[str, dict] = {}
     envs = {}
