@@ -142,6 +142,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     g = generators.corpus_graph(entry)
     if args.format == "json":
         print(io.dump_graph_json(g))
+    elif not g.m:  # an empty edge list does not parse back
+        raise ValueError(f"an edge list cannot hold a graph without edges (n={g.n}); "
+                         "use --format json")
     else:
         sys.stdout.write(io.dump_edgelist(g))
     _say(f"generated n={g.n} m={g.m} max_degree={g.max_degree()}")

@@ -3,14 +3,14 @@
 A connected outerplanar graph is handled block by block: every biconnected
 block with three or more vertices has a unique Hamiltonian boundary cycle,
 and all remaining block edges must be pairwise non-crossing chords of that
-cycle.  Both are checked in near-linear time: the cycle by degree-2
-reduction on adjacency sets, the chords by one stack pass over the boundary
-positions in which they must nest like parentheses.  A reduction step never
-joins the two sides of a cut vertex, so reducing a whole host of minimum
-degree 2 to a triangle proves it one 2-connected block; other hosts are cut
-into blocks by one depth-first search.  Faces are traced when first read.
-"Clockwise" means the stored orientation of each cycle; there are no
-coordinates.
+cycle.  One degree-2 reduction on adjacency sets finds both in linear
+time: reinserting the peeled vertices draws the cycle, and the chords are
+the splice pairs that are edges, which nest by construction.  A reduction
+step never joins the two sides of a cut vertex, so reducing a whole host of
+minimum degree 2 to a triangle proves it one 2-connected block; other hosts
+are cut into blocks by one depth-first search.  Faces are traced when
+first read.  "Clockwise" means the stored orientation of each cycle; there
+are no coordinates.
 
 The reduction driver changes one embedding in place, as in S. L.
 Mitchell's linear recognition (Inf. Process. Lett. 9(5), 1979).
@@ -731,8 +731,10 @@ def _small_components(g: Graph, seeds: set[int]) -> list[list[int]]:
     return [sorted(c) for c in comps.values()]
 
 
-def _boundary_cycle(adj: dict[int, set[int]], m: int) -> tuple[int, ...]:
-    """The Hamiltonian boundary cycle of a 2-connected outerplanar block.
+def _boundary_cycle(adj: dict[int, set[int]],
+                    m: int) -> tuple[tuple[int, ...], frozenset[Edge]]:
+    """The Hamiltonian boundary cycle of a 2-connected outerplanar block,
+    and its chords.
 
     ``adj`` holds the block's adjacency (sets, or tuples that are turned
     into sets when the peel first changes them), which this uses up, and
@@ -747,12 +749,23 @@ def _boundary_cycle(adj: dict[int, set[int]], m: int) -> tuple[int, ...]:
     which fault a rejected host is reported with.  A splice keeps a block
     2-connected, so a vertex left with one neighbour ends a trial on a host
     that is no block.
+
+    The chords are the splice pairs already joined when spliced, sorted.
+    Each reinsertion puts a vertex between its pair, which must then be
+    consecutive on the cycle, so by induction the block plus its splice
+    edges is drawn outerplane with that cycle outside, and an edge off the
+    cycle is the pair of the vertex that parted it.  An inserted vertex
+    parts its pair for good, so a pair spliced twice fails the
+    reinsertion: after one that succeeds, a pair already joined was joined
+    by a block edge.  So the chords, the block's edges off the cycle, are
+    these pairs, and they nest as the drawing's edges do.
     """
     n = len(adj)
     if m > 2 * n - 3:
         raise NotOuterplanar("too many edges for an outerplane drawing")
     ready = [v for v, ns in adj.items() if len(ns) == 2]
     removed: list[tuple[int, int, int]] = []  # (vertex, left, right)
+    chords: list[Edge] = []
     push = ready.append
     for _ in range(n - 3):
         while ready and len(adj.get(ready[-1], ())) != 2:
@@ -770,9 +783,12 @@ def _boundary_cycle(adj: dict[int, set[int]], m: int) -> tuple[int, ...]:
         if type(nb) is tuple:
             adj[b] = nb = set(nb)
         na.discard(v2)
-        na.add(b)
         nb.discard(v2)
-        nb.add(a)
+        if b in na:
+            chords.append((a, b))
+        else:
+            na.add(b)
+            nb.add(a)
         if len(na) < 2 or len(nb) < 2:
             raise NotOuterplanar("a vertex is left with one neighbour")
         if len(na) == 2:
@@ -793,7 +809,8 @@ def _boundary_cycle(adj: dict[int, set[int]], m: int) -> tuple[int, ...]:
     cycle = [first]
     for _ in range(n - 1):
         cycle.append(nxt[cycle[-1]])
-    return _canonical_cycle(cycle)
+    chords.sort()  # a frozenset's order depends on how it was filled
+    return _canonical_cycle(cycle), frozenset(chords)
 
 
 def _canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
@@ -810,24 +827,6 @@ def _positions(cycle: tuple[int, ...]) -> dict[int, int]:
     return dict(zip(cycle, range(len(cycle))))
 
 
-def _finish_block(cycle: Sequence[int], edges: Iterable[Edge]) -> BlockEmbedding:
-    """The block on boundary ``cycle``; its ``edges`` off the cycle are its chords.
-
-    The chords must nest like parentheses; the block traces its faces when
-    they are first read.
-    """
-    cycle = tuple(cycle)
-    k = len(cycle)
-    pos = _positions(cycle)
-    chords: list[Edge] = []
-    for u, v in edges:
-        if 1 < abs(pos[u] - pos[v]) < k - 1:
-            chords.append((u, v))
-    _check_nesting(cycle, pos, chords)
-    chords.sort()  # a frozenset's order depends on how it was filled
-    return BlockEmbedding(cycle, frozenset(chords))
-
-
 def _closing(k: int, pos: dict[int, int], chords: Iterable[Edge]) -> list[list[int]]:
     """For each boundary position ``j``, the other ends of the chords that
     close there (at their larger position)."""
@@ -841,34 +840,13 @@ def _closing(k: int, pos: dict[int, int], chords: Iterable[Edge]) -> list[list[i
     return closing
 
 
-def _check_nesting(cycle: tuple[int, ...], pos: dict[int, int],
-                   chords: Iterable[Edge]) -> None:
-    """Raise NotOuterplanar unless the chords nest like parentheses.
-
-    The stack holds the boundary positions still open, increasing.  At
-    position ``j`` each chord ``(i, j)``, innermost first, pops the
-    positions above ``i``; if ``i`` was already popped, the chord
-    interleaves with the one that popped it.
-    """
-    stack: list[int] = []
-    for j, ends in enumerate(_closing(len(cycle), pos, chords)):
-        if len(ends) > 1:
-            ends.sort(reverse=True)
-        for i in ends:
-            while stack[-1] > i:
-                stack.pop()
-            if stack[-1] != i:
-                raise NotOuterplanar(
-                    f"chord {norm_edge(cycle[i], cycle[j])} interleaves another")
-        stack.append(j)
-
-
 def _face_pass(
     cycle: tuple[int, ...], pos: dict[int, int], chords: Iterable[Edge]
 ) -> tuple[Face, ...]:
     """The inner faces of the block on ``cycle`` with ``chords``, sorted by key.
 
-    The chords nest (``_check_nesting`` ran on the block or its ancestor).
+    The chords nest (the peel that recognized the block or its ancestor
+    proves it).
     One stack pass over the boundary positions traces the inner faces.  The
     stack holds the positions still open, increasing, and consecutive
     entries are joined by an edge.  At position ``j`` each chord ``(i, j)``,
@@ -903,7 +881,7 @@ def _face_pass(
 def embed_block(edges: list[Edge], adj: dict[int, set[int]]) -> BlockEmbedding:
     """The block on ``edges``, which are its DFS edge list; the degree-2
     reduction uses up its adjacency sets ``adj``."""
-    return _finish_block(_boundary_cycle(adj, len(edges)), edges)
+    return BlockEmbedding(*_boundary_cycle(adj, len(edges)))
 
 
 def recognize_embed(g: Graph) -> OuterplanarEmbedding:
@@ -922,8 +900,8 @@ def recognize_embed(g: Graph) -> OuterplanarEmbedding:
         raise ValueError("empty graph")
     if g.min_degree() >= 2:  # so n >= 3
         with suppress(NotOuterplanar):
-            cycle = _boundary_cycle(dict(g._adj), g.m)
-            return OuterplanarEmbedding(g, [_finish_block(cycle, g.edges)], ())
+            block = BlockEmbedding(*_boundary_cycle(dict(g._adj), g.m))
+            return OuterplanarEmbedding(g, [block], ())
     return _recognize_blocks(g)
 
 

@@ -202,11 +202,19 @@ def _meets(g: Graph, constraints: dict) -> bool:
     return True
 
 
-def _refuse_unreachable(constraints: dict, most: int) -> None:
-    """Refuse a maximum degree that no graph on at most ``most`` vertices has."""
-    d = constraints.get("max_degree", 0)
+def _refuse_unreachable(constraints: dict, most: int, lows: tuple[int, ...]) -> None:
+    """Refuse degree bounds that no sample meets: a maximum degree that no
+    graph on at most ``most`` vertices has, or below 2 (every sample holds
+    a cycle), and a minimum degree outside ``lows``."""
+    d = constraints.get("max_degree", 2)
     if d >= most:
         raise ConstraintsUnsatisfiable(f"max_degree {d} needs more than {most} vertices")
+    if d < 2:
+        raise ConstraintsUnsatisfiable(f"max_degree {d} is below 2: every sample has a cycle")
+    low = constraints.get("min_degree", lows[-1])
+    if low not in lows:
+        each = " or ".join(map(str, lows))
+        raise ConstraintsUnsatisfiable(f"min_degree {low}: every sample has minimum degree {each}")
 
 
 def gen_random_outerplanar(
@@ -221,13 +229,14 @@ def gen_random_outerplanar(
     A uniformly random polygon triangulation has each diagonal kept
     independently with ``edge_keep_prob``; the boundary cycle always stays.
     Rejection-samples until the (exact) degree constraints hold; a maximum
-    degree of ``n`` or more is refused before the first draw.
+    degree of ``n`` or more or below 2, and a minimum degree other than 2,
+    are refused before the first draw.
     """
     if n < 3:
         raise ValueError("need at least three vertices")
     rng = random.Random(seed)
     constraints = constraints or {}
-    _refuse_unreachable(constraints, n)
+    _refuse_unreachable(constraints, n, (2,))
     for _ in range(retries):
         diags = _random_triangulation_diagonals(n, rng)
         kept = [d for d in diags if rng.random() < edge_keep_prob]
@@ -287,10 +296,13 @@ def gen_glued_outerplanar(
     Pieces are pendant edges, plain cycles, and thinned polygons, attached at
     existing vertices whose degree leaves room under the target maximum.
     This reaches cut vertices, bridges, and minimum degree 1, which the
-    2-connected sampler cannot.
+    2-connected sampler cannot.  Degree bounds that no sample meets are
+    refused before the first draw.
     """
     constraints = constraints or {}
-    _refuse_unreachable(constraints, max(n, 3))  # the first cycle has 3 vertices
+    # the first cycle has 3 vertices, and a connected outerplanar graph on
+    # 3 or more has a vertex of degree 1 or 2
+    _refuse_unreachable(constraints, max(n, 3), (1, 2))
     dmax = constraints.get("max_degree", 4)
     rng = random.Random(seed)
     for _ in range(retries):

@@ -246,6 +246,23 @@ def test_gen_refuses_unreachable_max_degree(capsys, monkeypatch):
     assert err == "error: max_degree 4 needs more than 4 vertices\n"
 
 
+def test_gen_refuses_an_edge_list_without_edges(tmp_path, capsys):
+    # an empty edge list does not parse back, so ``gen`` writes none; the
+    # JSON form holds the vertex, and ``label`` reads it
+    code, out, err = run(capsys, "gen", "--kind", "path", "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: an edge list cannot hold a graph without edges (n=1); "
+                   "use --format json\n")
+    code, out, _ = run(capsys, "gen", "--kind", "path", "--n", "1", "--format", "json")
+    assert code == 0
+    path = tmp_path / "one.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "label", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["vertices"] == {"0": 0}
+
+
 def test_bench_command(tmp_path, capsys):
     entries = [
         {"kind": "cycle", "n": 6, "name": "c6"},

@@ -576,9 +576,9 @@ def test_driver_never_redecomposes(monkeypatch):
             return real(*args)
         return inner
 
-    # a 2-connected host is recognized whole, by ``_finish_block`` alone
+    # a 2-connected host is recognized whole, by ``_boundary_cycle`` alone
     monkeypatch.setattr(embedding, "embed_block", counting(embedding.embed_block))
-    monkeypatch.setattr(embedding, "_finish_block", counting(embedding._finish_block))
+    monkeypatch.setattr(embedding, "_boundary_cycle", counting(embedding._boundary_cycle))
     monkeypatch.setattr(Graph, "_block_decomposition",
                         counting(Graph._block_decomposition))
     for g in (_capped_polygon(96, 4, "one-recognition"), gen.gen_strip(120),

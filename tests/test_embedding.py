@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from contextlib import suppress
+from functools import cache
 from operator import attrgetter
 
 import pytest
@@ -13,9 +15,9 @@ from test_structure import _polygon_subsets
 from outerlabel import embedding
 from outerlabel import generators as gen
 from outerlabel.embedding import (
+    BlockEmbedding,
     NotOuterplanar,
     OuterplanarEmbedding,
-    _finish_block,
     boundary_decompose,
     endfaces,
     recognize_embed,
@@ -26,6 +28,38 @@ from outerlabel.structure import enumerate_chains
 
 def c6_chord():
     return Graph.from_edges([(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
+
+
+def _finish_block(cycle, edges) -> BlockEmbedding:
+    """The block on boundary ``cycle`` whose ``edges`` off the cycle are its
+    chords, by a scan of every edge and a nesting check: the reference for
+    the chords that recognition reads off its peel."""
+    cycle = tuple(cycle)
+    k = len(cycle)
+    pos = embedding._positions(cycle)
+    chords = [(u, v) for u, v in edges if 1 < abs(pos[u] - pos[v]) < k - 1]
+    _check_nesting(cycle, pos, chords)
+    chords.sort()  # a frozenset's order depends on how it was filled
+    return BlockEmbedding(cycle, frozenset(chords))
+
+
+def _check_nesting(cycle, pos, chords) -> None:
+    """Raise NotOuterplanar unless the chords nest like parentheses.
+
+    The stack holds the boundary positions still open, increasing.  At
+    position ``j`` each chord ``(i, j)``, innermost first, pops the
+    positions above ``i``; if ``i`` was already popped, the chord
+    interleaves with the one that popped it.
+    """
+    stack: list[int] = []
+    for j, ends in enumerate(embedding._closing(len(cycle), pos, chords)):
+        for i in sorted(ends, reverse=True):
+            while stack[-1] > i:
+                stack.pop()
+            if stack[-1] != i:
+                raise NotOuterplanar(
+                    f"chord {norm_edge(cycle[i], cycle[j])} interleaves another")
+        stack.append(j)
 
 
 def _reversed(emb):
@@ -165,6 +199,9 @@ def test_check_chords_nesting():
     for crossing in ([(0, 4), (2, 6)], [(1, 5), (0, 2)], [(0, 3), (1, 4), (5, 7)]):
         with pytest.raises(NotOuterplanar):
             _finish_block(cycle, crossing)
+    # the peel reads the same chords off its splice pairs
+    ring = {(i, (i + 1) % 8) for i in range(8)}
+    assert recognize_embed(Graph(range(8), sorted(ring | set(nested)))).blocks == (blk,)
 
 
 def _canonical(cycle):
@@ -457,11 +494,11 @@ def _subdivided(edges, pattern):
     return Graph.from_edges(out)
 
 
-def test_stack_peel_finds_the_heap_peels_cycle():
-    # the peel's order is free: each block of the n <= 7 polygon sweep, each
-    # whole sweep host of minimum degree 2, every dissection of a 4- to 9-gon
-    # under a relabeling, and K4, K2,3 and their subdivisions give the same
-    # cycle as the smallest-first heap peel, or NotOuterplanar on both
+@cache
+def _peel_hosts() -> tuple[tuple[Graph, ...], tuple[Graph, ...]]:
+    """The n <= 7 polygon sweep, every dissection of a 4- to 9-gon under a
+    relabeling (each also with a chord crossing its first), and K4, K2,3
+    and their subdivisions (the second part, all rejected)."""
     hosts = list(_polygon_subsets())
     rng = random.Random(31)
     for n in range(4, 10):
@@ -479,8 +516,17 @@ def test_stack_peel_finds_the_heap_peels_cycle():
     k23 = [(a, b) for a in (0, 1) for b in (2, 3, 4)]
     rejected = [_subdivided(base, [(mask >> i) & 1 for i in range(6)])
                 for base in (k4, k23) for mask in range(64)]
+    return tuple(hosts), tuple(rejected)
+
+
+def test_stack_peel_finds_the_heap_peels_cycle():
+    # the peel's order is free: each block of the n <= 7 polygon sweep, each
+    # whole sweep host of minimum degree 2, every dissection of a 4- to 9-gon
+    # under a relabeling, and K4, K2,3 and their subdivisions give the same
+    # cycle as the smallest-first heap peel, or NotOuterplanar on both
+    hosts, rejected = _peel_hosts()
     outcomes = Counter()
-    for g in hosts + rejected:
+    for g in (*hosts, *rejected):
         parts = [(g._adj, g.m)] if g.min_degree() >= 2 else []
         for edges in g._block_decomposition()[0]:
             if len(edges) > 1:
@@ -491,12 +537,62 @@ def test_stack_peel_finds_the_heap_peels_cycle():
                 parts.append((adj, len(edges)))
         for adj, m in parts:
             got = _peel_outcome(embedding._boundary_cycle, adj, m)
+            if got is not NotOuterplanar:
+                got = got[0]  # the cycle: the next test checks the chords
             assert got == _peel_outcome(_heap_boundary_cycle, adj, m), sorted(g.edges)
             outcomes[got is NotOuterplanar] += 1
     for g in rejected:
         with pytest.raises(NotOuterplanar):
             recognize_embed(g)
     assert outcomes[False] > 20000 and outcomes[True] > 10000, outcomes
+
+
+def _edge_scan_recognition(g: Graph, monkeypatch) -> OuterplanarEmbedding:
+    """``recognize_embed`` with each block built by ``_finish_block`` from
+    the peel's cycle and the block's edges, as recognition once did."""
+    if g.min_degree() >= 2:
+        with suppress(NotOuterplanar):
+            cycle, _ = embedding._boundary_cycle(dict(g._adj), g.m)
+            return OuterplanarEmbedding(g, [_finish_block(cycle, g.edges)], ())
+    with monkeypatch.context() as patched:
+        patched.setattr(embedding, "embed_block", lambda edges, adj: _finish_block(
+            embedding._boundary_cycle(adj, len(edges))[0], edges))
+        return embedding._recognize_blocks(g)
+
+
+def _with_extra_edges(g: Graph, rng: random.Random) -> Graph:
+    """``g`` plus one to three random vertex pairs as edges (a pair that
+    is already an edge adds nothing)."""
+    edges = set(g.edges)
+    for _ in range(rng.randint(1, 3)):
+        u, v = rng.sample(g.vertices, 2)
+        edges.add(norm_edge(u, v))
+    return Graph(g.vertices, sorted(edges))
+
+
+def test_peel_chords_equal_the_edge_scan(monkeypatch):
+    # recognition reads each block's chords off its peel's splice pairs; a
+    # scan of every edge against the boundary positions, and a nesting
+    # check, find the same chords in the same iteration order and the same
+    # faces, or both reject a host with the same message
+    swept, rejected = _peel_hosts()
+    blocks = {frozenset(edges) for g in swept
+              for edges in g._block_decomposition()[0] if len(edges) > 1}
+    hosts = [*swept, *rejected, *(Graph.from_edges(sorted(edges)) for edges in blocks)]
+    rng = random.Random(34)
+    for seed in range(300):
+        g = gen.gen_glued_outerplanar(10 + seed % 30, seed, {"max_degree": 3 + seed % 3})
+        hosts += [g, _with_extra_edges(g, rng)]
+    outcomes = Counter()
+    for g in hosts:
+        got = _outcome(recognize_embed, g)
+        want = _outcome(lambda h: _edge_scan_recognition(h, monkeypatch), g)
+        if isinstance(want, str):
+            assert got == want, sorted(g.edges)
+        else:
+            _assert_same_embedding(got, want)
+        outcomes[isinstance(got, str)] += 1
+    assert outcomes[False] > 20000 and outcomes[True] > 5000, outcomes
 
 
 def test_blocks_sorted_by_cycle():
@@ -561,21 +657,22 @@ def _one_arc(emb, vertices, edges) -> bool:
 def test_without_equals_fresh_recognition(monkeypatch):
     rng = random.Random(0)
     splits = arcs = refused = 0
-    embedded = []  # every embedded block passes through ``_finish_block`` once
-    real = embedding._finish_block
+    peels = []  # every embedded block comes from one peel that succeeds
+    real = embedding._boundary_cycle
 
     def counting(*args):
-        embedded.append(args)
-        return real(*args)
+        peels.append(None)  # a peel that raises
+        peels[-1] = real(*args)
+        return peels[-1]
 
-    monkeypatch.setattr(embedding, "_finish_block", counting)
+    monkeypatch.setattr(embedding, "_boundary_cycle", counting)
     for g in _removal_hosts():
-        embedded.clear()
+        peels.clear()
         emb = recognize_embed(g)
-        assert len(embedded) == len(emb.blocks)  # the hook sees recognition
+        assert sum(p is not None for p in peels) == len(emb.blocks)  # the hook sees it
         assert _cut_vertices(emb) == g.cut_vertices()
         for vertices, edges in _removals(emb, rng):
-            embedded.clear()
+            peels.clear()
             rest = emb.working()  # a copy: neither emb nor g changes
             if not _one_arc(emb, vertices, edges):
                 with pytest.raises(ValueError):
@@ -584,7 +681,7 @@ def test_without_equals_fresh_recognition(monkeypatch):
                 continue
             undo = rest.remove(vertices, edges)
             arcs += 1
-            assert embedded == []  # the one-arc rule searches no boundary
+            assert peels == []  # the one-arc rule searches no boundary
             gone = set(vertices)
             lost = {norm_edge(*e) for e in edges}
             assert rest.graph == Graph(

@@ -151,6 +151,23 @@ def test_unreachable_max_degree_is_refused_before_any_draw(monkeypatch):
             gen.gen_random_outerplanar(4, 0.5, seed, {"max_degree": 4})
         with pytest.raises(gen.ConstraintsUnsatisfiable, match="needs more than 4"):
             gen.gen_glued_outerplanar(4, seed, {"max_degree": 4})
+        # every sample holds a cycle, and has a vertex of degree 1 or 2 (2 for
+        # the 2-connected sampler)
+        for cap in (0, 1):
+            with pytest.raises(gen.ConstraintsUnsatisfiable, match=f"max_degree {cap} is below 2"):
+                gen.gen_random_outerplanar(1000, 0.5, seed, {"max_degree": cap})
+            with pytest.raises(gen.ConstraintsUnsatisfiable, match=f"max_degree {cap} is below 2"):
+                gen.gen_glued_outerplanar(1000, seed, {"max_degree": cap})
+        for low in (0, 1, 3):
+            with pytest.raises(gen.ConstraintsUnsatisfiable, match=f"min_degree {low}: .* 2$"):
+                gen.gen_random_outerplanar(1000, 0.5, seed, {"min_degree": low})
+        for low in (0, 3, 4):
+            with pytest.raises(gen.ConstraintsUnsatisfiable, match=f"min_degree {low}: .* 1 or 2"):
+                gen.gen_glued_outerplanar(1000, seed, {"min_degree": low})
+    monkeypatch.undo()  # the bounds next to the refused ones are sampled
+    assert gen.gen_random_outerplanar(6, 0.0, 0, {"max_degree": 2, "min_degree": 2}).m == 6
+    assert gen.gen_glued_outerplanar(9, 1, {"min_degree": 1}).min_degree() == 1
+    assert gen.gen_glued_outerplanar(9, 1, {"min_degree": 2}, 0.0).min_degree() == 2
 
 
 def test_max_degree_one_below_the_refusal_is_sampled():

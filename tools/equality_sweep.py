@@ -4,7 +4,7 @@
 
 Each ``SRC`` holds an ``outerlabel`` package; it is imported in a fresh
 process, which labels every input with ``label_outerplanar`` and a
-``Diagnostics`` and reports, per input, five digests:
+``Diagnostics`` and reports, per input, six digests:
 
 * ``labels``: the assignment as sorted items, or the exception raised;
 * ``records``: the ``(event, where)`` records;
@@ -17,7 +17,10 @@ process, which labels every input with ``label_outerplanar`` and a
   ``lambda_exact(g, 2, Δ+2, cap=33)``'s λ, the witness items in
   insertion order, and the search's ``nodes`` and ``calls``, so the
   exact search's tree is compared input by input (a larger input digests
-  an empty string).
+  an empty string);
+* ``embedding``: ``json.dumps(io.embedding_to_json(recognize_embed(g)))``,
+  or the ``NotOuterplanar`` message, so recognition's blocks, chords,
+  faces and rejections are compared too.
 
 ``labels`` leaves insertion order out on purpose: the inputs must get
 equal labels, not equal dict histories.  ``json`` keeps it, as the vertex
@@ -49,13 +52,21 @@ The inputs:
   of 3 to 7 ears, each piece after the first bridged from a random earlier
   vertex of degree at most 3 to one of its own; the vertex ids are then
   shuffled, and the hosts of maximum degree 4 are kept.  Their chain steps
-  reach all four chain template cases.
+  reach all four chain template cases;
+* the ``rejected`` group: K4, K2,3 and the 126 graphs made by subdividing
+  some of their edges once, every dissection of a 4- to 9-gon that has a
+  chord, plus a chord crossing its first one, under a seeded relabeling,
+  and 500 glued Δ = 3 and 4 hosts, each plus one to three seeded random
+  vertex pairs as edges.
+  All but some of the last are not outerplanar, so every message that
+  recognition raises is compared.
 
 Both trees label the same hosts: those from this tree's ``generators.py``
 are built by it whichever tree is imported, and the tight-gap leaves by
 this tree's test module.  Prints the count of inputs
 per group, with the mismatches of each part, and how many inputs the
-``search`` part searched, then for each tree how many
+``search`` part searched, then for each tree how many inputs it rejected
+as not outerplanar, how many
 inputs logged each repair event (its fallback rate), how many chain steps
 ran each chain template case and how many lines its ``outerlabel`` package
 has, then every mismatching input and its parts, and exits 1 if there is
@@ -78,7 +89,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LEMMA1_SEEDS = (3442, 3992, 4224, 6402, 6718)  # glued seeds, Δ = 3
 REPAIR_SEEDS = ((954, 4), (476, 4))  # glued (seed, Δ)
-PARTS = ("labels", "records", "trace", "json", "search")
+PARTS = ("labels", "records", "trace", "json", "search", "embedding")
 SEARCH_CAP = 33  # elements
 
 
@@ -150,6 +161,42 @@ def inputs(glued: int):
         g = chain_host(here, random.Random(s))
         if g.max_degree() == 4:
             yield "chains", f"chains{s}", Graph.from_edges(g.edges)
+    yield from (("rejected", name, g) for name, g in rejected_hosts(here, gen))
+
+
+def rejected_hosts(here, gen):
+    """(name, graph) for the ``rejected`` group: ``here`` is this tree's
+    ``generators.py``, ``gen`` the imported package's."""
+    from outerlabel.graphs import Graph, norm_edge
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    k23 = [(a, b) for a in (0, 1) for b in (2, 3, 4)]
+    for base, edges in (("K4", k4), ("K2,3", k23)):
+        for mask in range(64):  # subdivide edge i once when bit i is set
+            out, fresh = [], 5
+            for i, (u, v) in enumerate(edges):
+                if mask >> i & 1:
+                    out += [(u, fresh), (fresh, v)]
+                    fresh += 1
+                else:
+                    out.append((u, v))
+            yield f"{base}:{mask}", Graph.from_edges(out)
+    r = random.Random(34)
+    for n in range(4, 10):
+        perm = list(range(n))
+        r.shuffle(perm)
+        for d in here.enumerate_dissections(n):
+            for a, b in d.edges:  # the first chord, and one crossing it
+                if (b - a) % n not in (1, n - 1):
+                    cross = (a + 1, (b + 1) % n)
+                    yield f"n{n}:{sorted(d.edges)}+{cross}", Graph(range(n), [
+                        norm_edge(perm[x], perm[y]) for x, y in [*d.edges, cross]])
+                    break
+    for s in range(500):
+        g = gen.gen_glued_outerplanar(20 + s % 60, s, {"max_degree": 3 + s % 2})
+        edges = set(g.edges)
+        for _ in range(r.randint(1, 3)):
+            edges.add(norm_edge(*r.sample(g.vertices, 2)))
+        yield f"glued{s}+{len(edges) - g.m}", Graph(g.vertices, sorted(edges))
 
 
 def chain_host(gen, r: random.Random):
@@ -176,6 +223,7 @@ def chain_host(gen, r: random.Random):
 def child(glued: int) -> None:
     from outerlabel import delta4, io
     from outerlabel.delta3 import Diagnostics
+    from outerlabel.embedding import NotOuterplanar, recognize_embed
     from outerlabel.exact import SearchStats, lambda_exact
     from outerlabel.pipeline import label_outerplanar
 
@@ -208,10 +256,16 @@ def child(glued: int) -> None:
                                         stats=stats)
             searched = repr((lam, witness and list(witness.assignment.items()),
                              stats.nodes, stats.calls))
+        try:
+            embedded = json.dumps(io.embedding_to_json(recognize_embed(g)))
+            rejected = False
+        except NotOuterplanar as exc:
+            embedded, rejected = f"NotOuterplanar: {exc}", True
         digests = [hashlib.sha256(part.encode()).hexdigest()
-                   for part in (out, records, "\n".join(diag.trace), printed, searched)]
+                   for part in (out, records, "\n".join(diag.trace), printed, searched,
+                                embedded)]
         events = sorted({str(r.get("event")) for r in diag.records})
-        print(json.dumps([group, name, *digests, events, steps]))
+        print(json.dumps([group, name, *digests, events, steps, rejected]))
 
 
 def run(src: str, glued: int) -> list[list[str]]:
@@ -256,10 +310,13 @@ def main() -> int:
     searched = sum(row[2 + PARTS.index("search")] != unsearched for row in parent)
     print(f"inputs of at most {SEARCH_CAP} elements, searched exactly: {searched}")
     for side, src, rows in (("parent", args.parent, parent), ("change", args.change, change)):
-        logged = Counter(event for row in rows for event in row[-2])
+        rejected = Counter(row[0] for row in rows if row[-1])
+        each = "  ".join(f"{group} {n}" for group, n in sorted(rejected.items()))
+        print(f"{side} inputs rejected as not outerplanar: {each or 'none'}")
+        logged = Counter(event for row in rows for event in row[-3])
         each = "  ".join(f"{event} {n}" for event, n in sorted(logged.items()))
         print(f"{side} inputs logging each event: {each or 'none'}")
-        steps = Counter(case for row in rows for case in row[-1])
+        steps = Counter(case for row in rows for case in row[-2])
         each = "  ".join(f"case {case} {n}" for case, n in sorted(steps.items()))
         print(f"{side} chain steps per template case: {each or 'none'}")
         lines = sum(len(p.read_text().splitlines())
