@@ -1,7 +1,8 @@
 """Command-line interface.
 
 JSON results go to stdout, human-readable summaries to stderr.  Exit codes:
-0 success, 1 failed verification, 2 input/parse error, 3 not outerplanar,
+0 success, 1 failed verification, 2 input/parse error (a file that cannot
+be read or written too), 3 not outerplanar,
 4 unsupported input: a maximum degree no labeler serves, or (``exact``) more
 elements than the exhaustive search's element cap, 5 labeler fault: a
 case table failed its check, or a labeler found no verified labeling or
@@ -35,9 +36,10 @@ EXIT_LABELER = 5
 
 
 def _read_text(path: str) -> str:
+    """A file's text, or stdin's for ``-``, without a leading byte-order mark."""
     if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+        return sys.stdin.read().removeprefix("\ufeff")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _load_graph(path: str, fmt: str) -> Graph:
@@ -54,7 +56,7 @@ def cmd_label(args: argparse.Namespace) -> int:
     # raises NotOuterplanar on a non-outerplanar host, and never returns a
     # labeling that fails verification
     f = label_outerplanar(g, fallback_search=args.fallback_search, diag=diag)
-    print(json.dumps(io.labeling_to_json(f)))
+    print(io.labeling_to_text(f))
     _say(
         f"labeled n={g.n} m={g.m} max_degree={g.max_degree()} "
         f"span={span(f)} verified=yes"
@@ -65,7 +67,12 @@ def cmd_label(args: argparse.Namespace) -> int:
         for rec in diag.records:
             _say(f"note: {rec}")
     if args.dot:
-        Path(args.dot).write_text(io.to_dot(g, f), encoding="utf-8")
+        try:
+            Path(args.dot).write_text(io.to_dot(g, f), encoding="utf-8")
+        except OSError as exc:
+            _say(f"output error: cannot write the DOT rendering to {args.dot}: "
+                 f"{exc.strerror or exc} (the labeling was printed)")
+            return EXIT_PARSE
     return EXIT_OK
 
 
@@ -238,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (io.FormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (io.FormatError, OSError, json.JSONDecodeError) as exc:
         _say(f"input error: {exc}")
         return EXIT_PARSE
     except NotOuterplanar as exc:

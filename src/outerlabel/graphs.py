@@ -8,9 +8,12 @@ keeps one.  A working copy counts its degrees into a histogram once, and a
 cut patches it at the vertices it touches, so its extreme degrees cost O(Δ);
 any other graph finds them by a scan.  A cut of one vertex, the usual
 reduction step, slices it out of its neighbours' tuples, so it costs
-O(Δ²) and builds no map of what each neighbour loses.  A working copy, an
-induced subgraph or a graph built by ``from_edges`` lists its sorted
-vertex and edge tuples only when they are first read.
+O(Δ²) and builds no map of what each neighbour loses.  A working copy or an
+induced subgraph lists its sorted vertex and edge tuples only when they are
+first read.  ``from_edges`` keeps the sorted vertices it computes, and
+keeps the pairs it was given as the edges when they came as tuples in
+sorted order (as ``io.parse_edgelist`` reads a written edge list); other
+input has its edges listed when first read.
 """
 
 from __future__ import annotations
@@ -74,11 +77,14 @@ class Graph:
 
         Each edge is read once, into adjacency lists; a self-loop raises
         ValueError.  Edges in the order ``edges`` lists them (each ``u < v``,
-        increasing, none twice) leave every list sorted; any other order
-        pays a sort and a set per vertex."""
+        increasing, none twice) leave every list sorted, and when each is a
+        tuple they are kept as ``edges``; any other order pays a sort and a
+        set per vertex, and its edges are listed when first read.  The
+        sorted vertices are kept either way."""
+        pairs = tuple(edges)
         adj = defaultdict(list, {v: [] for v in range(n or 0)})
         ordered, lu, lv = True, -1, -1
-        for u, v in edges:
+        for u, v in pairs:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if ordered and not (u < v and (u > lu or u == lu and v > lv)):
@@ -86,11 +92,16 @@ class Graph:
             lu, lv = u, v
             adj[u].append(v)
             adj[v].append(u)
+        vs = sorted(adj)
         if ordered:
-            out = {v: tuple(adj[v]) for v in sorted(adj)}
+            out = {v: tuple(adj[v]) for v in vs}
         else:
-            out = {v: tuple(sorted(set(adj[v]))) for v in sorted(adj)}
-        return cls._of(out, sum(map(len, out.values())) // 2, None)
+            out = {v: tuple(sorted(set(adj[v]))) for v in vs}
+        g = cls._of(out, sum(map(len, out.values())) // 2, None)
+        g._vertices = tuple(vs)
+        if ordered and set(map(type, pairs)) <= {tuple}:
+            g._edges = pairs
+        return g
 
     # -- accessors ---------------------------------------------------------
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain, repeat
 from typing import Any
 
 from .embedding import OuterplanarEmbedding
@@ -16,27 +17,48 @@ class FormatError(ValueError):
 
 
 # A line of two decimal ids, or a blank one, as ``dump_edgelist`` writes them.
-_PLAIN_LINE = re.compile(r"[ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?")
+_PLAIN_LINE = r"[ \t]*+(?:[0-9]++[ \t]++[0-9]++[ \t]*+)?+"
+# Plain lines between the line breaks ``str.splitlines`` knows.  Every
+# quantifier is possessive, so a match of a whole text keeps no
+# backtracking state.
+_PLAIN_TEXT = re.compile(
+    rf"{_PLAIN_LINE}(?:[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]{_PLAIN_LINE})*+")
 
 
 def parse_edgelist(text: str) -> Graph:
     """One ``u v`` pair per line; ``#`` starts a comment.
 
     Vertices are the endpoints that appear (the format cannot express
-    isolated vertices).  A text whose every line is plain (``_PLAIN_LINE``)
-    has no fault to report, so its ids are read in one pass over its
-    tokens.  Every other text (comments, other whitespace, signs, a wrong
-    token count, an id ``int`` refuses, no edge) goes to the line scan,
-    which raises at its first faulty line.
+    isolated vertices).  A text whose every line is plain (``_PLAIN_TEXT``,
+    one match of the whole text) has no fault to report, so its ids are
+    read in one pass (``_plain_ids``).  Every other text (comments, other
+    whitespace, signs, a wrong token count, an id ``int`` refuses, no edge)
+    goes to the line scan, which raises at its first faulty line.
     """
-    if all(map(_PLAIN_LINE.fullmatch, text.splitlines())):
-        try:
-            ends = list(map(int, text.split()))
-        except ValueError:  # more digits than ``int`` converts
-            ends = []
+    if _PLAIN_TEXT.fullmatch(text):
+        ends = _plain_ids(text)
         if ends:
             return Graph.from_edges(zip(ends[::2], ends[1::2]))
     return _scan_edgelist(text)
+
+
+def _plain_ids(text: str) -> list[int]:
+    """The ids of a plain text in order, or [] if ``int`` refuses one.
+
+    A text as ``dump_edgelist`` writes it, one space or line break between
+    ids, is a JSON array once each of those is a comma, so the C decoder
+    reads it.  JSON refuses other gaps and leading zeros; those texts are
+    read by ``int``.
+    """
+    ids = text.replace(" ", ",").replace("\n", ",").rstrip(",")
+    try:
+        return json.loads(f"[{ids}]")
+    except ValueError:
+        pass
+    try:
+        return list(map(int, text.split()))
+    except ValueError:  # more digits than ``int`` converts
+        return []
 
 
 def _scan_edgelist(text: str) -> Graph:
@@ -119,6 +141,39 @@ def labeling_to_json(f: TotalLabeling) -> dict[str, Any]:
     if len(vertices) + len(edges) != len(a):
         edges = sorted([*e, lab] for e, lab in a.items() if isinstance(e, tuple))
     return {"k": f.k, "vertices": vertices, "edges": edges}
+
+
+def labeling_to_text(f: TotalLabeling) -> str:
+    """``json.dumps(labeling_to_json(f))``, converting each id and label once.
+
+    When every key is an ``int`` vertex or an edge of the graph, every edge
+    and both its ends are labeled, and every label is an ``int``, the text
+    is joined from the decimal strings of the labeled vertices and of the
+    labels in use, each made once, with the vertices in the assignment's
+    order and the edges in the graph's.  Any other labeling is written from
+    ``labeling_to_json``.
+    """
+    a, es = f.assignment, f.graph.edges
+    vertices = [v for v in a if type(v) is int]
+    if len(vertices) + len(es) == len(a) and set(map(type, a.values())) <= {int}:
+        names = list(map(str, vertices))
+        labels = set(a.values())
+        label = dict(zip(labels, map(str, labels))).__getitem__
+        # both ends of each edge, in turn, from one iterator
+        ends = map(dict(zip(vertices, names)).__getitem__, chain.from_iterable(es))
+        try:  # a KeyError: an edge or an end of one is unlabeled
+            vpart = "".join(chain.from_iterable(zip(
+                repeat('"'), names, repeat('": '),
+                map(label, map(a.__getitem__, vertices)), repeat(", "))))
+            epart = "".join(chain.from_iterable(zip(
+                repeat("["), ends, repeat(", "), ends, repeat(", "),
+                map(label, map(a.__getitem__, es)), repeat("], "))))
+        except KeyError:
+            pass
+        else:  # each part without its last ", "
+            return (f'{{"k": {json.dumps(f.k)}, "vertices": {{{vpart[:-2]}}}, '
+                    f'"edges": [{epart[:-2]}]}}')
+    return json.dumps(labeling_to_json(f))
 
 
 def _int(x: Any, what: str) -> int:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -351,3 +352,47 @@ def test_p_only_where_it_is_read(tmp_path, capsys):
         assert exc.value.code == 2
     code, _, _ = run(capsys, "exact", path, "--p", "3", "--kmax", "8")
     assert code == 0
+
+
+def test_unreadable_paths_exit_2(tmp_path, capsys):
+    # a directory where a file is read: every command ends in one line
+    gpath = write_graph(tmp_path, gen.gen_cycle(4))
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for argv in (["label", str(folder)], ["verify", gpath, str(folder)],
+                 ["verify", str(folder), gpath], ["exact", str(folder)],
+                 ["structure", str(folder)], ["bench", str(folder)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("input error:") and str(folder) in err
+        assert err.count("\n") == 1
+    # a directory where the DOT file is written: the labeling was printed,
+    # and the message names the path
+    code, out, err = run(capsys, "label", gpath, "--dot", str(folder))
+    assert code == 2 and json.loads(out)["k"] == 4
+    last = err.splitlines()[-1]
+    assert last.startswith("output error:") and str(folder) in last
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys, monkeypatch):
+    g = gen.gen_closed_chain(2, "merged")
+    code, want, _ = run(capsys, "label", write_graph(tmp_path, g))
+    assert code == 0
+    bom = "\ufeff"
+    gpath = tmp_path / "bom.txt"
+    gpath.write_text(bom + dump_edgelist(g), encoding="utf-8")
+    jpath = tmp_path / "bom.json"
+    jpath.write_text(bom + dump_graph_json(g), encoding="utf-8")
+    lpath = tmp_path / "lab.json"
+    lpath.write_text(bom + want, encoding="utf-8")
+    for argv in (["label", str(gpath)], ["label", str(jpath), "--format", "json"]):
+        assert run(capsys, *argv)[:2] == (0, want)
+    code, out, _ = run(capsys, "verify", str(gpath), str(lpath))
+    assert code == 0 and json.loads(out)["ok"] is True
+    code, out, _ = run(capsys, "verify", str(jpath), str(lpath), "--format", "json")
+    assert code == 0 and json.loads(out)["ok"] is True
+    monkeypatch.setattr("sys.stdin", io.StringIO(bom + dump_edgelist(g)))
+    assert run(capsys, "label", "-")[:2] == (0, want)
+    monkeypatch.setattr("sys.stdin", io.StringIO(bom + want))
+    code, out, _ = run(capsys, "verify", str(gpath), "-")
+    assert code == 0 and json.loads(out)["ok"] is True

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +110,65 @@ def test_written_edge_lists_take_the_one_pass_read(monkeypatch):
         assert io.parse_edgelist(text) == g
 
 
+# The plain-line check as it was, one ``fullmatch`` per ``splitlines()`` line:
+# the reference for the whole-text check.
+_OLD_PLAIN_LINE = re.compile(r"[ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?")
+_SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+_CHARS = st.sampled_from([*"0123456789", *"0123456789", " ", " ", " ", "\t", "\n", "\n",
+                          *_SEPARATORS, "#", "-", "+", "\u0663", "a", "Z"])
+_PIECES = st.sampled_from(["0 1\n", "1 2\n", "2 0\n", "12 3\n", "03 4\n", "5 5\n",
+                           " 6\t7 ", "8  9", *_SEPARATORS])
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.one_of(_CHARS, _PIECES), max_size=40).map("".join))
+def test_whole_text_check_equals_the_line_check(text):
+    # digits, gaps, every line break ``splitlines`` knows, comments, signs, a
+    # non-ASCII digit, letters and whole lines: the whole-text match accepts
+    # a text exactly when each of its lines is plain, and the read that
+    # follows gives the line scan's graph, or its error and message
+    plain = all(map(_OLD_PLAIN_LINE.fullmatch, text.splitlines()))
+    assert bool(io._PLAIN_TEXT.fullmatch(text)) == plain
+    got, want = _read(io.parse_edgelist, text), _read(io._scan_edgelist, text)
+    assert got == want
+    if isinstance(want, Graph):
+        assert got.m == want.m and got._adj == want._adj and got.edges == want.edges
+
+
+def _ladder_text(n: int) -> str:
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(i, n - 1 - i) for i in range(1, n // 2 - 1)]
+    return io.dump_edgelist(Graph.from_edges(edges))
+
+
+def test_whole_text_check_keeps_no_backtracking_state():
+    # a greedy whole-text pattern grows its backtracking stack with the text
+    # (tens of MB on this one); the possessive one allocates next to nothing
+    text = _ladder_text(10**5)
+    tracemalloc.start()
+    try:
+        assert io._PLAIN_TEXT.fullmatch(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 1_500_000 and peak < 64 * 1024
+
+
+def test_parsed_pairs_are_the_graphs_edges():
+    # a written edge list parses to the graph the constructor builds, its
+    # edges the parsed pairs, sorted; so does one read through the line scan
+    hosts = [gen.gen_closed_chain(3, "merged"), gen.gen_strip(40),
+             Graph.from_edges([(0, 1), (1, 2), (2, 0), (2, 10), (10, 11)]),
+             Graph.from_edges([(5, 7)])]
+    for g in hosts:
+        for text in (io.dump_edgelist(g), "# scanned\n" + io.dump_edgelist(g)):
+            h = io.parse_edgelist(text)
+            assert h._edges is not None and h._vertices is not None  # kept
+            assert h == Graph(g.vertices, g.edges) and h.vertices == g.vertices
+            assert list(h.edges) == sorted(h.edges) and h.m == len(h.edges)
+
+
 def test_graph_json_roundtrip():
     g = Graph.from_edges([(0, 2), (2, 4)], n=6)  # keeps isolated vertices
     back = io.parse_graph_json(io.dump_graph_json(g))
@@ -195,7 +257,34 @@ def test_labeling_json_matches_the_sorted_emit():
         for case in cases:
             out = json.dumps(io.labeling_to_json(case))
             assert out == json.dumps(_sorted_labeling_json(case))
+            assert io.labeling_to_text(case) == out
         assert [v, u, 1] in io.labeling_to_json(cases[-2])["edges"]
+
+
+def test_labeling_text_is_the_json_dump():
+    # every corpus-manifest labeling, as the CLI prints it
+    root = Path(__file__).resolve().parents[1] / "corpus"
+    for delta in (3, 4):
+        for entry in gen.load_manifest(root / f"delta{delta}_manifest.json"):
+            f = label_outerplanar(gen.corpus_graph(entry))
+            assert io.labeling_to_text(f) == json.dumps(io.labeling_to_json(f))
+    # labelings the joined text does not serve: a bool, a float or a None
+    # label, a string key, an edge whose end is unlabeled, a vertex outside
+    # the graph; and graphs with no edges
+    g = gen.gen_cycle(5)
+    f = label_outerplanar(g)
+    u, v = g.edges[0]
+    cases = [TotalLabeling(g, f.k, {**f.assignment, u: True}),
+             TotalLabeling(g, f.k, {**f.assignment, (u, v): 2.0}),
+             TotalLabeling(g, f.k, {**f.assignment, v: None}),
+             TotalLabeling(g, f.k, {**f.assignment, "x": 1}),
+             TotalLabeling(g, f.k, {e: lab for e, lab in f.assignment.items() if e != u}),
+             TotalLabeling(g, f.k, {**f.assignment, 99: 0}),
+             TotalLabeling(Graph.from_edges([], 3), 2, {0: 0, 2: 1}),
+             TotalLabeling(Graph.from_edges([], 1), 0),
+             label_outerplanar(io.parse_graph_json('{"n": 4, "edges": []}'))]
+    for case in cases:
+        assert io.labeling_to_text(case) == json.dumps(io.labeling_to_json(case))
 
 
 def test_dot_export():

@@ -9,10 +9,11 @@ process, which labels every input with ``label_outerplanar`` and a
 * ``labels``: the assignment as sorted items, or the exception raised;
 * ``records``: the ``(event, where)`` records;
 * ``trace``: the step trace lines;
-* ``json``: what ``outerlabel label`` prints for it, the bytes of
-  ``json.dumps(io.labeling_to_json(f))`` for the labeling ``f`` of the
-  graph read back from its ``io.dump_edgelist`` text (or the exception
-  raised);
+* ``json``: what ``outerlabel label`` prints for it: the graph is read
+  back from its ``io.dump_edgelist`` text (or the exception raised is
+  digested), and its ``io.dump_graph_json`` text is fed on stdin to
+  ``cli.main(["label", "-", "--format", "json"])``, whose exit code,
+  stdout and stderr are digested;
 * ``search``: for an input of at most 33 elements (vertices and edges),
   ``lambda_exact(g, 2, Δ+2, cap=33)``'s λ, the witness items in
   insertion order, and the search's ``nodes`` and ``calls``, so the
@@ -25,7 +26,7 @@ process, which labels every input with ``label_outerplanar`` and a
 ``labels`` leaves insertion order out on purpose: the inputs must get
 equal labels, not equal dict histories.  ``json`` keeps it, as the vertex
 labels are written in the assignment's order, and sweeps the edge-list
-parser and the JSON writer too.
+parser and the bytes the CLI writes too.
 The inputs:
 
 * both corpus manifests (``corpus/delta{3,4}_manifest.json``);
@@ -77,7 +78,9 @@ changes that must keep outputs, not part of the test suite.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io as textio
 import json
 import random
 import subprocess
@@ -220,8 +223,20 @@ def chain_host(gen, r: random.Random):
     return gen.Graph.from_edges((ids[u], ids[v]) for u, v in edges)
 
 
+def printed(cli, text: str) -> str:
+    """``outerlabel label - --format json`` on ``text``: exit code, stdout, stderr."""
+    out, err = textio.StringIO(), textio.StringIO()
+    stdin, sys.stdin = sys.stdin, textio.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["label", "-", "--format", "json"])
+    finally:
+        sys.stdin = stdin
+    return f"{code}\n{out.getvalue()}{err.getvalue()}"
+
+
 def child(glued: int) -> None:
-    from outerlabel import delta4, io
+    from outerlabel import cli, delta4, io
     from outerlabel.delta3 import Diagnostics
     from outerlabel.embedding import NotOuterplanar, recognize_embed
     from outerlabel.exact import SearchStats, lambda_exact
@@ -246,9 +261,10 @@ def child(glued: int) -> None:
         steps = list(cases)
         try:
             h = io.parse_edgelist(io.dump_edgelist(g))
-            printed = json.dumps(io.labeling_to_json(label_outerplanar(h)))
         except Exception as exc:
-            printed = f"{type(exc).__name__}: {exc}"
+            written = f"{type(exc).__name__}: {exc}"
+        else:
+            written = printed(cli, io.dump_graph_json(h))
         searched = ""
         if g.n + g.m <= SEARCH_CAP:
             stats = SearchStats()
@@ -262,7 +278,7 @@ def child(glued: int) -> None:
         except NotOuterplanar as exc:
             embedded, rejected = f"NotOuterplanar: {exc}", True
         digests = [hashlib.sha256(part.encode()).hexdigest()
-                   for part in (out, records, "\n".join(diag.trace), printed, searched,
+                   for part in (out, records, "\n".join(diag.trace), written, searched,
                                 embedded)]
         events = sorted({str(r.get("event")) for r in diag.records})
         print(json.dumps([group, name, *digests, events, steps, rejected]))
